@@ -14,12 +14,14 @@ from .determinants import (
     BasisSplit,
     Determinant,
     ExcitationIndex,
+    ExcitationSpace,
     OrbitalBasis,
     apply_excitation,
     classify_excitation,
     enumerate_determinants,
     enumerate_excitations,
     excitation_from_reference,
+    excitation_space,
     v_ext_norm,
 )
 from .hamiltonian import (
@@ -47,6 +49,7 @@ from .exact import (
     similarity_apply,
 )
 from .tcc import (
+    TailoredHamiltonian,
     TccConfig,
     TccResult,
     TruncationScheme,
@@ -55,6 +58,7 @@ from .tcc import (
     split_amplitudes,
     tcc_energy,
     tcc_residual,
+    truncated_space,
 )
 from .entropy import (
     CasSelection,

@@ -18,11 +18,20 @@ against a dense 2^K occupation-tensor oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .errors import NonPositiveWeightError, SpaceMismatchError
+import numpy as np
+
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteAmplitudeError,
+    NonPositiveWeightError,
+    SpaceMismatchError,
+)
 
 MAX_SPIN_ORBITALS = 64
 
@@ -264,7 +273,10 @@ class AmplitudeVector:
         self.prune()
 
     def prune(self, tol: float = 0.0) -> "AmplitudeVector":
-        """Drop explicit zeros (or entries with |t| <= tol)."""
+        """Drop explicit zeros (or entries with |t| <= tol); reject NaN and inf."""
+        for mu, v in self.entries.items():
+            if not math.isfinite(v):
+                raise NonFiniteAmplitudeError(f"amplitude of {mu} is {v}")
         self.entries = {m: v for m, v in self.entries.items() if abs(v) > tol}
         return self
 
@@ -292,14 +304,6 @@ class AmplitudeVector:
         return iter(sorted(self.entries))
 
 
-def amplitudes_from_pairs(
-    space: str,
-    pairs: Iterable[tuple[ExcitationIndex, float]],
-    scheme: Optional[str] = None,
-) -> AmplitudeVector:
-    return AmplitudeVector(space, dict(pairs), scheme)
-
-
 def v_ext_norm(t: AmplitudeVector, fock) -> float:
     """Weighted l2 norm sqrt(sum eps_mu t_mu^2).
 
@@ -315,3 +319,213 @@ def v_ext_norm(t: AmplitudeVector, fock) -> float:
             raise NonPositiveWeightError(f"eps_mu <= 0 for {mu}: {eps}")
         acc += eps * val * val
     return acc ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# Excitation tables
+# ---------------------------------------------------------------------------
+
+# Largest (indices x determinants) block tested at once while building a table;
+# it bounds the build's temporary memory to a few hundred kB.
+_TABLE_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def determinant_masks(n_orbitals: int, n_electrons: int) -> np.ndarray:
+    """Bit masks of the N-electron determinants, in enumerate_determinants order."""
+    occ = np.array(list(combinations(range(n_orbitals), n_electrons)), dtype=np.uint64)
+    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), occ), axis=1)
+    masks.flags.writeable = False
+    return masks
+
+
+def _bits(orbitals: np.ndarray) -> np.ndarray:
+    return np.left_shift(np.uint64(1), orbitals.astype(np.uint64) - np.uint64(1))
+
+
+def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise X_mu on determinant masks: the resulting masks and phases.
+
+    Row i applies the index with 1-based `holes[i]` -> `particles[i]`, rightmost
+    pair first, as apply_excitation does; every hole must be occupied and
+    every particle empty in masks[i].
+    """
+    sign = np.ones(len(masks))
+    for q in reversed(range(holes.shape[1])):
+        for orbital, create in ((holes[:, q], False), (particles[:, q], True)):
+            bit = _bits(orbital)
+            odd = (np.bitwise_count(masks & (bit - np.uint64(1))) & 1).astype(bool)
+            sign[odd] = -sign[odd]
+            masks = masks | bit if create else masks & ~bit
+    return masks, sign
+
+
+class ExcitationSpace:
+    """An ordered set of excitation indices acting on the N-electron determinants.
+
+    Holds the determinant masks, the position of X_mu phi_0 and its sign for
+    every index, and -- built on first use -- the excitation table
+    (src, dst, sign, mu): X_{indices[mu]} phi_src = sign * phi_dst, one row
+    per nonzero action, grouped by rank, then ordered by index and source
+    determinant. Amplitude vectors on the space are ndarrays in index
+    order; with them T @ v is a single bincount over the table.
+    """
+
+    def __init__(self, basis: OrbitalBasis, indices: Sequence[ExcitationIndex]):
+        self.basis = basis
+        self.indices = tuple(indices)
+        self.masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
+        # the masks are distinct, so any sort gives this order; the merge sort
+        # touches far less of numpy's code than the default SIMD quicksort
+        self._order = np.argsort(self.masks, kind="stable")
+        self._sorted = self.masks[self._order]
+        self._slot = {mu: a for a, mu in enumerate(self.indices)}
+        by_rank: dict[int, list[int]] = {}
+        for a, mu in enumerate(self.indices):
+            by_rank.setdefault(mu.rank, []).append(a)
+        # (ids, holes, particles) per rank, orbitals 1-based
+        self._groups = [
+            (np.array(ids),
+             np.array([self.indices[a].holes for a in ids]),
+             np.array([self.indices[a].particles for a in ids]))
+            for _, ids in sorted(by_rank.items())
+        ]
+        ref_mask = np.uint64((1 << basis.n_electrons) - 1)
+        self.reference = int(self.position(np.array([ref_mask]))[0])
+        _, dst, sign, mu = self._rows(np.array([self.reference]))
+        if len(mu) != len(self):
+            hit = set(mu.tolist())
+            bad = next(m for a, m in enumerate(self.indices) if a not in hit)
+            raise SpaceMismatchError(f"index {bad} does not excite the reference")
+        self.ref_pos = np.empty(len(self), dtype=np.intp)
+        self.ref_pos[mu] = dst
+        self.ref_sign = np.empty(len(self))
+        self.ref_sign[mu] = sign
+        self._table: Optional[tuple[np.ndarray, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    @property
+    def dim(self) -> int:
+        return len(self.masks)
+
+    def position(self, masks: np.ndarray) -> np.ndarray:
+        """Positions of N-electron determinant masks in the enumeration order."""
+        return self._order[np.searchsorted(self._sorted, masks)]
+
+    def reference_state(self) -> np.ndarray:
+        """phi_0 as a coefficient vector."""
+        v = np.zeros(self.dim)
+        v[self.reference] = 1.0
+        return v
+
+    def _rows(self, sources: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(src, dst, sign, mu) of every nonzero X_mu phi_src with src in `sources`."""
+        cols = [[np.empty(0, dtype=np.int32)] * 2 + [np.empty(0, dtype=np.int8)]
+                + [np.empty(0, dtype=np.int32)]]
+        masks = self.masks[sources]
+        step = max(1, _TABLE_BLOCK // len(sources))
+        for ids, holes, particles in self._groups:
+            hole_masks = np.bitwise_or.reduce(_bits(holes), axis=1)
+            part_masks = np.bitwise_or.reduce(_bits(particles), axis=1)
+            for lo in range(0, len(ids), step):
+                h = hole_masks[lo:lo + step, None]
+                p = part_masks[lo:lo + step, None]
+                a, j = np.nonzero(((masks & h) == h) & ((masks & p) == 0))
+                a += lo
+                dst, sign = _excite(masks[j], holes[a], particles[a])
+                cols.append([sources[j].astype(np.int32), self.position(dst).astype(np.int32),
+                             sign.astype(np.int8), ids[a].astype(np.int32)])
+        return tuple(np.concatenate(col) for col in zip(*cols))
+
+    @property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, sign, mu) rows of every nonzero X_mu phi_src."""
+        if self._table is None:
+            self._table = self._rows(np.arange(self.dim))
+        return self._table
+
+    # -- amplitude vectors ---------------------------------------------------
+
+    def embed(self, t: AmplitudeVector) -> np.ndarray:
+        """The entries of t as an ndarray in index order."""
+        vec = np.zeros(len(self))
+        for mu, val in t.entries.items():
+            a = self._slot.get(mu)
+            if a is None:
+                raise SpaceMismatchError(f"index {mu} is not in the excitation space")
+            vec[a] = val
+        return vec
+
+    def amplitudes(self, vec: np.ndarray, space: str,
+                   scheme: Optional[str] = None) -> AmplitudeVector:
+        return AmplitudeVector(space, {mu: float(x) for mu, x in zip(self.indices, vec)},
+                               scheme=scheme)
+
+    def epsilon(self, fock) -> np.ndarray:
+        """The Fock weights eps_mu in index order."""
+        return np.array([fock.epsilon_of(mu) for mu in self.indices])
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Components <X_mu phi_0, v> per index; v is (dim,) or (dim, m)."""
+        w = v[self.ref_pos]
+        return w * (self.ref_sign if w.ndim == 1 else self.ref_sign[:, None])
+
+    # -- the cluster kernel --------------------------------------------------
+
+    def _coefficients(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.shape != (len(self),):
+            raise DimensionMismatchError(
+                f"amplitude vector shape {t.shape}, space has {len(self)} indices")
+        if not np.isfinite(t).all():
+            raise NonFiniteAmplitudeError("amplitude vector has NaN or inf entries")
+        _, _, sign, mu = self.table
+        return t[mu] * sign
+
+    def _apply(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+        src, dst, _, _ = self.table
+        if v.ndim == 1:
+            return np.bincount(dst, weights=coef * v[src], minlength=self.dim)
+        out = np.empty_like(v)
+        for j in range(v.shape[1]):
+            out[:, j] = np.bincount(dst, weights=coef * v[src, j], minlength=self.dim)
+        return out
+
+    def apply(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """T @ v for T = sum_a t[a] X_{indices[a]}; v is (dim,) or (dim, m)."""
+        return self._apply(self._coefficients(t), np.asarray(v, dtype=float))
+
+    def exp_apply(self, t: np.ndarray, v: np.ndarray, sign: int = +1) -> np.ndarray:
+        """e^{sign*T} @ v by the finite nilpotent series."""
+        coef = self._coefficients(t)
+        acc = np.array(v, dtype=float)
+        term = acc.copy()
+        for m in range(1, self.basis.n_electrons + 1):
+            term = (sign / m) * self._apply(coef, term)
+            if not term.any():
+                break
+            acc += term
+        return acc
+
+    def excitation_columns(self, u: np.ndarray) -> np.ndarray:
+        """The dim x n matrix whose column a is X_{indices[a]} u."""
+        src, dst, sign, mu = self.table
+        out = np.zeros((self.dim, len(self)))
+        out[dst, mu] = sign * u[src]   # X_mu maps distinct sources to distinct targets
+        return out
+
+
+@lru_cache(maxsize=32)
+def excitation_space(basis: OrbitalBasis,
+                     indices: Optional[tuple[ExcitationIndex, ...]] = None
+                     ) -> ExcitationSpace:
+    """Shared ExcitationSpace of the indices; None means every excitation."""
+    return ExcitationSpace(basis, enumerate_excitations(basis) if indices is None else indices)
+
+
+def support_space(t: AmplitudeVector, basis: OrbitalBasis) -> ExcitationSpace:
+    """The shared ExcitationSpace of the indices t carries, in canonical order."""
+    return excitation_space(basis, tuple(sorted(t.entries)))

@@ -15,7 +15,7 @@ continua and are labelled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .determinants import (
     SPACE_CAS,
     SPACE_TRUNCATED,
     ExcitationIndex,
-    enumerate_determinants,
+    determinant_masks,
+    excitation_space,
+    support_space,
     v_ext_norm,
 )
 from .errors import (
@@ -35,15 +37,7 @@ from .errors import (
     SingularJacobianError,
     SolverFailureError,
 )
-from .exact import (
-    CiVector,
-    _det_table,
-    _reference_position,
-    cas_fci_solve,
-    ci_to_cluster,
-    exp_cluster_apply,
-    fci_solve,
-)
+from .exact import cas_fci_solve, ci_to_cluster, fci_solve
 from .hamiltonian import (
     FockSpectrum,
     IntegralSet,
@@ -52,14 +46,15 @@ from .hamiltonian import (
 )
 from .tcc import (
     MODE_FULL,
+    TailoredHamiltonian,
     TccConfig,
     TruncationScheme,
-    _project,
-    _transformed_reference,
-    enumerate_truncated_space,
+    cas_space,
+    external_space,
     solve_tcc,
     split_amplitudes,
     tcc_energy,
+    truncated_space,
 )
 
 REFERENCE_RESIDUAL_TOL = 1e-8
@@ -86,11 +81,8 @@ def gap_report(fock: FockSpectrum, split: BasisSplit) -> GapReport:
     eps0 = float(lam[k] - lam[k - 1]) if k < kk else np.inf
     eps0_ext = float(lam[k] - lam[n - 1]) if k < kk else np.inf
     homo_lumo = float(lam[n] - lam[n - 1])
-    ext = enumerate_truncated_space(split, TruncationScheme(MODE_FULL))
-    if ext:
-        min_eps = min(fock.epsilon_of(mu) for mu in ext)
-    else:
-        min_eps = np.inf
+    eps = external_space(split).epsilon(fock)
+    min_eps = eps.min() if len(eps) else np.inf
     return GapReport(eps0, eps0_ext, homo_lumo, float(min_eps), min_eps > 0.0)
 
 
@@ -98,49 +90,11 @@ def gap_report(fock: FockSpectrum, split: BasisSplit) -> GapReport:
 # Shared dense helpers
 # ---------------------------------------------------------------------------
 
-def _reference_vector(basis: OrbitalBasis) -> np.ndarray:
-    v = np.zeros(len(enumerate_determinants(basis)))
-    v[_reference_position(basis)] = 1.0
-    return v
-
-
-def _cas_projector_diag(basis: OrbitalBasis, split: BasisSplit) -> np.ndarray:
+def _cas_projector_diag(split: BasisSplit) -> np.ndarray:
     """0/1 diagonal of the projector onto determinants inside the CAS."""
-    return np.array([
-        1.0 if (d.occ[-1] if d.occ else 0) <= split.k else 0.0
-        for d in enumerate_determinants(basis)
-    ])
-
-
-def _exp_matrix(t: AmplitudeVector, basis: OrbitalBasis, sign: int) -> np.ndarray:
-    """Dense matrix of e^{sign*T} (columns by application to unit vectors)."""
-    dim = len(enumerate_determinants(basis))
-    out = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for j in range(dim):
-        e[:] = 0.0
-        e[j] = 1.0
-        out[:, j] = exp_cluster_apply(t, e, basis, sign=sign)
-    return out
-
-
-def _embed(t: AmplitudeVector, indices: list[ExcitationIndex]) -> np.ndarray:
-    return np.array([t.get(mu) for mu in indices])
-
-
-def _to_amplitudes(vec: np.ndarray, indices: list[ExcitationIndex],
-                   scheme_desc: str = "full") -> AmplitudeVector:
-    return AmplitudeVector(
-        SPACE_TRUNCATED,
-        {mu: float(x) for mu, x in zip(indices, vec)},
-        scheme=scheme_desc,
-    )
-
-
-def _residual_vector(t_vec: np.ndarray, indices, t_cas, ints, basis):
-    t = _to_amplitudes(t_vec, indices)
-    v = _transformed_reference(t, t_cas, ints, basis)
-    return _project(v, indices, basis), v
+    basis = split.basis
+    masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
+    return (masks < (1 << split.k)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +111,12 @@ class MonotonicityProbe:
     seed: int
 
 
-def _require_reference(t_star: Optional[AmplitudeVector], t_cas, ints, split,
-                       indices) -> np.ndarray:
+def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonian
+                       ) -> np.ndarray:
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
-    t_vec = _embed(t_star, indices)
-    r, _ = _residual_vector(t_vec, indices, t_cas, ints, split.basis)
+    t_vec = op.space.embed(t_star)
+    r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
         raise MissingReferenceError(
             f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}"
@@ -181,33 +135,28 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     linear (W = 0) case the plain-denominator estimate gamma_hat_l2
     attains min eps_mu exactly.
     """
-    basis = split.basis
-    indices = enumerate_truncated_space(split, TruncationScheme(MODE_FULL))
-    t_vec = _require_reference(t_star, t_cas, ints, split, indices)
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    op = TailoredHamiltonian(t_cas, ints, split, external_space(split))
+    t_vec = _require_reference(t_star, op)
+    eps = op.space.epsilon(fock)
     rng = np.random.default_rng(seed)
 
     pairs = []
     for _ in range(samples):
         def point():
-            u = rng.standard_normal(len(indices))
+            u = rng.standard_normal(len(eps))
             u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
             return t_vec + u
         pairs.append((point(), point()))
-    for a in range(len(indices)):
-        step = np.zeros(len(indices))
+    for a in range(len(eps)):
+        step = np.zeros(len(eps))
         step[a] = delta / np.sqrt(eps[a])
         pairs.append((t_vec + step, t_vec))
-
-    def f_of(vec):
-        r, _ = _residual_vector(vec, indices, t_cas, ints, basis)
-        return r
 
     g_v = np.inf
     g_l2 = np.inf
     l_hat = 0.0
     for v1, v2 in pairs:
-        df = f_of(v1) - f_of(v2)
+        df = op.residual(v1) - op.residual(v2)
         dt = v1 - v2
         inner = float(df @ dt)
         vsq = float((eps * dt**2).sum())
@@ -250,20 +199,20 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2. Also embeds the monotonicity
     probe for the same ball and seed.
     """
-    basis = split.basis
-    indices = enumerate_truncated_space(split, TruncationScheme(MODE_FULL))
-    t_vec = _require_reference(t_star, t_cas, ints, split, indices)
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    space = external_space(split)
+    op = TailoredHamiltonian(t_cas, ints, split, space)
+    t_vec = _require_reference(t_star, op)
+    eps = space.epsilon(fock)
 
-    ham = build_dense_hamiltonian(ints, basis)
-    w = ham - np.diag(fock_diagonal_vector(fock, basis))
-    e_plus = _exp_matrix(t_cas, basis, +1)
-    e_minus = _exp_matrix(t_cas, basis, -1)
+    w = op.ham - np.diag(fock_diagonal_vector(fock, split.basis))
+    eye = np.eye(space.dim)
+    e_plus = op.cas.exp_apply(op.t_cas, eye, +1)
+    e_minus = op.cas.exp_apply(op.t_cas, eye, -1)
     w_cas = e_minus @ w @ e_plus
-    p = _cas_projector_diag(basis, split)
+    p = _cas_projector_diag(split)
     a = w_cas - (p[:, None] * w_cas) * p[None, :]
 
-    ref = _reference_vector(basis)
+    ref = space.reference_state()
     omega0 = float(ref @ (w_cas @ ref))
     omega_cas = float(sum(abs(val * fock.epsilon_of(s))
                           for s, val in t_cas.sorted_items()))
@@ -271,16 +220,15 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     a_ref = a @ ref
 
     def o_map(vec):
-        t = _to_amplitudes(vec, indices)
-        inner = a @ exp_cluster_apply(t, ref, basis, sign=+1)
-        return exp_cluster_apply(t, inner, basis, sign=-1) - a_ref
+        inner = a @ space.exp_apply(vec, ref, +1)
+        return space.exp_apply(vec, inner, -1) - a_ref
 
     rng = np.random.default_rng(seed)
     l_star = 0.0
     for _ in range(samples):
         pts = []
         for _ in range(2):
-            u = rng.standard_normal(len(indices))
+            u = rng.standard_normal(len(eps))
             u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
             pts.append(t_vec + u)
         num = float(np.linalg.norm(o_map(pts[0]) - o_map(pts[1])))
@@ -321,29 +269,20 @@ def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
     t has rho = 1 when no other determinant couples, and rho >= 1
     always since the reference column alone realizes ||t||_V.
     """
-    from .exact import apply_cluster  # local import to avoid cycle noise
-
-    dets = enumerate_determinants(basis)
-    refpos = _reference_position(basis)
-    diag = np.array([fock.diag_energy(d) for d in dets]) - fock.lambda0
+    space = support_space(t, basis)
+    t_vec = space.embed(t)
+    refpos = space.reference
+    diag = fock_diagonal_vector(fock, basis) - fock.lambda0
 
     t_norm = v_ext_norm(t, fock)
-    ref = _reference_vector(basis)
-    t_phi0 = apply_cluster(t, ref, basis)
+    t_phi0 = space.apply(t_vec, space.reference_state())
     fock_norm = float(np.sqrt(max(0.0, t_phi0 @ (diag * t_phi0))))
     deviation = abs(t_norm - fock_norm)
 
     # weighted operator matrix: domain = reference (+) excited, codomain = excited
-    dim = len(dets)
-    exc = [i for i in range(dim) if i != refpos]
-    cols = [refpos] + exc
-    a = np.zeros((dim, len(cols)))
-    e = np.zeros(dim)
-    for jcol, j in enumerate(cols):
-        e[:] = 0.0
-        e[j] = 1.0
-        a[:, jcol] = apply_cluster(t, e, basis)
-    a = a[exc, :]
+    exc = np.delete(np.arange(space.dim), refpos)
+    cols = np.concatenate(([refpos], exc))
+    a = space.apply(t_vec, np.eye(space.dim)[:, cols])[exc, :]
     d_out = np.sqrt(np.maximum(diag[exc], 0.0))
     d_in = np.concatenate(([1.0], d_out))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,7 +298,7 @@ def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
 # ---------------------------------------------------------------------------
 
 def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                 split: BasisSplit, indices: list[ExcitationIndex]
+                 split: BasisSplit, indices: Sequence[ExcitationIndex]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Jacobian J_{mu,nu} = (Df(t) e_nu)_mu, energy gradient, residual.
 
@@ -369,50 +308,30 @@ def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     no finite differences involved. The reference component of each
     column is the energy gradient E'(t) e_nu.
     """
-    basis = split.basis
-    ham = build_dense_hamiltonian(ints, basis)
-    refpos = _reference_position(basis)
-
-    t_vec = _embed(t, indices)
-    v_base = _transformed_reference(_to_amplitudes(t_vec, indices), t_cas, ints, basis)
-    r = _project(v_base, indices, basis)
-
-    u0 = exp_cluster_apply(t_cas, _reference_vector(basis), basis, sign=+1)
-    tt = _to_amplitudes(t_vec, indices)
-
-    from .exact import apply_cluster
-
-    n = len(indices)
-    jac = np.empty((n, n))
-    grad = np.empty(n)
-    for col, nu in enumerate(indices):
-        unit = AmplitudeVector(SPACE_TRUNCATED, {nu: 1.0})
-        w = apply_cluster(unit, u0, basis)               # X_nu e^{T^CAS} phi_0
-        w = exp_cluster_apply(tt, w, basis, sign=+1)
-        w = ham @ w
-        w = exp_cluster_apply(tt, w, basis, sign=-1)
-        term1 = exp_cluster_apply(t_cas, w, basis, sign=-1)
-        term2 = apply_cluster(unit, v_base, basis)       # X_nu (base vector)
-        colvec = term1 - term2
-        jac[:, col] = _project(colvec, indices, basis)
-        grad[col] = colvec[refpos]
-    return jac, grad, r
+    space = excitation_space(split.basis, tuple(indices))
+    op = TailoredHamiltonian(t_cas, ints, split, space)
+    t_vec = space.embed(t)
+    v_base = op(t_vec)
+    # all columns at once: one dim x n block through e^{T}, H and e^{-T}
+    cols = (op.conjugate(t_vec, space.excitation_columns(op.u0))
+            - space.excitation_columns(v_base))
+    return space.project(cols), cols[space.reference].copy(), space.project(v_base)
 
 
 def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """Adjoint solve: z with <f'(t_d) u, z> = E'(t_d)(u) for all u in the space."""
-    indices = enumerate_truncated_space(split, scheme)
-    if not indices:
+    space = truncated_space(split, scheme)
+    if not len(space):
         return AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
-    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, indices)
+    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise SingularJacobianError(
             f"adjoint system singular (smallest singular value {svals[-1]:.3e})"
         )
     z = np.linalg.solve(jac.T, grad)
-    return _to_amplitudes(z, indices, scheme.describe())
+    return space.amplitudes(z, SPACE_TRUNCATED, scheme.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +413,16 @@ def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum
 
     # explicit projected-Hamiltonian CAS error
     ham = build_dense_hamiltonian(ints, basis)
-    p = _cas_projector_diag(basis, split)
+    p = _cas_projector_diag(split)
     php = (p[:, None] * ham) * p[None, :]
-    ref = _reference_vector(basis)
+    cas = cas_space(split)
 
     def php_energy(tc):
-        v = exp_cluster_apply(tc, ref, basis, sign=+1)
+        c = cas.embed(tc)
+        v = cas.exp_apply(c, cas.reference_state(), +1)
         v = php @ v
-        v = exp_cluster_apply(tc, v, basis, sign=-1)
-        return float(v[_reference_position(basis)])
+        v = cas.exp_apply(c, v, -1)
+        return float(v[cas.reference])
 
     de_cas = abs(php_energy(t_cas) - php_energy(t_fci_cas))
 
@@ -540,22 +460,18 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     is cubic in the primal/dual errors; it vanishes identically for a
     quadratic (linear-residual) problem.
     """
-    indices = enumerate_truncated_space(split, TruncationScheme(MODE_FULL))
-    td = _embed(t_d, indices)
-    zd = _embed(z_d, indices)
-    ts = _embed(t_star, indices)
-    zs = _embed(z_star, indices)
+    space = external_space(split)
+    td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
     e_star = tcc_energy(t_star, t_cas, ints, split)
-    e_d = tcc_energy(_to_amplitudes(td, indices), t_cas, ints, split)
+    e_d = tcc_energy(t_d, t_cas, ints, split)
 
-    jac, grad, f_d = tcc_jacobian(_to_amplitudes(td, indices), t_cas, ints,
-                                  split, indices)
+    jac, grad, f_d = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
     rho_primal = float(-(f_d @ (zs - zd)))
     rho_dual = float(grad @ (ts - td) - (jac.T @ zd) @ (ts - td))
     remainder = 2.0 * (e_star - e_d) - rho_primal - rho_dual
 
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    eps = space.epsilon(fock)
     dist = float(np.sqrt((eps * (ts - td) ** 2).sum()))
     ratio = abs(remainder) / dist**3 if dist > 1e-13 else None
     return RepresentationCheck(float(remainder), dist, ratio)
@@ -601,23 +517,22 @@ def quadratic_scaling_study(ints: IntegralSet, split: BasisSplit, fock: FockSpec
     should approach 2. Rows at (numerically) zero distance are excluded
     from the fit.
     """
-    basis = split.basis
     full = TruncationScheme(MODE_FULL)
-    indices = enumerate_truncated_space(split, full)
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    space = external_space(split)
+    eps = space.epsilon(fock)
 
     t_star = _solve_or_fail(t_cas, ints, split, fock, full).t
     z_star = solve_dual(t_star, t_cas, ints, split, full)
     e_star = tcc_energy(t_star, t_cas, ints, split)
-    ts = _embed(t_star, indices)
-    zs = _embed(z_star, indices)
+    ts = space.embed(t_star)
+    zs = space.embed(z_star)
 
     study = ScalingStudy()
     for scheme in schemes:
         t_d = _solve_or_fail(t_cas, ints, split, fock, scheme).t
         z_d = solve_dual(t_d, t_cas, ints, split, scheme)
-        td = _embed(t_d, indices)
-        zd = _embed(z_d, indices)
+        td = space.embed(t_d)
+        zd = space.embed(z_d)
         dist = float(np.sqrt((eps * (ts - td) ** 2).sum()))
         derr = abs(tcc_energy(t_d, t_cas, ints, split) - e_star)
         ddual = float(np.sqrt((eps * (zs - zd) ** 2).sum()))
@@ -642,15 +557,15 @@ def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
 
     exactly, and the fitted slope is 2 up to round-off.
     """
-    indices = enumerate_truncated_space(split, TruncationScheme(MODE_FULL))
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    space = external_space(split)
+    eps = space.epsilon(fock)
     rng = np.random.default_rng(seed)
-    source = rng.standard_normal(len(indices))
+    source = rng.standard_normal(len(space))
 
-    ranks = sorted({mu.rank for mu in indices})
+    ranks = np.array([mu.rank for mu in space.indices])
     study = ScalingStudy()
-    for r in ranks:
-        keep = np.array([mu.rank <= r for mu in indices])
+    for r in sorted(set(ranks.tolist())):
+        keep = ranks <= r
         dropped = ~keep
         dist_sq = float((eps[dropped] * source[dropped] ** 2).sum())
         dist = float(np.sqrt(dist_sq))

@@ -37,6 +37,10 @@ class SpaceMismatchError(TccBenchError):
     """Amplitude vector lives on a different index set than required."""
 
 
+class NonFiniteAmplitudeError(TccBenchError):
+    """An amplitude is NaN or infinite."""
+
+
 class NonPositiveWeightError(TccBenchError):
     """An epsilon weight is <= 0; the CAS-ext gap assumption is violated."""
 

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .determinants import (
     AmplitudeVector,
     BasisSplit,
-    Determinant,
     OrbitalBasis,
     SPACE_FULL,
-    apply_excitation,
-    enumerate_determinants,
-    excitation_from_reference,
+    determinant_masks,
+    excitation_space,
+    support_space,
 )
 from .errors import (
     DimensionLimitError,
@@ -50,7 +48,7 @@ class CiVector:
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        dim = len(enumerate_determinants(self.basis))
+        dim = len(determinant_masks(self.basis.n_orbitals, self.basis.n_electrons))
         if self.coefficients.shape != (dim,):
             raise DimensionMismatchError(
                 f"expected {dim} coefficients, got {self.coefficients.shape}"
@@ -79,16 +77,9 @@ class SpectralSummary:
         return float(self.eigenvalues[self.state_index])
 
 
-@lru_cache(maxsize=64)
-def _det_table(n_orbitals: int, n_electrons: int):
-    basis = OrbitalBasis(n_orbitals, n_electrons)
-    dets = enumerate_determinants(basis)
-    return dets, {d.mask: i for i, d in enumerate(dets)}
-
-
 def _reference_position(basis: OrbitalBasis) -> int:
-    _, pos = _det_table(basis.n_orbitals, basis.n_electrons)
-    return pos[basis.reference.mask]
+    masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
+    return int(np.flatnonzero(masks == (1 << basis.n_electrons) - 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,53 +87,31 @@ def _reference_position(basis: OrbitalBasis) -> int:
 # ---------------------------------------------------------------------------
 
 def apply_cluster(t: AmplitudeVector, v: np.ndarray, basis: OrbitalBasis) -> np.ndarray:
-    """T @ v for T = sum_mu t_mu X_mu, on determinant coefficients."""
-    dets, pos = _det_table(basis.n_orbitals, basis.n_electrons)
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    nz = np.nonzero(v)[0]
-    for mu, amp in t.entries.items():
-        for i in nz:
-            hit = apply_excitation(mu, dets[i])
-            if hit is not None:
-                d, sign = hit
-                out[pos[d.mask]] += amp * sign * v[i]
-    return out
+    """T @ v for T = sum_mu t_mu X_mu; v is (dim,) or a (dim, m) block."""
+    space = support_space(t, basis)
+    return space.apply(space.embed(t), v)
 
 
 def exp_cluster_apply(t: AmplitudeVector, v: np.ndarray, basis: OrbitalBasis,
                       sign: int = +1) -> np.ndarray:
     """e^{sign*T} @ v by the finite nilpotent series."""
-    acc = np.array(v, dtype=float)
-    term = np.array(v, dtype=float)
-    for m in range(1, basis.n_electrons + 1):
-        term = (sign / m) * apply_cluster(t, term, basis)
-        if not term.any():
-            break
-        acc += term
-    return acc
+    space = support_space(t, basis)
+    return space.exp_apply(space.embed(t), v, sign)
 
 
 def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
     """e^T phi_0, intermediate-normalized by construction."""
-    v = np.zeros(len(enumerate_determinants(basis)))
-    v[_reference_position(basis)] = 1.0
-    return CiVector(basis, exp_cluster_apply(t, v, basis), NORM_INTERMEDIATE)
+    space = support_space(t, basis)
+    psi = space.exp_apply(space.embed(t), space.reference_state())
+    return CiVector(basis, psi, NORM_INTERMEDIATE)
 
 
 def _vector_to_amplitudes(w: np.ndarray, basis: OrbitalBasis) -> AmplitudeVector:
     """Read a reference-orthogonal vector as amplitudes: w = sum t_mu X_mu phi_0."""
-    dets, _ = _det_table(basis.n_orbitals, basis.n_electrons)
-    entries = {}
-    for i, c in enumerate(w):
-        if c == 0.0:
-            continue
-        hit = excitation_from_reference(dets[i], basis)
-        if hit is None:
-            raise DimensionMismatchError("vector has a reference component")
-        mu, sign = hit
-        entries[mu] = sign * float(c)
-    return AmplitudeVector(SPACE_FULL, entries)
+    space = excitation_space(basis)
+    if w[space.reference] != 0.0:
+        raise DimensionMismatchError("vector has a reference component")
+    return space.amplitudes(space.project(w), SPACE_FULL)
 
 
 def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
@@ -156,11 +125,13 @@ def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
     c = psi.coefficients.copy()
     c[_reference_position(basis)] = 0.0
     s = _vector_to_amplitudes(c, basis)
+    space = support_space(s, basis)
+    s_vec = space.embed(s)
 
     acc = c.copy()           # m = 1 term: S phi_0
     power = c.copy()         # S^m phi_0
     for m in range(2, basis.n_electrons + 1):
-        power = apply_cluster(s, power, basis)
+        power = space.apply(s_vec, power)
         if not power.any():
             break
         acc += ((-1) ** (m + 1) / m) * power
@@ -190,9 +161,9 @@ def _fix_sign(vec: np.ndarray, degenerate: bool) -> np.ndarray:
 def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
               ) -> tuple[SpectralSummary, list[CiVector]]:
     """Lowest eigenpairs of the dense H over the full determinant space."""
-    dets = enumerate_determinants(basis)
-    if len(dets) > MAX_DENSE_DIM:
-        raise DimensionLimitError(f"FCI dimension {len(dets)} exceeds {MAX_DENSE_DIM}")
+    dim = len(determinant_masks(basis.n_orbitals, basis.n_electrons))
+    if dim > MAX_DENSE_DIM:
+        raise DimensionLimitError(f"FCI dimension {dim} exceeds {MAX_DENSE_DIM}")
     ham = build_dense_hamiltonian(ints, basis)
     evals, evecs = np.linalg.eigh(ham)
     gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
@@ -214,12 +185,12 @@ def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
     Vectors are embedded back into the full coefficient order with zero
     external coefficients.
     """
-    cas_dets = enumerate_determinants(basis, split)
-    if len(cas_dets) > MAX_DENSE_DIM:
-        raise DimensionLimitError(f"CAS dimension {len(cas_dets)} exceeds {MAX_DENSE_DIM}")
+    # determinants inside the CAS, in enumeration order
+    idx = np.flatnonzero(determinant_masks(basis.n_orbitals, basis.n_electrons)
+                         < (1 << split.k))
+    if len(idx) > MAX_DENSE_DIM:
+        raise DimensionLimitError(f"CAS dimension {len(idx)} exceeds {MAX_DENSE_DIM}")
     ham = build_dense_hamiltonian(ints, basis)
-    _, pos = _det_table(basis.n_orbitals, basis.n_electrons)
-    idx = np.array([pos[d.mask] for d in cas_dets])
     sub = ham[np.ix_(idx, idx)]
     evals, evecs = np.linalg.eigh(sub)
     gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf

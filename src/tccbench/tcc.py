@@ -14,6 +14,7 @@ k = K reproduces CAS-FCI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,19 +22,18 @@ import numpy as np
 from .determinants import (
     AmplitudeVector,
     BasisSplit,
-    OrbitalBasis,
     SPACE_CAS,
     SPACE_EXT,
     SPACE_FULL,
     SPACE_TRUNCATED,
     ExcitationIndex,
-    apply_excitation,
+    ExcitationSpace,
     classify_excitation,
-    enumerate_determinants,
     enumerate_excitations,
+    excitation_space,
+    support_space,
 )
 from .errors import GapViolationError, SpaceMismatchError
-from .exact import _det_table, _reference_position, exp_cluster_apply
 from .hamiltonian import FockSpectrum, IntegralSet, build_dense_hamiltonian
 
 MODE_RANK = "rank"
@@ -84,6 +84,25 @@ def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme
     return out
 
 
+@lru_cache(maxsize=32)
+def truncated_space(split: BasisSplit, scheme: TruncationScheme) -> ExcitationSpace:
+    """The ExcitationSpace of enumerate_truncated_space(split, scheme)."""
+    return excitation_space(split.basis, tuple(enumerate_truncated_space(split, scheme)))
+
+
+def external_space(split: BasisSplit) -> ExcitationSpace:
+    """Every external index, in enumerate_truncated_space order."""
+    return truncated_space(split, TruncationScheme(MODE_FULL))
+
+
+@lru_cache(maxsize=32)
+def cas_space(split: BasisSplit) -> ExcitationSpace:
+    """Every CAS index, in enumerate_excitations order."""
+    return excitation_space(split.basis, tuple(
+        mu for mu in enumerate_excitations(split.basis)
+        if classify_excitation(mu, split) == "cas"))
+
+
 @dataclass
 class TccConfig:
     max_iterations: int = 200
@@ -103,7 +122,8 @@ class TccConfig:
 class TccResult:
     t: AmplitudeVector
     energy: float
-    history: list[tuple[int, float, float, float]]  # (iter, l2, v-norm, energy)
+    # (iter, l2 residual norm, eps-dual residual norm sqrt(sum r^2/eps), energy)
+    history: list[tuple[int, float, float, float]]
     converged: bool
     iterations: int
     diverged: bool = False
@@ -122,53 +142,60 @@ def _check_spaces(t: AmplitudeVector, t_cas: AmplitudeVector, split: BasisSplit)
     t_cas.check_space(split)
 
 
-def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector,
-                           ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
-    """e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0 as a coefficient vector."""
-    ham = build_dense_hamiltonian(ints, basis)
-    v = np.zeros(ham.shape[0])
-    v[_reference_position(basis)] = 1.0
-    v = exp_cluster_apply(t_cas, v, basis, sign=+1)
-    v = exp_cluster_apply(t, v, basis, sign=+1)
-    v = ham @ v
-    v = exp_cluster_apply(t, v, basis, sign=-1)
-    return exp_cluster_apply(t_cas, v, basis, sign=-1)
+class TailoredHamiltonian:
+    """e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} on ndarrays, for frozen t^CAS.
+
+    T runs over `space` and is passed as an amplitude ndarray in its index
+    order; e^{T^CAS} phi_0 is computed once.
+    """
+
+    def __init__(self, t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
+                 space: ExcitationSpace):
+        if t_cas.space != SPACE_CAS:
+            raise SpaceMismatchError(f"CAS amplitudes tagged {t_cas.space!r}")
+        self.space = space
+        self.cas = cas_space(split)
+        self.t_cas = self.cas.embed(t_cas)
+        self.ham = build_dense_hamiltonian(ints, split.basis)
+        self.u0 = self.cas.exp_apply(self.t_cas, space.reference_state())
+
+    def conjugate(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """e^{-T^CAS} e^{-T} H e^{T} w; w is (dim,) or (dim, m)."""
+        w = self.space.exp_apply(t, w, +1)
+        w = self.ham @ w
+        w = self.space.exp_apply(t, w, -1)
+        return self.cas.exp_apply(self.t_cas, w, -1)
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The transformed reference e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0."""
+        return self.conjugate(t, self.u0)
+
+    def residual(self, t: np.ndarray) -> np.ndarray:
+        """f(t; t^CAS) over the indices of the space."""
+        return self.space.project(self(t))
 
 
-def _project(v: np.ndarray, indices: list[ExcitationIndex], basis: OrbitalBasis
-             ) -> np.ndarray:
-    """Components <X_mu phi_0, v> for each index, in order."""
-    _, pos = _det_table(basis.n_orbitals, basis.n_electrons)
-    ref = basis.reference
-    out = np.empty(len(indices))
-    for a, mu in enumerate(indices):
-        det, sign = apply_excitation(mu, ref)
-        out[a] = sign * v[pos[det.mask]]
-    return out
+def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
+                           split: BasisSplit) -> tuple[np.ndarray, ExcitationSpace]:
+    """The transformed reference for t, with T on the space of t's indices."""
+    _check_spaces(t, t_cas, split)
+    space = support_space(t, split.basis)
+    return TailoredHamiltonian(t_cas, ints, split, space)(space.embed(t)), space
 
 
 def tcc_residual(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                  split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """f(t; t^CAS) restricted to the truncated index set."""
-    _check_spaces(t, t_cas, split)
-    basis = split.basis
-    indices = enumerate_truncated_space(split, scheme)
-    v = _transformed_reference(t, t_cas, ints, basis)
-    comps = _project(v, indices, basis)
-    return AmplitudeVector(
-        SPACE_TRUNCATED,
-        {mu: float(c) for mu, c in zip(indices, comps)},
-        scheme=scheme.describe(),
-    )
+    v, _ = _transformed_reference(t, t_cas, ints, split)
+    target = truncated_space(split, scheme)
+    return target.amplitudes(target.project(v), SPACE_TRUNCATED, scheme.describe())
 
 
 def tcc_energy(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                split: BasisSplit) -> float:
     """<phi_0, e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0>."""
-    _check_spaces(t, t_cas, split)
-    basis = split.basis
-    v = _transformed_reference(t, t_cas, ints, basis)
-    return float(v[_reference_position(basis)])
+    v, space = _transformed_reference(t, t_cas, ints, split)
+    return float(v[space.reference])
 
 
 # ---------------------------------------------------------------------------
@@ -209,35 +236,28 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
 
     D = diag(eps_mu) over the truncated index set; requires all eps_mu
     positive. Divergence guard: abort when the weighted amplitude norm
-    exceeds 1e3 (the underlying theory is local, runaway iterates are
-    reported rather than truncated).
+    exceeds 1e3 or the residual is not finite (the underlying theory is
+    local, runaway iterates are reported rather than truncated).
     """
     if config is None:
         config = TccConfig()
-    basis = split.basis
     scheme = config.truncation
-    indices = enumerate_truncated_space(split, scheme)
+    space = truncated_space(split, scheme)
+    op = TailoredHamiltonian(t_cas, ints, split, space)
+    t_vec = np.zeros(len(space))
 
-    if not indices:
+    if not len(space):
         # k = K (or an empty truncation): nothing to solve
-        t = AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
-        energy = tcc_energy(t, t_cas, ints, split)
+        energy = float(op(t_vec)[space.reference])
+        t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
         return TccResult(t, energy, [(0, 0.0, 0.0, energy)], True, 0)
 
-    eps = np.array([fock.epsilon_of(mu) for mu in indices])
+    eps = space.epsilon(fock)
     if eps.min() <= 0.0:
         raise GapViolationError(
             f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set"
         )
 
-    def to_av(vec: np.ndarray) -> AmplitudeVector:
-        return AmplitudeVector(
-            SPACE_TRUNCATED,
-            {mu: float(x) for mu, x in zip(indices, vec)},
-            scheme=scheme.describe(),
-        )
-
-    t_vec = np.zeros(len(indices))
     history: list[tuple[int, float, float, float]] = []
     trials: list[np.ndarray] = []
     errs: list[np.ndarray] = []
@@ -246,10 +266,9 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
     it = 0
 
     for it in range(1, config.max_iterations + 1):
-        t = to_av(t_vec)
-        v = _transformed_reference(t, t_cas, ints, basis)
-        r_vec = _project(v, indices, basis)
-        energy = float(v[_reference_position(basis)])
+        v = op(t_vec)
+        r_vec = space.project(v)
+        energy = float(v[space.reference])
         l2 = float(np.linalg.norm(r_vec))
         vnorm = float(np.sqrt((eps * t_vec**2).sum()))
         history.append((it, l2, float(np.sqrt((r_vec**2 / eps).sum())), energy))
@@ -257,7 +276,8 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
         if l2 <= config.tolerance:
             converged = True
             break
-        if vnorm > DIVERGENCE_LIMIT:
+        # NaN compares false, so a non-finite residual must be caught explicitly
+        if not (np.isfinite(l2) and np.isfinite(vnorm)) or vnorm > DIVERGENCE_LIMIT:
             diverged = True
             break
 
@@ -273,6 +293,6 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
                 trial = _diis_extrapolate(trials, errs)
         t_vec = trial
 
-    t = to_av(t_vec)
-    energy = tcc_energy(t, t_cas, ints, split)
+    energy = float(op(t_vec)[space.reference])
+    t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
     return TccResult(t, energy, history, converged, it, diverged)

@@ -48,12 +48,16 @@ from tccbench import (
     write_fcidump,
 )
 from tccbench.cli import main as cli_main
-from tccbench.determinants import SPACE_CAS
-from tccbench.diagnostics import _to_amplitudes
+from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, excitation_space
 from tccbench.exact import _reference_position
-from tccbench.tcc import MODE_FULL, MODE_RANK, _project, _transformed_reference
+from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
 
 LN2 = np.log(2.0)
+
+
+def _to_amplitudes(vec, indices):
+    return AmplitudeVector(SPACE_TRUNCATED,
+                           {mu: float(x) for mu, x in zip(indices, vec)}, scheme="full")
 
 
 def _cas_amplitudes(system):
@@ -287,10 +291,11 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
     jac, _, _ = tcc_jacobian(_to_amplitudes(t0, indices), t_cas, system.ints,
                              system.split, indices)
 
+    op = TailoredHamiltonian(t_cas, system.ints, system.split,
+                             excitation_space(system.basis, tuple(indices)))
+
     def residual(vec):
-        v = _transformed_reference(_to_amplitudes(vec, indices), t_cas,
-                                   system.ints, system.basis)
-        return _project(v, indices, system.basis)
+        return op.residual(vec)
 
     fd = oracle.finite_difference_jacobian(residual, t0, h=1e-6)
     rel = float(np.linalg.norm(jac - fd) / np.linalg.norm(jac))

@@ -17,7 +17,7 @@ from tccbench import (
     excitation_from_reference,
     v_ext_norm,
 )
-from tccbench.determinants import SPACE_EXT, SPACE_FULL
+from tccbench.determinants import SPACE_EXT, SPACE_FULL, excitation_space
 from tccbench.errors import NonPositiveWeightError, SpaceMismatchError
 
 
@@ -37,16 +37,28 @@ def _oracle_action(mu, det, n_modes):
 def test_excitation_signs_match_dense_oracle(k, n):
     basis = OrbitalBasis(k, n)
     dets = enumerate_determinants(basis)
-    for mu in enumerate_excitations(basis):
-        for det in dets:
+    pos = {d.occ: i for i, d in enumerate(dets)}
+    # the excitation table must hold exactly the oracle's nonzero actions
+    space = excitation_space(basis)
+    assert space.indices == tuple(enumerate_excitations(basis))
+    src, dst, sign, mu_id = space.table
+    rows = {(int(a), int(i)): (int(j), float(s))
+            for i, j, s, a in zip(src, dst, sign, mu_id)}
+    assert len(rows) == len(src)
+    for a, mu in enumerate(enumerate_excitations(basis)):
+        for i, det in enumerate(dets):
             got = apply_excitation(mu, det)
             want = _oracle_action(mu, det, k)
+            row = rows.pop((a, i), None)
             if want is None:
                 assert got is None
+                assert row is None
             else:
                 assert got is not None
                 assert got[0] == want[0]
                 assert abs(got[1] - want[1]) <= 1e-12
+                assert row == (pos[want[0].occ], want[1])
+    assert not rows
 
 
 @pytest.mark.parametrize("k,n", [(6, 3), (8, 4)])

@@ -17,6 +17,7 @@ from tccbench import (
 from tccbench.determinants import (
     ExcitationIndex,
     SPACE_FULL,
+    classify_excitation,
     enumerate_determinants,
     enumerate_excitations,
 )
@@ -80,22 +81,33 @@ def test_variational_ordering(pairing4):
 
 
 def test_apply_cluster_matches_oracle(rng):
-    basis = OrbitalBasis(6, 3)
-    k = basis.n_orbitals
-    dets = enumerate_determinants(basis)
-    mus = enumerate_excitations(basis)
-    pick = rng.choice(len(mus), size=5, replace=False)
-    t = AmplitudeVector(SPACE_FULL, {mus[i]: float(rng.standard_normal())
-                                     for i in pick})
-    v = rng.standard_normal(len(dets))
-    got = apply_cluster(t, v, basis)
+    # (K, N, CAS boundary): random full-space picks, then every CAS index
+    # (ranks 1 and 2) at k = 6; each on one vector and on a (dim, 3) block
+    for k, n, cas_k in ((6, 3, None), (8, 4, None), (8, 4, 6)):
+        basis = OrbitalBasis(k, n)
+        dets = enumerate_determinants(basis)
+        mus = enumerate_excitations(basis)
+        if cas_k is None:
+            pick = [mus[i] for i in rng.choice(len(mus), size=5, replace=False)]
+        else:
+            split = BasisSplit(basis, cas_k)
+            pick = [mu for mu in mus if classify_excitation(mu, split) == "cas"]
+            assert {mu.rank for mu in pick} == {1, 2}
+        t = AmplitudeVector(SPACE_FULL, {mu: float(rng.standard_normal())
+                                         for mu in pick})
+        block = rng.standard_normal((len(dets), 3))
+        got_block = apply_cluster(t, block, basis)
 
-    op = np.zeros((1 << k, 1 << k))
-    for mu, amp in t.entries.items():
-        op += amp * oracle.excitation_operator(mu.holes, mu.particles, k)
-    full = op @ oracle.state_from_ci(v, dets, k)
-    want = np.array([full @ oracle.determinant_state(d.occ, k) for d in dets])
-    assert np.max(np.abs(got - want)) <= 1e-12
+        op = np.zeros((1 << k, 1 << k))
+        for mu, amp in t.entries.items():
+            op += amp * oracle.excitation_operator(mu.holes, mu.particles, k)
+        for j in range(block.shape[1]):
+            v = block[:, j]
+            got = apply_cluster(t, v, basis)
+            full = op @ oracle.state_from_ci(v, dets, k)
+            want = np.array([full @ oracle.determinant_state(d.occ, k) for d in dets])
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(got_block[:, j] - want)) <= 1e-12
 
 
 def test_exp_cluster_inverse(rng):

@@ -24,9 +24,13 @@ from tccbench.determinants import (
     classify_excitation,
     enumerate_excitations,
 )
-from tccbench.errors import GapViolationError, SpaceMismatchError
+from tccbench.errors import (
+    GapViolationError,
+    NonFiniteAmplitudeError,
+    SpaceMismatchError,
+)
 from tccbench.hamiltonian import FockSpectrum
-from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK
+from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, truncated_space
 
 
 def _cas_amplitudes(system):
@@ -178,6 +182,37 @@ def test_divergence_guard(pairing4):
     result = solve_tcc(t_cas, pairing4.ints, pairing4.split, tiny,
                        TccConfig(max_iterations=50, tolerance=1e-12))
     assert result.diverged and not result.converged
+
+
+def test_divergence_guard_sees_non_finite_residual(hubbard3_mo):
+    """A residual that overflows to NaN flags divergence at once, not after
+    max_iterations with diverged=False."""
+    t_cas = _cas_amplitudes(hubbard3_mo)
+    huge = AmplitudeVector(SPACE_CAS, {mu: 1e300 * v for mu, v in t_cas.entries.items()})
+    with np.errstate(all="ignore"):
+        result = solve_tcc(huge, hubbard3_mo.ints, hubbard3_mo.split, hubbard3_mo.fock,
+                           TccConfig(max_iterations=20, tolerance=1e-12))
+    assert math.isnan(result.history[0][1])
+    assert result.diverged and not result.converged
+    assert result.iterations == 1
+
+
+def test_non_finite_amplitudes_are_rejected(pairing4):
+    """NaN or inf never passes for a zero amplitude."""
+    t_cas = _cas_amplitudes(pairing4)
+    mu = next(iter(t_cas))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NonFiniteAmplitudeError):
+            AmplitudeVector(SPACE_CAS, {mu: bad})
+    # a NaN put into the entries afterwards is caught where the kernel takes t
+    t_cas.entries[mu] = math.nan
+    with pytest.raises(NonFiniteAmplitudeError):
+        solve_tcc(t_cas, pairing4.ints, pairing4.split, pairing4.fock)
+    space = truncated_space(pairing4.split, TruncationScheme(MODE_FULL))
+    t = np.zeros(len(space))
+    t[0] = math.inf
+    with pytest.raises(NonFiniteAmplitudeError):
+        space.exp_apply(t, space.reference_state())
 
 
 def test_config_validation():
