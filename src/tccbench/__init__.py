@@ -27,10 +27,8 @@ from .determinants import (
 from .hamiltonian import (
     FockSpectrum,
     IntegralSet,
-    apply_hamiltonian,
     build_dense_hamiltonian,
     canonicalize_core,
-    fluctuation_apply,
     fock_matrix,
     hubbard_model,
     matrix_element,
@@ -42,11 +40,11 @@ from .hamiltonian import (
 from .exact import (
     CiVector,
     SpectralSummary,
+    cas_amplitudes,
     cas_fci_solve,
     ci_to_cluster,
     cluster_to_ci,
     fci_solve,
-    similarity_apply,
 )
 from .tcc import (
     TailoredHamiltonian,

@@ -13,11 +13,13 @@ Exit codes: 1 input error, 2 solver failure, 3 size limit exceeded.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import serialize
-from .determinants import BasisSplit, OrbitalBasis, SPACE_CAS
+from .determinants import BasisSplit, OrbitalBasis
 from .diagnostics import (
     assumption_b_report,
     error_decomposition,
@@ -36,7 +38,7 @@ from .errors import (
     SolverFailureError,
     TccBenchError,
 )
-from .exact import cas_fci_solve, ci_to_cluster, fci_solve
+from .exact import cas_amplitudes, cas_fci_solve, fci_solve
 from .hamiltonian import (
     canonicalize_core,
     fock_matrix,
@@ -58,7 +60,9 @@ def _load_integrals(args):
         path = Path(args.fcidump)
         if not path.exists():
             raise InputError(f"no such file: {path}")
-        ints = parse_fcidump(path.read_text())
+        data = path.read_bytes()
+        args.fcidump_sha256 = hashlib.sha256(data).hexdigest()
+        ints = parse_fcidump(data.decode())
     else:
         kind, _, argstr = args.model.partition(":")
         parts = [p for p in argstr.split(",") if p] if argstr else []
@@ -80,6 +84,14 @@ def _load_integrals(args):
         ints, _ = canonicalize_core(ints)
     basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
     return ints, basis
+
+
+def _load_split(args):
+    """_load_integrals plus the CAS split of a command that requires --k."""
+    ints, basis = _load_integrals(args)
+    if args.k is None:
+        raise InputError(f"{args.command} requires --k")
+    return ints, basis, BasisSplit(basis, args.k)
 
 
 def _parse_trunc(spec: str) -> TruncationScheme:
@@ -108,6 +120,8 @@ def _emit(args, name: str, payload, config: dict, tsv=None):
 
 
 def _config_dict(args, keys):
+    """The set values of the integral source, the seed and `keys`."""
+    keys = ["fcidump", "fcidump_sha256", "model", "mo", "seed", *keys]
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
@@ -119,18 +133,15 @@ def cmd_fci(args) -> int:
     ints, basis = _load_integrals(args)
     summary, states = fci_solve(ints, basis, n_states=args.n_states)
     payload = {"summary": summary, "states": states}
-    _emit(args, "fci", payload, _config_dict(args, ["fcidump", "model", "mo", "seed", "n_states"]))
+    _emit(args, "fci", payload, _config_dict(args, ["n_states"]))
     return 0
 
 
 def cmd_cas_fci(args) -> int:
-    ints, basis = _load_integrals(args)
-    if args.k is None:
-        raise InputError("cas-fci requires --k")
-    split = BasisSplit(basis, args.k)
+    ints, basis, split = _load_split(args)
     summary, states = cas_fci_solve(ints, basis, split, n_states=args.n_states)
     payload = {"summary": summary, "states": states, "k": args.k}
-    _emit(args, "cas_fci", payload, _config_dict(args, ["fcidump", "model", "mo", "k", "seed", "n_states"]))
+    _emit(args, "cas_fci", payload, _config_dict(args, ["k", "n_states"]))
     return 0
 
 
@@ -147,27 +158,16 @@ def cmd_select_cas(args) -> int:
         "selection": selection,
         "profile": {"s1": profile.s1, "mi": profile.mi},
     }
-    config = _config_dict(args, ["fcidump", "model", "mo", "s_threshold",
-                                 "mi_threshold", "jump", "seed"])
+    config = _config_dict(args, ["s_threshold", "mi_threshold", "jump"])
     _emit(args, "select_cas", payload, config,
           tsv=("profile.tsv", serialize.write_profile_tsv, profile))
     return 0
 
 
-def _cas_amplitudes(ints, basis, split):
-    _, states = cas_fci_solve(ints, basis, split)
-    t = ci_to_cluster(states[0])
-    from .determinants import AmplitudeVector
-    return AmplitudeVector(SPACE_CAS, dict(t.entries))
-
-
 def cmd_tcc(args) -> int:
-    ints, basis = _load_integrals(args)
-    if args.k is None:
-        raise InputError("tcc requires --k")
-    split = BasisSplit(basis, args.k)
+    ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
-    t_cas = _cas_amplitudes(ints, basis, split)
+    t_cas = cas_amplitudes(ints, basis, split)
     config = TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
                        damping=args.damping, diis=args.diis,
                        truncation=_parse_trunc(args.trunc))
@@ -185,26 +185,23 @@ def cmd_tcc(args) -> int:
         "t": result.t,
         "k": args.k,
     }
-    cfg = _config_dict(args, ["fcidump", "model", "mo", "k", "trunc", "damping",
-                              "diis", "tol", "seed", "max_iterations"])
+    cfg = _config_dict(args, ["k", "trunc", "damping", "diis", "tol", "max_iterations"])
     _emit(args, "tcc", payload, cfg,
           tsv=("history.tsv", serialize.write_history_tsv, result.history))
     return 0
 
 
 def cmd_verify(args) -> int:
-    ints, basis = _load_integrals(args)
-    if args.k is None:
-        raise InputError("verify requires --k")
-    split = BasisSplit(basis, args.k)
+    ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
     scheme = _parse_trunc(args.trunc)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)
     payload: dict = {"gap": gap_report(fock, split)}
-    cfg = _config_dict(args, ["fcidump", "model", "mo", "k", "trunc", "seed",
-                              "delta", "samples", "tol", "damping", "diis"])
+    cfg = _config_dict(args, ["k", "trunc", "delta", "samples", "tol", "damping", "diis",
+                              "max_iterations", "assumptions", "error_scaling",
+                              "decomposition"])
 
-    t_cas = _cas_amplitudes(ints, basis, split)
+    t_cas = cas_amplitudes(ints, basis, split)
     full = TruncationScheme(MODE_FULL)
     solver_cfg = TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
                            damping=args.damping, diis=args.diis, truncation=full)
@@ -220,10 +217,7 @@ def cmd_verify(args) -> int:
         payload["decomposition"] = error_decomposition(
             ints, split, fock, scheme, seed=args.seed)
         z_star = solve_dual(star.t, t_cas, ints, split, full)
-        d = solve_tcc(t_cas, ints, split, fock,
-                      TccConfig(max_iterations=args.max_iterations,
-                                tolerance=args.tol, damping=args.damping,
-                                diis=args.diis, truncation=scheme))
+        d = solve_tcc(t_cas, ints, split, fock, replace(solver_cfg, truncation=scheme))
         if not d.converged:
             raise SolverFailureError("truncated solve failed")
         z_d = solve_dual(d.t, t_cas, ints, split, scheme)
@@ -358,7 +352,7 @@ def main(argv=None) -> int:
         except SystemExit:  # sentinel parse of bare subcommand may exit
             pass
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverFailureError, GapViolationError, SingularJacobianError) as exc:

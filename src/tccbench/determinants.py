@@ -42,7 +42,6 @@ class OrbitalBasis:
 
     n_orbitals: int
     n_electrons: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         k, n = self.n_orbitals, self.n_electrons
@@ -50,8 +49,6 @@ class OrbitalBasis:
             raise ValueError(f"need 0 < N < K, got N={n}, K={k}")
         if k > MAX_SPIN_ORBITALS:
             raise ValueError(f"K={k} exceeds the hard limit of {MAX_SPIN_ORBITALS}")
-        if self.labels is not None and len(self.labels) != k:
-            raise ValueError("labels length must equal K")
 
     @property
     def reference(self) -> "Determinant":
@@ -60,10 +57,6 @@ class OrbitalBasis:
     @property
     def occupied(self) -> range:
         return range(1, self.n_electrons + 1)
-
-    @property
-    def virtual(self) -> range:
-        return range(self.n_electrons + 1, self.n_orbitals + 1)
 
 
 @dataclass(frozen=True)
@@ -244,7 +237,6 @@ def enumerate_excitations(
         for holes in combinations(range(1, n + 1), r):
             for particles in combinations(range(n + 1, k + 1), r):
                 out.append(ExcitationIndex(holes, particles))
-    out.sort(key=lambda m: (m.rank, m.holes, m.particles))
     return out
 
 

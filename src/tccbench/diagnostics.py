@@ -37,7 +37,7 @@ from .errors import (
     SingularJacobianError,
     SolverFailureError,
 )
-from .exact import cas_fci_solve, ci_to_cluster, fci_solve
+from .exact import cas_amplitudes, ci_to_cluster, fci_solve
 from .hamiltonian import (
     FockSpectrum,
     IntegralSet,
@@ -124,6 +124,14 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
     return t_vec
 
 
+def _ball_point(rng: np.random.Generator, center: np.ndarray, eps: np.ndarray,
+                delta: float) -> np.ndarray:
+    """A random point of the V-norm ball of radius delta around center."""
+    u = rng.standard_normal(len(eps))
+    u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
+    return center + u
+
+
 def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
                        ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
                        delta: float = 0.1, samples: int = 20, seed: int = 0
@@ -140,13 +148,8 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     eps = op.space.epsilon(fock)
     rng = np.random.default_rng(seed)
 
-    pairs = []
-    for _ in range(samples):
-        def point():
-            u = rng.standard_normal(len(eps))
-            u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
-            return t_vec + u
-        pairs.append((point(), point()))
+    pairs = [(_ball_point(rng, t_vec, eps, delta), _ball_point(rng, t_vec, eps, delta))
+             for _ in range(samples)]
     for a in range(len(eps)):
         step = np.zeros(len(eps))
         step[a] = delta / np.sqrt(eps[a])
@@ -226,11 +229,7 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     rng = np.random.default_rng(seed)
     l_star = 0.0
     for _ in range(samples):
-        pts = []
-        for _ in range(2):
-            u = rng.standard_normal(len(eps))
-            u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
-            pts.append(t_vec + u)
+        pts = [_ball_point(rng, t_vec, eps, delta) for _ in range(2)]
         num = float(np.linalg.norm(o_map(pts[0]) - o_map(pts[1])))
         den = float(np.linalg.norm(pts[0] - pts[1]))
         l_star = max(l_star, num / den)
@@ -350,10 +349,8 @@ class ErrorDecomposition:
     e_truncated: float
 
 
-def _solve_or_fail(t_cas, ints, split, fock, scheme, tol=1e-11, max_iterations=500,
-                   damping=1.0, diis=8):
-    config = TccConfig(max_iterations=max_iterations, tolerance=tol,
-                       damping=damping, diis=diis, truncation=scheme)
+def _solve_or_fail(t_cas, ints, split, fock, scheme):
+    config = TccConfig(max_iterations=500, tolerance=1e-11, diis=8, truncation=scheme)
     result = solve_tcc(t_cas, ints, split, fock, config)
     if not result.converged:
         raise SolverFailureError(
@@ -361,10 +358,6 @@ def _solve_or_fail(t_cas, ints, split, fock, scheme, tol=1e-11, max_iterations=5
             f"(final residual {result.history[-1][1]:.3e})"
         )
     return result
-
-
-def _as_cas_vector(t_full: AmplitudeVector) -> AmplitudeVector:
-    return AmplitudeVector(SPACE_CAS, dict(t_full.entries))
 
 
 def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
@@ -383,8 +376,7 @@ def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum
     t_full = ci_to_cluster(states[0])
     t_star_cas, t_star_ext = split_amplitudes(t_full, split)
 
-    _, cas_states = cas_fci_solve(ints, basis, split)
-    t_fci_cas = _as_cas_vector(ci_to_cluster(cas_states[0]))
+    t_fci_cas = cas_amplitudes(ints, basis, split)
 
     if t_cas_source == "CAS_FCI":
         t_cas = t_fci_cas

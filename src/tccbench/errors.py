@@ -21,6 +21,10 @@ class DuplicateCanonicalEntryError(InputError):
     """Conflicting integral values for the same canonical index."""
 
 
+class NonFiniteIntegralError(InputError):
+    """An integral or the core energy is NaN or infinite."""
+
+
 class SizeLimitError(TccBenchError):
     """Requested system exceeds the supported desk scale."""
 

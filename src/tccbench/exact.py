@@ -18,17 +18,14 @@ from .determinants import (
     AmplitudeVector,
     BasisSplit,
     OrbitalBasis,
+    SPACE_CAS,
     SPACE_FULL,
     determinant_masks,
     excitation_space,
     support_space,
 )
-from .errors import (
-    DimensionLimitError,
-    DimensionMismatchError,
-    ZeroReferenceOverlapError,
-)
-from .hamiltonian import MAX_DENSE_DIM, IntegralSet, build_dense_hamiltonian
+from .errors import DimensionMismatchError, ZeroReferenceOverlapError
+from .hamiltonian import IntegralSet, build_dense_hamiltonian
 
 NORM_L2 = "L2"
 NORM_INTERMEDIATE = "INTERMEDIATE"
@@ -54,11 +51,8 @@ class CiVector:
                 f"expected {dim} coefficients, got {self.coefficients.shape}"
             )
 
-    def reference_coefficient(self) -> float:
-        return float(self.coefficients[_reference_position(self.basis)])
-
     def intermediate_normalized(self) -> "CiVector":
-        c0 = self.reference_coefficient()
+        c0 = float(self.coefficients[_reference_position(self.basis)])
         if abs(c0) < 1e-12:
             raise ZeroReferenceOverlapError(
                 f"reference overlap {c0:.3e} too small for intermediate normalization"
@@ -83,21 +77,8 @@ def _reference_position(basis: OrbitalBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cluster operator application
+# Cluster exp/log maps
 # ---------------------------------------------------------------------------
-
-def apply_cluster(t: AmplitudeVector, v: np.ndarray, basis: OrbitalBasis) -> np.ndarray:
-    """T @ v for T = sum_mu t_mu X_mu; v is (dim,) or a (dim, m) block."""
-    space = support_space(t, basis)
-    return space.apply(space.embed(t), v)
-
-
-def exp_cluster_apply(t: AmplitudeVector, v: np.ndarray, basis: OrbitalBasis,
-                      sign: int = +1) -> np.ndarray:
-    """e^{sign*T} @ v by the finite nilpotent series."""
-    space = support_space(t, basis)
-    return space.exp_apply(space.embed(t), v, sign)
-
 
 def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
     """e^T phi_0, intermediate-normalized by construction."""
@@ -138,14 +119,6 @@ def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
     return _vector_to_amplitudes(acc, basis)
 
 
-def similarity_apply(t: AmplitudeVector, v: np.ndarray, ints: IntegralSet,
-                     basis: OrbitalBasis) -> np.ndarray:
-    """e^{-T} H e^{T} @ v, exact via the finite series."""
-    ham = build_dense_hamiltonian(ints, basis)
-    w = exp_cluster_apply(t, np.asarray(v, dtype=float), basis, sign=+1)
-    return exp_cluster_apply(t, ham @ w, basis, sign=-1)
-
-
 # ---------------------------------------------------------------------------
 # Eigen solves
 # ---------------------------------------------------------------------------
@@ -158,24 +131,28 @@ def _fix_sign(vec: np.ndarray, degenerate: bool) -> np.ndarray:
     return -vec if lead < 0 else vec
 
 
-def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
-              ) -> tuple[SpectralSummary, list[CiVector]]:
-    """Lowest eigenpairs of the dense H over the full determinant space."""
-    dim = len(determinant_masks(basis.n_orbitals, basis.n_electrons))
-    if dim > MAX_DENSE_DIM:
-        raise DimensionLimitError(f"FCI dimension {dim} exceeds {MAX_DENSE_DIM}")
-    ham = build_dense_hamiltonian(ints, basis)
-    evals, evecs = np.linalg.eigh(ham)
+def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, idx: np.ndarray, n_states: int,
+                   label: str) -> tuple[SpectralSummary, list[CiVector]]:
+    """Eigenpairs of H restricted to the determinants idx, embedded in full order."""
+    evals, evecs = np.linalg.eigh(ham if len(idx) == len(ham) else ham[np.ix_(idx, idx)])
     gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
     degenerate = gap < 1e-10
     if degenerate:
-        warnings.warn("near-degenerate ground state; sign fix by lowest determinant index",
-                      DegenerateGroundStateWarning, stacklevel=2)
-    states = [
-        CiVector(basis, _fix_sign(evecs[:, i], degenerate), NORM_L2)
-        for i in range(min(n_states, len(evals)))
-    ]
+        warnings.warn(f"near-degenerate {label}ground state; sign fix by lowest determinant index",
+                      DegenerateGroundStateWarning, stacklevel=3)
+    states = []
+    for i in range(min(n_states, len(evals))):
+        full = np.zeros(len(ham))
+        full[idx] = _fix_sign(evecs[:, i], degenerate)
+        states.append(CiVector(basis, full, NORM_L2))
     return SpectralSummary(evals, gap), states
+
+
+def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
+              ) -> tuple[SpectralSummary, list[CiVector]]:
+    """Lowest eigenpairs of the dense H over the full determinant space."""
+    ham = build_dense_hamiltonian(ints, basis)
+    return _lowest_states(ham, basis, np.arange(len(ham)), n_states, "")
 
 
 def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
@@ -188,20 +165,10 @@ def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
     # determinants inside the CAS, in enumeration order
     idx = np.flatnonzero(determinant_masks(basis.n_orbitals, basis.n_electrons)
                          < (1 << split.k))
-    if len(idx) > MAX_DENSE_DIM:
-        raise DimensionLimitError(f"CAS dimension {len(idx)} exceeds {MAX_DENSE_DIM}")
-    ham = build_dense_hamiltonian(ints, basis)
-    sub = ham[np.ix_(idx, idx)]
-    evals, evecs = np.linalg.eigh(sub)
-    gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
-    degenerate = gap < 1e-10
-    if degenerate:
-        warnings.warn("near-degenerate CAS ground state; sign fix by lowest determinant index",
-                      DegenerateGroundStateWarning, stacklevel=2)
-    dim = ham.shape[0]
-    states = []
-    for i in range(min(n_states, len(evals))):
-        full = np.zeros(dim)
-        full[idx] = _fix_sign(evecs[:, i], degenerate)
-        states.append(CiVector(basis, full, NORM_L2))
-    return SpectralSummary(evals, gap), states
+    return _lowest_states(build_dense_hamiltonian(ints, basis), basis, idx, n_states, "CAS ")
+
+
+def cas_amplitudes(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit) -> AmplitudeVector:
+    """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
+    _, states = cas_fci_solve(ints, basis, split)
+    return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))

@@ -2,7 +2,7 @@
 
 Covers integral ingestion (FCIDUMP read/write), two built-in model
 generators, Slater-Condon matrix elements, the Fock/fluctuation
-splitting H = F + W, and dense/matrix-free application.
+splitting H = F + W, and the dense Hamiltonian build.
 
 Spin convention: spatial orbital p in 1..n_spatial expands to
 spin-orbitals 2p-1 (up) and 2p (down). Two-electron integrals are kept
@@ -19,15 +19,18 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from typing import Optional, TextIO
 
 import numpy as np
 
 from .determinants import (
+    _TABLE_BLOCK,
     Determinant,
     ExcitationIndex,
     OrbitalBasis,
-    enumerate_determinants,
+    determinant_masks,
 )
 from .errors import (
     DimensionLimitError,
@@ -35,6 +38,7 @@ from .errors import (
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
     MalformedHeaderError,
+    NonFiniteIntegralError,
     SizeLimitError,
 )
 
@@ -49,7 +53,7 @@ class NonCanonicalOrbitalsWarning(UserWarning):
     """The reference orbitals do not diagonalize the Fock matrix."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegralSet:
     """Spatial-orbital integrals h_pq, (pq|rs) and a scalar core energy."""
 
@@ -64,12 +68,16 @@ class IntegralSet:
 
     def __post_init__(self):
         n = self.n_spatial
-        self.h = np.asarray(self.h, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
+        # frozen, with private read-only copies: no edit may leave _dense_cache stale
+        object.__setattr__(self, "h", np.array(self.h, dtype=float))
+        object.__setattr__(self, "g", np.array(self.g, dtype=float))
+        self.h.flags.writeable = self.g.flags.writeable = False
         if self.h.shape != (n, n):
             raise DimensionMismatchError(f"h must be {n}x{n}, got {self.h.shape}")
         if self.g.shape != (n, n, n, n):
             raise DimensionMismatchError(f"g must be {(n,) * 4}, got {self.g.shape}")
+        if not all(np.isfinite(x).all() for x in (self.h, self.g, self.e_core)):
+            raise NonFiniteIntegralError("integrals or core energy hold NaN or inf")
 
     @property
     def n_spin_orbitals(self) -> int:
@@ -91,6 +99,17 @@ class IntegralSet:
             return 0.0
         p, q, r, s = (P - 1) // 2, (Q - 1) // 2, (R - 1) // 2, (S - 1) // 2
         return float(self.g[p, r, q, s])
+
+    @cached_property
+    def spin_orbital_tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(h_PQ, <PQ||RS>) over 0-based spin-orbitals: spin_h and antisymmetrized."""
+        k = self.n_spin_orbitals
+        h1, phys = np.zeros((k, k)), np.zeros((k,) * 4)
+        for s in (0, 1):
+            h1[s::2, s::2] = self.h
+            for t in (0, 1):
+                phys[s::2, t::2, s::2, t::2] = self.g.transpose(0, 2, 1, 3)
+        return h1, phys - phys.transpose(0, 1, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +405,6 @@ class FockSpectrum:
             - sum(self.lambdas[i - 1] for i in mu.holes)
         )
 
-    def diag_energy(self, det: Determinant) -> float:
-        """Diagonal Fock action: sum of lambda over occupied orbitals."""
-        return float(sum(self.lambdas[p - 1] for p in det.occ))
-
 
 def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
     """Build the spin-orbital Fock matrix f_PQ = h_PQ + sum_I <PI||QI>.
@@ -404,14 +419,11 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
         raise DimensionMismatchError(
             f"basis has K={basis.n_orbitals}, integrals give K={K}"
         )
-    f = np.zeros((K, K))
-    occ = list(basis.occupied)
-    for P in range(1, K + 1):
-        for Q in range(P, K + 1):
-            v = ints.spin_h(P, Q)
-            for I in occ:
-                v += ints.antisymmetrized(P, I, Q, I)
-            f[P - 1, Q - 1] = f[Q - 1, P - 1] = v
+    h1, anti = ints.spin_orbital_tensors
+    f = h1.copy()
+    for i in range(basis.n_electrons):
+        f += anti[:, i, :, i]
+    f = np.triu(f) + np.triu(f, 1).T   # the upper triangle, mirrored
     lambdas = np.diag(f).copy()
     off = f - np.diag(lambdas)
     off_norm = float(np.linalg.norm(off))
@@ -426,45 +438,86 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Dense build and application
+# Dense build
 # ---------------------------------------------------------------------------
 
+def _occupations(masks: np.ndarray, n_orbitals: int) -> np.ndarray:
+    """(len(masks), K) bools: whether 0-based spin-orbital p is in each mask."""
+    return ((masks[:, None] >> np.arange(n_orbitals, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+
+
+def _lowest_orbitals(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """0-based indices of the n lowest set bits of each mask, ascending."""
+    out = []
+    for _ in range(n):
+        low = masks & (~masks + np.uint64(1))
+        out.append(np.bitwise_count(low - np.uint64(1)).astype(np.uint64))
+        masks = masks ^ low
+    return out
+
+
 def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
-    """Dense symmetric H over enumerate_determinants order (cached)."""
+    """Dense symmetric H over enumerate_determinants order (cached).
+
+    The Slater-Condon rules on determinant bit masks, a block of rows at a
+    time: popcount(m_a ^ m_b) sorts each pair b > a into a single (2), a
+    double (4) or a zero. The phases and every sum follow matrix_element's
+    order, so entry (a, b) for a <= b equals matrix_element(dets[a],
+    dets[b], ints) exactly.
+    """
     key = (basis.n_orbitals, basis.n_electrons)
     cached = ints._dense_cache.get(key)
     if cached is not None:
         return cached
-    dets = enumerate_determinants(basis)
-    dim = len(dets)
+    K = basis.n_orbitals
+    masks = determinant_masks(K, basis.n_electrons)
+    dim = len(masks)
     if dim > MAX_DENSE_DIM:
         raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
-    ham = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(a, dim):
-            v = matrix_element(dets[a], dets[b], ints)
-            ham[a, b] = ham[b, a] = v
+    h1, anti = ints.spin_orbital_tensors
+    occ = _occupations(masks, K)
+    diag = np.full(dim, float(ints.e_core))
+    for p in range(K):
+        diag += np.where(occ[:, p], h1[p, p], 0.0)
+    for p, q in combinations(range(K), 2):
+        diag += np.where(occ[:, p] & occ[:, q], anti[p, q, p, q], 0.0)
+    ham = np.diag(diag)
+    one = np.uint64(1)
+    step = max(1, _TABLE_BLOCK // dim)
+    for start in range(0, dim, step):
+        n_diff = np.triu(np.bitwise_count(masks[start:start + step, None] ^ masks[None, start:]), 1)
+        for n_moved in (1, 2):
+            a, b = np.nonzero(n_diff == 2 * n_moved)
+            a, b = a + start, b + start
+            # orbitals occupied in only one determinant of the pair, ascending
+            only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
+            only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
+            # _align_phase: swap only_b[j] out of m_b for only_a[j], one pair at a time
+            sign, mask = 1.0, masks[b]
+            for p, r in zip(only_a, only_b):
+                lo, hi = np.minimum(p, r), np.maximum(p, r)
+                between = (one << hi) - (one << (lo + one))
+                sign = sign * (1.0 - 2.0 * (np.bitwise_count(mask & between) & 1))
+                mask = mask ^ (one << p) ^ (one << r)
+            if n_moved == 1:
+                (p,), (q,) = only_a, only_b
+                val = h1[p, q]
+                common = occ[a] & occ[b]
+                for r in range(K):
+                    val += np.where(common[:, r], anti[p, r, q, r], 0.0)
+            else:
+                (p, q), (r, s) = only_a, only_b
+                val = anti[p, q, r, s]
+            ham[a, b] = ham[b, a] = sign * val
+    ham.flags.writeable = False   # shared by every caller through the cache
     ints._dense_cache[key] = ham
     return ham
 
 
-def apply_hamiltonian(v: np.ndarray, ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
-    """H @ v with v indexed by enumerate_determinants order."""
-    ham = build_dense_hamiltonian(ints, basis)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ham.shape[0],):
-        raise DimensionMismatchError(
-            f"vector length {v.shape} does not match determinant space dim {ham.shape[0]}"
-        )
-    return ham @ v
-
-
 def fock_diagonal_vector(fock: FockSpectrum, basis: OrbitalBasis) -> np.ndarray:
     """Diagonal of F in determinant order: Lambda0 + eps_mu per determinant."""
-    return np.array([fock.diag_energy(d) for d in enumerate_determinants(basis)])
-
-
-def fluctuation_apply(v: np.ndarray, ints: IntegralSet, fock: FockSpectrum,
-                      basis: OrbitalBasis) -> np.ndarray:
-    """W @ v where W = H - F_diag, the exact complement of the diagonal Fock."""
-    return apply_hamiltonian(v, ints, basis) - fock_diagonal_vector(fock, basis) * np.asarray(v, dtype=float)
+    occ = _occupations(determinant_masks(basis.n_orbitals, basis.n_electrons), basis.n_orbitals)
+    diag = np.zeros(len(occ))
+    for p, lam in enumerate(fock.lambdas):
+        diag += np.where(occ[:, p], lam, 0.0)
+    return diag

@@ -115,6 +115,39 @@ def test_fcidump_input_and_round_trip(tmp_path, capsys):
     assert abs(e0 - (2.0 - np.sqrt(8.0))) <= 1e-12
 
 
+def test_bad_fcidump_contents_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "bad.fcidump"
+    head = b"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n"
+    for body in (b" nan 1 1 1 1\n -1.0 2 1 0 0\n 0.0 0 0 0 0\n",   # NaN integral
+                 b" 1.0 1 1 0 0\n 0.0 0 0 0 0\n\xff\n"):            # not UTF-8
+        path.write_bytes(head + body)
+        code, _, err = run(["fci", "--fcidump", str(path)], capsys)
+        assert code == 1 and err.startswith("error:")
+
+
+def test_config_hash_covers_fcidump_contents(tmp_path, capsys):
+    path = tmp_path / "dump.fcidump"
+    hashes = []
+    for u in (4.0, 5.0):
+        with open(path, "w") as fh:
+            write_fcidump(hubbard_model(2, 1.0, u), fh)
+        code, out, _ = run(["fci", "--fcidump", str(path)], capsys)
+        assert code == 0
+        hashes.append(json.loads(out)["config_sha256"])
+    assert hashes[0] != hashes[1]
+
+
+def test_verify_config_hash_covers_sections_and_iterations(capsys):
+    base = ["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", "--samples", "2"]
+    hashes = set()
+    for extra in (["--assumptions"], ["--decomposition"], ["--error-scaling"],
+                  ["--assumptions", "--max-iterations", "400"]):
+        code, out, _ = run(base + extra, capsys)
+        assert code == 0
+        hashes.add(json.loads(out)["config_sha256"])
+    assert len(hashes) == 4
+
+
 def test_config_file_defaults_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=2\ntrunc=full\n# comment\nmo=true\n")

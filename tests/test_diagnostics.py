@@ -182,19 +182,22 @@ def test_fock_norm_operator_norm_matches_power_iteration(pairing4, rng):
 
     # rebuild the weighted operator matrix independently and power-iterate
     from tccbench.determinants import enumerate_determinants
-    from tccbench.exact import _reference_position, apply_cluster
+    from tccbench.determinants import support_space
+    from tccbench.exact import _reference_position
 
     basis = pairing4.basis
     dets = enumerate_determinants(basis)
     refpos = _reference_position(basis)
-    diag = np.array([pairing4.fock.diag_energy(d) for d in dets]) - pairing4.fock.lambda0
+    diag = np.array([sum(pairing4.fock.lambdas[p - 1] for p in d.occ)
+                     for d in dets]) - pairing4.fock.lambda0
     dim = len(dets)
     cols = [refpos] + [i for i in range(dim) if i != refpos]
     a = np.zeros((dim, len(cols)))
+    space = support_space(t, basis)
     for jcol, j in enumerate(cols):
         e = np.zeros(dim)
         e[j] = 1.0
-        a[:, jcol] = apply_cluster(t, e, basis)
+        a[:, jcol] = space.apply(space.embed(t), e)
     exc = [i for i in range(dim) if i != refpos]
     d_out = np.sqrt(diag[exc])
     d_in = np.concatenate(([1.0], d_out))

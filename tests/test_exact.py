@@ -12,7 +12,6 @@ from tccbench import (
     cluster_to_ci,
     fci_solve,
     hubbard_model,
-    similarity_apply,
 )
 from tccbench.determinants import (
     ExcitationIndex,
@@ -20,13 +19,12 @@ from tccbench.determinants import (
     classify_excitation,
     enumerate_determinants,
     enumerate_excitations,
+    support_space,
 )
 from tccbench.errors import ZeroReferenceOverlapError
 from tccbench.exact import (
     CiVector,
     _reference_position,
-    apply_cluster,
-    exp_cluster_apply,
 )
 
 
@@ -96,14 +94,15 @@ def test_apply_cluster_matches_oracle(rng):
         t = AmplitudeVector(SPACE_FULL, {mu: float(rng.standard_normal())
                                          for mu in pick})
         block = rng.standard_normal((len(dets), 3))
-        got_block = apply_cluster(t, block, basis)
+        space = support_space(t, basis)
+        got_block = space.apply(space.embed(t), block)
 
         op = np.zeros((1 << k, 1 << k))
         for mu, amp in t.entries.items():
             op += amp * oracle.excitation_operator(mu.holes, mu.particles, k)
         for j in range(block.shape[1]):
             v = block[:, j]
-            got = apply_cluster(t, v, basis)
+            got = space.apply(space.embed(t), v)
             full = op @ oracle.state_from_ci(v, dets, k)
             want = np.array([full @ oracle.determinant_state(d.occ, k) for d in dets])
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -117,8 +116,9 @@ def test_exp_cluster_inverse(rng):
     t = AmplitudeVector(SPACE_FULL, {mus[i]: float(rng.standard_normal()) * 0.3
                                      for i in range(0, len(mus), 3)})
     v = rng.standard_normal(len(dets))
-    w = exp_cluster_apply(t, v, basis, sign=+1)
-    back = exp_cluster_apply(t, w, basis, sign=-1)
+    space = support_space(t, basis)
+    w = space.exp_apply(space.embed(t), v, +1)
+    back = space.exp_apply(space.embed(t), w, -1)
     assert np.max(np.abs(back - v)) <= 1e-12
 
 
@@ -184,5 +184,8 @@ def test_similarity_transform_reproduces_eigenvalue(pairing4):
     dim = len(enumerate_determinants(basis))
     ref = np.zeros(dim)
     ref[_reference_position(basis)] = 1.0
-    out = similarity_apply(t, ref, pairing4.ints, basis)
+    ham = build_dense_hamiltonian(pairing4.ints, basis)
+    space = support_space(t, basis)
+    t_vec = space.embed(t)
+    out = space.exp_apply(t_vec, ham @ space.exp_apply(t_vec, ref, +1), -1)
     assert np.max(np.abs(out - summary.ground_energy * ref)) <= 1e-9

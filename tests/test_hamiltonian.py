@@ -5,8 +5,8 @@ import pytest
 
 import oracle
 from tccbench import (
+    IntegralSet,
     OrbitalBasis,
-    apply_hamiltonian,
     build_dense_hamiltonian,
     canonicalize_core,
     fock_matrix,
@@ -23,11 +23,11 @@ from tccbench.errors import (
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
     MalformedHeaderError,
+    NonFiniteIntegralError,
     SizeLimitError,
 )
 from tccbench.hamiltonian import (
     NonCanonicalOrbitalsWarning,
-    fluctuation_apply,
     fock_diagonal_vector,
 )
 
@@ -50,6 +50,72 @@ def _oracle_elements(system, n_samples, rng):
 def test_slater_condon_matches_oracle(hubbard2_site, hubbard3_mo, pairing4, rng):
     for system in (hubbard2_site, hubbard3_mo, pairing4):
         assert _oracle_elements(system, 80, rng) <= 1e-12
+
+
+def _random_4fold(seed, n_spatial, n_electrons):
+    """Dense non-canonical integrals with only the 4-fold (pq|rs) symmetry."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n_spatial, n_spatial))
+    g = rng.standard_normal((n_spatial,) * 4)
+    g = g + g.transpose(1, 0, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    return IntegralSet(n_spatial, h + h.T, g, 0.25, n_electrons=n_electrons,
+                       symmetry="4-fold")
+
+
+def test_dense_hamiltonian_matches_oracle_sector(hubbard2_site, hubbard3_mo, pairing4):
+    """Every entry of the dense H against the N-sector of the 2^K oracle."""
+    random8 = _random_4fold(11, 4, 4)
+    for ints in (hubbard2_site.ints, hubbard3_mo.ints, pairing4.ints, random8):
+        k, n = ints.n_spin_orbitals, ints.n_electrons
+        basis = OrbitalBasis(k, n)
+        idx = [d.mask for d in enumerate_determinants(basis)]
+        assert sorted(idx) == oracle.project_sector(k, n)
+        want = oracle.dense_hamiltonian_fock(ints, k)[np.ix_(idx, idx)]
+        assert np.max(np.abs(build_dense_hamiltonian(ints, basis) - want)) <= 1e-12
+
+
+def test_dense_hamiltonian_equals_matrix_elements():
+    """The vectorised build sums in matrix_element's order: equal entries."""
+    ints = _random_4fold(12, 6, 4)
+    basis = OrbitalBasis(12, 4)
+    dets = enumerate_determinants(basis)
+    ham = build_dense_hamiltonian(ints, basis)
+    want = np.array([[matrix_element(d1, d2, ints) if a <= b else 0.0
+                      for b, d2 in enumerate(dets)] for a, d1 in enumerate(dets)])
+    want = np.triu(want) + np.triu(want, 1).T
+    assert np.array_equal(ham, want)
+
+
+def test_non_finite_integrals_are_rejected():
+    with pytest.raises(NonFiniteIntegralError):
+        hubbard_model(2, 1.0, np.inf)
+    with pytest.raises(NonFiniteIntegralError):
+        IntegralSet(1, [[np.nan]], np.zeros((1, 1, 1, 1)))
+    with pytest.raises(NonFiniteIntegralError):
+        IntegralSet(1, [[0.0]], np.zeros((1, 1, 1, 1)), e_core=-np.inf)
+
+
+def test_integrals_are_private_read_only_copies():
+    """An edit after a build can reach neither the integrals nor the cached H."""
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    g = np.zeros((2, 2, 2, 2))
+    g[0, 0, 0, 0] = g[1, 1, 1, 1] = 4.0
+    ints = IntegralSet(2, h, g, n_electrons=2)
+    basis = OrbitalBasis(4, 2)
+    before = build_dense_hamiltonian(ints, basis).copy()
+    h[0, 0] += 5.0
+    g[0, 0, 0, 0] += 5.0
+    with pytest.raises(ValueError):
+        ints.h[0, 0] += 5.0
+    with pytest.raises(ValueError):
+        ints.g[0, 0, 0, 0] += 5.0
+    with pytest.raises(AttributeError):
+        ints.h = h
+    assert ints.h[0, 0] == 0.0 and ints.g[0, 0, 0, 0] == 4.0
+    assert np.array_equal(build_dense_hamiltonian(ints, basis), before)
+    with pytest.raises(ValueError):
+        build_dense_hamiltonian(ints, basis)[0, 0] += 5.0
 
 
 def test_dense_hamiltonian_is_symmetric(pairing4):
@@ -110,11 +176,11 @@ def test_noncanonical_fock_warns(hubbard2_site):
 
 
 def test_fluctuation_is_exact_complement(pairing4, rng):
-    dim = build_dense_hamiltonian(pairing4.ints, pairing4.basis).shape[0]
-    v = rng.standard_normal(dim)
-    hv = apply_hamiltonian(v, pairing4.ints, pairing4.basis)
+    ham = build_dense_hamiltonian(pairing4.ints, pairing4.basis)
+    v = rng.standard_normal(ham.shape[0])
+    hv = ham @ v
     fv = fock_diagonal_vector(pairing4.fock, pairing4.basis) * v
-    wv = fluctuation_apply(v, pairing4.ints, pairing4.fock, pairing4.basis)
+    wv = (ham - np.diag(fock_diagonal_vector(pairing4.fock, pairing4.basis))) @ v
     assert np.max(np.abs(hv - fv - wv)) <= 1e-12
 
 
