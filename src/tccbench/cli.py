@@ -258,6 +258,7 @@ def _read_config_file(path: str) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tccbench")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices   # subcommand name -> its parser
 
     def common(p):
         p.add_argument("--fcidump", help="integral file path")
@@ -321,36 +322,34 @@ _CONFIG_TYPES = {
 }
 
 
-def _apply_config_file(args, parser) -> None:
+def _apply_config_file(args, argv) -> None:
     if not getattr(args, "config", None):
         return
-    defaults = _read_config_file(args.config)
-    # only fill values the user did not set explicitly
-    sentinel = parser.parse_args([args.command])
-    for key, val in defaults.items():
-        if not hasattr(args, key):
+    # the keys argv sets itself win: parse it again with every default unset
+    unset = object()
+    probe = build_parser()
+    probe.commands[args.command].set_defaults(**dict.fromkeys(vars(args), unset))
+    given = {k for k, v in vars(probe.parse_args(argv)).items() if v is not unset}
+    for key, val in _read_config_file(args.config).items():
+        if key in ("command", "func") or not hasattr(args, key):
             raise InputError(f"unknown config key {key!r}")
-        current = getattr(args, key)
-        default = getattr(sentinel, key, None)
-        if current == default:
-            anno = _CONFIG_TYPES.get(key, str)
-            if anno is bool:
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            else:
-                try:
-                    setattr(args, key, anno(val))
-                except ValueError as exc:
-                    raise InputError(f"bad config value {key}={val!r}") from exc
+        if key in given:
+            continue
+        anno = _CONFIG_TYPES.get(key, str)
+        if anno is bool:
+            setattr(args, key, val.lower() in ("1", "true", "yes"))
+        else:
+            try:
+                setattr(args, key, anno(val))
+            except ValueError as exc:
+                raise InputError(f"bad config value {key}={val!r}") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        try:
-            _apply_config_file(args, parser)
-        except SystemExit:  # sentinel parse of bare subcommand may exit
-            pass
+        _apply_config_file(args, argv)
         return args.func(args)
     except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,10 +54,6 @@ class OrbitalBasis:
     def reference(self) -> "Determinant":
         return Determinant(tuple(range(1, self.n_electrons + 1)))
 
-    @property
-    def occupied(self) -> range:
-        return range(1, self.n_electrons + 1)
-
 
 @dataclass(frozen=True)
 class BasisSplit:
@@ -103,9 +99,6 @@ class Determinant:
             mask >>= 1
             p += 1
         return cls(tuple(occ))
-
-    def __contains__(self, orbital: int) -> bool:
-        return orbital in self.occ
 
     def __len__(self) -> int:
         return len(self.occ)
@@ -193,7 +186,7 @@ def excitation_from_reference(
     det: Determinant, basis: OrbitalBasis
 ) -> Optional[tuple[ExcitationIndex, int]]:
     """Unique mu and sign with X_mu phi_0 = sign * phi_det; None for phi_0."""
-    ref = set(basis.occupied)
+    ref = set(range(1, basis.n_electrons + 1))
     occ = set(det.occ)
     holes = tuple(sorted(ref - occ))
     particles = tuple(sorted(occ - ref))
@@ -329,6 +322,11 @@ def determinant_masks(n_orbitals: int, n_electrons: int) -> np.ndarray:
     masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), occ), axis=1)
     masks.flags.writeable = False
     return masks
+
+
+def occupations(masks: np.ndarray, n_orbitals: int) -> np.ndarray:
+    """(len(masks), K) bools: whether 0-based spin-orbital p is in each mask."""
+    return ((masks[:, None] >> np.arange(n_orbitals, dtype=np.uint64)) & np.uint64(1)).astype(bool)
 
 
 def _bits(orbitals: np.ndarray) -> np.ndarray:
@@ -511,11 +509,9 @@ class ExcitationSpace:
 
 
 @lru_cache(maxsize=32)
-def excitation_space(basis: OrbitalBasis,
-                     indices: Optional[tuple[ExcitationIndex, ...]] = None
-                     ) -> ExcitationSpace:
-    """Shared ExcitationSpace of the indices; None means every excitation."""
-    return ExcitationSpace(basis, enumerate_excitations(basis) if indices is None else indices)
+def excitation_space(basis: OrbitalBasis, indices: tuple[ExcitationIndex, ...]) -> ExcitationSpace:
+    """Shared ExcitationSpace of the indices, in the given order."""
+    return ExcitationSpace(basis, indices)
 
 
 def support_space(t: AmplitudeVector, basis: OrbitalBasis) -> ExcitationSpace:

@@ -1,11 +1,12 @@
 """Orbital entanglement entropies and active-space selection.
 
-One- and two-orbital reduced density matrices are computed from a CI
-vector by determinant bookkeeping (no explicit 2^K tensors). For a
-fixed particle-number state, particle-number superselection makes the
-one-orbital matrix diagonal and the two-orbital matrix block-diagonal
-in the local particle number; the only off-diagonal element is the
-exchange coherence between the |10> and |01> local configurations.
+One- and two-orbital reduced density matrices of every orbital and pair
+are read at once from a CI vector and the determinant bit masks (no 2^K
+tensors). For a fixed particle-number state, particle-number
+superselection makes the one-orbital matrix diagonal and the two-orbital
+matrix block-diagonal in the local particle number; the only off-diagonal
+element is the exchange coherence between the |10> and |01> local
+configurations.
 
 Entropies use the natural logarithm, so s(i) <= ln 2 and
 s(i,j) <= ln 4.
@@ -14,13 +15,14 @@ s(i,j) <= ln 4.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .determinants import OrbitalBasis, enumerate_determinants
-from .errors import EmptySelectionError, NotNormalizedError, SameOrbitalError
+from .determinants import determinant_masks, occupations
+from .errors import (EmptySelectionError, IndexOutOfRangeError, NotNormalizedError,
+                     SameOrbitalError)
 from .exact import CiVector
 from .hamiltonian import IntegralSet
 
@@ -30,54 +32,75 @@ NORM_TOL = 1e-10
 def _check_normalized(psi: CiVector) -> np.ndarray:
     c = psi.coefficients
     nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > NORM_TOL:
+    if not abs(nrm - 1.0) <= NORM_TOL:   # a NaN or inf coefficient makes nrm NaN or inf
         raise NotNormalizedError(f"CI vector norm is {nrm!r}, expected 1")
     return c
 
 
+def _orbital(psi: CiVector, i: int) -> int:
+    """0-based position of the 1-based orbital i."""
+    if not 1 <= i <= psi.basis.n_orbitals:
+        raise IndexOutOfRangeError(f"orbital {i} is outside 1..{psi.basis.n_orbitals}")
+    return i - 1
+
+
+def _column_sums(hit: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of w over the rows that `hit` marks, per column, added in row order."""
+    return np.cumsum(np.where(hit, w, 0.0), axis=0)[-1]
+
+
+def _orbital_rdms(psi: CiVector) -> tuple[np.ndarray, np.ndarray]:
+    """Every one-orbital RDM, (K, 2, 2), and two-orbital RDM, (K, K, 4, 4), i != j.
+
+    Each entry sums over the determinants in enumeration order, as a loop would.
+    """
+    c = _check_normalized(psi)
+    k = psi.basis.n_orbitals
+    occ = occupations(determinant_masks(k, psi.basis.n_electrons), k)
+    w = (c * c)[:, None]
+    n_occ = _column_sums(occ, w)
+    one = np.zeros((k, 2, 2))
+    one[:, 0, 0], one[:, 1, 1] = 1.0 - n_occ, n_occ
+
+    i, j = np.triu_indices(k, 1)
+    oi, oj = occ[:, i], occ[:, j]
+    local = (~oi & ~oj, ~oi & oj, oi & ~oj, oi & oj)   # |00>, |01>, |10>, |11> per pair
+    two = np.zeros((k, k, 4, 4))
+    for a, hit in enumerate(local):
+        b = (0, 2, 1, 3)[a]   # the same configuration seen from (j, i)
+        two[i, j, a, a] = two[j, i, b, b] = _column_sums(hit, w)
+    # Exchange coherence <10|rho|01>: sum of c_d c_d' (no phase, as the dense
+    # oracle confirms) over the |10> determinants d, d' being d with i moved to j.
+    # Lexicographic order compares determinants by the lowest orbital just one
+    # holds, which the move keeps, so the n-th |10> one maps to the n-th |01> one.
+    pair, src = np.nonzero(local[2].T)
+    dst = np.nonzero(local[1].T)[1]
+    x = np.bincount(pair, weights=c[src] * c[dst], minlength=len(i))
+    two[i, j, 2, 1] = two[i, j, 1, 2] = two[j, i, 2, 1] = two[j, i, 1, 2] = x
+    return one, two
+
+
 def one_orbital_rdm(psi: CiVector, i: int) -> np.ndarray:
     """2x2 density matrix of orbital i: diag(1 - <n_i>, <n_i>)."""
-    c = _check_normalized(psi)
-    dets = enumerate_determinants(psi.basis)
-    occ_weight = sum(float(x) ** 2 for x, d in zip(c, dets) if i in d)
-    return np.diag([1.0 - occ_weight, occ_weight])
+    return _orbital_rdms(psi)[0][_orbital(psi, i)]
 
 
 def two_orbital_rdm(psi: CiVector, i: int, j: int) -> np.ndarray:
     """4x4 density matrix of orbitals (i, j), local basis |00>,|01>,|10>,|11>.
 
-    |01> means j occupied, |10> means i occupied. The exchange coherence
-    <10|rho|01> couples determinant pairs related by swapping the
-    occupations of i and j; in the occupation-tensor representation a
-    canonically ordered determinant maps to its basis tensor with sign
-    +1, so the coherence is the plain product of the paired CI
-    coefficients (verified against the dense partial-trace oracle).
+    |01> means j occupied, |10> means i occupied.
     """
-    if i == j:
+    a, b = _orbital(psi, i), _orbital(psi, j)
+    if a == b:
         raise SameOrbitalError(f"two-orbital matrix needs distinct orbitals, got {i}")
-    c = _check_normalized(psi)
-    dets = enumerate_determinants(psi.basis)
-    pos = {d.mask: a for a, d in enumerate(dets)}
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-
-    rho = np.zeros((4, 4))
-    for x, d in zip(c, dets):
-        m = d.mask
-        local = (2 if m & bi else 0) + (1 if m & bj else 0)
-        rho[local, local] += float(x) ** 2
-        if local == 2:  # i occupied, j empty: pair with the swapped determinant
-            partner = pos.get((m & ~bi) | bj)
-            if partner is not None:
-                rho[2, 1] += float(x) * float(c[partner])
-    rho[1, 2] = rho[2, 1]
-    return rho
+    return _orbital_rdms(psi)[1][a, b]
 
 
-def _von_neumann(rho: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals, 0.0, 1.0)
-    nz = evals[evals > 1e-300]
-    return float(-(nz * np.log(nz)).sum())
+def _von_neumann(rho: np.ndarray) -> np.ndarray:
+    """Entropies of a stack of density matrices, (..., m, m) -> (...)."""
+    evals = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    nz = evals > 1e-300
+    return -np.where(nz, evals * np.log(np.where(nz, evals, 1.0)), 0.0).sum(axis=-1)
 
 
 @dataclass
@@ -96,12 +119,11 @@ class OrbitalEntropyProfile:
 
 def mutual_information(psi: CiVector, source: str = "") -> OrbitalEntropyProfile:
     """Full entropy profile: s(i), s(i,j), I(i,j) = s(i)+s(j)-s(i,j)."""
-    k = psi.basis.n_orbitals
-    s1 = np.array([_von_neumann(one_orbital_rdm(psi, i)) for i in range(1, k + 1)])
-    s2 = np.zeros((k, k))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            s2[i - 1, j - 1] = s2[j - 1, i - 1] = _von_neumann(two_orbital_rdm(psi, i, j))
+    one, two = _orbital_rdms(psi)
+    s1 = _von_neumann(one)
+    s2 = np.zeros(two.shape[:2])
+    i, j = np.triu_indices(len(s1), 1)
+    s2[i, j] = s2[j, i] = _von_neumann(two[i, j])
     mi = s1[:, None] + s1[None, :] - s2
     np.fill_diagonal(mi, 0.0)
     return OrbitalEntropyProfile(s1, s2, mi, source)
@@ -163,25 +185,17 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     jump_ties = 0
 
     if mode == MODE_THRESHOLD:
-        for i in range(1, k_orb + 1):
-            if profile.s1[i - 1] > s_threshold:
-                selected.add(i)
-        for i in range(1, k_orb + 1):
-            for j in range(i + 1, k_orb + 1):
-                if profile.mi[i - 1, j - 1] > mi_threshold:
-                    selected.update((i, j))
+        selected.update((np.flatnonzero(profile.s1 > s_threshold) + 1).tolist())
+        selected.update((np.argwhere(np.triu(profile.mi > mi_threshold, 1)) + 1).ravel().tolist())
         if not selected:
             if not include_reference:
                 raise EmptySelectionError("no orbital passed the thresholds")
             warnings.warn("no orbital passed the thresholds; proposing k = N",
                           WeakProfileWarning, stacklevel=2)
     elif mode == MODE_JUMP:
-        pairs = [
-            (float(profile.mi[i - 1, j - 1]), i, j)
-            for i in range(1, k_orb + 1)
-            for j in range(i + 1, k_orb + 1)
-        ]
-        pairs.sort(key=lambda r: (-r[0], r[1], r[2]))
+        i, j = np.triu_indices(k_orb, 1)
+        pairs = sorted(zip(profile.mi[i, j].tolist(), (i + 1).tolist(), (j + 1).tolist()),
+                       key=lambda r: (-r[0], r[1], r[2]))
         values = [r[0] for r in pairs]
         best, cut = 0.0, 0
         for a in range(len(values) - 1):
@@ -205,11 +219,7 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
         selected.update(range(1, n_electrons + 1))
     # close under spin partners
     spatial_sel = sorted({_spatial(i) for i in selected})
-    selected = set()
-    for p in spatial_sel:
-        selected.update(_spin_pair(p))
-
-    orbitals = tuple(sorted(selected))
+    orbitals = tuple(s for p in spatial_sel for s in _spin_pair(p))
     spatial_rest = [p for p in range(1, k_orb // 2 + 1) if p not in spatial_sel]
     spatial_perm = tuple(spatial_sel + spatial_rest)
     spin_perm = tuple(s for p in spatial_perm for s in _spin_pair(p))

@@ -17,6 +17,7 @@ import numpy as np
 from .determinants import (
     AmplitudeVector,
     BasisSplit,
+    ExcitationIndex,
     OrbitalBasis,
     SPACE_CAS,
     SPACE_FULL,
@@ -89,9 +90,14 @@ def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
 
 def _vector_to_amplitudes(w: np.ndarray, basis: OrbitalBasis) -> AmplitudeVector:
     """Read a reference-orthogonal vector as amplitudes: w = sum t_mu X_mu phi_0."""
-    space = excitation_space(basis)
-    if w[space.reference] != 0.0:
+    n = basis.n_electrons
+    if w[_reference_position(basis)] != 0.0:
         raise DimensionMismatchError("vector has a reference component")
+    # the space of w's support, in enumerate_excitations order
+    indices = [ExcitationIndex(tuple(p for p in range(1, n + 1) if not m >> (p - 1) & 1),
+                               tuple(p for p in range(n + 1, m.bit_length() + 1) if m >> (p - 1) & 1))
+               for m in determinant_masks(basis.n_orbitals, n)[np.flatnonzero(w)].tolist()]
+    space = excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
     return space.amplitudes(space.project(w), SPACE_FULL)
 
 

@@ -31,6 +31,7 @@ from .determinants import (
     ExcitationIndex,
     OrbitalBasis,
     determinant_masks,
+    occupations,
 )
 from .errors import (
     DimensionLimitError,
@@ -441,11 +442,6 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
 # Dense build
 # ---------------------------------------------------------------------------
 
-def _occupations(masks: np.ndarray, n_orbitals: int) -> np.ndarray:
-    """(len(masks), K) bools: whether 0-based spin-orbital p is in each mask."""
-    return ((masks[:, None] >> np.arange(n_orbitals, dtype=np.uint64)) & np.uint64(1)).astype(bool)
-
-
 def _lowest_orbitals(masks: np.ndarray, n: int) -> list[np.ndarray]:
     """0-based indices of the n lowest set bits of each mask, ascending."""
     out = []
@@ -475,7 +471,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     if dim > MAX_DENSE_DIM:
         raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
     h1, anti = ints.spin_orbital_tensors
-    occ = _occupations(masks, K)
+    occ = occupations(masks, K)
     diag = np.full(dim, float(ints.e_core))
     for p in range(K):
         diag += np.where(occ[:, p], h1[p, p], 0.0)
@@ -516,7 +512,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
 
 def fock_diagonal_vector(fock: FockSpectrum, basis: OrbitalBasis) -> np.ndarray:
     """Diagonal of F in determinant order: Lambda0 + eps_mu per determinant."""
-    occ = _occupations(determinant_masks(basis.n_orbitals, basis.n_electrons), basis.n_orbitals)
+    occ = occupations(determinant_masks(basis.n_orbitals, basis.n_electrons), basis.n_orbitals)
     diag = np.zeros(len(occ))
     for p, lam in enumerate(fock.lambdas):
         diag += np.where(occ[:, p], lam, 0.0)

@@ -68,12 +68,8 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):   # numpy scalars: float, int, bool
+        return obj.item()
     return obj
 
 
@@ -161,12 +157,9 @@ def write_history_tsv(history: list[tuple[int, float, float, float]],
 
 def write_profile_tsv(profile, stream: TextIO) -> None:
     """Mutual-information matrix with a per-orbital entropy column."""
-    k = profile.n_orbitals
-    header = ["orbital", "s1"] + [f"I_{j}" for j in range(1, k + 1)]
-    rows = [
-        [i, float(profile.s1[i - 1])] + [float(profile.mi[i - 1, j - 1]) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
+    header = ["orbital", "s1"] + [f"I_{j}" for j in range(1, profile.n_orbitals + 1)]
+    rows = [[i, s] + mi for i, (s, mi) in enumerate(zip(profile.s1.tolist(),
+                                                         profile.mi.tolist()), start=1)]
     write_tsv(header, rows, stream)
 
 

@@ -164,6 +164,27 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
     code, _, err = run(["cas-fci", "--model", "hubbard:2,1.0,4.0", "--mo",
                         "--k", "3", "--config", str(cfg)], capsys)
     assert code == 1 and "trunc" in err
+    # so are the parser's own entries, which are not options
+    for key in ("func", "command"):
+        cfg.write_text(f"{key}=x\n")
+        code, _, err = run(["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
+        assert code == 1 and key in err
+
+
+def test_config_file_loses_to_flags_given_at_their_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trunc=rank:1\nseed=5\n")
+    code, out, _ = run(["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                        "--trunc", "full", "--seed=0", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["trunc"] == "full"
+    assert json.loads(out)["config"]["seed"] == 0
+    # an abbreviated flag counts as given too; keys no flag sets still apply
+    code, out, _ = run(["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                        "--tr", "full", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["trunc"] == "full"
+    assert json.loads(out)["config"]["seed"] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_excitation_signs_match_dense_oracle(k, n):
     dets = enumerate_determinants(basis)
     pos = {d.occ: i for i, d in enumerate(dets)}
     # the excitation table must hold exactly the oracle's nonzero actions
-    space = excitation_space(basis)
+    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
     assert space.indices == tuple(enumerate_excitations(basis))
     src, dst, sign, mu_id = space.table
     rows = {(int(a), int(i)): (int(j), float(s))

@@ -14,6 +14,7 @@ from tccbench import (
     two_orbital_rdm,
 )
 from tccbench.determinants import enumerate_determinants
+from tccbench.hamiltonian import canonicalize_core
 from tccbench.entropy import (
     MODE_JUMP,
     MODE_THRESHOLD,
@@ -22,6 +23,7 @@ from tccbench.entropy import (
 )
 from tccbench.errors import (
     EmptySelectionError,
+    IndexOutOfRangeError,
     NotNormalizedError,
     SameOrbitalError,
 )
@@ -34,7 +36,7 @@ def _random_state(basis, rng):
     return CiVector(basis, c / np.linalg.norm(c))
 
 
-@pytest.mark.parametrize("k,n", [(4, 2), (6, 3), (6, 2)])
+@pytest.mark.parametrize("k,n", [(4, 2), (6, 3), (6, 2), (8, 4)])
 def test_rdms_match_dense_partial_trace(k, n, rng):
     basis = OrbitalBasis(k, n)
     dets = enumerate_determinants(basis)
@@ -69,6 +71,60 @@ def test_rdm_input_guards(pairing4):
     good = CiVector(pairing4.basis, np.eye(dim)[0])
     with pytest.raises(SameOrbitalError):
         two_orbital_rdm(good, 3, 3)
+
+
+def _oracle_entropy(rho):
+    evals = np.linalg.eigvalsh(rho)
+    evals = evals[evals > 1e-300]
+    return float(-(evals * np.log(evals)).sum())
+
+
+def _hubbard_ground_state():
+    ints, _ = canonicalize_core(hubbard_model(4, 1.0, 2.0))
+    _, states = fci_solve(ints, OrbitalBasis(8, 4))
+    return states[0]
+
+
+@pytest.mark.parametrize("k,n", [(4, 2), (6, 3), (8, 4), (8, 3)])
+def test_entropies_match_dense_partial_trace(k, n, rng):
+    basis = OrbitalBasis(k, n)
+    dets = enumerate_determinants(basis)
+    states = [_random_state(basis, rng) for _ in range(3)]
+    if (k, n) == (8, 4):
+        states.append(_hubbard_ground_state())
+    for psi in states:
+        full = oracle.state_from_ci(psi.coefficients, dets, k)
+        profile = mutual_information(psi)
+        for i in range(1, k + 1):
+            want = _oracle_entropy(oracle.one_mode_rdm(full, i, k))
+            assert abs(profile.s1[i - 1] - want) <= 1e-12
+            for j in range(i + 1, k + 1):
+                want = _oracle_entropy(oracle.two_mode_rdm(full, i, j, k))
+                assert abs(profile.s2[i - 1, j - 1] - want) <= 1e-12
+                assert profile.s2[j - 1, i - 1] == profile.s2[i - 1, j - 1]
+
+
+def test_rdm_orbitals_outside_the_basis_are_rejected(pairing4):
+    dim = len(enumerate_determinants(pairing4.basis))
+    good = CiVector(pairing4.basis, np.eye(dim)[0])
+    for i in (0, 9, -1):
+        with pytest.raises(IndexOutOfRangeError):
+            one_orbital_rdm(good, i)
+        with pytest.raises(IndexOutOfRangeError):
+            two_orbital_rdm(good, i, 2)
+        with pytest.raises(IndexOutOfRangeError):
+            two_orbital_rdm(good, 2, i)
+
+
+def test_non_finite_ci_vectors_are_rejected(pairing4):
+    dim = len(enumerate_determinants(pairing4.basis))
+    for bad in (np.nan, np.inf):
+        c = np.eye(dim)[0]
+        c[3] = bad
+        with pytest.raises(NotNormalizedError):
+            mutual_information(CiVector(pairing4.basis, c))
+        with pytest.raises(NotNormalizedError):
+            one_orbital_rdm(CiVector(pairing4.basis, c), 1)
 
 
 def test_single_determinant_profile_is_zero():
