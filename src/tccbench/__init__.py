@@ -40,7 +40,6 @@ from .hamiltonian import (
 from .exact import (
     CiVector,
     SpectralSummary,
-    cas_amplitudes,
     cas_fci_solve,
     ci_to_cluster,
     cluster_to_ci,
@@ -72,6 +71,7 @@ from .diagnostics import (
     ErrorDecomposition,
     GapReport,
     ScalingStudy,
+    Study,
     assumption_b_report,
     error_decomposition,
     error_representation_check,

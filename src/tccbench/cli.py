@@ -21,13 +21,13 @@ from pathlib import Path
 from . import serialize
 from .determinants import BasisSplit, OrbitalBasis
 from .diagnostics import (
+    Study,
     assumption_b_report,
     error_decomposition,
     error_representation_check,
     gap_report,
     linear_limit_scaling_study,
     quadratic_scaling_study,
-    solve_dual,
 )
 from .entropy import MODE_JUMP, MODE_THRESHOLD, mutual_information, select_cas
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     SolverFailureError,
     TccBenchError,
 )
-from .exact import cas_amplitudes, cas_fci_solve, fci_solve
+from .exact import cas_fci_solve, fci_solve
 from .hamiltonian import (
     canonicalize_core,
     fock_matrix,
@@ -46,7 +46,7 @@ from .hamiltonian import (
     pairing_model,
     parse_fcidump,
 )
-from .tcc import MODE_FOI, MODE_FULL, MODE_RANK, TccConfig, TruncationScheme, solve_tcc
+from .tcc import MODE_FOI, MODE_FULL, MODE_RANK, TccConfig, TruncationScheme
 
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
@@ -164,20 +164,14 @@ def cmd_select_cas(args) -> int:
     return 0
 
 
+def _solver_config(args) -> TccConfig:
+    return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
+                     damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
+
+
 def cmd_tcc(args) -> int:
     ints, basis, split = _load_split(args)
-    fock = fock_matrix(ints, basis)
-    t_cas = cas_amplitudes(ints, basis, split)
-    config = TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
-                       damping=args.damping, diis=args.diis,
-                       truncation=_parse_trunc(args.trunc))
-    result = solve_tcc(t_cas, ints, split, fock, config)
-    if not result.converged:
-        raise SolverFailureError(
-            f"not converged in {result.iterations} iterations "
-            f"(final residual {result.history[-1][1]:.3e}"
-            f"{', diverged' if result.diverged else ''})"
-        )
+    result = Study(ints, split, fock_matrix(ints, basis)).root(_solver_config(args))
     payload = {
         "energy": result.energy,
         "converged": result.converged,
@@ -194,46 +188,40 @@ def cmd_tcc(args) -> int:
 def cmd_verify(args) -> int:
     ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
-    scheme = _parse_trunc(args.trunc)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)
     payload: dict = {"gap": gap_report(fock, split)}
     cfg = _config_dict(args, ["k", "trunc", "delta", "samples", "tol", "damping", "diis",
                               "max_iterations", "assumptions", "error_scaling",
                               "decomposition"])
 
-    t_cas = cas_amplitudes(ints, basis, split)
-    full = TruncationScheme(MODE_FULL)
-    solver_cfg = TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
-                           damping=args.damping, diis=args.diis, truncation=full)
-    star = solve_tcc(t_cas, ints, split, fock, solver_cfg)
-    if not star.converged:
-        raise SolverFailureError("reference solve on the full external space failed")
+    # the solver flags drive the reference and truncated roots; the
+    # decomposition and scaling sub-solves run at diagnostics.STUDY_CONFIG
+    truncated = _solver_config(args)
+    full = replace(truncated, truncation=TruncationScheme(MODE_FULL))
+    study = Study(ints, split, fock)
+    star = study.root(full)
 
     if run_all or args.assumptions:
         payload["assumptions"] = assumption_b_report(
-            star.t, t_cas, ints, split, fock,
+            star.t, study.t_cas, ints, split, fock,
             delta=args.delta, samples=args.samples, seed=args.seed)
     if run_all or args.decomposition:
         payload["decomposition"] = error_decomposition(
-            ints, split, fock, scheme, seed=args.seed)
-        z_star = solve_dual(star.t, t_cas, ints, split, full)
-        d = solve_tcc(t_cas, ints, split, fock, replace(solver_cfg, truncation=scheme))
-        if not d.converged:
-            raise SolverFailureError("truncated solve failed")
-        z_d = solve_dual(d.t, t_cas, ints, split, scheme)
+            study, truncated.truncation, seed=args.seed)
         payload["representation"] = error_representation_check(
-            d.t, z_d, star.t, z_star, t_cas, ints, split, fock)
-    study = None
+            study.root(truncated).t, study.dual(truncated), star.t, study.dual(full),
+            study.t_cas, ints, split, fock)
+    scaling = None
     if run_all or args.error_scaling:
         max_rank = min(basis.n_electrons, basis.n_orbitals - basis.n_electrons)
         family = [TruncationScheme(MODE_RANK, r) for r in range(1, max_rank)]
-        family.append(full)
-        study = quadratic_scaling_study(ints, split, fock, t_cas, family)
-        payload["scaling"] = study
+        family.append(TruncationScheme(MODE_FULL))
+        scaling = quadratic_scaling_study(study, family)
+        payload["scaling"] = scaling
         payload["linear_limit_scaling"] = linear_limit_scaling_study(
             fock, split, seed=args.seed)
     _emit(args, "verify", payload, cfg,
-          tsv=("scaling.tsv", serialize.write_scaling_tsv, study) if study else None)
+          tsv=("scaling.tsv", serialize.write_scaling_tsv, scaling) if scaling else None)
     return 0
 
 
@@ -312,35 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_TYPES = {
-    "k": int, "diis": int, "max_iterations": int, "samples": int,
-    "seed": int, "n_states": int,
-    "tol": float, "damping": float, "delta": float,
-    "s_threshold": float, "mi_threshold": float,
-    "mo": bool, "jump": bool, "assumptions": bool, "error_scaling": bool,
-    "decomposition": bool,
-}
-
-
 def _apply_config_file(args, argv) -> None:
     if not getattr(args, "config", None):
         return
     # the keys argv sets itself win: parse it again with every default unset
     unset = object()
     probe = build_parser()
-    probe.commands[args.command].set_defaults(**dict.fromkeys(vars(args), unset))
+    command = probe.commands[args.command]
+    command.set_defaults(**dict.fromkeys(vars(args), unset))
     given = {k for k, v in vars(probe.parse_args(argv)).items() if v is not unset}
+    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
     for key, val in _read_config_file(args.config).items():
-        if key in ("command", "func") or not hasattr(args, key):
+        if key not in actions:
             raise InputError(f"unknown config key {key!r}")
         if key in given:
             continue
-        anno = _CONFIG_TYPES.get(key, str)
-        if anno is bool:
+        if actions[key].nargs == 0:   # a store_true flag
             setattr(args, key, val.lower() in ("1", "true", "yes"))
         else:
             try:
-                setattr(args, key, anno(val))
+                setattr(args, key, (actions[key].type or str)(val))
             except ValueError as exc:
                 raise InputError(f"bad config value {key}={val!r}") from exc
 

@@ -69,6 +69,10 @@ class BasisSplit:
                 f"K={self.basis.n_orbitals}"
             )
 
+    def cas_determinants(self) -> np.ndarray:
+        """Whether each determinant, in enumeration order, lies inside the CAS."""
+        return determinant_masks(self.basis.n_orbitals, self.basis.n_electrons) < (1 << self.k)
+
 
 @dataclass(frozen=True)
 class Determinant:

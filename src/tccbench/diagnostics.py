@@ -14,7 +14,8 @@ continua and are labelled as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,18 +27,18 @@ from .determinants import (
     SPACE_CAS,
     SPACE_TRUNCATED,
     ExcitationIndex,
-    determinant_masks,
     excitation_space,
     support_space,
     v_ext_norm,
 )
 from .errors import (
+    InputError,
     InsufficientPointsError,
     MissingReferenceError,
     SingularJacobianError,
     SolverFailureError,
 )
-from .exact import cas_amplitudes, ci_to_cluster, fci_solve
+from .exact import cas_fci_solve, ci_to_cluster, fci_solve
 from .hamiltonian import (
     FockSpectrum,
     IntegralSet,
@@ -45,9 +46,9 @@ from .hamiltonian import (
     fock_diagonal_vector,
 )
 from .tcc import (
-    MODE_FULL,
     TailoredHamiltonian,
     TccConfig,
+    TccResult,
     TruncationScheme,
     cas_space,
     external_space,
@@ -58,6 +59,9 @@ from .tcc import (
 )
 
 REFERENCE_RESIDUAL_TOL = 1e-8
+# Solver settings of the error-decomposition and scaling sub-solves; the
+# CLI's solver flags drive only the reference and truncated roots of `verify`.
+STUDY_CONFIG = TccConfig(max_iterations=500, tolerance=1e-11, diis=8)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +91,6 @@ def gap_report(fock: FockSpectrum, split: BasisSplit) -> GapReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared dense helpers
-# ---------------------------------------------------------------------------
-
-def _cas_projector_diag(split: BasisSplit) -> np.ndarray:
-    """0/1 diagonal of the projector onto determinants inside the CAS."""
-    basis = split.basis
-    masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
-    return (masks < (1 << split.k)).astype(float)
-
-
-# ---------------------------------------------------------------------------
 # Monotonicity / Lipschitz sampling probe
 # ---------------------------------------------------------------------------
 
@@ -115,6 +108,8 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
                        ) -> np.ndarray:
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
+    if not len(op.space):
+        raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
     t_vec = op.space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
@@ -212,7 +207,7 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     e_plus = op.cas.exp_apply(op.t_cas, eye, +1)
     e_minus = op.cas.exp_apply(op.t_cas, eye, -1)
     w_cas = e_minus @ w @ e_plus
-    p = _cas_projector_diag(split)
+    p = split.cas_determinants().astype(float)   # diagonal of the CAS projector
     a = w_cas - (p[:, None] * w_cas) * p[None, :]
 
     ref = space.reference_state()
@@ -293,7 +288,7 @@ def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
 
 
 # ---------------------------------------------------------------------------
-# Jacobian, dual solves
+# Jacobian, dual solves and the solve cache
 # ---------------------------------------------------------------------------
 
 def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
@@ -333,6 +328,47 @@ def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     return space.amplitudes(z, SPACE_TRUNCATED, scheme.describe())
 
 
+class Study:
+    """The solves of one (integrals, CAS split, Fock) problem, each made once.
+
+    t^CAS comes from CAS-FCI; `root` memoises the converged roots of
+    f(.; t^CAS) and `dual` the adjoint solutions at them. `root` is the
+    one place a non-converged solve becomes an error.
+    """
+
+    def __init__(self, ints: IntegralSet, split: BasisSplit, fock: FockSpectrum):
+        self.ints, self.split, self.fock = ints, split, fock
+        self._roots: dict[tuple, TccResult] = {}
+        self._duals: dict[TccConfig, AmplitudeVector] = {}
+
+    @cached_property
+    def t_cas(self) -> AmplitudeVector:
+        """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
+        _, states = cas_fci_solve(self.ints, self.split.basis, self.split)
+        return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
+
+    def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:
+        """The converged root under `config`, tailored on t_cas (default: self.t_cas)."""
+        t_cas = self.t_cas if t_cas is None else t_cas
+        key = (config, tuple(t_cas.sorted_items()))
+        if key not in self._roots:
+            result = solve_tcc(t_cas, self.ints, self.split, self.fock, config)
+            if not result.converged:
+                raise SolverFailureError(
+                    f"{config.truncation.describe()} solve not converged in {result.iterations} "
+                    f"iterations (final residual {result.history[-1][1]:.3e}"
+                    f"{', diverged' if result.diverged else ''})")
+            self._roots[key] = result
+        return self._roots[key]
+
+    def dual(self, config: TccConfig) -> AmplitudeVector:
+        """The dual root z at root(config)."""
+        if config not in self._duals:
+            self._duals[config] = solve_dual(self.root(config).t, self.t_cas, self.ints,
+                                             self.split, config.truncation)
+        return self._duals[config]
+
+
 # ---------------------------------------------------------------------------
 # Error decomposition
 # ---------------------------------------------------------------------------
@@ -349,20 +385,9 @@ class ErrorDecomposition:
     e_truncated: float
 
 
-def _solve_or_fail(t_cas, ints, split, fock, scheme):
-    config = TccConfig(max_iterations=500, tolerance=1e-11, diis=8, truncation=scheme)
-    result = solve_tcc(t_cas, ints, split, fock, config)
-    if not result.converged:
-        raise SolverFailureError(
-            f"sub-solve on {scheme.describe()} did not converge "
-            f"(final residual {result.history[-1][1]:.3e})"
-        )
-    return result
-
-
-def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
-                        scheme: TruncationScheme, t_cas_source: str = "CAS_FCI",
-                        noise: float = 0.0, seed: int = 0) -> ErrorDecomposition:
+def error_decomposition(study: Study, scheme: TruncationScheme,
+                        t_cas_source: str = "CAS_FCI", noise: float = 0.0,
+                        seed: int = 0) -> ErrorDecomposition:
     """Split |E(t_d; t^CAS) - E_FCI| into truncation and CAS contributions.
 
     Computes the full-space root t_* of f(.; t^CAS), the root with the
@@ -370,14 +395,14 @@ def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum
     split, then every term of the triangle decomposition plus the
     explicit projected-Hamiltonian CAS error dE_cas.
     """
+    ints, split = study.ints, study.split
     basis = split.basis
     summary, states = fci_solve(ints, basis)
     e_fci = summary.ground_energy
     t_full = ci_to_cluster(states[0])
     t_star_cas, t_star_ext = split_amplitudes(t_full, split)
 
-    t_fci_cas = cas_amplitudes(ints, basis, split)
-
+    t_fci_cas = study.t_cas
     if t_cas_source == "CAS_FCI":
         t_cas = t_fci_cas
     elif t_cas_source == "PERTURBED":
@@ -388,10 +413,9 @@ def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum
     else:
         raise ValueError(f"unknown t_cas_source {t_cas_source!r}")
 
-    full = TruncationScheme(MODE_FULL)
-    t_star = _solve_or_fail(t_cas, ints, split, fock, full).t
-    t_tilde = _solve_or_fail(t_fci_cas, ints, split, fock, full).t
-    t_d = _solve_or_fail(t_cas, ints, split, fock, scheme).t
+    t_star = study.root(STUDY_CONFIG, t_cas).t
+    t_tilde = study.root(STUDY_CONFIG).t
+    t_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).t
 
     e_d = tcc_energy(t_d, t_cas, ints, split)
     e_star = tcc_energy(t_star, t_cas, ints, split)
@@ -405,7 +429,7 @@ def error_decomposition(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum
 
     # explicit projected-Hamiltonian CAS error
     ham = build_dense_hamiltonian(ints, basis)
-    p = _cas_projector_diag(split)
+    p = split.cas_determinants().astype(float)
     php = (p[:, None] * ham) * p[None, :]
     cas = cas_space(split)
 
@@ -499,9 +523,7 @@ def _fit_slope(rows: list[ScalingRow]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def quadratic_scaling_study(ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
-                            t_cas: AmplitudeVector,
-                            schemes: list[TruncationScheme]) -> ScalingStudy:
+def quadratic_scaling_study(study: Study, schemes: list[TruncationScheme]) -> ScalingStudy:
     """Energy error vs amplitude distance over a nested truncation family.
 
     For each truncation the primal and dual problems are solved; the
@@ -509,29 +531,28 @@ def quadratic_scaling_study(ints: IntegralSet, split: BasisSplit, fock: FockSpec
     should approach 2. Rows at (numerically) zero distance are excluded
     from the fit.
     """
-    full = TruncationScheme(MODE_FULL)
+    ints, split, t_cas = study.ints, study.split, study.t_cas
     space = external_space(split)
-    eps = space.epsilon(fock)
+    eps = space.epsilon(study.fock)
 
-    t_star = _solve_or_fail(t_cas, ints, split, fock, full).t
-    z_star = solve_dual(t_star, t_cas, ints, split, full)
+    t_star = study.root(STUDY_CONFIG).t
     e_star = tcc_energy(t_star, t_cas, ints, split)
     ts = space.embed(t_star)
-    zs = space.embed(z_star)
+    zs = space.embed(study.dual(STUDY_CONFIG))
 
-    study = ScalingStudy()
+    scaling = ScalingStudy()
     for scheme in schemes:
-        t_d = _solve_or_fail(t_cas, ints, split, fock, scheme).t
-        z_d = solve_dual(t_d, t_cas, ints, split, scheme)
+        config = replace(STUDY_CONFIG, truncation=scheme)
+        t_d = study.root(config).t
         td = space.embed(t_d)
-        zd = space.embed(z_d)
+        zd = space.embed(study.dual(config))
         dist = float(np.sqrt((eps * (ts - td) ** 2).sum()))
         derr = abs(tcc_energy(t_d, t_cas, ints, split) - e_star)
         ddual = float(np.sqrt((eps * (zs - zd) ** 2).sum()))
         usable = dist > 1e-12 and derr > 0.0
-        study.rows.append(ScalingRow(scheme.describe(), dist, derr, ddual, usable))
-    study.slope = _fit_slope(study.rows)
-    return study
+        scaling.rows.append(ScalingRow(scheme.describe(), dist, derr, ddual, usable))
+    scaling.slope = _fit_slope(scaling.rows)
+    return scaling
 
 
 def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,

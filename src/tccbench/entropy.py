@@ -180,6 +180,8 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     if s_threshold < 0 or mi_threshold < 0:
         raise ValueError("thresholds must be nonnegative")
     k_orb = profile.n_orbitals
+    if k_orb % 2:
+        raise ValueError(f"spin partners need an even number of spin-orbitals, got K = {k_orb}")
     selected: set[int] = set()
     jump_ratio = None
     jump_ties = 0

@@ -19,7 +19,6 @@ from .determinants import (
     BasisSplit,
     ExcitationIndex,
     OrbitalBasis,
-    SPACE_CAS,
     SPACE_FULL,
     determinant_masks,
     excitation_space,
@@ -168,13 +167,6 @@ def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
     Vectors are embedded back into the full coefficient order with zero
     external coefficients.
     """
-    # determinants inside the CAS, in enumeration order
-    idx = np.flatnonzero(determinant_masks(basis.n_orbitals, basis.n_electrons)
-                         < (1 << split.k))
+    idx = np.flatnonzero(split.cas_determinants())
     return _lowest_states(build_dense_hamiltonian(ints, basis), basis, idx, n_states, "CAS ")
 
-
-def cas_amplitudes(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit) -> AmplitudeVector:
-    """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
-    _, states = cas_fci_solve(ints, basis, split)
-    return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))

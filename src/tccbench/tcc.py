@@ -103,7 +103,7 @@ def cas_space(split: BasisSplit) -> ExcitationSpace:
         if classify_excitation(mu, split) == "cas"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TccConfig:
     max_iterations: int = 200
     tolerance: float = 1e-10
@@ -112,6 +112,8 @@ class TccConfig:
     truncation: TruncationScheme = field(default_factory=lambda: TruncationScheme(MODE_FULL))
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if not 0 < self.damping <= 1:
@@ -231,7 +233,7 @@ def _diis_extrapolate(trials: list[np.ndarray], errors: list[np.ndarray]) -> np.
 
 
 def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
-              fock: FockSpectrum, config: Optional[TccConfig] = None) -> TccResult:
+              fock: FockSpectrum, config: TccConfig = TccConfig()) -> TccResult:
     """Damped quasi-Newton iteration t <- t - damping * D^{-1} f(t; t^CAS).
 
     D = diag(eps_mu) over the truncated index set; requires all eps_mu
@@ -239,8 +241,6 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
     exceeds 1e3 or the residual is not finite (the underlying theory is
     local, runaway iterates are reported rather than truncated).
     """
-    if config is None:
-        config = TccConfig()
     scheme = config.truncation
     space = truncated_space(split, scheme)
     op = TailoredHamiltonian(t_cas, ints, split, space)

@@ -17,6 +17,7 @@ from tccbench import (
     BasisSplit,
     CiVector,
     OrbitalBasis,
+    Study,
     TccConfig,
     TruncationScheme,
     apply_excitation,
@@ -250,11 +251,10 @@ def test_acceptance_08_linear_limit_monotonicity(pairing4_g0):
 
 def test_acceptance_09_quadratic_error_scaling(pairing4):
     """Energy error scales quadratically in the amplitude distance."""
-    t_cas = _cas_amplitudes(pairing4)
     family = [TruncationScheme(MODE_RANK, n) for n in (1, 2, 3)]
     family.append(TruncationScheme(MODE_FULL))
-    study = quadratic_scaling_study(pairing4.ints, pairing4.split,
-                                    pairing4.fock, t_cas, family)
+    study = quadratic_scaling_study(Study(pairing4.ints, pairing4.split, pairing4.fock),
+                                    family)
     assert 1.7 <= study.slope <= 2.3
     print(f"PASS 9: log-log slope over the rank-1/2/3/full family is "
           f"{study.slope:.4f}, inside [1.7, 2.3]")
@@ -263,16 +263,14 @@ def test_acceptance_09_quadratic_error_scaling(pairing4):
 def test_acceptance_10_error_decomposition(pairing4):
     """Triangle decomposition holds; exact-CAS full solves leave no slack terms."""
     slacks = []
-    full = error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                               TruncationScheme(MODE_FULL))
+    study = Study(pairing4.ints, pairing4.split, pairing4.fock)
+    full = error_decomposition(study, TruncationScheme(MODE_FULL))
     assert full.d_eps <= 1e-10
     assert full.dE_cas <= 1e-10
     slacks.append(full.triangle_slack)
     for dec in (
-        error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                            TruncationScheme(MODE_RANK, 2)),
-        error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                            TruncationScheme(MODE_RANK, 1),
+        error_decomposition(study, TruncationScheme(MODE_RANK, 2)),
+        error_decomposition(study, TruncationScheme(MODE_RANK, 1),
                             t_cas_source="PERTURBED", noise=1e-3, seed=9),
     ):
         slacks.append(dec.triangle_slack)

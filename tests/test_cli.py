@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tccbench import hubbard_model, write_fcidump
+from tccbench import diagnostics, hubbard_model, write_fcidump
 from tccbench.cli import main
 from tccbench.serialize import config_hash, dumps, format_float
 
@@ -169,6 +169,13 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
         cfg.write_text(f"{key}=x\n")
         code, _, err = run(["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
         assert code == 1 and key in err
+    # values take the type of their flag: a float, and a store_true flag
+    cfg.write_text("s_threshold=0.25\njump=yes\n")
+    code, out, _ = run(["select-cas", "--model", "hubbard:2,1.0,4.0",
+                        "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["s_threshold"] == 0.25
+    assert json.loads(out)["config"]["jump"] is True
 
 
 def test_config_file_loses_to_flags_given_at_their_default(tmp_path, capsys):
@@ -207,6 +214,14 @@ def test_exit_solver_failure(capsys):
     assert code == 2 and "solver" in err
 
 
+def test_verify_with_an_empty_external_space(capsys):
+    # k = K: nothing to sample around t_*, but the decomposition is defined
+    base = ["verify", "--model", "pairing:4,0.5,1.0", "--k", "8", "--samples", "2"]
+    code, _, err = run(base, capsys)
+    assert code == 1 and err.startswith("error:") and "k = K" in err
+    assert run(base + ["--decomposition"], capsys)[0] == 0
+
+
 def test_exit_size_limit(capsys):
     code, _, _ = run(["fci", "--model", "hubbard:11,1.0,1.0"], capsys)
     assert code == 3
@@ -224,3 +239,31 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert run(args + ["--out", str(b)], capsys)[0] == 0
     for name in ("verify.json", "scaling.tsv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Solve cache
+# ---------------------------------------------------------------------------
+
+def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
+    primal, dual = [], []
+    solve_tcc, solve_dual = diagnostics.solve_tcc, diagnostics.solve_dual
+
+    def counted_solve(t_cas, ints, split, fock, config):
+        primal.append(config)
+        return solve_tcc(t_cas, ints, split, fock, config)
+
+    def counted_dual(t_d, t_cas, ints, split, scheme):
+        dual.append(scheme)
+        return solve_dual(t_d, t_cas, ints, split, scheme)
+
+    monkeypatch.setattr(diagnostics, "solve_tcc", counted_solve)
+    monkeypatch.setattr(diagnostics, "solve_dual", counted_dual)
+    code, _, _ = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                      "--trunc", "rank:2", "--diis", "8"], capsys)
+    assert code == 0
+    # the flag-driven full and rank:2 roots, and the rank:1/2/3/full roots
+    # at the fixed sub-solve settings; one dual at each
+    assert len(primal) == 6
+    assert len(set(primal)) == 6      # a config carries its truncation
+    assert len(dual) == 6

@@ -6,6 +6,7 @@ from tccbench import (
     AmplitudeVector,
     BasisSplit,
     OrbitalBasis,
+    Study,
     TccConfig,
     TruncationScheme,
     assumption_b_report,
@@ -287,10 +288,13 @@ def test_dual_solve_empty_space(pairing4):
 # Error decomposition
 # ---------------------------------------------------------------------------
 
+def _study(system):
+    return Study(system.ints, system.split, system.fock)
+
+
 def test_error_decomposition_full_external(pairing4):
     """Untruncated solve with CAS-FCI amplitudes: only the CAS-root term is left."""
-    dec = error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                              TruncationScheme(MODE_FULL))
+    dec = error_decomposition(_study(pairing4), TruncationScheme(MODE_FULL))
     assert dec.d_eps <= 1e-10
     assert dec.d_eps_cas <= 1e-10
     assert dec.dE_cas <= 1e-10
@@ -299,8 +303,7 @@ def test_error_decomposition_full_external(pairing4):
 
 
 def test_error_decomposition_truncated(pairing4):
-    dec = error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                              TruncationScheme(MODE_RANK, 2))
+    dec = error_decomposition(_study(pairing4), TruncationScheme(MODE_RANK, 2))
     assert dec.d_eps > 1e-8            # real truncation error
     assert dec.d_eps_cas <= 1e-10      # t_cas is the CAS-FCI root
     assert dec.dE_cas <= 1e-10
@@ -309,15 +312,14 @@ def test_error_decomposition_truncated(pairing4):
 
 
 def test_error_decomposition_perturbed_cas(pairing4):
-    dec = error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                              TruncationScheme(MODE_FULL),
+    study = _study(pairing4)
+    dec = error_decomposition(study, TruncationScheme(MODE_FULL),
                               t_cas_source="PERTURBED", noise=1e-3, seed=5)
     assert dec.dE_cas > 1e-8           # perturbed CAS amplitudes cost energy
     assert dec.d_eps_cas > 1e-8
     assert dec.triangle_slack >= -1e-10
     with pytest.raises(ValueError):
-        error_decomposition(pairing4.ints, pairing4.split, pairing4.fock,
-                            TruncationScheme(MODE_FULL), t_cas_source="WHAT")
+        error_decomposition(study, TruncationScheme(MODE_FULL), t_cas_source="WHAT")
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +384,9 @@ def test_representation_cubic_ratio_bounded_over_sweep(pairing4):
 # ---------------------------------------------------------------------------
 
 def test_quadratic_scaling_slope(pairing4):
-    t_cas = _cas_amplitudes(pairing4)
     family = [TruncationScheme(MODE_RANK, n) for n in (1, 2, 3)]
     family.append(TruncationScheme(MODE_FULL))
-    study = quadratic_scaling_study(pairing4.ints, pairing4.split,
-                                    pairing4.fock, t_cas, family)
+    study = quadratic_scaling_study(_study(pairing4), family)
     assert 1.7 <= study.slope <= 2.3
     rows = {r.descriptor: r for r in study.rows}
     assert rows["full"].distance <= 1e-12 and not rows["full"].used_in_fit

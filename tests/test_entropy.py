@@ -255,3 +255,10 @@ def test_selection_validation():
         select_cas(profile, 2, s_threshold=-0.1)
     with pytest.raises(ValueError):
         select_cas(profile, 2, mode="GUESS")
+
+
+def test_selection_rejects_an_odd_number_of_spin_orbitals():
+    # closing orbital 5 under spin partners would add orbital 6, outside K = 5
+    profile = _profile([0.0, 0.0, 0.0, 0.0, 0.9], np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="K = 5"):
+        select_cas(profile, n_electrons=2, s_threshold=0.1)

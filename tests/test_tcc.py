@@ -220,6 +220,8 @@ def test_config_validation():
         TccConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         TccConfig(damping=1.5)
+    with pytest.raises(ValueError, match="max_iterations"):
+        TccConfig(max_iterations=0)
 
 
 def test_galerkin_property_of_truncated_solution(pairing4):
