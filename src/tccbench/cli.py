@@ -91,7 +91,10 @@ def _load_split(args):
     ints, basis = _load_integrals(args)
     if args.k is None:
         raise InputError(f"{args.command} requires --k")
-    return ints, basis, BasisSplit(basis, args.k)
+    try:
+        return ints, basis, BasisSplit(basis, args.k)
+    except ValueError as exc:
+        raise InputError(f"bad --k: {exc}") from exc
 
 
 def _parse_trunc(spec: str) -> TruncationScheme:
@@ -165,8 +168,11 @@ def cmd_select_cas(args) -> int:
 
 
 def _solver_config(args) -> TccConfig:
-    return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
-                     damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
+    try:
+        return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
+                         damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
+    except ValueError as exc:
+        raise InputError(f"bad solver settings: {exc}") from exc
 
 
 def cmd_tcc(args) -> int:
@@ -186,6 +192,8 @@ def cmd_tcc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.delta < float("inf") or args.samples < 1:
+        raise InputError("--delta must be positive and finite, --samples at least 1")
     ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)

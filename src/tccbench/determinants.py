@@ -221,10 +221,11 @@ def enumerate_determinants(
     ]
 
 
+@lru_cache(maxsize=32)
 def enumerate_excitations(
     basis: OrbitalBasis, max_rank: Optional[int] = None
-) -> list[ExcitationIndex]:
-    """All excitation indices up to max_rank, ordered by (rank, holes, particles)."""
+) -> tuple[ExcitationIndex, ...]:
+    """All excitation indices up to max_rank, ordered by (rank, holes, particles); cached."""
     n, k = basis.n_electrons, basis.n_orbitals
     cap = min(n, k - n)
     if max_rank is not None:
@@ -234,7 +235,7 @@ def enumerate_excitations(
         for holes in combinations(range(1, n + 1), r):
             for particles in combinations(range(n + 1, k + 1), r):
                 out.append(ExcitationIndex(holes, particles))
-    return out
+    return tuple(out)
 
 
 SPACE_FULL = "full"
@@ -385,6 +386,7 @@ class ExcitationSpace:
              np.array([self.indices[a].particles for a in ids]))
             for _, ids in sorted(by_rank.items())
         ]
+        self.max_rank = max(by_rank, default=0)
         ref_mask = np.uint64((1 << basis.n_electrons) - 1)
         self.reference = int(self.position(np.array([ref_mask]))[0])
         _, dst, sign, mu = self._rows(np.array([self.reference]))
@@ -441,6 +443,18 @@ class ExcitationSpace:
             self._table = self._rows(np.arange(self.dim))
         return self._table
 
+    def block(self, rank: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """(rows, (src, dst), outside): the table rows with phi_dst at excitation
+        level <= rank, their ends, and the determinants above that level.
+
+        X_mu raises the level by |mu|, so these rows alone give T @ v on
+        those determinants from v on them, summed in the same table order.
+        """
+        level = np.bitwise_count(self.masks >> np.uint64(self.basis.n_electrons))
+        src, dst, _, _ = self.table
+        rows = np.flatnonzero(level[dst] <= rank)
+        return rows, (src[rows], dst[rows]), level > rank
+
     # -- amplitude vectors ---------------------------------------------------
 
     def embed(self, t: AmplitudeVector) -> np.ndarray:
@@ -469,7 +483,8 @@ class ExcitationSpace:
 
     # -- the cluster kernel --------------------------------------------------
 
-    def _coefficients(self, t: np.ndarray) -> np.ndarray:
+    def coefficients(self, t: np.ndarray) -> np.ndarray:
+        """t[mu] * sign per table row, for a finite amplitude vector t."""
         t = np.asarray(t, dtype=float)
         if t.shape != (len(self),):
             raise DimensionMismatchError(
@@ -479,8 +494,8 @@ class ExcitationSpace:
         _, _, sign, mu = self.table
         return t[mu] * sign
 
-    def _apply(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-        src, dst, _, _ = self.table
+    def _apply(self, coef: np.ndarray, v: np.ndarray, ends: tuple) -> np.ndarray:
+        src, dst = ends[:2]
         if v.ndim == 1:
             return np.bincount(dst, weights=coef * v[src], minlength=self.dim)
         out = np.empty_like(v)
@@ -490,15 +505,18 @@ class ExcitationSpace:
 
     def apply(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         """T @ v for T = sum_a t[a] X_{indices[a]}; v is (dim,) or (dim, m)."""
-        return self._apply(self._coefficients(t), np.asarray(v, dtype=float))
+        return self._apply(self.coefficients(t), np.asarray(v, dtype=float), self.table)
 
     def exp_apply(self, t: np.ndarray, v: np.ndarray, sign: int = +1) -> np.ndarray:
         """e^{sign*T} @ v by the finite nilpotent series."""
-        coef = self._coefficients(t)
+        return self.exp_series(self.coefficients(t), v, sign, self.table)
+
+    def exp_series(self, coef: np.ndarray, v: np.ndarray, sign: int, ends: tuple) -> np.ndarray:
+        """e^{sign*T} @ v through the table rows with columns ends = (src, dst, ...)."""
         acc = np.array(v, dtype=float)
         term = acc.copy()
         for m in range(1, self.basis.n_electrons + 1):
-            term = (sign / m) * self._apply(coef, term)
+            term = (sign / m) * self._apply(coef, term, ends)
             if not term.any():
                 break
             acc += term

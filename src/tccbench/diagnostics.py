@@ -434,10 +434,8 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     cas = cas_space(split)
 
     def php_energy(tc):
-        c = cas.embed(tc)
-        v = cas.exp_apply(c, cas.reference_state(), +1)
-        v = php @ v
-        v = cas.exp_apply(c, v, -1)
+        # e^{-T} leaves the reference component alone: T only raises the level
+        v = php @ cas.exp_apply(cas.embed(tc), cas.reference_state(), +1)
         return float(v[cas.reference])
 
     de_cas = abs(php_energy(t_cas) - php_energy(t_fci_cas))

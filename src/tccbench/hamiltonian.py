@@ -26,7 +26,6 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .determinants import (
-    _TABLE_BLOCK,
     Determinant,
     ExcitationIndex,
     OrbitalBasis,
@@ -478,12 +477,14 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     for p, q in combinations(range(K), 2):
         diag += np.where(occ[:, p] & occ[:, q], anti[p, q, p, q], 0.0)
     ham = np.diag(diag)
+    flat, h_flat, anti_flat = ham.reshape(-1), h1.reshape(-1), anti.reshape(-1)
+    exchange = np.ascontiguousarray(anti.diagonal(axis1=1, axis2=3)).reshape(K * K, K)
     one = np.uint64(1)
-    step = max(1, _TABLE_BLOCK // dim)
+    step = max(1, (1 << 16) // dim)   # about 2^16 pairs per block: under 1 MB of temporaries
     for start in range(0, dim, step):
-        n_diff = np.triu(np.bitwise_count(masks[start:start + step, None] ^ masks[None, start:]), 1)
+        n_diff = np.bitwise_count(masks[start:start + step, None] ^ masks[None, start:])
         for n_moved in (1, 2):
-            a, b = np.nonzero(n_diff == 2 * n_moved)
+            a, b = np.nonzero(np.triu(n_diff == 2 * n_moved, 1))
             a, b = a + start, b + start
             # orbitals occupied in only one determinant of the pair, ascending
             only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
@@ -496,15 +497,15 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
                 sign = sign * (1.0 - 2.0 * (np.bitwise_count(mask & between) & 1))
                 mask = mask ^ (one << p) ^ (one << r)
             if n_moved == 1:
-                (p,), (q,) = only_a, only_b
-                val = h1[p, q]
-                common = occ[a] & occ[b]
+                pq = only_a[0].astype(np.intp) * K + only_b[0].astype(np.intp)
+                val = h_flat[pq]
+                common, exch = occ[a] & occ[b], exchange[pq]   # exch[:, r] = <pr||qr>
                 for r in range(K):
-                    val += np.where(common[:, r], anti[p, r, q, r], 0.0)
+                    val += np.where(common[:, r], exch[:, r], 0.0)
             else:
-                (p, q), (r, s) = only_a, only_b
-                val = anti[p, q, r, s]
-            ham[a, b] = ham[b, a] = sign * val
+                p, q, r, s = (x.astype(np.intp) for x in only_a + only_b)
+                val = anti_flat[((p * K + q) * K + r) * K + s]
+            flat[a * dim + b] = flat[b * dim + a] = sign * val
     ham.flags.writeable = False   # shared by every caller through the cache
     ints._dense_cache[key] = ham
     return ham

@@ -69,19 +69,10 @@ class TruncationScheme:
 def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme
                               ) -> list[ExcitationIndex]:
     """Deterministically ordered external indices kept by the scheme."""
-    basis = split.basis
-    out = []
-    for mu in enumerate_excitations(basis):
-        if classify_excitation(mu, split) != "ext":
-            continue
-        if scheme.mode == MODE_RANK and mu.rank > scheme.n:
-            continue
-        if scheme.mode == MODE_FOI:
-            ext_particles = sum(1 for a in mu.particles if a > split.k)
-            if ext_particles > scheme.n:
-                continue
-        out.append(mu)
-    return out
+    return [mu for mu in enumerate_excitations(split.basis)
+            if classify_excitation(mu, split) == "ext"
+            and (scheme.mode != MODE_RANK or mu.rank <= scheme.n)
+            and (scheme.mode != MODE_FOI or sum(a > split.k for a in mu.particles) <= scheme.n)]
 
 
 @lru_cache(maxsize=32)
@@ -99,8 +90,7 @@ def external_space(split: BasisSplit) -> ExcitationSpace:
 def cas_space(split: BasisSplit) -> ExcitationSpace:
     """Every CAS index, in enumerate_excitations order."""
     return excitation_space(split.basis, tuple(
-        mu for mu in enumerate_excitations(split.basis)
-        if classify_excitation(mu, split) == "cas"))
+        mu for mu in enumerate_excitations(split.basis) if classify_excitation(mu, split) == "cas"))
 
 
 @dataclass(frozen=True)
@@ -118,6 +108,8 @@ class TccConfig:
             raise ValueError("tolerance must be positive")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
+        if self.diis is not None and self.diis < 0:
+            raise ValueError("diis must be a non-negative history length")
 
 
 @dataclass
@@ -135,24 +127,17 @@ class TccResult:
 # Residual and energy
 # ---------------------------------------------------------------------------
 
-def _check_spaces(t: AmplitudeVector, t_cas: AmplitudeVector, split: BasisSplit) -> None:
-    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
-        raise SpaceMismatchError(f"external amplitudes tagged {t.space!r}")
-    if t_cas.space != SPACE_CAS:
-        raise SpaceMismatchError(f"CAS amplitudes tagged {t_cas.space!r}")
-    t.check_space(split)
-    t_cas.check_space(split)
-
-
 class TailoredHamiltonian:
     """e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} on ndarrays, for frozen t^CAS.
 
     T runs over `space` and is passed as an amplitude ndarray in its index
-    order; e^{T^CAS} phi_0 is computed once.
+    order; e^{T^CAS} phi_0 is computed once. Results hold the determinants of
+    excitation level <= `rank` (default: all that residual reads) and zeros
+    elsewhere, so e^{-T} and e^{-T^CAS} run on that block alone.
     """
 
     def __init__(self, t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
-                 space: ExcitationSpace):
+                 space: ExcitationSpace, rank: Optional[int] = None):
         if t_cas.space != SPACE_CAS:
             raise SpaceMismatchError(f"CAS amplitudes tagged {t_cas.space!r}")
         self.space = space
@@ -160,13 +145,19 @@ class TailoredHamiltonian:
         self.t_cas = self.cas.embed(t_cas)
         self.ham = build_dense_hamiltonian(ints, split.basis)
         self.u0 = self.cas.exp_apply(self.t_cas, space.reference_state())
+        rank = space.max_rank if rank is None else rank
+        self.block = space.block(rank)
+        self.cas_block = self.cas.block(rank)
+        self.cas_coef = self.cas.coefficients(self.t_cas)[self.cas_block[0]]
 
     def conjugate(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """e^{-T^CAS} e^{-T} H e^{T} w; w is (dim,) or (dim, m)."""
-        w = self.space.exp_apply(t, w, +1)
-        w = self.ham @ w
-        w = self.space.exp_apply(t, w, -1)
-        return self.cas.exp_apply(self.t_cas, w, -1)
+        """e^{-T^CAS} e^{-T} H e^{T} w on the block; w is (dim,) or (dim, m)."""
+        coef = self.space.coefficients(t)
+        w = self.ham @ self.space.exp_series(coef, w, +1, self.space.table)
+        rows, ends, outside = self.block
+        w[outside] = 0.0
+        w = self.space.exp_series(coef[rows], w, -1, ends)
+        return self.cas.exp_series(self.cas_coef, w, -1, self.cas_block[1])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """The transformed reference e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0."""
@@ -178,25 +169,28 @@ class TailoredHamiltonian:
 
 
 def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                           split: BasisSplit) -> tuple[np.ndarray, ExcitationSpace]:
-    """The transformed reference for t, with T on the space of t's indices."""
-    _check_spaces(t, t_cas, split)
+                           split: BasisSplit, rank: int) -> tuple[np.ndarray, ExcitationSpace]:
+    """The transformed reference up to level `rank`, with T on the space of t's indices."""
+    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
+        raise SpaceMismatchError(f"external amplitudes tagged {t.space!r}")
+    t.check_space(split)
+    t_cas.check_space(split)
     space = support_space(t, split.basis)
-    return TailoredHamiltonian(t_cas, ints, split, space)(space.embed(t)), space
+    return TailoredHamiltonian(t_cas, ints, split, space, rank)(space.embed(t)), space
 
 
 def tcc_residual(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                  split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """f(t; t^CAS) restricted to the truncated index set."""
-    v, _ = _transformed_reference(t, t_cas, ints, split)
     target = truncated_space(split, scheme)
+    v, _ = _transformed_reference(t, t_cas, ints, split, target.max_rank)
     return target.amplitudes(target.project(v), SPACE_TRUNCATED, scheme.describe())
 
 
 def tcc_energy(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                split: BasisSplit) -> float:
     """<phi_0, e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0>."""
-    v, space = _transformed_reference(t, t_cas, ints, split)
+    v, space = _transformed_reference(t, t_cas, ints, split, 0)
     return float(v[space.reference])
 
 

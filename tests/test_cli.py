@@ -207,6 +207,24 @@ def test_exit_input_errors(capsys):
                 "--trunc", "weird"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tol", "0"], ["--damping", "0"], ["--max-iterations", "0"], ["--diis", "-3"],
+    ["--k", "9"], ["--k", "2"], ["--trunc", "rank:0"],
+], ids=lambda flags: " ".join(flags))
+def test_bad_solver_settings_are_input_errors(flags, capsys):
+    # each used to end in a ValueError traceback, or (--diis -3) to pass silently
+    code, _, err = run(["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6", *flags], capsys)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--samples", "0"], ["--delta", "0"], ["--delta", "-1"]],
+                         ids=lambda flags: " ".join(flags))
+def test_bad_sampling_settings_are_input_errors(flags, capsys):
+    # --samples 0 reported a margin from no samples; --delta 0 divided by zero
+    code, _, err = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", *flags], capsys)
+    assert code == 1 and err.startswith("error:")
+
+
 def test_exit_solver_failure(capsys):
     code, _, err = run(["tcc", "--model", "hubbard:2,1.0,4.0", "--mo",
                         "--k", "2", "--max-iterations", "1",

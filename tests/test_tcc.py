@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ import pytest
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
+    OrbitalBasis,
+    TailoredHamiltonian,
     TccConfig,
     TruncationScheme,
     ci_to_cluster,
     enumerate_truncated_space,
     fci_solve,
+    canonicalize_core,
     cas_fci_solve,
+    hubbard_model,
     solve_tcc,
     split_amplitudes,
     tcc_energy,
@@ -30,7 +35,7 @@ from tccbench.errors import (
     SpaceMismatchError,
 )
 from tccbench.hamiltonian import FockSpectrum
-from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, truncated_space
+from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, cas_space, truncated_space
 
 
 def _cas_amplitudes(system):
@@ -241,3 +246,71 @@ def test_galerkin_property_of_truncated_solution(pairing4):
                           TruncationScheme(MODE_FULL))
     dropped = [abs(v) for mu, v in r_full.entries.items() if mu not in kept]
     assert max(dropped) > 1e-8
+
+
+def test_config_rejects_a_negative_diis_history():
+    with pytest.raises(ValueError, match="diis"):
+        TccConfig(diis=-3)
+    assert TccConfig(diis=0).diis == 0     # 0 and None both mean no DIIS
+
+
+# ---------------------------------------------------------------------------
+# The block back-transform against the full-table path it replaces
+# ---------------------------------------------------------------------------
+
+def test_spaces_share_one_enumeration(pairing4):
+    """cas_space and truncated_space draw their indices from one shared tuple."""
+    everything = enumerate_excitations(pairing4.basis)
+    assert enumerate_excitations(pairing4.basis) is everything
+    order = {mu: a for a, mu in enumerate(everything)}
+    cas = cas_space(pairing4.split).indices
+    ext = truncated_space(pairing4.split, TruncationScheme(MODE_FULL)).indices
+    assert sorted(cas + ext, key=order.get) == list(everything)
+    for part in (cas, ext):
+        assert [order[mu] for mu in part] == sorted(order[mu] for mu in part)
+        assert all(mu is everything[order[mu]] for mu in part)
+
+
+def _full_table_conjugate(op, t, w):
+    """e^{-T^CAS} e^{-T} H e^{T} w with every table row in both back-transforms."""
+    w = op.ham @ op.space.exp_apply(t, w, +1)
+    return op.cas.exp_apply(op.t_cas, op.space.exp_apply(t, w, -1), -1)
+
+
+def _hubbard4():
+    ints, _ = canonicalize_core(hubbard_model(4, 1.0, 2.0))
+    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    return SimpleNamespace(ints=ints, basis=basis, split=BasisSplit(basis, 6))
+
+
+@pytest.mark.parametrize("trunc", ["rank:1", "rank:2", "foi:1", "full"])
+@pytest.mark.parametrize("model", ["hubbard4", "pairing4"])
+def test_block_conjugation_equals_the_full_table_path(model, trunc, pairing4, rng):
+    system = _hubbard4() if model == "hubbard4" else pairing4
+    split = system.split
+    mode, _, n = trunc.partition(":")
+    space = truncated_space(split, TruncationScheme(mode, int(n) if n else None))
+    op = TailoredHamiltonian(_cas_amplitudes(system), system.ints, split, space)
+    t = 0.1 * rng.standard_normal(len(space))     # a generic point, not a root
+    read = np.concatenate(([space.reference], space.ref_pos))
+    above = np.bitwise_count(space.masks >> np.uint64(split.basis.n_electrons)) > max(
+        mu.rank for mu in space.indices)
+    for w in (op.u0, space.excitation_columns(op.u0)):   # a vector and a (dim, m) block
+        fast, slow = op.conjugate(t, w), _full_table_conjugate(op, t, w)
+        assert np.array_equal(fast[read], slow[read])
+        assert not fast[above].any()
+
+
+def test_residual_block_follows_the_target_rank(pairing4, rng):
+    """A full-space residual of rank-1 amplitudes reads levels above the support."""
+    t_cas = _cas_amplitudes(pairing4)
+    support = truncated_space(pairing4.split, TruncationScheme(MODE_RANK, 1))
+    t = support.amplitudes(0.1 * rng.standard_normal(len(support)), "truncated", "rank:1")
+    target = truncated_space(pairing4.split, TruncationScheme(MODE_FULL))
+    assert target.max_rank > support.max_rank
+    op = TailoredHamiltonian(t_cas, pairing4.ints, pairing4.split, support)
+    want = target.project(_full_table_conjugate(op, support.embed(t), op.u0))
+    got = tcc_residual(t, t_cas, pairing4.ints, pairing4.split, TruncationScheme(MODE_FULL))
+    assert np.array_equal(target.embed(got), want)
+    # a block sized from the support alone misses the target's higher ranks
+    assert not np.array_equal(target.project(op(support.embed(t))), want)
