@@ -23,6 +23,7 @@ from .determinants import BasisSplit, OrbitalBasis
 from .diagnostics import (
     Study,
     assumption_b_report,
+    check_ball,
     error_decomposition,
     error_representation_check,
     gap_report,
@@ -67,15 +68,12 @@ def _load_integrals(args):
         kind, _, argstr = args.model.partition(":")
         parts = [p for p in argstr.split(",") if p] if argstr else []
         try:
+            nelec = int(parts[3]) if len(parts) > 3 else None
             if kind.lower() == "hubbard":
-                l, t, u = int(parts[0]), float(parts[1]), float(parts[2])
-                nelec = int(parts[3]) if len(parts) > 3 else None
-                ints = hubbard_model(l, t, u, nelec)
+                ints = hubbard_model(int(parts[0]), float(parts[1]), float(parts[2]), nelec)
             elif kind.lower() == "pairing":
-                l, g = int(parts[0]), float(parts[1])
                 sp = float(parts[2]) if len(parts) > 2 else 1.0
-                nelec = int(parts[3]) if len(parts) > 3 else None
-                ints = pairing_model(l, g, sp, nelec)
+                ints = pairing_model(int(parts[0]), float(parts[1]), sp, nelec)
             else:
                 raise InputError(f"unknown model kind {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -192,8 +190,7 @@ def cmd_tcc(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 0 < args.delta < float("inf") or args.samples < 1:
-        raise InputError("--delta must be positive and finite, --samples at least 1")
+    check_ball(args.delta, args.samples)
     ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)

@@ -329,6 +329,17 @@ def determinant_masks(n_orbitals: int, n_electrons: int) -> np.ndarray:
     return masks
 
 
+@lru_cache(maxsize=64)
+def spin_sectors(n_orbitals: int, n_electrons: int) -> tuple[np.ndarray, ...]:
+    """Ascending determinant positions per up-spin count (orbitals 2p-1), lowest count first."""
+    masks = determinant_masks(n_orbitals, n_electrons)
+    up = np.bitwise_count(masks & np.uint64(0x5555_5555_5555_5555))   # even bits: spin up
+    sectors = tuple(np.flatnonzero(up == u) for u in range(int(up.min()), int(up.max()) + 1))
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
+
+
 def occupations(masks: np.ndarray, n_orbitals: int) -> np.ndarray:
     """(len(masks), K) bools: whether 0-based spin-orbital p is in each mask."""
     return ((masks[:, None] >> np.arange(n_orbitals, dtype=np.uint64)) & np.uint64(1)).astype(bool)

@@ -104,8 +104,15 @@ class MonotonicityProbe:
     seed: int
 
 
-def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonian
-                       ) -> np.ndarray:
+def check_ball(delta: float, samples: int) -> None:
+    """Reject a sampling ball that is empty or unbounded, or sampled no times."""
+    if not 0 < delta < np.inf or samples < 1:
+        raise InputError(f"need finite delta > 0 and samples >= 1, got {delta}, {samples}")
+
+
+def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonian,
+                       delta: float, samples: int) -> np.ndarray:
+    check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
     if not len(op.space):
@@ -139,7 +146,7 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     attains min eps_mu exactly.
     """
     op = TailoredHamiltonian(t_cas, ints, split, external_space(split))
-    t_vec = _require_reference(t_star, op)
+    t_vec = _require_reference(t_star, op, delta, samples)
     eps = op.space.epsilon(fock)
     rng = np.random.default_rng(seed)
 
@@ -199,7 +206,7 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     """
     space = external_space(split)
     op = TailoredHamiltonian(t_cas, ints, split, space)
-    t_vec = _require_reference(t_star, op)
+    t_vec = _require_reference(t_star, op, delta, samples)
     eps = space.epsilon(fock)
 
     w = op.ham - np.diag(fock_diagonal_vector(fock, split.basis))

@@ -22,6 +22,7 @@ from .determinants import (
     SPACE_FULL,
     determinant_masks,
     excitation_space,
+    spin_sectors,
     support_space,
 )
 from .errors import DimensionMismatchError, ZeroReferenceOverlapError
@@ -136,28 +137,39 @@ def _fix_sign(vec: np.ndarray, degenerate: bool) -> np.ndarray:
     return -vec if lead < 0 else vec
 
 
-def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, idx: np.ndarray, n_states: int,
-                   label: str) -> tuple[SpectralSummary, list[CiVector]]:
-    """Eigenpairs of H restricted to the determinants idx, embedded in full order."""
-    evals, evecs = np.linalg.eigh(ham if len(idx) == len(ham) else ham[np.ix_(idx, idx)])
-    gap = float(evals[1] - evals[0]) if len(evals) > 1 else np.inf
+def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarray, ...],
+                   n_states: int, label: str) -> tuple[SpectralSummary, list[CiVector]]:
+    """Eigenpairs of H over determinant blocks it does not couple, embedded in full order.
+
+    The blocks' spectra merge into one ascending spectrum; within a degenerate
+    ground level the reference's block comes first.
+    """
+    pairs = [np.linalg.eigh(ham[np.ix_(idx, idx)]) for idx in blocks]
+    values = np.concatenate([evals for evals, _ in pairs])
+    block = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])
+    order = np.argsort(values, kind="stable")
+    gap = float(values[order[1]] - values[order[0]]) if len(values) > 1 else np.inf
     degenerate = gap < 1e-10
     if degenerate:
         warnings.warn(f"near-degenerate {label}ground state; sign fix by lowest determinant index",
                       DegenerateGroundStateWarning, stacklevel=3)
+        lead = np.array([_reference_position(basis) in idx for idx in blocks])[block]
+        order = np.lexsort((values, ~(lead & (values - values[order[0]] < 1e-10))))
     states = []
-    for i in range(min(n_states, len(evals))):
+    for i in order[:n_states]:
+        b = block[i]   # eigenvector column: i less the position of block b's first value
         full = np.zeros(len(ham))
-        full[idx] = _fix_sign(evecs[:, i], degenerate)
+        full[blocks[b]] = _fix_sign(pairs[b][1][:, i - np.searchsorted(block, b)], degenerate)
         states.append(CiVector(basis, full, NORM_L2))
-    return SpectralSummary(evals, gap), states
+    return SpectralSummary(values[order], gap), states
 
 
 def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
               ) -> tuple[SpectralSummary, list[CiVector]]:
-    """Lowest eigenpairs of the dense H over the full determinant space."""
+    """Lowest eigenpairs of the dense H over the full space, one S_z sector at a time."""
     ham = build_dense_hamiltonian(ints, basis)
-    return _lowest_states(ham, basis, np.arange(len(ham)), n_states, "")
+    return _lowest_states(ham, basis, spin_sectors(basis.n_orbitals, basis.n_electrons),
+                          n_states, "")
 
 
 def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
@@ -168,5 +180,5 @@ def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
     external coefficients.
     """
     idx = np.flatnonzero(split.cas_determinants())
-    return _lowest_states(build_dense_hamiltonian(ints, basis), basis, idx, n_states, "CAS ")
+    return _lowest_states(build_dense_hamiltonian(ints, basis), basis, (idx,), n_states, "CAS ")
 

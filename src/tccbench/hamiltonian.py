@@ -31,6 +31,7 @@ from .determinants import (
     OrbitalBasis,
     determinant_masks,
     occupations,
+    spin_sectors,
 )
 from .errors import (
     DimensionLimitError,
@@ -454,11 +455,12 @@ def _lowest_orbitals(masks: np.ndarray, n: int) -> list[np.ndarray]:
 def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
     """Dense symmetric H over enumerate_determinants order (cached).
 
-    The Slater-Condon rules on determinant bit masks, a block of rows at a
-    time: popcount(m_a ^ m_b) sorts each pair b > a into a single (2), a
-    double (4) or a zero. The phases and every sum follow matrix_element's
-    order, so entry (a, b) for a <= b equals matrix_element(dets[a],
-    dets[b], ints) exactly.
+    The Slater-Condon rules on determinant bit masks, a block of rows of one
+    S_z sector (spin_sectors) at a time: popcount(m_a ^ m_b) sorts each pair
+    b > a into a single (2), a double (4) or a zero. Pairs from different
+    sectors are never visited; their entries are +0.0. The phases and every
+    sum follow matrix_element's order, so entry (a, b) for a <= b equals
+    matrix_element(dets[a], dets[b], ints) exactly.
     """
     key = (basis.n_orbitals, basis.n_electrons)
     cached = ints._dense_cache.get(key)
@@ -480,32 +482,36 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     flat, h_flat, anti_flat = ham.reshape(-1), h1.reshape(-1), anti.reshape(-1)
     exchange = np.ascontiguousarray(anti.diagonal(axis1=1, axis2=3)).reshape(K * K, K)
     one = np.uint64(1)
-    step = max(1, (1 << 16) // dim)   # about 2^16 pairs per block: under 1 MB of temporaries
-    for start in range(0, dim, step):
-        n_diff = np.bitwise_count(masks[start:start + step, None] ^ masks[None, start:])
-        for n_moved in (1, 2):
-            a, b = np.nonzero(np.triu(n_diff == 2 * n_moved, 1))
-            a, b = a + start, b + start
-            # orbitals occupied in only one determinant of the pair, ascending
-            only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
-            only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
-            # _align_phase: swap only_b[j] out of m_b for only_a[j], one pair at a time
-            sign, mask = 1.0, masks[b]
-            for p, r in zip(only_a, only_b):
-                lo, hi = np.minimum(p, r), np.maximum(p, r)
-                between = (one << hi) - (one << (lo + one))
-                sign = sign * (1.0 - 2.0 * (np.bitwise_count(mask & between) & 1))
-                mask = mask ^ (one << p) ^ (one << r)
-            if n_moved == 1:
-                pq = only_a[0].astype(np.intp) * K + only_b[0].astype(np.intp)
-                val = h_flat[pq]
-                common, exch = occ[a] & occ[b], exchange[pq]   # exch[:, r] = <pr||qr>
-                for r in range(K):
-                    val += np.where(common[:, r], exch[:, r], 0.0)
-            else:
-                p, q, r, s = (x.astype(np.intp) for x in only_a + only_b)
-                val = anti_flat[((p * K + q) * K + r) * K + s]
-            flat[a * dim + b] = flat[b * dim + a] = sign * val
+    for sector in spin_sectors(K, basis.n_electrons):
+        step = max(1, (1 << 16) // len(sector))   # ~2^16 pairs a block: < 1 MB of temporaries
+        for start in range(0, len(sector), step):
+            n_diff = np.bitwise_count(masks[sector[start:start + step, None]]
+                                      ^ masks[sector[None, start:]])
+            for n_moved in (1, 2):
+                a, b = np.nonzero(np.triu(n_diff == 2 * n_moved, 1))
+                if not len(a):
+                    continue
+                a, b = sector[a + start], sector[b + start]
+                # orbitals occupied in only one determinant of the pair, ascending
+                only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
+                only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
+                # _align_phase: swap only_b[j] out of m_b for only_a[j], one pair at a time
+                sign, mask = 1.0, masks[b]
+                for p, r in zip(only_a, only_b):
+                    lo, hi = np.minimum(p, r), np.maximum(p, r)
+                    between = (one << hi) - (one << (lo + one))
+                    sign = sign * (1.0 - 2.0 * (np.bitwise_count(mask & between) & 1))
+                    mask = mask ^ (one << p) ^ (one << r)
+                if n_moved == 1:
+                    pq = only_a[0].astype(np.intp) * K + only_b[0].astype(np.intp)
+                    val = h_flat[pq]
+                    common, exch = occ[a] & occ[b], exchange[pq]   # exch[:, r] = <pr||qr>
+                    for r in range(K):
+                        val += np.where(common[:, r], exch[:, r], 0.0)
+                else:
+                    p, q, r, s = (x.astype(np.intp) for x in only_a + only_b)
+                    val = anti_flat[((p * K + q) * K + r) * K + s]
+                flat[a * dim + b] = flat[b * dim + a] = sign * val
     ham.flags.writeable = False   # shared by every caller through the cache
     ints._dense_cache[key] = ham
     return ham

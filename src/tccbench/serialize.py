@@ -87,27 +87,20 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
         parts.append(s if s[0] in "-0123456789" else f'"{s}"')
     elif isinstance(obj, str):
         parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
+    elif isinstance(obj, (dict, list, tuple)):
+        # (prefix, value) per member: dicts by sorted key, sequences in order
+        items = ([(f'"{k}": ', obj[k]) for k in sorted(obj)] if isinstance(obj, dict)
+                 else [("", x) for x in obj])
+        opening, closing = "{}" if isinstance(obj, dict) else "[]"
+        if not items:
+            parts.append(opening + closing)
             return
-        parts.append("{\n")
-        keys = sorted(obj)
-        for n, k in enumerate(keys):
-            parts.append(f'{pad}  "{k}": ')
-            _emit(obj[k], parts, indent + 1)
-            parts.append(",\n" if n + 1 < len(keys) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for n, x in enumerate(obj):
-            parts.append(pad + "  ")
+        parts.append(opening + "\n")
+        for n, (prefix, x) in enumerate(items):
+            parts.append(f"{pad}  {prefix}")
             _emit(x, parts, indent + 1)
-            parts.append(",\n" if n + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
+            parts.append(",\n" if n + 1 < len(items) else "\n")
+        parts.append(pad + closing)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

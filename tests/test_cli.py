@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tccbench
 from tccbench import diagnostics, hubbard_model, write_fcidump
 from tccbench.cli import main
 from tccbench.serialize import config_hash, dumps, format_float
@@ -285,3 +290,23 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
     assert len(primal) == 6
     assert len(set(primal)) == 6      # a config carries its truncation
     assert len(dual) == 6
+
+
+# ---------------------------------------------------------------------------
+# Cold start
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["select-cas", "--model", "hubbard:6,1.0,2.0,4", "--mo"],
+    ["tcc", "--model", "hubbard:4,1.0,2.0", "--mo", "--k", "6", "--trunc", "rank:2"],
+], ids=["select-cas", "tcc"])
+def test_commands_do_not_import_numpy_ma(args, tmp_path):
+    # numpy.ma costs 15-23 ms to import in a fresh interpreter; np.unique is
+    # one call that pulls it in
+    script = ("import sys; from tccbench.cli import main; "
+              "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(tccbench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", script, *args,
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]

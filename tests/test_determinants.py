@@ -17,7 +17,7 @@ from tccbench import (
     excitation_from_reference,
     v_ext_norm,
 )
-from tccbench.determinants import SPACE_EXT, SPACE_FULL, excitation_space
+from tccbench.determinants import SPACE_EXT, SPACE_FULL, excitation_space, spin_sectors
 from tccbench.errors import NonPositiveWeightError, SpaceMismatchError
 
 
@@ -109,6 +109,17 @@ def test_counting_identity(k, n):
     n_dets = len(enumerate_determinants(basis))
     assert n_dets == math.comb(k, n)
     assert len(enumerate_excitations(basis)) == n_dets - 1
+
+
+@pytest.mark.parametrize("k,n", [(4, 1), (6, 3), (8, 4), (10, 3), (12, 4), (7, 3)])
+def test_spin_sectors_partition_the_determinants_in_order(k, n):
+    """One ascending block per up-spin count (odd orbitals 2p-1), counted the slow way."""
+    dets = enumerate_determinants(OrbitalBasis(k, n))
+    up = [sum(p % 2 for p in d.occ) for d in dets]
+    sectors = spin_sectors(k, n)
+    assert sorted(np.concatenate(sectors).tolist()) == list(range(len(dets)))
+    for count, idx in zip(range(min(up), max(up) + 1), sectors, strict=True):
+        assert idx.tolist() == [a for a, u in enumerate(up) if u == count]
 
 
 def test_enumeration_is_lexicographic_and_deterministic():

@@ -26,7 +26,7 @@ from tccbench import (
 )
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
 from tccbench.diagnostics import ScalingRow, _fit_slope
-from tccbench.errors import InsufficientPointsError, MissingReferenceError
+from tccbench.errors import InputError, InsufficientPointsError, MissingReferenceError
 from tccbench.hamiltonian import FockSpectrum
 from tccbench.determinants import excitation_space
 from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
@@ -148,6 +148,25 @@ def test_assumption_report_interacting(pairing4):
     assert report.lipschitz_star > 0.0
     assert report.margin == pytest.approx(
         report.gap.eps0 - report.omega0 - report.omega_cas - report.lipschitz_star)
+
+
+@pytest.fixture(scope="module")
+def pairing4_root(pairing4):
+    t_cas = _cas_amplitudes(pairing4)
+    return _solve_full(pairing4, t_cas).t, t_cas
+
+
+@pytest.mark.parametrize("delta,samples", [
+    (0.0, 5), (-0.1, 5), (float("nan"), 5), (float("inf"), 5), (0.1, 0), (0.1, -2),
+])
+def test_sampling_ball_is_checked_by_the_library(pairing4, pairing4_root, delta, samples):
+    # delta=0 divided by zero in assumption_b_report; samples=0 reported an
+    # L_* of 0 from no samples
+    t_star, t_cas = pairing4_root
+    for probe in (monotonicity_probe, assumption_b_report):
+        with pytest.raises(InputError):
+            probe(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
+                  delta=delta, samples=samples, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 import oracle
+from test_hamiltonian import _random_4fold
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
     OrbitalBasis,
     build_dense_hamiltonian,
+    canonicalize_core,
     cas_fci_solve,
     ci_to_cluster,
     cluster_to_ci,
     fci_solve,
     hubbard_model,
+    pairing_model,
 )
 from tccbench.determinants import (
     ExcitationIndex,
@@ -19,6 +22,7 @@ from tccbench.determinants import (
     classify_excitation,
     enumerate_determinants,
     enumerate_excitations,
+    spin_sectors,
     support_space,
 )
 from tccbench.errors import ZeroReferenceOverlapError
@@ -44,6 +48,49 @@ def test_fci_trace_identity(pairing4):
     summary, _ = fci_solve(pairing4.ints, pairing4.basis, n_states=1)
     ham = build_dense_hamiltonian(pairing4.ints, pairing4.basis)
     assert abs(summary.eigenvalues.sum() - np.trace(ham)) <= 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: canonicalize_core(hubbard_model(4, 1.0, 2.0))[0],
+    lambda: pairing_model(4, 0.5, 1.0),   # a 4-fold degenerate excited level
+    lambda: pairing_model(5, 0.5, 1.0, 3),
+    lambda: _random_4fold(5, 4, 4),
+], ids=["hubbard4", "pairing4", "pairing5-n3", "random-4fold"])
+def test_fci_blocks_match_the_dense_spectrum(make):
+    """The per-S_z-sector eigensolve against one eigvalsh of the whole H."""
+    ints = make()
+    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    ham = build_dense_hamiltonian(ints, basis)
+    summary, states = fci_solve(ints, basis, n_states=len(ham))
+    assert np.max(np.abs(summary.eigenvalues - np.linalg.eigvalsh(ham))) <= 1e-12
+    assert len(states) == len(ham)
+    for energy, state in zip(summary.eigenvalues, states):
+        c = state.coefficients
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+        assert np.max(np.abs(ham @ c - energy * c)) <= 1e-10
+
+
+@pytest.mark.parametrize("model", [(3, 1.0, 2.0), (5, 1.0, 2.0, 5)],
+                         ids=["hubbard3", "hubbard5-n5"])
+def test_odd_electron_ground_state_lies_in_the_reference_sector(model):
+    """A degenerate M_s = +-1/2 ground level gives its reference-sector member.
+
+    A dense eigh of the whole H returned a mix with no reference weight, which
+    ci_to_cluster rejected with ZeroReferenceOverlapError.
+    """
+    ints, _ = canonicalize_core(hubbard_model(*model))
+    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    summary, states = fci_solve(ints, basis)
+    assert summary.gap < 1e-10
+    sector = next(idx for idx in spin_sectors(basis.n_orbitals, basis.n_electrons)
+                  if _reference_position(basis) in idx)
+    c = states[0].coefficients
+    assert np.all(np.delete(c, sector) == 0.0)
+    assert abs(summary.ground_energy - summary.eigenvalues.min()) <= 1e-10
+    t = ci_to_cluster(states[0])
+    assert len(t) > 0
+    again = fci_solve(canonicalize_core(hubbard_model(*model))[0], basis)[1][0]
+    assert np.array_equal(again.coefficients, c)
 
 
 def test_cas_fci_matches_explicit_projection(pairing4):
