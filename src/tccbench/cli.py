@@ -17,20 +17,12 @@ import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Only the layers every command runs load here; each command imports the
+# rest itself, so `tcc` never compiles diagnostics or entropy.
 from . import serialize
 from .determinants import BasisSplit, OrbitalBasis
-from .diagnostics import (
-    Study,
-    assumption_b_report,
-    check_ball,
-    error_decomposition,
-    error_representation_check,
-    gap_report,
-    linear_limit_scaling_study,
-    quadratic_scaling_study,
-)
-from .entropy import MODE_JUMP, MODE_THRESHOLD, mutual_information, select_cas
 from .errors import (
     GapViolationError,
     InputError,
@@ -47,7 +39,9 @@ from .hamiltonian import (
     pairing_model,
     parse_fcidump,
 )
-from .tcc import MODE_FOI, MODE_FULL, MODE_RANK, TccConfig, TruncationScheme
+
+if TYPE_CHECKING:
+    from .tcc import TccConfig, TruncationScheme
 
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
@@ -80,8 +74,10 @@ def _load_integrals(args):
             raise InputError(f"bad model spec {args.model!r}: {exc}") from exc
     if getattr(args, "mo", False):
         ints, _ = canonicalize_core(ints)
-    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
-    return ints, basis
+    try:
+        return ints, OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    except ValueError as exc:
+        raise InputError(f"bad electron count: {exc}") from exc
 
 
 def _load_split(args):
@@ -96,6 +92,8 @@ def _load_split(args):
 
 
 def _parse_trunc(spec: str) -> TruncationScheme:
+    from .tcc import MODE_FOI, MODE_FULL, MODE_RANK, TruncationScheme
+
     if spec == "full":
         return TruncationScheme(MODE_FULL)
     if spec == "sd":
@@ -147,14 +145,19 @@ def cmd_cas_fci(args) -> int:
 
 
 def cmd_select_cas(args) -> int:
+    from .entropy import MODE_JUMP, MODE_THRESHOLD, mutual_information, select_cas
+
     ints, basis = _load_integrals(args)
     _, states = fci_solve(ints, basis)
     psi = states[0]
     profile = mutual_information(psi, source="fci-ground-state")
     mode = MODE_JUMP if args.jump else MODE_THRESHOLD
-    selection = select_cas(profile, basis.n_electrons,
-                           s_threshold=args.s_threshold,
-                           mi_threshold=args.mi_threshold, mode=mode)
+    try:
+        selection = select_cas(profile, basis.n_electrons,
+                               s_threshold=args.s_threshold,
+                               mi_threshold=args.mi_threshold, mode=mode)
+    except ValueError as exc:
+        raise InputError(f"bad selection settings: {exc}") from exc
     payload = {
         "selection": selection,
         "profile": {"s1": profile.s1, "mi": profile.mi},
@@ -166,6 +169,8 @@ def cmd_select_cas(args) -> int:
 
 
 def _solver_config(args) -> TccConfig:
+    from .tcc import TccConfig
+
     try:
         return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
                          damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
@@ -174,6 +179,8 @@ def _solver_config(args) -> TccConfig:
 
 
 def cmd_tcc(args) -> int:
+    from .tcc import Study
+
     ints, basis, split = _load_split(args)
     result = Study(ints, split, fock_matrix(ints, basis)).root(_solver_config(args))
     payload = {
@@ -190,6 +197,17 @@ def cmd_tcc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .diagnostics import (
+        assumption_b_report,
+        check_ball,
+        error_decomposition,
+        error_representation_check,
+        gap_report,
+        linear_limit_scaling_study,
+        quadratic_scaling_study,
+    )
+    from .tcc import MODE_FULL, MODE_RANK, Study, TruncationScheme
+
     check_ball(args.delta, args.samples)
     ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)

@@ -15,8 +15,7 @@ continua and are labelled as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,37 +24,28 @@ from .determinants import (
     BasisSplit,
     OrbitalBasis,
     SPACE_CAS,
-    SPACE_TRUNCATED,
-    ExcitationIndex,
-    excitation_space,
     support_space,
     v_ext_norm,
 )
-from .errors import (
-    InputError,
-    InsufficientPointsError,
-    MissingReferenceError,
-    SingularJacobianError,
-    SolverFailureError,
-)
-from .exact import cas_fci_solve, ci_to_cluster, fci_solve
+from .errors import InputError, InsufficientPointsError, MissingReferenceError
+from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import (
     FockSpectrum,
     IntegralSet,
     build_dense_hamiltonian,
     fock_diagonal_vector,
 )
-from .tcc import (
+from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
+    Study,
     TailoredHamiltonian,
     TccConfig,
-    TccResult,
     TruncationScheme,
     cas_space,
     external_space,
-    solve_tcc,
+    solve_dual,
     split_amplitudes,
     tcc_energy,
-    truncated_space,
+    tcc_jacobian,
 )
 
 REFERENCE_RESIDUAL_TOL = 1e-8
@@ -292,88 +282,6 @@ def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
     op_norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
     rho = op_norm / t_norm if t_norm > 0 else np.inf
     return FockNormCheck(deviation, t_norm, fock_norm, op_norm, float(rho))
-
-
-# ---------------------------------------------------------------------------
-# Jacobian, dual solves and the solve cache
-# ---------------------------------------------------------------------------
-
-def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                 split: BasisSplit, indices: Sequence[ExcitationIndex]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact Jacobian J_{mu,nu} = (Df(t) e_nu)_mu, energy gradient, residual.
-
-    Columns are evaluated through the commutator identity
-    Df(t) S = <., e^{-T^CAS} [e^{-T} H e^{T}, S] e^{T^CAS} phi_0>
-    (S commutes with e^{T^CAS}), which is exact on the finite space --
-    no finite differences involved. The reference component of each
-    column is the energy gradient E'(t) e_nu.
-    """
-    space = excitation_space(split.basis, tuple(indices))
-    op = TailoredHamiltonian(t_cas, ints, split, space)
-    t_vec = space.embed(t)
-    v_base = op(t_vec)
-    # all columns at once: one dim x n block through e^{T}, H and e^{-T}
-    cols = (op.conjugate(t_vec, space.excitation_columns(op.u0))
-            - space.excitation_columns(v_base))
-    return space.project(cols), cols[space.reference].copy(), space.project(v_base)
-
-
-def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-               split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
-    """Adjoint solve: z with <f'(t_d) u, z> = E'(t_d)(u) for all u in the space."""
-    space = truncated_space(split, scheme)
-    if not len(space):
-        return AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
-    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
-        raise SingularJacobianError(
-            f"adjoint system singular (smallest singular value {svals[-1]:.3e})"
-        )
-    z = np.linalg.solve(jac.T, grad)
-    return space.amplitudes(z, SPACE_TRUNCATED, scheme.describe())
-
-
-class Study:
-    """The solves of one (integrals, CAS split, Fock) problem, each made once.
-
-    t^CAS comes from CAS-FCI; `root` memoises the converged roots of
-    f(.; t^CAS) and `dual` the adjoint solutions at them. `root` is the
-    one place a non-converged solve becomes an error.
-    """
-
-    def __init__(self, ints: IntegralSet, split: BasisSplit, fock: FockSpectrum):
-        self.ints, self.split, self.fock = ints, split, fock
-        self._roots: dict[tuple, TccResult] = {}
-        self._duals: dict[TccConfig, AmplitudeVector] = {}
-
-    @cached_property
-    def t_cas(self) -> AmplitudeVector:
-        """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
-        _, states = cas_fci_solve(self.ints, self.split.basis, self.split)
-        return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
-
-    def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:
-        """The converged root under `config`, tailored on t_cas (default: self.t_cas)."""
-        t_cas = self.t_cas if t_cas is None else t_cas
-        key = (config, tuple(t_cas.sorted_items()))
-        if key not in self._roots:
-            result = solve_tcc(t_cas, self.ints, self.split, self.fock, config)
-            if not result.converged:
-                raise SolverFailureError(
-                    f"{config.truncation.describe()} solve not converged in {result.iterations} "
-                    f"iterations (final residual {result.history[-1][1]:.3e}"
-                    f"{', diverged' if result.diverged else ''})")
-            self._roots[key] = result
-        return self._roots[key]
-
-    def dual(self, config: TccConfig) -> AmplitudeVector:
-        """The dual root z at root(config)."""
-        if config not in self._duals:
-            self._duals[config] = solve_dual(self.root(config).t, self.t_cas, self.ints,
-                                             self.split, config.truncation)
-        return self._duals[config]
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,8 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     orbitals. The emitted permutations relabel the basis so the CAS
     becomes 1..k.
     """
-    if s_threshold < 0 or mi_threshold < 0:
-        raise ValueError("thresholds must be nonnegative")
+    if not (s_threshold >= 0 and mi_threshold >= 0):   # NaN fails too
+        raise ValueError(f"thresholds must be nonnegative, got {s_threshold}, {mi_threshold}")
     k_orb = profile.n_orbitals
     if k_orb % 2:
         raise ValueError(f"spin partners need an even number of spin-orbitals, got K = {k_orb}")

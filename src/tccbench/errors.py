@@ -25,6 +25,10 @@ class NonFiniteIntegralError(InputError):
     """An integral or the core energy is NaN or infinite."""
 
 
+class StateCountError(InputError):
+    """More eigenpairs requested than the space has, or fewer than one."""
+
+
 class SizeLimitError(TccBenchError):
     """Requested system exceeds the supported desk scale."""
 

@@ -25,7 +25,7 @@ from .determinants import (
     spin_sectors,
     support_space,
 )
-from .errors import DimensionMismatchError, ZeroReferenceOverlapError
+from .errors import DimensionMismatchError, StateCountError, ZeroReferenceOverlapError
 from .hamiltonian import IntegralSet, build_dense_hamiltonian
 
 NORM_L2 = "L2"
@@ -144,6 +144,9 @@ def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarra
     The blocks' spectra merge into one ascending spectrum; within a degenerate
     ground level the reference's block comes first.
     """
+    dim = sum(len(idx) for idx in blocks)
+    if not 1 <= n_states <= dim:
+        raise StateCountError(f"n_states must lie in 1..{dim}, got {n_states}")
     pairs = [np.linalg.eigh(ham[np.ix_(idx, idx)]) for idx in blocks]
     values = np.concatenate([evals for evals, _ in pairs])
     block = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])

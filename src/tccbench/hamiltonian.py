@@ -1,8 +1,8 @@
 """Second-quantized Hamiltonians on the determinant space.
 
 Covers integral ingestion (FCIDUMP read/write), two built-in model
-generators, Slater-Condon matrix elements, the Fock/fluctuation
-splitting H = F + W, and the dense Hamiltonian build.
+generators, the Fock/fluctuation splitting H = F + W, and the dense
+Slater-Condon Hamiltonian build.
 
 Spin convention: spatial orbital p in 1..n_spatial expands to
 spin-orbitals 2p-1 (up) and 2p (down). Two-electron integrals are kept
@@ -26,7 +26,6 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .determinants import (
-    Determinant,
     ExcitationIndex,
     OrbitalBasis,
     determinant_masks,
@@ -84,26 +83,10 @@ class IntegralSet:
     def n_spin_orbitals(self) -> int:
         return 2 * self.n_spatial
 
-    def spin_h(self, P: int, Q: int) -> float:
-        """One-electron integral between spin-orbitals (1-based)."""
-        if (P - Q) & 1:
-            return 0.0
-        return float(self.h[(P - 1) // 2, (Q - 1) // 2])
-
-    def antisymmetrized(self, P: int, Q: int, R: int, S: int) -> float:
-        """<PQ||RS> in physicists' notation over spin-orbitals."""
-        return self._phys(P, Q, R, S) - self._phys(P, Q, S, R)
-
-    def _phys(self, P: int, Q: int, R: int, S: int) -> float:
-        # <PQ|RS> = (pr|qs) with spin conservation on (P,R) and (Q,S)
-        if (P - R) & 1 or (Q - S) & 1:
-            return 0.0
-        p, q, r, s = (P - 1) // 2, (Q - 1) // 2, (R - 1) // 2, (S - 1) // 2
-        return float(self.g[p, r, q, s])
-
     @cached_property
     def spin_orbital_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h_PQ, <PQ||RS>) over 0-based spin-orbitals: spin_h and antisymmetrized."""
+        """(h_PQ, <PQ||RS>) over 0-based spin-orbitals; <PQ|RS> = (pr|qs) when
+        P, R and Q, S share a spin, zero otherwise."""
         k = self.n_spin_orbitals
         h1, phys = np.zeros((k, k)), np.zeros((k,) * 4)
         for s in (0, 1):
@@ -330,63 +313,6 @@ def canonicalize_core(ints: IntegralSet) -> tuple[IntegralSet, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Slater-Condon matrix elements
-# ---------------------------------------------------------------------------
-
-def _align_phase(d1: Determinant, d2: Determinant,
-                 removed: list[int], added: list[int]) -> int:
-    """Parity of bringing d2 into maximal coincidence with d1.
-
-    Standard position-parity bookkeeping: each (removed, added) pair
-    contributes (-1)^(occupied orbitals strictly between them in d2,
-    after earlier substitutions).
-    """
-    mask = d2.mask
-    sign = 1
-    for r, a in zip(removed, added):
-        lo, hi = (r, a) if r < a else (a, r)
-        between = (mask >> lo) & ((1 << (hi - lo - 1)) - 1)
-        if between.bit_count() & 1:
-            sign = -sign
-        mask = (mask & ~(1 << (a - 1))) | (1 << (r - 1))
-    return sign
-
-
-def matrix_element(d1: Determinant, d2: Determinant, ints: IntegralSet) -> float:
-    """<d1|H|d2> by the Slater-Condon rules, including e_core on the diagonal."""
-    occ1, occ2 = set(d1.occ), set(d2.occ)
-    if len(occ1) != len(occ2):
-        raise DimensionMismatchError("determinants have different particle number")
-    diff1 = sorted(occ1 - occ2)
-    diff2 = sorted(occ2 - occ1)
-    n_diff = len(diff1)
-    if n_diff > 2:
-        return 0.0
-
-    if n_diff == 0:
-        val = ints.e_core
-        occ = d1.occ
-        for P in occ:
-            val += ints.spin_h(P, P)
-        for a in range(len(occ)):
-            for b in range(a + 1, len(occ)):
-                val += ints.antisymmetrized(occ[a], occ[b], occ[a], occ[b])
-        return val
-
-    if n_diff == 1:
-        (P,), (Q,) = diff1, diff2
-        sign = _align_phase(d1, d2, [P], [Q])
-        val = ints.spin_h(P, Q)
-        for R in sorted(occ1 & occ2):
-            val += ints.antisymmetrized(P, R, Q, R)
-        return sign * val
-
-    (P, Q), (R, S) = diff1, diff2
-    sign = _align_phase(d1, d2, [P, Q], [R, S])
-    return sign * ints.antisymmetrized(P, Q, R, S)
-
-
-# ---------------------------------------------------------------------------
 # Fock splitting
 # ---------------------------------------------------------------------------
 
@@ -459,8 +385,9 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     S_z sector (spin_sectors) at a time: popcount(m_a ^ m_b) sorts each pair
     b > a into a single (2), a double (4) or a zero. Pairs from different
     sectors are never visited; their entries are +0.0. The phases and every
-    sum follow matrix_element's order, so entry (a, b) for a <= b equals
-    matrix_element(dets[a], dets[b], ints) exactly.
+    sum follow the order of the scalar Slater-Condon reference in the tests
+    (tests/oracle.py: matrix_element), so entry (a, b) for a <= b equals it
+    exactly.
     """
     key = (basis.n_orbitals, basis.n_electrons)
     cached = ints._dense_cache.get(key)
@@ -495,7 +422,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
                 # orbitals occupied in only one determinant of the pair, ascending
                 only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
                 only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
-                # _align_phase: swap only_b[j] out of m_b for only_a[j], one pair at a time
+                # position parity: swap only_b[j] out of m_b for only_a[j], one pair at a time
                 sign, mask = 1.0, masks[b]
                 for p, r in zip(only_a, only_b):
                     lo, hi = np.minimum(p, r), np.maximum(p, r)

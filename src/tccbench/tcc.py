@@ -8,14 +8,16 @@ solve the projected root problem
 for mu in the chosen truncated index set, by damped quasi-Newton
 iteration with the Fock-diagonal Jacobian approximation D = diag(eps_mu)
 and optional DIIS acceleration. k = N reproduces single-reference CC,
-k = K reproduces CAS-FCI.
+k = K reproduces CAS-FCI. The exact Jacobian, the adjoint (dual) solve and
+`Study`, the cache that makes each solve of one problem once, live here
+beside the solver they call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +35,13 @@ from .determinants import (
     excitation_space,
     support_space,
 )
-from .errors import GapViolationError, SpaceMismatchError
+from .errors import (
+    GapViolationError,
+    SingularJacobianError,
+    SolverFailureError,
+    SpaceMismatchError,
+)
+from .exact import cas_fci_solve, ci_to_cluster
 from .hamiltonian import FockSpectrum, IntegralSet, build_dense_hamiltonian
 
 MODE_RANK = "rank"
@@ -104,8 +112,8 @@ class TccConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:   # NaN fails too
+            raise ValueError("tolerance must be positive and finite")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
         if self.diis is not None and self.diis < 0:
@@ -290,3 +298,85 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
     energy = float(op(t_vec)[space.reference])
     t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
     return TccResult(t, energy, history, converged, it, diverged)
+
+
+# ---------------------------------------------------------------------------
+# Jacobian, dual solves and the solve cache
+# ---------------------------------------------------------------------------
+
+def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
+                 split: BasisSplit, indices: Sequence[ExcitationIndex]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Jacobian J_{mu,nu} = (Df(t) e_nu)_mu, energy gradient, residual.
+
+    Columns are evaluated through the commutator identity
+    Df(t) S = <., e^{-T^CAS} [e^{-T} H e^{T}, S] e^{T^CAS} phi_0>
+    (S commutes with e^{T^CAS}), which is exact on the finite space --
+    no finite differences involved. The reference component of each
+    column is the energy gradient E'(t) e_nu.
+    """
+    space = excitation_space(split.basis, tuple(indices))
+    op = TailoredHamiltonian(t_cas, ints, split, space)
+    t_vec = space.embed(t)
+    v_base = op(t_vec)
+    # all columns at once: one dim x n block through e^{T}, H and e^{-T}
+    cols = (op.conjugate(t_vec, space.excitation_columns(op.u0))
+            - space.excitation_columns(v_base))
+    return space.project(cols), cols[space.reference].copy(), space.project(v_base)
+
+
+def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
+               split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
+    """Adjoint solve: z with <f'(t_d) u, z> = E'(t_d)(u) for all u in the space."""
+    space = truncated_space(split, scheme)
+    if not len(space):
+        return AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
+    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
+    svals = np.linalg.svd(jac, compute_uv=False)
+    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
+        raise SingularJacobianError(
+            f"adjoint system singular (smallest singular value {svals[-1]:.3e})"
+        )
+    z = np.linalg.solve(jac.T, grad)
+    return space.amplitudes(z, SPACE_TRUNCATED, scheme.describe())
+
+
+class Study:
+    """The solves of one (integrals, CAS split, Fock) problem, each made once.
+
+    t^CAS comes from CAS-FCI; `root` memoises the converged roots of
+    f(.; t^CAS) and `dual` the adjoint solutions at them. `root` is the
+    one place a non-converged solve becomes an error.
+    """
+
+    def __init__(self, ints: IntegralSet, split: BasisSplit, fock: FockSpectrum):
+        self.ints, self.split, self.fock = ints, split, fock
+        self._roots: dict[tuple, TccResult] = {}
+        self._duals: dict[TccConfig, AmplitudeVector] = {}
+
+    @cached_property
+    def t_cas(self) -> AmplitudeVector:
+        """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
+        _, states = cas_fci_solve(self.ints, self.split.basis, self.split)
+        return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
+
+    def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:
+        """The converged root under `config`, tailored on t_cas (default: self.t_cas)."""
+        t_cas = self.t_cas if t_cas is None else t_cas
+        key = (config, tuple(t_cas.sorted_items()))
+        if key not in self._roots:
+            result = solve_tcc(t_cas, self.ints, self.split, self.fock, config)
+            if not result.converged:
+                raise SolverFailureError(
+                    f"{config.truncation.describe()} solve not converged in {result.iterations} "
+                    f"iterations (final residual {result.history[-1][1]:.3e}"
+                    f"{', diverged' if result.diverged else ''})")
+            self._roots[key] = result
+        return self._roots[key]
+
+    def dual(self, config: TccConfig) -> AmplitudeVector:
+        """The dual root z at root(config)."""
+        if config not in self._duals:
+            self._duals[config] = solve_dual(self.root(config).t, self.t_cas, self.ints,
+                                             self.split, config.truncation)
+        return self._duals[config]

@@ -3,8 +3,11 @@
 Everything here is built from first principles -- explicit creation/
 annihilation matrices with the standard phase string, dense many-body
 operators, explicit partial traces -- and deliberately shares no code
-with the package beyond the integral containers. Used to pin signs,
-matrix elements, reduced density matrices and operator norms.
+with the package beyond the integral and determinant containers. Used to
+pin signs, matrix elements, reduced density matrices and operator norms.
+
+The scalar integral lookups and the Slater-Condon matrix_element are the
+loop references the package's vectorised Hamiltonian build is held to.
 """
 
 from __future__ import annotations
@@ -47,6 +50,78 @@ def excitation_operator(holes, particles, n_modes: int) -> np.ndarray:
     return m
 
 
+def spin_h(ints, P: int, Q: int) -> float:
+    """One-electron integral between spin-orbitals (1-based)."""
+    if (P - Q) & 1:
+        return 0.0
+    return float(ints.h[(P - 1) // 2, (Q - 1) // 2])
+
+
+def phys(ints, P: int, Q: int, R: int, S: int) -> float:
+    """<PQ|RS> = (pr|qs) with spin conservation on (P,R) and (Q,S)."""
+    if (P - R) & 1 or (Q - S) & 1:
+        return 0.0
+    p, q, r, s = (P - 1) // 2, (Q - 1) // 2, (R - 1) // 2, (S - 1) // 2
+    return float(ints.g[p, r, q, s])
+
+
+def antisymmetrized(ints, P: int, Q: int, R: int, S: int) -> float:
+    """<PQ||RS> in physicists' notation over spin-orbitals."""
+    return phys(ints, P, Q, R, S) - phys(ints, P, Q, S, R)
+
+
+def _align_phase(d1, d2, removed: list[int], added: list[int]) -> int:
+    """Parity of bringing d2 into maximal coincidence with d1.
+
+    Standard position-parity bookkeeping: each (removed, added) pair
+    contributes (-1)^(occupied orbitals strictly between them in d2,
+    after earlier substitutions).
+    """
+    mask = d2.mask
+    sign = 1
+    for r, a in zip(removed, added):
+        lo, hi = (r, a) if r < a else (a, r)
+        between = (mask >> lo) & ((1 << (hi - lo - 1)) - 1)
+        if between.bit_count() & 1:
+            sign = -sign
+        mask = (mask & ~(1 << (a - 1))) | (1 << (r - 1))
+    return sign
+
+
+def matrix_element(d1, d2, ints) -> float:
+    """<d1|H|d2> by the Slater-Condon rules, including e_core on the diagonal."""
+    occ1, occ2 = set(d1.occ), set(d2.occ)
+    if len(occ1) != len(occ2):
+        raise ValueError("determinants have different particle number")
+    diff1 = sorted(occ1 - occ2)
+    diff2 = sorted(occ2 - occ1)
+    n_diff = len(diff1)
+    if n_diff > 2:
+        return 0.0
+
+    if n_diff == 0:
+        val = ints.e_core
+        occ = d1.occ
+        for P in occ:
+            val += spin_h(ints, P, P)
+        for a in range(len(occ)):
+            for b in range(a + 1, len(occ)):
+                val += antisymmetrized(ints, occ[a], occ[b], occ[a], occ[b])
+        return val
+
+    if n_diff == 1:
+        (P,), (Q,) = diff1, diff2
+        sign = _align_phase(d1, d2, [P], [Q])
+        val = spin_h(ints, P, Q)
+        for R in sorted(occ1 & occ2):
+            val += antisymmetrized(ints, P, R, Q, R)
+        return sign * val
+
+    (P, Q), (R, S) = diff1, diff2
+    sign = _align_phase(d1, d2, [P, Q], [R, S])
+    return sign * antisymmetrized(ints, P, Q, R, S)
+
+
 def dense_hamiltonian_fock(ints, n_modes: int) -> np.ndarray:
     """Second-quantized H on the full 2^K space (all particle sectors)."""
     dim = 1 << n_modes
@@ -56,14 +131,14 @@ def dense_hamiltonian_fock(ints, n_modes: int) -> np.ndarray:
     a = [None] + [annihilation(n_modes, p) for p in range(1, n_modes + 1)]
     for p in range(1, n_modes + 1):
         for q in range(1, n_modes + 1):
-            v = ints.spin_h(p, q)
+            v = spin_h(ints, p, q)
             if v:
                 h1 += v * (a_dag[p] @ a[q])
     for p in range(1, n_modes + 1):
         for q in range(1, n_modes + 1):
             for r in range(1, n_modes + 1):
                 for s in range(1, n_modes + 1):
-                    v = ints._phys(p, q, r, s)
+                    v = phys(ints, p, q, r, s)
                     if v:
                         h2 += 0.5 * v * (a_dag[p] @ a_dag[q] @ a[s] @ a[r])
     return h1 + h2 + ints.e_core * np.eye(dim)

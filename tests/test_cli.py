@@ -1,15 +1,17 @@
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tccbench
-from tccbench import diagnostics, hubbard_model, write_fcidump
+from tccbench import hubbard_model, tcc, write_fcidump
 from tccbench.cli import main
 from tccbench.serialize import config_hash, dumps, format_float
 
@@ -214,10 +216,11 @@ def test_exit_input_errors(capsys):
 
 @pytest.mark.parametrize("flags", [
     ["--tol", "0"], ["--damping", "0"], ["--max-iterations", "0"], ["--diis", "-3"],
-    ["--k", "9"], ["--k", "2"], ["--trunc", "rank:0"],
+    ["--k", "9"], ["--k", "2"], ["--trunc", "rank:0"], ["--tol", "nan"], ["--tol", "inf"],
 ], ids=lambda flags: " ".join(flags))
 def test_bad_solver_settings_are_input_errors(flags, capsys):
-    # each used to end in a ValueError traceback, or (--diis -3) to pass silently
+    # each used to end in a ValueError traceback, or (--diis -3) to pass silently;
+    # --tol nan ran every iteration and failed as not converged, --tol inf took the first iterate
     code, _, err = run(["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6", *flags], capsys)
     assert code == 1 and err.startswith("error:")
 
@@ -227,6 +230,30 @@ def test_bad_solver_settings_are_input_errors(flags, capsys):
 def test_bad_sampling_settings_are_input_errors(flags, capsys):
     # --samples 0 reported a margin from no samples; --delta 0 divided by zero
     code, _, err = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", *flags], capsys)
+    assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["fci", "--n-states", "-1"], ["fci", "--n-states", "0"], ["fci", "--n-states", "7"],
+    ["cas-fci", "--k", "3", "--n-states", "4"],
+], ids=lambda args: " ".join(args))
+def test_state_counts_outside_the_space_are_input_errors(args, capsys):
+    # hubbard:2 has 6 determinants, 3 inside k = 3; -1 used to write 5 states,
+    # 0 none and 7 all 6
+    code, out, err = run([*args, "--model", "hubbard:2,1.0,4.0"], capsys)
+    assert code == 1 and err.startswith("error:") and "n_states" in err and not out
+
+
+@pytest.mark.parametrize("args", [
+    ["select-cas", "--model", "hubbard:2,1.0,4.0", "--mi-threshold", "-1"],
+    ["select-cas", "--model", "hubbard:2,1.0,4.0", "--s-threshold", "nan"],
+    ["fci", "--model", "hubbard:2,1.0,4.0,9"],
+    ["fci", "--model", "pairing:2,0.5,1.0,-2"],
+    ["fci", "--model", "hubbard:0,1.0,4.0"],
+], ids=lambda args: " ".join(args[2:]))
+def test_bad_thresholds_and_electron_counts_are_input_errors(args, capsys):
+    # a ValueError traceback each, or (--s-threshold nan) accepted silently
+    code, _, err = run(args, capsys)
     assert code == 1 and err.startswith("error:")
 
 
@@ -270,7 +297,7 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
 
 def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
     primal, dual = [], []
-    solve_tcc, solve_dual = diagnostics.solve_tcc, diagnostics.solve_dual
+    solve_tcc, solve_dual = tcc.solve_tcc, tcc.solve_dual
 
     def counted_solve(t_cas, ints, split, fock, config):
         primal.append(config)
@@ -280,8 +307,9 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
         dual.append(scheme)
         return solve_dual(t_d, t_cas, ints, split, scheme)
 
-    monkeypatch.setattr(diagnostics, "solve_tcc", counted_solve)
-    monkeypatch.setattr(diagnostics, "solve_dual", counted_dual)
+    # Study lives beside the solver and looks both up in tcc
+    monkeypatch.setattr(tcc, "solve_tcc", counted_solve)
+    monkeypatch.setattr(tcc, "solve_dual", counted_dual)
     code, _, _ = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
                       "--trunc", "rank:2", "--diis", "8"], capsys)
     assert code == 0
@@ -296,6 +324,22 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
 # Cold start
 # ---------------------------------------------------------------------------
 
+def _cold_start(code: str, *args: str) -> list[str]:
+    """Run `code` with `args` in a fresh interpreter; its stdout, split."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tccbench.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", code, *args],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def _cold_command(args, out) -> tuple[int, set[str]]:
+    """A CLI command's exit status and the modules loaded when it is done."""
+    status, *modules = _cold_start("import sys; from tccbench.cli import main; "
+                                   "status = main(sys.argv[1:]); print(status, *sys.modules)",
+                                   *args, "--out", str(out))
+    return int(status), set(modules)
+
+
 @pytest.mark.parametrize("args", [
     ["select-cas", "--model", "hubbard:6,1.0,2.0,4", "--mo"],
     ["tcc", "--model", "hubbard:4,1.0,2.0", "--mo", "--k", "6", "--trunc", "rank:2"],
@@ -303,10 +347,78 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
 def test_commands_do_not_import_numpy_ma(args, tmp_path):
     # numpy.ma costs 15-23 ms to import in a fresh interpreter; np.unique is
     # one call that pulls it in
-    script = ("import sys; from tccbench.cli import main; "
-              "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(tccbench.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-W", "ignore", "-c", script, *args,
-                           "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    status, modules = _cold_command(args, tmp_path)
+    assert status == 0 and "numpy.ma" not in modules
+
+
+# the layers every command loads; each command adds its own
+COMMON_LAYERS = {"cli", "determinants", "errors", "exact", "hamiltonian", "serialize"}
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["fci", "--model", "hubbard:2,1.0,4.0"], set()),
+    (["cas-fci", "--model", "hubbard:2,1.0,4.0", "--k", "3"], set()),
+    (["select-cas", "--model", "hubbard:2,1.0,4.0"], {"entropy"}),
+    (["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6"], {"tcc"}),
+    (["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", "--samples", "2"],
+     {"tcc", "diagnostics"}),
+], ids=["fci", "cas-fci", "select-cas", "tcc", "verify"])
+def test_commands_load_only_the_layers_they_run(args, layers, tmp_path):
+    # compiling a module costs a fresh interpreter milliseconds; the eager
+    # package loaded all of them for every command
+    status, modules = _cold_command(args, tmp_path)
+    assert status == 0
+    assert {m for m in modules if m.startswith("tccbench.")} == {
+        f"tccbench.{layer}" for layer in COMMON_LAYERS | layers}
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = _cold_start("import sys, tccbench; "
+                         "print(*(m for m in sys.modules if m.startswith('tccbench')))")
+    assert loaded == ["tccbench"]
+
+
+# ---------------------------------------------------------------------------
+# Package namespace
+# ---------------------------------------------------------------------------
+
+# the names the package exported when it imported every submodule eagerly,
+# less matrix_element, which moved to the tests' oracle
+PACKAGE_NAMES = [
+    "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
+    "Determinant", "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
+    "FockSpectrum", "GapReport", "IntegralSet", "OrbitalBasis", "OrbitalEntropyProfile",
+    "ScalingStudy", "SpectralSummary", "Study", "TailoredHamiltonian", "TccConfig",
+    "TccResult", "TruncationScheme", "apply_excitation", "assumption_b_report",
+    "build_dense_hamiltonian", "canonicalize_core", "cas_fci_solve", "ci_to_cluster",
+    "classify_excitation", "cluster_to_ci", "determinants", "diagnostics", "entropy",
+    "enumerate_determinants", "enumerate_excitations", "enumerate_truncated_space",
+    "error_decomposition", "error_representation_check", "errors", "exact",
+    "excitation_from_reference", "excitation_space", "fci_solve", "fock_matrix",
+    "fock_norm_identity_check", "gap_report", "hamiltonian", "hubbard_model",
+    "linear_limit_scaling_study", "monotonicity_probe", "mutual_information",
+    "one_orbital_rdm", "pairing_model", "parse_fcidump", "permute_spatial_orbitals",
+    "quadratic_scaling_study", "rotate_orbitals", "select_cas", "solve_dual", "solve_tcc",
+    "split_amplitudes", "tcc", "tcc_energy", "tcc_jacobian", "tcc_residual",
+    "truncated_space", "two_orbital_rdm", "v_ext_norm", "write_fcidump",
+]
+
+
+def test_package_names_resolve_to_their_modules_objects(monkeypatch):
+    assert tccbench.__all__ == PACKAGE_NAMES
+    for name in PACKAGE_NAMES:
+        value = getattr(tccbench, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"tccbench.{name}")
+        else:
+            assert value is getattr(importlib.import_module(value.__module__), name)
+            assert name not in vars(tccbench)   # looked up anew on every access
+    # the diagnostics layer re-exports what moved beside the solver
+    for name in ("Study", "solve_dual", "tcc_jacobian"):
+        assert getattr(tccbench.diagnostics, name) is getattr(tcc, name)
+    for name in ("matrix_element", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(tccbench, name)
+    # a tracer or a test that rebinds a module's function rebinds it for the package too
+    monkeypatch.setattr(tcc, "solve_tcc", lambda *args: None)
+    assert tccbench.solve_tcc is tcc.solve_tcc

@@ -254,6 +254,8 @@ def test_selection_validation():
     with pytest.raises(ValueError):
         select_cas(profile, 2, s_threshold=-0.1)
     with pytest.raises(ValueError):
+        select_cas(profile, 2, mi_threshold=np.nan)
+    with pytest.raises(ValueError):
         select_cas(profile, 2, mode="GUESS")
 
 

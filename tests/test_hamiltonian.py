@@ -11,7 +11,6 @@ from tccbench import (
     canonicalize_core,
     fock_matrix,
     hubbard_model,
-    matrix_element,
     pairing_model,
     parse_fcidump,
     rotate_orbitals,
@@ -42,7 +41,7 @@ def _oracle_elements(system, n_samples, rng):
     for _ in range(n_samples):
         a, b = rng.integers(0, len(dets), size=2)
         want = float(states[a] @ (ham @ states[b]))
-        got = matrix_element(dets[a], dets[b], system.ints)
+        got = oracle.matrix_element(dets[a], dets[b], system.ints)
         worst = max(worst, abs(got - want))
     return worst
 
@@ -81,7 +80,7 @@ def test_dense_hamiltonian_equals_matrix_elements():
     basis = OrbitalBasis(12, 4)
     dets = enumerate_determinants(basis)
     ham = build_dense_hamiltonian(ints, basis)
-    want = np.array([[matrix_element(d1, d2, ints) if a <= b else 0.0
+    want = np.array([[oracle.matrix_element(d1, d2, ints) if a <= b else 0.0
                       for b, d2 in enumerate(dets)] for a, d1 in enumerate(dets)])
     want = np.triu(want) + np.triu(want, 1).T
     assert np.array_equal(ham, want)

@@ -112,7 +112,7 @@ def test_space_tags_are_enforced(pairing4):
 
 def test_zero_amplitude_energy_is_reference_expectation(pairing4):
     """With t = t_cas = 0 the energy is <phi0|H|phi0>."""
-    from tccbench.hamiltonian import matrix_element
+    from oracle import matrix_element
 
     t_cas = AmplitudeVector(SPACE_CAS, {})
     ref = pairing4.basis.reference
