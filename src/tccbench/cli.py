@@ -145,19 +145,20 @@ def cmd_cas_fci(args) -> int:
 
 
 def cmd_select_cas(args) -> int:
-    from .entropy import MODE_JUMP, MODE_THRESHOLD, mutual_information, select_cas
+    from .entropy import MODE_JUMP, MODE_THRESHOLD, check_thresholds, mutual_information, select_cas
 
+    try:   # before the eigensolve, which is the command's whole cost
+        check_thresholds(args.s_threshold, args.mi_threshold)
+    except ValueError as exc:
+        raise InputError(f"bad selection settings: {exc}") from exc
     ints, basis = _load_integrals(args)
     _, states = fci_solve(ints, basis)
     psi = states[0]
     profile = mutual_information(psi, source="fci-ground-state")
     mode = MODE_JUMP if args.jump else MODE_THRESHOLD
-    try:
-        selection = select_cas(profile, basis.n_electrons,
-                               s_threshold=args.s_threshold,
-                               mi_threshold=args.mi_threshold, mode=mode)
-    except ValueError as exc:
-        raise InputError(f"bad selection settings: {exc}") from exc
+    selection = select_cas(profile, basis.n_electrons,
+                           s_threshold=args.s_threshold,
+                           mi_threshold=args.mi_threshold, mode=mode)
     payload = {
         "selection": selection,
         "profile": {"s1": profile.s1, "mi": profile.mi},
@@ -209,6 +210,8 @@ def cmd_verify(args) -> int:
     from .tcc import MODE_FULL, MODE_RANK, Study, TruncationScheme
 
     check_ball(args.delta, args.samples)
+    if args.seed < 0:
+        raise InputError(f"need --seed >= 0, got {args.seed}")
     ints, basis, split = _load_split(args)
     fock = fock_matrix(ints, basis)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)

@@ -222,16 +222,11 @@ def enumerate_determinants(
 
 
 @lru_cache(maxsize=32)
-def enumerate_excitations(
-    basis: OrbitalBasis, max_rank: Optional[int] = None
-) -> tuple[ExcitationIndex, ...]:
-    """All excitation indices up to max_rank, ordered by (rank, holes, particles); cached."""
+def enumerate_excitations(basis: OrbitalBasis) -> tuple[ExcitationIndex, ...]:
+    """All excitation indices, ordered by (rank, holes, particles); cached."""
     n, k = basis.n_electrons, basis.n_orbitals
-    cap = min(n, k - n)
-    if max_rank is not None:
-        cap = min(cap, max_rank)
     out = []
-    for r in range(1, cap + 1):
+    for r in range(1, min(n, k - n) + 1):
         for holes in combinations(range(1, n + 1), r):
             for particles in combinations(range(n + 1, k + 1), r):
                 out.append(ExcitationIndex(holes, particles))
@@ -250,7 +245,8 @@ class AmplitudeVector:
 
     `space` tags the index set the vector lives on; `scheme` names the
     truncation when space == 'truncated'. Iteration is sorted by the
-    canonical index order so serialized output is reproducible.
+    canonical index order so serialized output is reproducible. Explicit
+    zeros are dropped on construction; NaN and inf are rejected.
     """
 
     space: str
@@ -260,15 +256,10 @@ class AmplitudeVector:
     def __post_init__(self):
         if self.space not in (SPACE_FULL, SPACE_CAS, SPACE_EXT, SPACE_TRUNCATED):
             raise ValueError(f"unknown space tag {self.space!r}")
-        self.prune()
-
-    def prune(self, tol: float = 0.0) -> "AmplitudeVector":
-        """Drop explicit zeros (or entries with |t| <= tol); reject NaN and inf."""
         for mu, v in self.entries.items():
             if not math.isfinite(v):
                 raise NonFiniteAmplitudeError(f"amplitude of {mu} is {v}")
-        self.entries = {m: v for m, v in self.entries.items() if abs(v) > tol}
-        return self
+        self.entries = {m: v for m, v in self.entries.items() if v != 0.0}
 
     def sorted_items(self) -> list[tuple[ExcitationIndex, float]]:
         return sorted(self.entries.items(), key=lambda kv: kv[0])

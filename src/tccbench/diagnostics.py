@@ -24,23 +24,18 @@ from .determinants import (
     BasisSplit,
     OrbitalBasis,
     SPACE_CAS,
+    SPACE_EXT,
     support_space,
     v_ext_norm,
 )
 from .errors import InputError, InsufficientPointsError, MissingReferenceError
 from .exact import ci_to_cluster, fci_solve
-from .hamiltonian import (
-    FockSpectrum,
-    IntegralSet,
-    build_dense_hamiltonian,
-    fock_diagonal_vector,
-)
+from .hamiltonian import FockSpectrum, IntegralSet, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
     Study,
     TailoredHamiltonian,
     TccConfig,
     TruncationScheme,
-    cas_space,
     external_space,
     solve_dual,
     split_amplitudes,
@@ -101,7 +96,8 @@ def check_ball(delta: float, samples: int) -> None:
 
 
 def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonian,
-                       delta: float, samples: int) -> np.ndarray:
+                       delta: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """t_* as an ndarray of op's space, and the residual f(t_*) it was checked by."""
     check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
@@ -113,7 +109,7 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
         raise MissingReferenceError(
             f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}"
         )
-    return t_vec
+    return t_vec, r
 
 
 def _ball_point(rng: np.random.Generator, center: np.ndarray, eps: np.ndarray,
@@ -136,10 +132,14 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     attains min eps_mu exactly.
     """
     op = TailoredHamiltonian(t_cas, ints, split, external_space(split))
-    t_vec = _require_reference(t_star, op, delta, samples)
-    eps = op.space.epsilon(fock)
-    rng = np.random.default_rng(seed)
+    t_vec, r_star = _require_reference(t_star, op, delta, samples)
+    return _probe(op, t_vec, r_star, op.space.epsilon(fock), delta, samples, seed)
 
+
+def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: np.ndarray,
+           delta: float, samples: int, seed: int) -> MonotonicityProbe:
+    """monotonicity_probe at the checked reference t_vec, whose residual is r_star."""
+    rng = np.random.default_rng(seed)
     pairs = [(_ball_point(rng, t_vec, eps, delta), _ball_point(rng, t_vec, eps, delta))
              for _ in range(samples)]
     for a in range(len(eps)):
@@ -151,7 +151,8 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     g_l2 = np.inf
     l_hat = 0.0
     for v1, v2 in pairs:
-        df = op.residual(v1) - op.residual(v2)
+        # every coordinate probe pairs with t_vec itself, whose residual is r_star
+        df = op.residual(v1) - (r_star if v2 is t_vec else op.residual(v2))
         dt = v1 - v2
         inner = float(df @ dt)
         vsq = float((eps * dt**2).sum())
@@ -196,7 +197,7 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     """
     space = external_space(split)
     op = TailoredHamiltonian(t_cas, ints, split, space)
-    t_vec = _require_reference(t_star, op, delta, samples)
+    t_vec, r_star = _require_reference(t_star, op, delta, samples)
     eps = space.epsilon(fock)
 
     w = op.ham - np.diag(fock_diagonal_vector(fock, split.basis))
@@ -227,8 +228,7 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
         l_star = max(l_star, num / den)
 
     gaps = gap_report(fock, split)
-    probe = monotonicity_probe(t_star, t_cas, ints, split, fock,
-                               delta=delta, samples=samples, seed=seed)
+    probe = _probe(op, t_vec, r_star, eps, delta, samples, seed)
     margin = gaps.eps0 - omega0 - omega_cas - l_star
     return AssumptionReport(gaps, omega0, omega_cas, float(l_star), float(margin),
                             probe.gamma_hat, probe.gamma_hat_l2, probe.l_hat,
@@ -307,8 +307,8 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
 
     Computes the full-space root t_* of f(.; t^CAS), the root with the
     CAS-exact amplitudes, the truncated root t_d, and the FCI amplitude
-    split, then every term of the triangle decomposition plus the
-    explicit projected-Hamiltonian CAS error dE_cas.
+    split, then every term of the triangle decomposition plus the CAS
+    error dE_cas of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
     """
     ints, split = study.ints, study.split
     basis = split.basis
@@ -328,13 +328,9 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     else:
         raise ValueError(f"unknown t_cas_source {t_cas_source!r}")
 
-    t_star = study.root(STUDY_CONFIG, t_cas).t
-    t_tilde = study.root(STUDY_CONFIG).t
-    t_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).t
-
-    e_d = tcc_energy(t_d, t_cas, ints, split)
-    e_star = tcc_energy(t_star, t_cas, ints, split)
-    e_tilde = tcc_energy(t_tilde, t_fci_cas, ints, split)
+    e_star = study.root(STUDY_CONFIG, t_cas).energy
+    e_tilde = study.root(STUDY_CONFIG).energy
+    e_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).energy
     e_exact_pair = tcc_energy(t_star_ext, t_star_cas, ints, split)
 
     d_eps = abs(e_d - e_star)
@@ -342,18 +338,10 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     d_eps_cas_star = abs(e_tilde - e_exact_pair)
     de = abs(e_d - e_exact_pair)
 
-    # explicit projected-Hamiltonian CAS error
-    ham = build_dense_hamiltonian(ints, basis)
-    p = split.cas_determinants().astype(float)
-    php = (p[:, None] * ham) * p[None, :]
-    cas = cas_space(split)
-
-    def php_energy(tc):
-        # e^{-T} leaves the reference component alone: T only raises the level
-        v = php @ cas.exp_apply(cas.embed(tc), cas.reference_state(), +1)
-        return float(v[cas.reference])
-
-    de_cas = abs(php_energy(t_cas) - php_energy(t_fci_cas))
+    # e^{T^CAS} phi_0 lies in the CAS, so this is <phi_0, P H P e^{T^CAS} phi_0>
+    no_ext = AmplitudeVector(SPACE_EXT)
+    de_cas = abs(tcc_energy(no_ext, t_cas, ints, split)
+                 - tcc_energy(no_ext, t_fci_cas, ints, split))
 
     return ErrorDecomposition(
         dE=de, d_eps=d_eps, d_eps_cas=d_eps_cas, d_eps_cas_star=d_eps_cas_star,
@@ -444,23 +432,21 @@ def quadratic_scaling_study(study: Study, schemes: list[TruncationScheme]) -> Sc
     should approach 2. Rows at (numerically) zero distance are excluded
     from the fit.
     """
-    ints, split, t_cas = study.ints, study.split, study.t_cas
-    space = external_space(split)
+    space = external_space(study.split)
     eps = space.epsilon(study.fock)
 
-    t_star = study.root(STUDY_CONFIG).t
-    e_star = tcc_energy(t_star, t_cas, ints, split)
-    ts = space.embed(t_star)
+    star = study.root(STUDY_CONFIG)
+    ts = space.embed(star.t)
     zs = space.embed(study.dual(STUDY_CONFIG))
 
     scaling = ScalingStudy()
     for scheme in schemes:
         config = replace(STUDY_CONFIG, truncation=scheme)
-        t_d = study.root(config).t
-        td = space.embed(t_d)
+        root = study.root(config)
+        td = space.embed(root.t)
         zd = space.embed(study.dual(config))
         dist = float(np.sqrt((eps * (ts - td) ** 2).sum()))
-        derr = abs(tcc_energy(t_d, t_cas, ints, split) - e_star)
+        derr = abs(root.energy - star.energy)
         ddual = float(np.sqrt((eps * (zs - zd) ** 2).sum()))
         usable = dist > 1e-12 and derr > 0.0
         scaling.rows.append(ScalingRow(scheme.describe(), dist, derr, ddual, usable))

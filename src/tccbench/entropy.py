@@ -161,6 +161,12 @@ def _spin_pair(spatial: int) -> tuple[int, int]:
     return 2 * spatial - 1, 2 * spatial
 
 
+def check_thresholds(s_threshold: float, mi_threshold: float) -> None:
+    """Reject a negative (or NaN) selection threshold."""
+    if not (s_threshold >= 0 and mi_threshold >= 0):   # NaN fails too
+        raise ValueError(f"thresholds must be nonnegative, got {s_threshold}, {mi_threshold}")
+
+
 def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
                s_threshold: float = 0.0, mi_threshold: float = 0.0,
                mode: str = MODE_THRESHOLD, include_reference: bool = True
@@ -177,8 +183,7 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     orbitals. The emitted permutations relabel the basis so the CAS
     becomes 1..k.
     """
-    if not (s_threshold >= 0 and mi_threshold >= 0):   # NaN fails too
-        raise ValueError(f"thresholds must be nonnegative, got {s_threshold}, {mi_threshold}")
+    check_thresholds(s_threshold, mi_threshold)
     k_orb = profile.n_orbitals
     if k_orb % 2:
         raise ValueError(f"spin partners need an even number of spin-orbitals, got K = {k_orb}")

@@ -57,6 +57,13 @@ def hubbard3_mo() -> System:
 
 
 @pytest.fixture(scope="session")
+def hubbard4_mo() -> System:
+    """4-site Hubbard chain, U=2, half filling, core eigenbasis (K=8, N=4, k=6)."""
+    ints, _ = canonicalize_core(hubbard_model(4, 1.0, 2.0))
+    return _make("hubbard4-mo", ints, 6)
+
+
+@pytest.fixture(scope="session")
 def pairing4() -> System:
     """4-level picket-fence pairing model, g=0.5 (K=8, N=4, k=6)."""
     return _make("pairing4", pairing_model(4, 0.5, 1.0), 6)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tccbench
-from tccbench import hubbard_model, tcc, write_fcidump
+from tccbench import cli, hubbard_model, tcc, write_fcidump
 from tccbench.cli import main
 from tccbench.serialize import config_hash, dumps, format_float
 
@@ -255,6 +255,28 @@ def test_bad_thresholds_and_electron_counts_are_input_errors(args, capsys):
     # a ValueError traceback each, or (--s-threshold nan) accepted silently
     code, _, err = run(args, capsys)
     assert code == 1 and err.startswith("error:")
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the settings were checked")
+    return refuse
+
+
+def test_negative_seed_is_an_input_error_before_any_solve(monkeypatch, capsys):
+    # np.random.default_rng raised a ValueError traceback, and only after every solve
+    monkeypatch.setattr(tcc, "solve_tcc", _refuse("solve_tcc"))
+    code, out, err = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                          "--samples", "2", "--seed", "-1"], capsys)
+    assert code == 1 and err.startswith("error:") and "seed" in err and not out
+
+
+@pytest.mark.parametrize("flag", ["--mi-threshold", "--s-threshold"])
+def test_bad_thresholds_are_rejected_before_the_eigensolve(flag, monkeypatch, capsys):
+    # select_cas checked them only after the FCI ground state and the entropy profile
+    monkeypatch.setattr(cli, "fci_solve", _refuse("fci_solve"))
+    code, out, err = run(["select-cas", "--model", "hubbard:2,1.0,4.0", flag, "-1"], capsys)
+    assert code == 1 and err.startswith("error:") and not out
 
 
 def test_exit_solver_failure(capsys):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracle
+from tccbench import diagnostics
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
@@ -25,11 +28,18 @@ from tccbench import (
     tcc_jacobian,
 )
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
-from tccbench.diagnostics import ScalingRow, _fit_slope
+from tccbench.diagnostics import STUDY_CONFIG, ScalingRow, _fit_slope
 from tccbench.errors import InputError, InsufficientPointsError, MissingReferenceError
-from tccbench.hamiltonian import FockSpectrum
+from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian
 from tccbench.determinants import excitation_space
-from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
+from tccbench.tcc import (
+    MODE_FULL,
+    MODE_RANK,
+    TailoredHamiltonian,
+    cas_space,
+    external_space,
+    tcc_energy,
+)
 
 
 def _to_amplitudes(vec, indices):
@@ -154,6 +164,28 @@ def test_assumption_report_interacting(pairing4):
 def pairing4_root(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     return _solve_full(pairing4, t_cas).t, t_cas
+
+
+def test_assumption_report_builds_one_operator(pairing4, pairing4_root, monkeypatch):
+    built, residuals = [], []
+
+    class Counted(TailoredHamiltonian):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def residual(self, t):
+            residuals.append(t)
+            return super().residual(t)
+
+    monkeypatch.setattr(diagnostics, "TailoredHamiltonian", Counted)
+    t_star, t_cas = pairing4_root
+    samples = 3
+    assumption_b_report(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
+                        samples=samples, seed=0)
+    # the reference check, two per sampled pair and one per coordinate probe
+    assert len(built) == 1
+    assert len(residuals) == 1 + 2 * samples + len(external_space(pairing4.split))
 
 
 @pytest.mark.parametrize("delta,samples", [
@@ -330,11 +362,38 @@ def test_error_decomposition_truncated(pairing4):
     assert dec.dE <= dec.d_eps + dec.d_eps_cas + dec.d_eps_cas_star + 1e-10
 
 
+@pytest.mark.parametrize("scheme", [TruncationScheme(MODE_RANK, 1),
+                                    TruncationScheme(MODE_RANK, 2),
+                                    TruncationScheme(MODE_FULL)], ids=lambda s: s.describe())
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_root_energy_is_the_energy_of_its_amplitudes(model, scheme, request):
+    # the decomposition and the scaling study read their energies off the roots
+    system = request.getfixturevalue(model)
+    study = _study(system)
+    root = study.root(replace(STUDY_CONFIG, truncation=scheme))
+    assert root.energy == tcc_energy(root.t, study.t_cas, system.ints, system.split)
+
+
+def _php_energy(system, t_cas):
+    """<phi_0, P H P e^{T^CAS} phi_0> with the dense CAS projector P."""
+    ham = build_dense_hamiltonian(system.ints, system.basis)
+    p = system.split.cas_determinants().astype(float)
+    php = (p[:, None] * ham) * p[None, :]
+    cas = cas_space(system.split)
+    v = php @ cas.exp_apply(cas.embed(t_cas), cas.reference_state(), +1)
+    return float(v[cas.reference])
+
+
 def test_error_decomposition_perturbed_cas(pairing4):
     study = _study(pairing4)
     dec = error_decomposition(study, TruncationScheme(MODE_FULL),
                               t_cas_source="PERTURBED", noise=1e-3, seed=5)
     assert dec.dE_cas > 1e-8           # perturbed CAS amplitudes cost energy
+    rng = np.random.default_rng(5)     # the perturbation error_decomposition draws
+    perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * rng.standard_normal()
+                                            for mu, val in study.t_cas.sorted_items()})
+    dense = abs(_php_energy(pairing4, perturbed) - _php_energy(pairing4, study.t_cas))
+    assert abs(dec.dE_cas - dense) <= 1e-14
     assert dec.d_eps_cas > 1e-8
     assert dec.triangle_slack >= -1e-10
     with pytest.raises(ValueError):
