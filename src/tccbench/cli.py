@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(args, argv)
         return args.func(args)
-    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverFailureError, GapViolationError, SingularJacobianError) as exc:

@@ -27,6 +27,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionLimitError,
     DimensionMismatchError,
     NonFiniteAmplitudeError,
     NonPositiveWeightError,
@@ -34,6 +35,7 @@ from .errors import (
 )
 
 MAX_SPIN_ORBITALS = 64
+MAX_DENSE_DIM = 20_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,10 @@ class OrbitalBasis:
             raise ValueError(f"need 0 < N < K, got N={n}, K={k}")
         if k > MAX_SPIN_ORBITALS:
             raise ValueError(f"K={k} exceeds the hard limit of {MAX_SPIN_ORBITALS}")
+        # checked before any layer enumerates the determinants or their indices
+        dim = math.comb(k, n)
+        if dim > MAX_DENSE_DIM:
+            raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
 
     @property
     def reference(self) -> "Determinant":
@@ -142,61 +148,39 @@ class ExcitationIndex:
         )
 
 
-def _count_below(mask: int, orbital: int) -> int:
-    return (mask & ((1 << (orbital - 1)) - 1)).bit_count()
-
-
-def _annihilate(mask: int, orbital: int) -> Optional[tuple[int, int]]:
-    bit = 1 << (orbital - 1)
-    if not mask & bit:
-        return None
-    sign = -1 if _count_below(mask, orbital) & 1 else 1
-    return mask & ~bit, sign
-
-
-def _create(mask: int, orbital: int) -> Optional[tuple[int, int]]:
-    bit = 1 << (orbital - 1)
-    if mask & bit:
-        return None
-    sign = -1 if _count_below(mask, orbital) & 1 else 1
-    return mask | bit, sign
-
-
 def apply_excitation(
     mu: ExcitationIndex, det: Determinant
 ) -> Optional[tuple[Determinant, int]]:
     """Apply X_mu to a determinant; None when annihilated.
 
     Returns the canonical resulting determinant and the fermionic phase.
+    Holes and particles are disjoint: X_mu acts iff its holes are occupied and particles empty.
     """
     mask = det.mask
-    sign = 1
-    # rightmost pair of the operator string acts first
-    for hole, particle in reversed(list(zip(mu.holes, mu.particles))):
-        step = _annihilate(mask, hole)
-        if step is None:
-            return None
-        mask, s = step
-        sign *= s
-        step = _create(mask, particle)
-        if step is None:
-            return None
-        mask, s = step
-        sign *= s
-    return Determinant.from_mask(mask), sign
+    holes, particles = Determinant(mu.holes).mask, Determinant(mu.particles).mask
+    if mask & holes != holes or mask & particles:
+        return None
+    out, sign = _excite(np.array([mask], dtype=np.uint64),
+                        np.array([mu.holes]), np.array([mu.particles]))
+    return Determinant.from_mask(int(out[0])), int(sign[0])
+
+
+def _excitation_of(mask: int, n_electrons: int) -> Optional[ExcitationIndex]:
+    """The mu with X_mu phi_0 = +-phi_mask for an N-electron mask; None for phi_0."""
+    ref = (1 << n_electrons) - 1
+    if mask == ref:
+        return None
+    return ExcitationIndex(Determinant.from_mask(ref & ~mask).occ,
+                           Determinant.from_mask(mask & ~ref).occ)
 
 
 def excitation_from_reference(
     det: Determinant, basis: OrbitalBasis
 ) -> Optional[tuple[ExcitationIndex, int]]:
     """Unique mu and sign with X_mu phi_0 = sign * phi_det; None for phi_0."""
-    ref = set(range(1, basis.n_electrons + 1))
-    occ = set(det.occ)
-    holes = tuple(sorted(ref - occ))
-    particles = tuple(sorted(occ - ref))
-    if not holes:
+    mu = _excitation_of(det.mask, basis.n_electrons)
+    if mu is None:
         return None
-    mu = ExcitationIndex(holes, particles)
     applied = apply_excitation(mu, basis.reference)
     assert applied is not None and applied[0] == det
     return mu, applied[1]
@@ -267,17 +251,6 @@ class AmplitudeVector:
     def get(self, mu: ExcitationIndex) -> float:
         return self.entries.get(mu, 0.0)
 
-    def check_space(self, split: BasisSplit) -> None:
-        """Verify every key's CAS/ext classification matches the tag."""
-        if self.space == SPACE_FULL:
-            return
-        want = SPACE_CAS if self.space == SPACE_CAS else SPACE_EXT
-        for mu in self.entries:
-            if classify_excitation(mu, split) != want:
-                raise SpaceMismatchError(
-                    f"index {mu} is not {want} under split k={split.k}"
-                )
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -344,9 +317,9 @@ def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise X_mu on determinant masks: the resulting masks and phases.
 
-    Row i applies the index with 1-based `holes[i]` -> `particles[i]`, rightmost
-    pair first, as apply_excitation does; every hole must be occupied and
-    every particle empty in masks[i].
+    Row i applies the index with 1-based `holes[i]` -> `particles[i]` as the
+    operator string of the module docstring, rightmost pair first; every hole
+    must be occupied and every particle empty in masks[i].
     """
     sign = np.ones(len(masks))
     for q in reversed(range(holes.shape[1])):

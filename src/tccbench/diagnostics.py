@@ -380,8 +380,8 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     space = external_space(split)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
-    e_star = tcc_energy(t_star, t_cas, ints, split)
-    e_d = tcc_energy(t_d, t_cas, ints, split)
+    op = TailoredHamiltonian(t_cas, ints, split, space, 0)
+    e_star, e_d = (float(op(t)[space.reference]) for t in (ts, td))
 
     jac, grad, f_d = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
     rho_primal = float(-(f_d @ (zs - zd)))

@@ -17,9 +17,10 @@ import numpy as np
 from .determinants import (
     AmplitudeVector,
     BasisSplit,
-    ExcitationIndex,
+    ExcitationSpace,
     OrbitalBasis,
     SPACE_FULL,
+    _excitation_of,
     determinant_masks,
     excitation_space,
     spin_sectors,
@@ -88,17 +89,15 @@ def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
     return CiVector(basis, psi, NORM_INTERMEDIATE)
 
 
-def _vector_to_amplitudes(w: np.ndarray, basis: OrbitalBasis) -> AmplitudeVector:
-    """Read a reference-orthogonal vector as amplitudes: w = sum t_mu X_mu phi_0."""
-    n = basis.n_electrons
+def _support_space(w: np.ndarray, basis: OrbitalBasis) -> ExcitationSpace:
+    """The indices mu with X_mu phi_0 in the support of a reference-orthogonal w, in
+    enumerate_excitations order: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
     if w[_reference_position(basis)] != 0.0:
         raise DimensionMismatchError("vector has a reference component")
-    # the space of w's support, in enumerate_excitations order
-    indices = [ExcitationIndex(tuple(p for p in range(1, n + 1) if not m >> (p - 1) & 1),
-                               tuple(p for p in range(n + 1, m.bit_length() + 1) if m >> (p - 1) & 1))
+    n = basis.n_electrons
+    indices = [_excitation_of(m, n)
                for m in determinant_masks(basis.n_orbitals, n)[np.flatnonzero(w)].tolist()]
-    space = excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
-    return space.amplitudes(space.project(w), SPACE_FULL)
+    return excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
 
 
 def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
@@ -111,9 +110,8 @@ def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
     psi = psi.intermediate_normalized()
     c = psi.coefficients.copy()
     c[_reference_position(basis)] = 0.0
-    s = _vector_to_amplitudes(c, basis)
-    space = support_space(s, basis)
-    s_vec = space.embed(s)
+    space = _support_space(c, basis)
+    s_vec = space.project(c)
 
     acc = c.copy()           # m = 1 term: S phi_0
     power = c.copy()         # S^m phi_0
@@ -122,7 +120,8 @@ def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
         if not power.any():
             break
         acc += ((-1) ** (m + 1) / m) * power
-    return _vector_to_amplitudes(acc, basis)
+    space = _support_space(acc, basis)
+    return space.amplitudes(space.project(acc), SPACE_FULL)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .determinants import (
     spin_sectors,
 )
 from .errors import (
-    DimensionLimitError,
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
@@ -45,7 +44,6 @@ from .errors import (
 SYMMETRY_8FOLD = "8-fold"
 SYMMETRY_4FOLD = "4-fold"
 
-MAX_DENSE_DIM = 20_000
 MAX_MODEL_LEVELS = 10
 
 
@@ -396,8 +394,6 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     K = basis.n_orbitals
     masks = determinant_masks(K, basis.n_electrons)
     dim = len(masks)
-    if dim > MAX_DENSE_DIM:
-        raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
     h1, anti = ints.spin_orbital_tensors
     occ = occupations(masks, K)
     diag = np.full(dim, float(ints.e_core))

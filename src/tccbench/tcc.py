@@ -33,7 +33,6 @@ from .determinants import (
     classify_excitation,
     enumerate_excitations,
     excitation_space,
-    support_space,
 )
 from .errors import (
     GapViolationError,
@@ -177,29 +176,30 @@ class TailoredHamiltonian:
 
 
 def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                           split: BasisSplit, rank: int) -> tuple[np.ndarray, ExcitationSpace]:
-    """The transformed reference up to level `rank`, with T on the space of t's indices."""
+                           split: BasisSplit, rank: int) -> np.ndarray:
+    """The transformed reference up to level `rank`, with t embedded in external_space(split).
+
+    Rows of indices off t's support add +-0.0 to sums that start at +0.0: the bits of T on it.
+    """
     if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
         raise SpaceMismatchError(f"external amplitudes tagged {t.space!r}")
-    t.check_space(split)
-    t_cas.check_space(split)
-    space = support_space(t, split.basis)
-    return TailoredHamiltonian(t_cas, ints, split, space, rank)(space.embed(t)), space
+    space = external_space(split)
+    return TailoredHamiltonian(t_cas, ints, split, space, rank)(space.embed(t))
 
 
 def tcc_residual(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                  split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """f(t; t^CAS) restricted to the truncated index set."""
     target = truncated_space(split, scheme)
-    v, _ = _transformed_reference(t, t_cas, ints, split, target.max_rank)
+    v = _transformed_reference(t, t_cas, ints, split, target.max_rank)
     return target.amplitudes(target.project(v), SPACE_TRUNCATED, scheme.describe())
 
 
 def tcc_energy(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                split: BasisSplit) -> float:
     """<phi_0, e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0>."""
-    v, space = _transformed_reference(t, t_cas, ints, split, 0)
-    return float(v[space.reference])
+    v = _transformed_reference(t, t_cas, ints, split, 0)
+    return float(v[external_space(split).reference])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,10 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
             if len(trials) > 1:
                 trial = _diis_extrapolate(trials, errs)
         t_vec = trial
+    else:
+        # out of iterations: the last update was never evaluated
+        energy = float(op(t_vec)[space.reference])
 
-    energy = float(op(t_vec)[space.reference])
     t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
     return TccResult(t, energy, history, converged, it, diverged)
 

@@ -299,6 +299,35 @@ def test_exit_size_limit(capsys):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def dim_184756_fcidump(tmp_path_factory):
+    """NORB=10, NELEC=10: K=20, N=10 and 184756 determinants."""
+    path = tmp_path_factory.mktemp("big") / "hubbard10.fcidump"
+    with open(path, "w") as fh:
+        write_fcidump(hubbard_model(10, 1.0, 2.0), fh)
+    return path
+
+
+@pytest.mark.parametrize("command", [["fci"], ["tcc", "--k", "12"],
+                                     ["verify", "--k", "12", "--samples", "2"]],
+                         ids=lambda command: command[0])
+def test_size_limit_is_checked_before_enumeration(command, dim_184756_fcidump, capsys):
+    # the guard ran only in the dense H build, after every determinant (and, under
+    # verify, every excitation index) had been enumerated
+    code, out, err = run([*command, "--fcidump", str(dim_184756_fcidump)], capsys)
+    assert code == 3 and not out
+    assert err == "limit exceeded: determinant space dim 184756 exceeds 20000\n"
+
+
+@pytest.mark.parametrize("flag", ["--config", "--fcidump"])
+def test_unreadable_paths_are_input_errors(flag, tmp_path, capsys):
+    # a directory ended in an IsADirectoryError traceback
+    args = ["fci", "--model", "hubbard:2,1.0,4.0"] if flag == "--config" else ["fci"]
+    code, out, err = run([*args, flag, str(tmp_path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error:") and "Is a directory" in err
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -340,6 +369,32 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
     assert len(primal) == 6
     assert len(set(primal)) == 6      # a config carries its truncation
     assert len(dual) == 6
+
+
+def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
+    from tccbench import determinants
+
+    built = {"spaces": 0, "operators": 0}
+
+    def counted(cls, key):
+        init = cls.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built[key] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    counted(determinants.ExcitationSpace, "spaces")
+    counted(tcc.TailoredHamiltonian, "operators")
+    for cached in (determinants.excitation_space, tcc.truncated_space, tcc.cas_space):
+        cached.cache_clear()          # count from a cold start, as one command
+    code, _, _ = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                      "--trunc", "rank:2", "--diis", "8"], capsys)
+    assert code == 0
+    # the CAS space, the rank:1/2/3 and full external spaces (tailored evaluations
+    # run on the full one) and one space per cluster amplitude support
+    assert built["spaces"] <= 8
+    assert built["operators"] <= 18
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,14 @@ from tccbench import (
     excitation_from_reference,
     v_ext_norm,
 )
-from tccbench.determinants import SPACE_EXT, SPACE_FULL, excitation_space, spin_sectors
-from tccbench.errors import NonPositiveWeightError, SpaceMismatchError
+from tccbench.determinants import (
+    SPACE_CAS,
+    SPACE_EXT,
+    SPACE_FULL,
+    excitation_space,
+    spin_sectors,
+)
+from tccbench.errors import DimensionLimitError, NonPositiveWeightError, SpaceMismatchError
 
 
 def _oracle_action(mu, det, n_modes):
@@ -166,6 +172,10 @@ def test_basis_validation():
         OrbitalBasis(4, 4)
     with pytest.raises(ValueError):
         OrbitalBasis(70, 2)
+    # the dense-dimension guard runs where the basis is made, before any enumeration
+    OrbitalBasis(18, 6)                      # dim 18564
+    with pytest.raises(DimensionLimitError, match="dim 2704156 exceeds 20000"):
+        OrbitalBasis(24, 12)
     with pytest.raises(ValueError):
         BasisSplit(OrbitalBasis(6, 3), 2)
 
@@ -180,10 +190,17 @@ def test_amplitude_vector_pruning_and_order():
 
 
 def test_space_check(pairing4):
-    mu_cas = ExcitationIndex((1,), (5,))
-    t = AmplitudeVector(SPACE_EXT, {mu_cas: 0.1})
-    with pytest.raises(SpaceMismatchError):
-        t.check_space(pairing4.split)
+    # the tailored evaluations embed t in the external space and t^CAS in the
+    # CAS space; each rejects an index from the other
+    from tccbench import TruncationScheme, tcc_energy, tcc_residual
+
+    mu_cas, mu_ext = ExcitationIndex((1,), (5,)), ExcitationIndex((1,), (7,))
+    for t, t_cas in ((AmplitudeVector(SPACE_EXT, {mu_cas: 0.1}), AmplitudeVector(SPACE_CAS)),
+                     (AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS, {mu_ext: 0.1}))):
+        with pytest.raises(SpaceMismatchError):
+            tcc_energy(t, t_cas, pairing4.ints, pairing4.split)
+        with pytest.raises(SpaceMismatchError):
+            tcc_residual(t, t_cas, pairing4.ints, pairing4.split, TruncationScheme("full"))
 
 
 def test_v_ext_norm_matches_weights(pairing4):

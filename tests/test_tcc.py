@@ -22,12 +22,14 @@ from tccbench import (
     tcc_energy,
     tcc_residual,
 )
+from tccbench import tcc
 from tccbench.determinants import (
     SPACE_CAS,
     SPACE_EXT,
     SPACE_FULL,
     classify_excitation,
     enumerate_excitations,
+    excitation_space,
 )
 from tccbench.errors import (
     GapViolationError,
@@ -35,7 +37,7 @@ from tccbench.errors import (
     SpaceMismatchError,
 )
 from tccbench.hamiltonian import FockSpectrum
-from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, cas_space, truncated_space
+from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, Study, cas_space, truncated_space
 
 
 def _cas_amplitudes(system):
@@ -110,6 +112,38 @@ def test_space_tags_are_enforced(pairing4):
         tcc_energy(_empty_ext(), bad_cas, pairing4.ints, pairing4.split)
 
 
+def _on_support(t, t_cas, system, scheme):
+    """Energy and residual with T on the space of t's own indices, in canonical order."""
+    space = excitation_space(system.basis, tuple(sorted(t.entries)))
+    target = truncated_space(system.split, scheme)
+    energy = TailoredHamiltonian(t_cas, system.ints, system.split, space, 0)
+    residual = TailoredHamiltonian(t_cas, system.ints, system.split, space, target.max_rank)
+    t_vec = space.embed(t)
+    return float(energy(t_vec)[space.reference]), target.project(residual(t_vec))
+
+
+@pytest.mark.parametrize("trunc", ["rank:1", "rank:2", "full", "fci pair"])
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_external_space_evaluation_equals_the_support_space(model, trunc, request):
+    """t enters external_space(split) with zeros off its support: the same bits."""
+    system = request.getfixturevalue(model)
+    if trunc == "fci pair":
+        scheme = TruncationScheme(MODE_FULL)
+        _, states = fci_solve(system.ints, system.basis)
+        t_cas, t = split_amplitudes(ci_to_cluster(states[0]), system.split)
+    else:
+        mode, _, n = trunc.partition(":")
+        scheme = TruncationScheme(mode, int(n) if n else None)
+        study = Study(system.ints, system.split, system.fock)
+        t_cas = study.t_cas
+        t = study.root(TccConfig(max_iterations=500, tolerance=1e-11, diis=8,
+                                 truncation=scheme)).t
+    energy, residual = _on_support(t, t_cas, system, scheme)
+    assert tcc_energy(t, t_cas, system.ints, system.split) == energy
+    got = tcc_residual(t, t_cas, system.ints, system.split, scheme)
+    assert np.array_equal(truncated_space(system.split, scheme).embed(got), residual)
+
+
 def test_zero_amplitude_energy_is_reference_expectation(pairing4):
     """With t = t_cas = 0 the energy is <phi0|H|phi0>."""
     from oracle import matrix_element
@@ -136,6 +170,22 @@ def test_solver_reaches_fci_split_root(pairing4):
     # history is (iteration, l2, dual-norm, energy) and the final l2 converged
     assert result.history[-1][1] <= 1e-11
     assert result.history[0][0] == 1
+
+
+def test_solver_evaluates_each_iterate_once(pairing4, monkeypatch):
+    calls = []
+    call = tcc.TailoredHamiltonian.__call__
+    monkeypatch.setattr(tcc.TailoredHamiltonian, "__call__",
+                        lambda op, t: calls.append(1) or call(op, t))
+    result = solve_tcc(_cas_amplitudes(pairing4), pairing4.ints, pairing4.split,
+                       pairing4.fock, TccConfig(diis=8))
+    assert result.converged
+    # the converged iterate's energy is read off the loop's last evaluation
+    assert len(calls) == result.iterations
+    calls.clear()
+    result = solve_tcc(_cas_amplitudes(pairing4), pairing4.ints, pairing4.split,
+                       pairing4.fock, TccConfig(max_iterations=3))
+    assert not result.converged and len(calls) == 4
 
 
 def test_collapse_k_equals_n_reproduces_cc_equals_fci(hubbard2_mo, pairing3_2e):
