@@ -213,8 +213,12 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise InputError(f"need --seed >= 0, got {args.seed}")
     ints, basis, split = _load_split(args)
-    fock = fock_matrix(ints, basis)
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)
+    m = min(basis.n_electrons, basis.n_orbitals - basis.n_electrons)
+    if (run_all or args.error_scaling) and m < 4:
+        raise InputError(f"the scaling fit needs m = min(N, K-N) >= 4 (rank:1..m-1 are fitted), "
+                         f"got m = {m}; run --assumptions or --decomposition instead")
+    fock = fock_matrix(ints, basis)
     payload: dict = {"gap": gap_report(fock, split)}
     cfg = _config_dict(args, ["k", "trunc", "delta", "samples", "tol", "damping", "diis",
                               "max_iterations", "assumptions", "error_scaling",
@@ -239,8 +243,7 @@ def cmd_verify(args) -> int:
             study.t_cas, ints, split, fock)
     scaling = None
     if run_all or args.error_scaling:
-        max_rank = min(basis.n_electrons, basis.n_orbitals - basis.n_electrons)
-        family = [TruncationScheme(MODE_RANK, r) for r in range(1, max_rank)]
+        family = [TruncationScheme(MODE_RANK, r) for r in range(1, m)]
         family.append(TruncationScheme(MODE_FULL))
         scaling = quadratic_scaling_study(study, family)
         payload["scaling"] = scaling

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -60,6 +60,11 @@ class OrbitalBasis:
     def reference(self) -> "Determinant":
         return Determinant(tuple(range(1, self.n_electrons + 1)))
 
+    @cached_property
+    def determinants(self) -> "DeterminantSpace":
+        """The N-electron determinant space, built once per basis."""
+        return DeterminantSpace(self)
+
 
 @dataclass(frozen=True)
 class BasisSplit:
@@ -77,7 +82,7 @@ class BasisSplit:
 
     def cas_determinants(self) -> np.ndarray:
         """Whether each determinant, in enumeration order, lies inside the CAS."""
-        return determinant_masks(self.basis.n_orbitals, self.basis.n_electrons) < (1 << self.k)
+        return self.basis.determinants.masks < (1 << self.k)
 
 
 @dataclass(frozen=True)
@@ -165,20 +170,11 @@ def apply_excitation(
     return Determinant.from_mask(int(out[0])), int(sign[0])
 
 
-def _excitation_of(mask: int, n_electrons: int) -> Optional[ExcitationIndex]:
-    """The mu with X_mu phi_0 = +-phi_mask for an N-electron mask; None for phi_0."""
-    ref = (1 << n_electrons) - 1
-    if mask == ref:
-        return None
-    return ExcitationIndex(Determinant.from_mask(ref & ~mask).occ,
-                           Determinant.from_mask(mask & ~ref).occ)
-
-
 def excitation_from_reference(
     det: Determinant, basis: OrbitalBasis
 ) -> Optional[tuple[ExcitationIndex, int]]:
     """Unique mu and sign with X_mu phi_0 = sign * phi_det; None for phi_0."""
-    mu = _excitation_of(det.mask, basis.n_electrons)
+    mu = basis.determinants.excitation(det.mask)
     if mu is None:
         return None
     applied = apply_excitation(mu, basis.reference)
@@ -284,29 +280,64 @@ def v_ext_norm(t: AmplitudeVector, fock) -> float:
 _TABLE_BLOCK = 1 << 14
 
 
-@lru_cache(maxsize=64)
-def determinant_masks(n_orbitals: int, n_electrons: int) -> np.ndarray:
-    """Bit masks of the N-electron determinants, in enumerate_determinants order."""
-    occ = np.array(list(combinations(range(n_orbitals), n_electrons)), dtype=np.uint64)
-    masks = np.bitwise_or.reduce(np.left_shift(np.uint64(1), occ), axis=1)
-    masks.flags.writeable = False
-    return masks
+class DeterminantSpace:
+    """The N-electron determinants of a basis (OrbitalBasis.determinants), in
+    enumerate_determinants order; every layer reads them from here.
+
+    Holds the bit masks, their sorted lookup behind `position`, each
+    determinant's excitation level (its electrons above orbital N) and the
+    reference's position. The occupation table and the S_z sectors are built
+    on first use. Every array is read-only.
+    """
+
+    reference = 0   # combinations() starts with orbitals 1..N
+
+    def __init__(self, basis: OrbitalBasis):
+        self.basis = basis
+        occ = np.array(list(combinations(range(basis.n_orbitals), basis.n_electrons)),
+                       dtype=np.uint64)
+        self.masks = _frozen(np.bitwise_or.reduce(np.left_shift(np.uint64(1), occ), axis=1))
+        # the masks are distinct, so any sort gives this order; the merge sort
+        # touches far less of numpy's code than the default SIMD quicksort
+        self._order = _frozen(np.argsort(self.masks, kind="stable"))
+        self._sorted = _frozen(self.masks[self._order])
+        self.levels = _frozen(np.bitwise_count(self.masks >> np.uint64(basis.n_electrons)))
+
+    def position(self, masks: np.ndarray) -> np.ndarray:
+        """Positions of N-electron determinant masks in the enumeration order."""
+        return self._order[np.searchsorted(self._sorted, masks)]
+
+    def reference_state(self) -> np.ndarray:
+        """phi_0 as a coefficient vector."""
+        v = np.zeros(len(self.masks))
+        v[self.reference] = 1.0
+        return v
+
+    def excitation(self, mask: int) -> Optional[ExcitationIndex]:
+        """The mu with X_mu phi_0 = +-phi_mask for an N-electron mask; None for phi_0."""
+        ref = int(self.masks[self.reference])
+        if mask == ref:
+            return None
+        return ExcitationIndex(Determinant.from_mask(ref & ~mask).occ,
+                               Determinant.from_mask(mask & ~ref).occ)
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(dim, K) bools: whether 0-based spin-orbital p is in each determinant."""
+        bits = np.arange(self.basis.n_orbitals, dtype=np.uint64)
+        return _frozen(((self.masks[:, None] >> bits) & np.uint64(1)).astype(bool))
+
+    @cached_property
+    def sectors(self) -> tuple[np.ndarray, ...]:
+        """Ascending determinant positions per up-spin count (orbitals 2p-1), lowest count first."""
+        up = np.bitwise_count(self.masks & np.uint64(0x5555_5555_5555_5555))   # even bits: spin up
+        return tuple(_frozen(np.flatnonzero(up == u))
+                     for u in range(int(up.min()), int(up.max()) + 1))
 
 
-@lru_cache(maxsize=64)
-def spin_sectors(n_orbitals: int, n_electrons: int) -> tuple[np.ndarray, ...]:
-    """Ascending determinant positions per up-spin count (orbitals 2p-1), lowest count first."""
-    masks = determinant_masks(n_orbitals, n_electrons)
-    up = np.bitwise_count(masks & np.uint64(0x5555_5555_5555_5555))   # even bits: spin up
-    sectors = tuple(np.flatnonzero(up == u) for u in range(int(up.min()), int(up.max()) + 1))
-    for idx in sectors:
-        idx.flags.writeable = False
-    return sectors
-
-
-def occupations(masks: np.ndarray, n_orbitals: int) -> np.ndarray:
-    """(len(masks), K) bools: whether 0-based spin-orbital p is in each mask."""
-    return ((masks[:, None] >> np.arange(n_orbitals, dtype=np.uint64)) & np.uint64(1)).astype(bool)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _bits(orbitals: np.ndarray) -> np.ndarray:
@@ -332,10 +363,11 @@ def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
 
 
 class ExcitationSpace:
-    """An ordered set of excitation indices acting on the N-electron determinants.
+    """An ordered set of excitation indices acting on the N-electron determinants
+    of the basis's shared DeterminantSpace (`dets`).
 
-    Holds the determinant masks, the position of X_mu phi_0 and its sign for
-    every index, and -- built on first use -- the excitation table
+    Holds the position of X_mu phi_0 and its sign for every index, and --
+    built on first use -- the excitation table
     (src, dst, sign, mu): X_{indices[mu]} phi_src = sign * phi_dst, one row
     per nonzero action, grouped by rank, then ordered by index and source
     determinant. Amplitude vectors on the space are ndarrays in index
@@ -344,12 +376,8 @@ class ExcitationSpace:
 
     def __init__(self, basis: OrbitalBasis, indices: Sequence[ExcitationIndex]):
         self.basis = basis
+        self.dets = basis.determinants
         self.indices = tuple(indices)
-        self.masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
-        # the masks are distinct, so any sort gives this order; the merge sort
-        # touches far less of numpy's code than the default SIMD quicksort
-        self._order = np.argsort(self.masks, kind="stable")
-        self._sorted = self.masks[self._order]
         self._slot = {mu: a for a, mu in enumerate(self.indices)}
         by_rank: dict[int, list[int]] = {}
         for a, mu in enumerate(self.indices):
@@ -362,8 +390,8 @@ class ExcitationSpace:
             for _, ids in sorted(by_rank.items())
         ]
         self.max_rank = max(by_rank, default=0)
-        ref_mask = np.uint64((1 << basis.n_electrons) - 1)
-        self.reference = int(self.position(np.array([ref_mask]))[0])
+        self.reference = self.dets.reference
+        self.dim = len(self.dets.masks)
         _, dst, sign, mu = self._rows(np.array([self.reference]))
         if len(mu) != len(self):
             hit = set(mu.tolist())
@@ -373,30 +401,19 @@ class ExcitationSpace:
         self.ref_pos[mu] = dst
         self.ref_sign = np.empty(len(self))
         self.ref_sign[mu] = sign
-        self._table: Optional[tuple[np.ndarray, ...]] = None
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
-    def dim(self) -> int:
-        return len(self.masks)
-
-    def position(self, masks: np.ndarray) -> np.ndarray:
-        """Positions of N-electron determinant masks in the enumeration order."""
-        return self._order[np.searchsorted(self._sorted, masks)]
-
     def reference_state(self) -> np.ndarray:
         """phi_0 as a coefficient vector."""
-        v = np.zeros(self.dim)
-        v[self.reference] = 1.0
-        return v
+        return self.dets.reference_state()
 
     def _rows(self, sources: np.ndarray) -> tuple[np.ndarray, ...]:
         """(src, dst, sign, mu) of every nonzero X_mu phi_src with src in `sources`."""
         cols = [[np.empty(0, dtype=np.int32)] * 2 + [np.empty(0, dtype=np.int8)]
                 + [np.empty(0, dtype=np.int32)]]
-        masks = self.masks[sources]
+        masks = self.dets.masks[sources]
         step = max(1, _TABLE_BLOCK // len(sources))
         for ids, holes, particles in self._groups:
             hole_masks = np.bitwise_or.reduce(_bits(holes), axis=1)
@@ -407,16 +424,14 @@ class ExcitationSpace:
                 a, j = np.nonzero(((masks & h) == h) & ((masks & p) == 0))
                 a += lo
                 dst, sign = _excite(masks[j], holes[a], particles[a])
-                cols.append([sources[j].astype(np.int32), self.position(dst).astype(np.int32),
+                cols.append([sources[j].astype(np.int32), self.dets.position(dst).astype(np.int32),
                              sign.astype(np.int8), ids[a].astype(np.int32)])
         return tuple(np.concatenate(col) for col in zip(*cols))
 
-    @property
+    @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sign, mu) rows of every nonzero X_mu phi_src."""
-        if self._table is None:
-            self._table = self._rows(np.arange(self.dim))
-        return self._table
+        return self._rows(np.arange(self.dim))
 
     def block(self, rank: int) -> tuple[np.ndarray, tuple, np.ndarray]:
         """(rows, (src, dst), outside): the table rows with phi_dst at excitation
@@ -425,7 +440,7 @@ class ExcitationSpace:
         X_mu raises the level by |mu|, so these rows alone give T @ v on
         those determinants from v on them, summed in the same table order.
         """
-        level = np.bitwise_count(self.masks >> np.uint64(self.basis.n_electrons))
+        level = self.dets.levels
         src, dst, _, _ = self.table
         rows = np.flatnonzero(level[dst] <= rank)
         return rows, (src[rows], dst[rows]), level > rank

@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import determinant_masks, occupations
 from .errors import (EmptySelectionError, IndexOutOfRangeError, NotNormalizedError,
                      SameOrbitalError)
 from .exact import CiVector
@@ -56,7 +55,7 @@ def _orbital_rdms(psi: CiVector) -> tuple[np.ndarray, np.ndarray]:
     """
     c = _check_normalized(psi)
     k = psi.basis.n_orbitals
-    occ = occupations(determinant_masks(k, psi.basis.n_electrons), k)
+    occ = psi.basis.determinants.occupations
     w = (c * c)[:, None]
     n_occ = _column_sums(occ, w)
     one = np.zeros((k, 2, 2))

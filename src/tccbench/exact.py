@@ -20,10 +20,7 @@ from .determinants import (
     ExcitationSpace,
     OrbitalBasis,
     SPACE_FULL,
-    _excitation_of,
-    determinant_masks,
     excitation_space,
-    spin_sectors,
     support_space,
 )
 from .errors import DimensionMismatchError, StateCountError, ZeroReferenceOverlapError
@@ -47,14 +44,14 @@ class CiVector:
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        dim = len(determinant_masks(self.basis.n_orbitals, self.basis.n_electrons))
+        dim = len(self.basis.determinants.masks)
         if self.coefficients.shape != (dim,):
             raise DimensionMismatchError(
                 f"expected {dim} coefficients, got {self.coefficients.shape}"
             )
 
     def intermediate_normalized(self) -> "CiVector":
-        c0 = float(self.coefficients[_reference_position(self.basis)])
+        c0 = float(self.coefficients[self.basis.determinants.reference])
         if abs(c0) < 1e-12:
             raise ZeroReferenceOverlapError(
                 f"reference overlap {c0:.3e} too small for intermediate normalization"
@@ -73,11 +70,6 @@ class SpectralSummary:
         return float(self.eigenvalues[self.state_index])
 
 
-def _reference_position(basis: OrbitalBasis) -> int:
-    masks = determinant_masks(basis.n_orbitals, basis.n_electrons)
-    return int(np.flatnonzero(masks == (1 << basis.n_electrons) - 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Cluster exp/log maps
 # ---------------------------------------------------------------------------
@@ -92,11 +84,10 @@ def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
 def _support_space(w: np.ndarray, basis: OrbitalBasis) -> ExcitationSpace:
     """The indices mu with X_mu phi_0 in the support of a reference-orthogonal w, in
     enumerate_excitations order: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
-    if w[_reference_position(basis)] != 0.0:
+    dets = basis.determinants
+    if w[dets.reference] != 0.0:
         raise DimensionMismatchError("vector has a reference component")
-    n = basis.n_electrons
-    indices = [_excitation_of(m, n)
-               for m in determinant_masks(basis.n_orbitals, n)[np.flatnonzero(w)].tolist()]
+    indices = [dets.excitation(m) for m in dets.masks[np.flatnonzero(w)].tolist()]
     return excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
 
 
@@ -109,7 +100,7 @@ def ci_to_cluster(psi: CiVector) -> AmplitudeVector:
     basis = psi.basis
     psi = psi.intermediate_normalized()
     c = psi.coefficients.copy()
-    c[_reference_position(basis)] = 0.0
+    c[basis.determinants.reference] = 0.0
     space = _support_space(c, basis)
     s_vec = space.project(c)
 
@@ -155,7 +146,7 @@ def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarra
     if degenerate:
         warnings.warn(f"near-degenerate {label}ground state; sign fix by lowest determinant index",
                       DegenerateGroundStateWarning, stacklevel=3)
-        lead = np.array([_reference_position(basis) in idx for idx in blocks])[block]
+        lead = np.array([basis.determinants.reference in idx for idx in blocks])[block]
         order = np.lexsort((values, ~(lead & (values - values[order[0]] < 1e-10))))
     states = []
     for i in order[:n_states]:
@@ -170,8 +161,7 @@ def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
               ) -> tuple[SpectralSummary, list[CiVector]]:
     """Lowest eigenpairs of the dense H over the full space, one S_z sector at a time."""
     ham = build_dense_hamiltonian(ints, basis)
-    return _lowest_states(ham, basis, spin_sectors(basis.n_orbitals, basis.n_electrons),
-                          n_states, "")
+    return _lowest_states(ham, basis, basis.determinants.sectors, n_states, "")
 
 
 def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,

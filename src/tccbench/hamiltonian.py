@@ -25,13 +25,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .determinants import (
-    ExcitationIndex,
-    OrbitalBasis,
-    determinant_masks,
-    occupations,
-    spin_sectors,
-)
+from .determinants import ExcitationIndex, OrbitalBasis
 from .errors import (
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
@@ -377,10 +371,10 @@ def _lowest_orbitals(masks: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
-    """Dense symmetric H over enumerate_determinants order (cached).
+    """Dense symmetric H over the basis's DeterminantSpace, in its order (cached).
 
-    The Slater-Condon rules on determinant bit masks, a block of rows of one
-    S_z sector (spin_sectors) at a time: popcount(m_a ^ m_b) sorts each pair
+    The Slater-Condon rules on the space's bit masks, a block of rows of one
+    of its S_z sectors at a time: popcount(m_a ^ m_b) sorts each pair
     b > a into a single (2), a double (4) or a zero. Pairs from different
     sectors are never visited; their entries are +0.0. The phases and every
     sum follow the order of the scalar Slater-Condon reference in the tests
@@ -391,11 +385,9 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     cached = ints._dense_cache.get(key)
     if cached is not None:
         return cached
-    K = basis.n_orbitals
-    masks = determinant_masks(K, basis.n_electrons)
-    dim = len(masks)
+    K, dets = basis.n_orbitals, basis.determinants
+    masks, occ, dim = dets.masks, dets.occupations, len(dets.masks)
     h1, anti = ints.spin_orbital_tensors
-    occ = occupations(masks, K)
     diag = np.full(dim, float(ints.e_core))
     for p in range(K):
         diag += np.where(occ[:, p], h1[p, p], 0.0)
@@ -405,7 +397,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     flat, h_flat, anti_flat = ham.reshape(-1), h1.reshape(-1), anti.reshape(-1)
     exchange = np.ascontiguousarray(anti.diagonal(axis1=1, axis2=3)).reshape(K * K, K)
     one = np.uint64(1)
-    for sector in spin_sectors(K, basis.n_electrons):
+    for sector in dets.sectors:
         step = max(1, (1 << 16) // len(sector))   # ~2^16 pairs a block: < 1 MB of temporaries
         for start in range(0, len(sector), step):
             n_diff = np.bitwise_count(masks[sector[start:start + step, None]]
@@ -442,7 +434,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
 
 def fock_diagonal_vector(fock: FockSpectrum, basis: OrbitalBasis) -> np.ndarray:
     """Diagonal of F in determinant order: Lambda0 + eps_mu per determinant."""
-    occ = occupations(determinant_masks(basis.n_orbitals, basis.n_electrons), basis.n_orbitals)
+    occ = basis.determinants.occupations
     diag = np.zeros(len(occ))
     for p, lam in enumerate(fock.lambdas):
         diag += np.where(occ[:, p], lam, 0.0)

@@ -49,7 +49,6 @@ from tccbench import (
 )
 from tccbench.cli import main as cli_main
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, excitation_space
-from tccbench.exact import _reference_position
 from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
 
 LN2 = np.log(2.0)
@@ -131,7 +130,7 @@ def test_acceptance_03_exp_log_round_trip(hubbard2_mo, hubbard3_mo, pairing4):
     for system in (hubbard2_mo, hubbard3_mo, pairing4):
         basis = system.basis
         dim = len(enumerate_determinants(basis))
-        refpos = _reference_position(basis)
+        refpos = basis.determinants.reference
         for _ in range(50):
             c = 0.5 * rng.standard_normal(dim)
             c[refpos] = 1.0

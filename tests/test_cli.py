@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import json
@@ -271,6 +272,19 @@ def test_negative_seed_is_an_input_error_before_any_solve(monkeypatch, capsys):
     assert code == 1 and err.startswith("error:") and "seed" in err and not out
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "hubbard:3,1.0,2.0", "--mo", "--k", "4"],
+    ["--model", "hubbard:3,1.0,2.0", "--mo", "--k", "4", "--error-scaling"],
+    ["--model", "hubbard:2,1.0,4.0", "--mo", "--k", "2"],
+])
+def test_verify_rejects_an_unfittable_scaling_study_before_any_solve(args, monkeypatch, capsys):
+    # m = min(N, K-N) < 4 leaves fewer than 3 fitted rows: hubbard:3 ran every solve
+    # and then exited 1 from the slope fit, hubbard:2 exited 2 on a singular adjoint
+    monkeypatch.setattr(tcc, "solve_tcc", _refuse("solve_tcc"))
+    code, out, err = run(["verify", *args], capsys)
+    assert code == 1 and err.startswith("error:") and "m = " in err and not out
+
+
 @pytest.mark.parametrize("flag", ["--mi-threshold", "--s-threshold"])
 def test_bad_thresholds_are_rejected_before_the_eigensolve(flag, monkeypatch, capsys):
     # select_cas checked them only after the FCI ground state and the entropy profile
@@ -371,10 +385,12 @@ def test_verify_solves_each_distinct_problem_once(monkeypatch, capsys):
     assert len(dual) == 6
 
 
-def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Constructions of the spaces and operators, and builds of the determinant
+    space's tables made on first use, counted from cold caches as in one command."""
     from tccbench import determinants
 
-    built = {"spaces": 0, "operators": 0}
+    built = dict.fromkeys(["dets", "spaces", "operators", "occupations", "sectors"], 0)
 
     def counted(cls, key):
         init = cls.__init__
@@ -384,10 +400,28 @@ def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted_init)
 
+    def counted_array(name):
+        build = determinants.DeterminantSpace.__dict__[name].func
+
+        def counted_build(self):
+            built[name] += 1
+            return build(self)
+        prop = functools.cached_property(counted_build)
+        prop.__set_name__(determinants.DeterminantSpace, name)
+        monkeypatch.setattr(determinants.DeterminantSpace, name, prop)
+
+    counted(determinants.DeterminantSpace, "dets")
     counted(determinants.ExcitationSpace, "spaces")
     counted(tcc.TailoredHamiltonian, "operators")
+    for name in ("occupations", "sectors"):
+        counted_array(name)
     for cached in (determinants.excitation_space, tcc.truncated_space, tcc.cas_space):
-        cached.cache_clear()          # count from a cold start, as one command
+        cached.cache_clear()
+    return built
+
+
+def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
+    built = _count_builds(monkeypatch)
     code, _, _ = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
                       "--trunc", "rank:2", "--diis", "8"], capsys)
     assert code == 0
@@ -395,6 +429,17 @@ def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
     # run on the full one) and one space per cluster amplitude support
     assert built["spaces"] <= 8
     assert built["operators"] <= 18
+    # one determinant space, so one mask sort, one level array and one occupation table
+    assert built["dets"] == built["occupations"] == built["sectors"] == 1
+
+
+def test_select_cas_builds_one_determinant_space(monkeypatch, capsys):
+    built = _count_builds(monkeypatch)
+    code, _, _ = run(["select-cas", "--model", "hubbard:6,1.0,2.0,4", "--mo"], capsys)
+    assert code == 0
+    # the H build and the orbital RDMs share one occupation table
+    assert built["dets"] == built["occupations"] == built["sectors"] == 1
+    assert built["spaces"] == 0
 
 
 # ---------------------------------------------------------------------------

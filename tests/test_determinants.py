@@ -22,7 +22,6 @@ from tccbench.determinants import (
     SPACE_EXT,
     SPACE_FULL,
     excitation_space,
-    spin_sectors,
 )
 from tccbench.errors import DimensionLimitError, NonPositiveWeightError, SpaceMismatchError
 
@@ -118,11 +117,22 @@ def test_counting_identity(k, n):
 
 
 @pytest.mark.parametrize("k,n", [(4, 1), (6, 3), (8, 4), (10, 3), (12, 4), (7, 3)])
-def test_spin_sectors_partition_the_determinants_in_order(k, n):
-    """One ascending block per up-spin count (odd orbitals 2p-1), counted the slow way."""
-    dets = enumerate_determinants(OrbitalBasis(k, n))
+def test_spin_sectors_partition_the_determinants_in_order(k, n, rng):
+    """The DeterminantSpace against the slow enumeration: masks in order, the position
+    lookup, the reference, excitation levels, occupations, and one ascending block per
+    up-spin count (odd orbitals 2p-1)."""
+    basis = OrbitalBasis(k, n)
+    dets = enumerate_determinants(basis)
+    space = basis.determinants
+    assert space.masks.tolist() == [d.mask for d in dets]
+    perm = rng.permutation(len(dets))
+    assert space.position(space.masks[perm]).tolist() == perm.tolist()
+    assert dets[space.reference] == basis.reference
+    assert space.reference_state().tolist() == [float(d == basis.reference) for d in dets]
+    assert space.levels.tolist() == [sum(p > n for p in d.occ) for d in dets]
+    assert space.occupations.tolist() == [[p in d.occ for p in range(1, k + 1)] for d in dets]
     up = [sum(p % 2 for p in d.occ) for d in dets]
-    sectors = spin_sectors(k, n)
+    sectors = space.sectors
     assert sorted(np.concatenate(sectors).tolist()) == list(range(len(dets)))
     for count, idx in zip(range(min(up), max(up) + 1), sectors, strict=True):
         assert idx.tolist() == [a for a, u in enumerate(up) if u == count]

@@ -235,11 +235,10 @@ def test_fock_norm_operator_norm_matches_power_iteration(pairing4, rng):
     # rebuild the weighted operator matrix independently and power-iterate
     from tccbench.determinants import enumerate_determinants
     from tccbench.determinants import support_space
-    from tccbench.exact import _reference_position
 
     basis = pairing4.basis
     dets = enumerate_determinants(basis)
-    refpos = _reference_position(basis)
+    refpos = basis.determinants.reference
     diag = np.array([sum(pairing4.fock.lambdas[p - 1] for p in d.occ)
                      for d in dets]) - pairing4.fock.lambda0
     dim = len(dets)

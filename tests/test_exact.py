@@ -22,14 +22,10 @@ from tccbench.determinants import (
     classify_excitation,
     enumerate_determinants,
     enumerate_excitations,
-    spin_sectors,
     support_space,
 )
 from tccbench.errors import ZeroReferenceOverlapError
-from tccbench.exact import (
-    CiVector,
-    _reference_position,
-)
+from tccbench.exact import CiVector
 
 
 def test_fci_matches_hubbard_dimer_analytic():
@@ -82,8 +78,8 @@ def test_odd_electron_ground_state_lies_in_the_reference_sector(model):
     basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
     summary, states = fci_solve(ints, basis)
     assert summary.gap < 1e-10
-    sector = next(idx for idx in spin_sectors(basis.n_orbitals, basis.n_electrons)
-                  if _reference_position(basis) in idx)
+    sector = next(idx for idx in basis.determinants.sectors
+                  if basis.determinants.reference in idx)
     c = states[0].coefficients
     assert np.all(np.delete(c, sector) == 0.0)
     assert abs(summary.ground_energy - summary.eigenvalues.min()) <= 1e-10
@@ -195,7 +191,7 @@ def test_exp_log_round_trip(fixture, request, rng):
     system = request.getfixturevalue(fixture)
     basis = system.basis
     dim = len(enumerate_determinants(basis))
-    refpos = _reference_position(basis)
+    refpos = basis.determinants.reference
     for _ in range(50):
         c = 0.5 * rng.standard_normal(dim)
         c[refpos] = 1.0
@@ -230,7 +226,7 @@ def test_similarity_transform_reproduces_eigenvalue(pairing4):
     basis = pairing4.basis
     dim = len(enumerate_determinants(basis))
     ref = np.zeros(dim)
-    ref[_reference_position(basis)] = 1.0
+    ref[basis.determinants.reference] = 1.0
     ham = build_dense_hamiltonian(pairing4.ints, basis)
     space = support_space(t, basis)
     t_vec = space.embed(t)
