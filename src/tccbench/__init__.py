@@ -21,12 +21,12 @@ _EXPORTS = {
     "determinants": (
         "AmplitudeVector", "BasisSplit", "Determinant", "ExcitationIndex",
         "ExcitationSpace", "OrbitalBasis", "apply_excitation", "classify_excitation",
-        "enumerate_determinants", "enumerate_excitations", "excitation_from_reference",
-        "excitation_space", "v_ext_norm"),
+        "enumerate_determinants", "enumerate_excitations", "excitation_space",
+        "v_ext_norm"),
     "hamiltonian": (
         "FockSpectrum", "IntegralSet", "build_dense_hamiltonian", "canonicalize_core",
-        "fock_matrix", "hubbard_model", "pairing_model", "parse_fcidump",
-        "rotate_orbitals", "write_fcidump"),
+        "fock_matrix", "hubbard_model", "pairing_model", "rotate_orbitals"),
+    "fcidump": ("parse_fcidump", "write_fcidump"),
     "exact": (
         "CiVector", "SpectralSummary", "cas_fci_solve", "ci_to_cluster",
         "cluster_to_ci", "fci_solve"),

@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Only the layers every command runs load here; each command imports the
-# rest itself, so `tcc` never compiles diagnostics or entropy.
+# rest itself, so `tcc` never compiles diagnostics or entropy, and only
+# --fcidump runs compile the FCIDUMP reader.
 from . import serialize
 from .determinants import BasisSplit, OrbitalBasis
 from .errors import (
@@ -32,13 +33,7 @@ from .errors import (
     TccBenchError,
 )
 from .exact import cas_fci_solve, fci_solve
-from .hamiltonian import (
-    canonicalize_core,
-    fock_matrix,
-    hubbard_model,
-    pairing_model,
-    parse_fcidump,
-)
+from .hamiltonian import canonicalize_core, fock_matrix, hubbard_model, pairing_model
 
 if TYPE_CHECKING:
     from .tcc import TccConfig, TruncationScheme
@@ -47,11 +42,16 @@ EXIT_INPUT = 1
 EXIT_SOLVER = 2
 EXIT_LIMIT = 3
 
+# the fields a --model KIND takes after its colon: (fewest, most)
+_MODEL_FIELDS = {"hubbard": (3, 4), "pairing": (2, 4)}
+
 
 def _load_integrals(args):
     if bool(args.fcidump) == bool(args.model):
         raise InputError("exactly one of --fcidump and --model is required")
     if args.fcidump:
+        from .fcidump import parse_fcidump
+
         path = Path(args.fcidump)
         if not path.exists():
             raise InputError(f"no such file: {path}")
@@ -60,17 +60,21 @@ def _load_integrals(args):
         ints = parse_fcidump(data.decode())
     else:
         kind, _, argstr = args.model.partition(":")
-        parts = [p for p in argstr.split(",") if p] if argstr else []
+        if kind.lower() not in _MODEL_FIELDS:
+            raise InputError(f"unknown model kind {kind!r}")
+        parts = argstr.split(",")   # no fields at all reads as one empty field
+        fewest, most = _MODEL_FIELDS[kind.lower()]
+        if not fewest <= len(parts) <= most or "" in parts:
+            raise InputError(f"bad model spec {args.model!r}: {kind} takes "
+                             f"{fewest} to {most} nonempty comma-separated fields")
         try:
             nelec = int(parts[3]) if len(parts) > 3 else None
             if kind.lower() == "hubbard":
                 ints = hubbard_model(int(parts[0]), float(parts[1]), float(parts[2]), nelec)
-            elif kind.lower() == "pairing":
+            else:
                 sp = float(parts[2]) if len(parts) > 2 else 1.0
                 ints = pairing_model(int(parts[0]), float(parts[1]), sp, nelec)
-            else:
-                raise InputError(f"unknown model kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad model spec {args.model!r}: {exc}") from exc
     if getattr(args, "mo", False):
         ints, _ = canonicalize_core(ints)
@@ -154,7 +158,7 @@ def cmd_select_cas(args) -> int:
     ints, basis = _load_integrals(args)
     _, states = fci_solve(ints, basis)
     psi = states[0]
-    profile = mutual_information(psi, source="fci-ground-state")
+    profile = mutual_information(psi)
     mode = MODE_JUMP if args.jump else MODE_THRESHOLD
     selection = select_cas(profile, basis.n_electrons,
                            s_threshold=args.s_threshold,
@@ -236,8 +240,7 @@ def cmd_verify(args) -> int:
             star.t, study.t_cas, ints, split, fock,
             delta=args.delta, samples=args.samples, seed=args.seed)
     if run_all or args.decomposition:
-        payload["decomposition"] = error_decomposition(
-            study, truncated.truncation, seed=args.seed)
+        payload["decomposition"] = error_decomposition(study, truncated.truncation)
         payload["representation"] = error_representation_check(
             study.root(truncated).t, study.dual(truncated), star.t, study.dual(full),
             study.t_cas, ints, split, fock)
@@ -355,7 +358,10 @@ def _apply_config_file(args, argv) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else 0
     try:
         _apply_config_file(args, argv)
         return args.func(args)

@@ -56,10 +56,6 @@ class OrbitalBasis:
         if dim > MAX_DENSE_DIM:
             raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
 
-    @property
-    def reference(self) -> "Determinant":
-        return Determinant(tuple(range(1, self.n_electrons + 1)))
-
     @cached_property
     def determinants(self) -> "DeterminantSpace":
         """The N-electron determinant space, built once per basis."""
@@ -144,14 +140,6 @@ class ExcitationIndex:
         p = ",".join(map(str, self.particles))
         return f"{h}->{p}"
 
-    @classmethod
-    def from_string(cls, text: str) -> "ExcitationIndex":
-        h, p = text.split("->")
-        return cls(
-            tuple(int(x) for x in h.split(",")),
-            tuple(int(x) for x in p.split(",")),
-        )
-
 
 def apply_excitation(
     mu: ExcitationIndex, det: Determinant
@@ -166,20 +154,8 @@ def apply_excitation(
     if mask & holes != holes or mask & particles:
         return None
     out, sign = _excite(np.array([mask], dtype=np.uint64),
-                        np.array([mu.holes]), np.array([mu.particles]))
+                        _orbitals([mu.holes]), _orbitals([mu.particles]))
     return Determinant.from_mask(int(out[0])), int(sign[0])
-
-
-def excitation_from_reference(
-    det: Determinant, basis: OrbitalBasis
-) -> Optional[tuple[ExcitationIndex, int]]:
-    """Unique mu and sign with X_mu phi_0 = sign * phi_det; None for phi_0."""
-    mu = basis.determinants.excitation(det.mask)
-    if mu is None:
-        return None
-    applied = apply_excitation(mu, basis.reference)
-    assert applied is not None and applied[0] == det
-    return mu, applied[1]
 
 
 def classify_excitation(mu: ExcitationIndex, split: BasisSplit) -> str:
@@ -187,17 +163,11 @@ def classify_excitation(mu: ExcitationIndex, split: BasisSplit) -> str:
     return "cas" if mu.particles[-1] <= split.k else "ext"
 
 
-def enumerate_determinants(
-    basis: OrbitalBasis, split: Optional[BasisSplit] = None
-) -> list[Determinant]:
-    """All N-electron determinants in lexicographic order.
-
-    With a split, only determinants fully inside the CAS orbitals 1..k.
-    """
-    top = split.k if split is not None else basis.n_orbitals
+def enumerate_determinants(basis: OrbitalBasis) -> list[Determinant]:
+    """All N-electron determinants in lexicographic order."""
     return [
         Determinant(occ)
-        for occ in combinations(range(1, top + 1), basis.n_electrons)
+        for occ in combinations(range(1, basis.n_orbitals + 1), basis.n_electrons)
     ]
 
 
@@ -340,25 +310,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _bits(orbitals: np.ndarray) -> np.ndarray:
-    return np.left_shift(np.uint64(1), orbitals.astype(np.uint64) - np.uint64(1))
+def _orbitals(indices: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """n equally long 1-based tuples as _excite's (r, n) 0-based uint64 array."""
+    return np.array(indices, dtype=np.uint64).T - np.uint64(1)
 
 
 def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise X_mu on determinant masks: the resulting masks and phases.
 
-    Row i applies the index with 1-based `holes[i]` -> `particles[i]` as the
-    operator string of the module docstring, rightmost pair first; every hole
-    must be occupied and every particle empty in masks[i].
+    The package's one fermionic phase rule. holes[q], particles[q] hold pair
+    q's 0-based uint64 orbitals, one per mask; mask i gets the pairs
+    a+_{particles[q][i]} a_{holes[q][i]} of the module docstring's operator
+    string, rightmost first, each flipping the sign once per occupied orbital
+    strictly between its hole and particle. Holes must be occupied, particles empty.
     """
+    one = np.uint64(1)
     sign = np.ones(len(masks))
-    for q in reversed(range(holes.shape[1])):
-        for orbital, create in ((holes[:, q], False), (particles[:, q], True)):
-            bit = _bits(orbital)
-            odd = (np.bitwise_count(masks & (bit - np.uint64(1))) & 1).astype(bool)
-            sign[odd] = -sign[odd]
-            masks = masks | bit if create else masks & ~bit
+    for q in reversed(range(len(holes))):
+        hole, particle = holes[q], particles[q]
+        lo, hi = np.minimum(hole, particle), np.maximum(hole, particle)
+        between = (one << hi) - (one << (lo + one))   # orbitals lo+1 .. hi-1
+        sign = sign * (1.0 - 2.0 * (np.bitwise_count(masks & between) & 1))
+        masks = masks ^ (one << hole) ^ (one << particle)
     return masks, sign
 
 
@@ -382,11 +356,11 @@ class ExcitationSpace:
         by_rank: dict[int, list[int]] = {}
         for a, mu in enumerate(self.indices):
             by_rank.setdefault(mu.rank, []).append(a)
-        # (ids, holes, particles) per rank, orbitals 1-based
+        # (ids, holes, particles) per rank, orbitals 0-based as _excite takes them
         self._groups = [
             (np.array(ids),
-             np.array([self.indices[a].holes for a in ids]),
-             np.array([self.indices[a].particles for a in ids]))
+             _orbitals([self.indices[a].holes for a in ids]),
+             _orbitals([self.indices[a].particles for a in ids]))
             for _, ids in sorted(by_rank.items())
         ]
         self.max_rank = max(by_rank, default=0)
@@ -416,14 +390,14 @@ class ExcitationSpace:
         masks = self.dets.masks[sources]
         step = max(1, _TABLE_BLOCK // len(sources))
         for ids, holes, particles in self._groups:
-            hole_masks = np.bitwise_or.reduce(_bits(holes), axis=1)
-            part_masks = np.bitwise_or.reduce(_bits(particles), axis=1)
+            hole_masks = np.bitwise_or.reduce(np.uint64(1) << holes, axis=0)
+            part_masks = np.bitwise_or.reduce(np.uint64(1) << particles, axis=0)
             for lo in range(0, len(ids), step):
                 h = hole_masks[lo:lo + step, None]
                 p = part_masks[lo:lo + step, None]
                 a, j = np.nonzero(((masks & h) == h) & ((masks & p) == 0))
                 a += lo
-                dst, sign = _excite(masks[j], holes[a], particles[a])
+                dst, sign = _excite(masks[j], holes[:, a], particles[:, a])
                 cols.append([sources[j].astype(np.int32), self.dets.position(dst).astype(np.int32),
                              sign.astype(np.int8), ids[a].astype(np.int32)])
         return tuple(np.concatenate(col) for col in zip(*cols))

@@ -112,12 +112,18 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
     return t_vec, r
 
 
-def _ball_point(rng: np.random.Generator, center: np.ndarray, eps: np.ndarray,
-                delta: float) -> np.ndarray:
-    """A random point of the V-norm ball of radius delta around center."""
-    u = rng.standard_normal(len(eps))
-    u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
-    return center + u
+def _ball_pairs(center: np.ndarray, eps: np.ndarray, delta: float, samples: int,
+                seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`samples` seeded pairs of random points of the V-norm ball of radius delta
+    around center."""
+    rng = np.random.default_rng(seed)
+
+    def point():
+        u = rng.standard_normal(len(eps))
+        u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
+        return center + u
+
+    return [(point(), point()) for _ in range(samples)]
 
 
 def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
@@ -133,19 +139,18 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     """
     op = TailoredHamiltonian(t_cas, ints, split, external_space(split))
     t_vec, r_star = _require_reference(t_star, op, delta, samples)
-    return _probe(op, t_vec, r_star, op.space.epsilon(fock), delta, samples, seed)
+    eps = op.space.epsilon(fock)
+    pairs = _ball_pairs(t_vec, eps, delta, samples, seed)
+    return MonotonicityProbe(*_probe(op, t_vec, r_star, eps, delta, pairs),
+                             delta, samples, seed)
 
 
 def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: np.ndarray,
-           delta: float, samples: int, seed: int) -> MonotonicityProbe:
-    """monotonicity_probe at the checked reference t_vec, whose residual is r_star."""
-    rng = np.random.default_rng(seed)
-    pairs = [(_ball_point(rng, t_vec, eps, delta), _ball_point(rng, t_vec, eps, delta))
-             for _ in range(samples)]
-    for a in range(len(eps)):
-        step = np.zeros(len(eps))
-        step[a] = delta / np.sqrt(eps[a])
-        pairs.append((t_vec + step, t_vec))
+           delta: float, pairs: list[tuple[np.ndarray, np.ndarray]]
+           ) -> tuple[float, float, float]:
+    """(gamma_hat, gamma_hat_l2, l_hat) of monotonicity_probe over the ball pairs
+    and the coordinate probes at the checked reference t_vec, whose residual is r_star."""
+    pairs = [*pairs, *((t_vec + step, t_vec) for step in np.diag(delta / np.sqrt(eps)))]
 
     g_v = np.inf
     g_l2 = np.inf
@@ -160,8 +165,7 @@ def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: 
         g_v = min(g_v, inner / vsq)
         g_l2 = min(g_l2, inner / lsq)
         l_hat = max(l_hat, float(np.sqrt((df**2 / eps).sum()) / np.sqrt(vsq)))
-    return MonotonicityProbe(float(g_v), float(g_l2), float(l_hat),
-                             delta, samples, seed)
+    return float(g_v), float(g_l2), float(l_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +223,17 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
         inner = a @ space.exp_apply(vec, ref, +1)
         return space.exp_apply(vec, inner, -1) - a_ref
 
-    rng = np.random.default_rng(seed)
+    pairs = _ball_pairs(t_vec, eps, delta, samples, seed)   # the probe's pairs too
     l_star = 0.0
-    for _ in range(samples):
-        pts = [_ball_point(rng, t_vec, eps, delta) for _ in range(2)]
-        num = float(np.linalg.norm(o_map(pts[0]) - o_map(pts[1])))
-        den = float(np.linalg.norm(pts[0] - pts[1]))
+    for t1, t2 in pairs:
+        num = float(np.linalg.norm(o_map(t1) - o_map(t2)))
+        den = float(np.linalg.norm(t1 - t2))
         l_star = max(l_star, num / den)
 
     gaps = gap_report(fock, split)
-    probe = _probe(op, t_vec, r_star, eps, delta, samples, seed)
     margin = gaps.eps0 - omega0 - omega_cas - l_star
     return AssumptionReport(gaps, omega0, omega_cas, float(l_star), float(margin),
-                            probe.gamma_hat, probe.gamma_hat_l2, probe.l_hat,
+                            *_probe(op, t_vec, r_star, eps, delta, pairs),
                             delta, samples, seed)
 
 

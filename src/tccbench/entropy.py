@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (EmptySelectionError, IndexOutOfRangeError, NotNormalizedError,
-                     SameOrbitalError)
+from .errors import IndexOutOfRangeError, NotNormalizedError, SameOrbitalError
 from .exact import CiVector
 from .hamiltonian import IntegralSet
 
@@ -109,14 +108,13 @@ class OrbitalEntropyProfile:
     s1: np.ndarray          # (K,)
     s2: np.ndarray          # (K, K), diagonal zero by convention
     mi: np.ndarray          # (K, K), I(i,i) = 0
-    source: str = ""
 
     @property
     def n_orbitals(self) -> int:
         return len(self.s1)
 
 
-def mutual_information(psi: CiVector, source: str = "") -> OrbitalEntropyProfile:
+def mutual_information(psi: CiVector) -> OrbitalEntropyProfile:
     """Full entropy profile: s(i), s(i,j), I(i,j) = s(i)+s(j)-s(i,j)."""
     one, two = _orbital_rdms(psi)
     s1 = _von_neumann(one)
@@ -125,7 +123,7 @@ def mutual_information(psi: CiVector, source: str = "") -> OrbitalEntropyProfile
     s2[i, j] = s2[j, i] = _von_neumann(two[i, j])
     mi = s1[:, None] + s1[None, :] - s2
     np.fill_diagonal(mi, 0.0)
-    return OrbitalEntropyProfile(s1, s2, mi, source)
+    return OrbitalEntropyProfile(s1, s2, mi)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +166,7 @@ def check_thresholds(s_threshold: float, mi_threshold: float) -> None:
 
 def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
                s_threshold: float = 0.0, mi_threshold: float = 0.0,
-               mode: str = MODE_THRESHOLD, include_reference: bool = True
-               ) -> CasSelection:
+               mode: str = MODE_THRESHOLD) -> CasSelection:
     """Pick active spin-orbitals from an entropy profile.
 
     THRESHOLD keeps {i : s(i) > s_threshold} plus every orbital with a
@@ -177,10 +174,9 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     descending, cuts at the largest consecutive ratio gap and keeps the
     orbitals appearing above the cut (the first such gap wins on ties,
     recorded in jump_ties). The reference orbitals 1..N are always
-    included unless include_reference is False, and the selection is
-    closed under spin partners so the active space maps to whole spatial
-    orbitals. The emitted permutations relabel the basis so the CAS
-    becomes 1..k.
+    included, and the selection is closed under spin partners so the
+    active space maps to whole spatial orbitals. The emitted permutations
+    relabel the basis so the CAS becomes 1..k.
     """
     check_thresholds(s_threshold, mi_threshold)
     k_orb = profile.n_orbitals
@@ -194,8 +190,6 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
         selected.update((np.flatnonzero(profile.s1 > s_threshold) + 1).tolist())
         selected.update((np.argwhere(np.triu(profile.mi > mi_threshold, 1)) + 1).ravel().tolist())
         if not selected:
-            if not include_reference:
-                raise EmptySelectionError("no orbital passed the thresholds")
             warnings.warn("no orbital passed the thresholds; proposing k = N",
                           WeakProfileWarning, stacklevel=2)
     elif mode == MODE_JUMP:
@@ -216,13 +210,10 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
         jump_ratio = best if cut else None
         for _, i, j in pairs[:cut]:
             selected.update((i, j))
-        if not selected and not include_reference:
-            raise EmptySelectionError("mutual information profile is flat")
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
 
-    if include_reference:
-        selected.update(range(1, n_electrons + 1))
+    selected.update(range(1, n_electrons + 1))
     # close under spin partners
     spatial_sel = sorted({_spatial(i) for i in selected})
     orbitals = tuple(s for p in spatial_sel for s in _spin_pair(p))
@@ -247,6 +238,5 @@ def permute_spatial_orbitals(ints: IntegralSet, perm: tuple[int, ...]) -> Integr
         ints.g[np.ix_(idx, idx, idx, idx)],
         ints.e_core,
         n_electrons=ints.n_electrons,
-        source=ints.source,
         symmetry=ints.symmetry,
     )

@@ -69,10 +69,6 @@ class SameOrbitalError(TccBenchError):
     pass
 
 
-class EmptySelectionError(TccBenchError):
-    """Threshold-based CAS selection returned no orbital."""
-
-
 class MissingReferenceError(TccBenchError):
     """A converged reference amplitude vector is required but absent."""
 

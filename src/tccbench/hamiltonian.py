@@ -1,8 +1,8 @@
 """Second-quantized Hamiltonians on the determinant space.
 
-Covers integral ingestion (FCIDUMP read/write), two built-in model
-generators, the Fock/fluctuation splitting H = F + W, and the dense
-Slater-Condon Hamiltonian build.
+Covers the integral set (read and written as FCIDUMP by
+tccbench.fcidump), two built-in model generators, the Fock/fluctuation
+splitting H = F + W, and the dense Slater-Condon Hamiltonian build.
 
 Spin convention: spatial orbital p in 1..n_spatial expands to
 spin-orbitals 2p-1 (up) and 2p (down). Two-electron integrals are kept
@@ -16,24 +16,16 @@ F phi_mu = (Lambda0 + eps_mu) phi_mu is exact rather than approximate.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
-from .determinants import ExcitationIndex, OrbitalBasis
-from .errors import (
-    DimensionMismatchError,
-    DuplicateCanonicalEntryError,
-    IndexOutOfRangeError,
-    MalformedHeaderError,
-    NonFiniteIntegralError,
-    SizeLimitError,
-)
+from .determinants import ExcitationIndex, OrbitalBasis, _excite
+from .errors import DimensionMismatchError, NonFiniteIntegralError, SizeLimitError
 
 SYMMETRY_8FOLD = "8-fold"
 SYMMETRY_4FOLD = "4-fold"
@@ -54,7 +46,6 @@ class IntegralSet:
     g: np.ndarray
     e_core: float = 0.0
     n_electrons: Optional[int] = None
-    source: str = "MODEL"
     symmetry: str = SYMMETRY_8FOLD
     _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -89,142 +80,6 @@ class IntegralSet:
 
 
 # ---------------------------------------------------------------------------
-# FCIDUMP interchange
-# ---------------------------------------------------------------------------
-
-_HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)")
-
-
-def _eightfold_indices(p, q, r, s):
-    return {
-        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-    }
-
-
-def parse_fcidump(stream: TextIO | str) -> IntegralSet:
-    """Read a Molpro-style FCIDUMP file into an IntegralSet.
-
-    All eight permutational images of each (ij|kl) record are folded in;
-    conflicting duplicates beyond 1e-12 are rejected. Fortran D-exponents
-    are accepted. ORBSYM/ISYM are validated but not exploited.
-    """
-    text = stream if isinstance(stream, str) else stream.read()
-    m = re.search(r"&(?:FCI|fci)(.*?)(?:&END|/)", text, re.S)
-    if m is None:
-        raise MalformedHeaderError("no &FCI ... &END/ header found")
-    header, body = m.group(1), text[m.end():]
-
-    fields = {}
-    for key, val in _HEADER_KV.findall(header.replace("\n", " ")):
-        fields[key.upper()] = val.strip().rstrip(",").strip()
-    try:
-        norb = int(fields["NORB"])
-        nelec = int(fields["NELEC"])
-    except KeyError as exc:
-        raise MalformedHeaderError(f"missing header field {exc}") from exc
-    except ValueError as exc:
-        raise MalformedHeaderError(f"non-integer header field: {exc}") from exc
-    if norb < 1 or nelec < 0:
-        raise MalformedHeaderError(f"bad NORB/NELEC: {norb}/{nelec}")
-    if "ORBSYM" in fields and fields["ORBSYM"]:
-        syms = [s for s in fields["ORBSYM"].replace(",", " ").split() if s]
-        if len(syms) not in (0, norb):
-            raise MalformedHeaderError(
-                f"ORBSYM lists {len(syms)} entries for NORB={norb}"
-            )
-
-    h = np.zeros((norb, norb))
-    g = np.zeros((norb, norb, norb, norb))
-    h_seen = np.zeros((norb, norb), dtype=bool)
-    g_seen = np.zeros((norb, norb, norb, norb), dtype=bool)
-    e_core = 0.0
-    core_seen = False
-
-    for lineno, raw in enumerate(body.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise MalformedHeaderError(f"record line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            value = float(parts[0].replace("D", "E").replace("d", "e"))
-            i, j, k, l = (int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise MalformedHeaderError(f"record line {lineno}: {exc}") from exc
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > norb:
-                raise IndexOutOfRangeError(f"record line {lineno}: index {idx} > NORB={norb}")
-        if i == j == k == l == 0:
-            if core_seen and abs(e_core - value) > 1e-12:
-                raise DuplicateCanonicalEntryError("conflicting core-energy records")
-            e_core, core_seen = value, True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise IndexOutOfRangeError(
-                    f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
-                )
-            a, b = i - 1, j - 1
-            if (h_seen[a, b] or h_seen[b, a]) and abs(h[a, b] - value) > 1e-12:
-                raise DuplicateCanonicalEntryError(f"conflicting h({i},{j}) records")
-            h[a, b] = h[b, a] = value
-            h_seen[a, b] = h_seen[b, a] = True
-        elif 0 in (i, j, k, l):
-            raise IndexOutOfRangeError(
-                f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
-            )
-        else:
-            for a, b, c, d in _eightfold_indices(i - 1, j - 1, k - 1, l - 1):
-                if g_seen[a, b, c, d] and abs(g[a, b, c, d] - value) > 1e-12:
-                    raise DuplicateCanonicalEntryError(
-                        f"conflicting (ij|kl) records at ({i},{j},{k},{l})"
-                    )
-                g[a, b, c, d] = value
-                g_seen[a, b, c, d] = True
-
-    return IntegralSet(norb, h, g, e_core, n_electrons=nelec, source="FCIDUMP")
-
-
-def write_fcidump(ints: IntegralSet, stream: TextIO, ms2: int = 0) -> None:
-    """Write an IntegralSet in canonical FCIDUMP order.
-
-    Canonical order: two-electron records first with ascending compound
-    index over i>=j, k>=l, (ij)>=(kl); then one-electron records with
-    i>=j; then the core energy. Requires full 8-fold symmetry.
-    """
-    if ints.symmetry != SYMMETRY_8FOLD:
-        raise DimensionMismatchError(
-            "FCIDUMP stores a single value per 8-fold orbit; "
-            f"integrals declare {ints.symmetry} symmetry"
-        )
-    n = ints.n_spatial
-    nelec = ints.n_electrons if ints.n_electrons is not None else 0
-    orbsym = ",".join(["1"] * n)
-    stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={ms2},\n")
-    stream.write(f"  ORBSYM={orbsym},\n  ISYM=1,\n&END\n")
-
-    def rec(value, i, j, k, l):
-        stream.write(f" {value: .16E} {i:4d} {j:4d} {k:4d} {l:4d}\n")
-
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            ij = i * (i + 1) // 2 + j
-            for k in range(1, i + 1):
-                for l in range(1, k + 1):
-                    if k * (k + 1) // 2 + l > ij:
-                        continue
-                    v = ints.g[i - 1, j - 1, k - 1, l - 1]
-                    if v != 0.0:
-                        rec(v, i, j, k, l)
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            if ints.h[i - 1, j - 1] != 0.0:
-                rec(ints.h[i - 1, j - 1], i, j, 0, 0)
-    rec(ints.e_core, 0, 0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
 # Built-in models
 # ---------------------------------------------------------------------------
 
@@ -244,7 +99,7 @@ def hubbard_model(n_sites: int, t_hop: float, u: float, n_electrons: Optional[in
         g[p, p, p, p] = u
     if n_electrons is None:
         n_electrons = n_sites  # half filling
-    return IntegralSet(n_sites, h, g, 0.0, n_electrons=n_electrons, source="MODEL")
+    return IntegralSet(n_sites, h, g, 0.0, n_electrons=n_electrons)
 
 
 def pairing_model(n_levels: int, g_pair: float, spacing: float = 1.0,
@@ -267,7 +122,7 @@ def pairing_model(n_levels: int, g_pair: float, spacing: float = 1.0,
     if n_electrons is None:
         n_electrons = n_levels  # half filling in spin-orbitals
     sym = SYMMETRY_8FOLD if g_pair == 0.0 else SYMMETRY_4FOLD
-    return IntegralSet(n_levels, h, g, 0.0, n_electrons=n_electrons, source="MODEL", symmetry=sym)
+    return IntegralSet(n_levels, h, g, 0.0, n_electrons=n_electrons, symmetry=sym)
 
 
 def rotate_orbitals(ints: IntegralSet, c: np.ndarray) -> IntegralSet:
@@ -283,8 +138,7 @@ def rotate_orbitals(ints: IntegralSet, c: np.ndarray) -> IntegralSet:
     h = c.T @ ints.h @ c
     g = np.einsum("pqrs,pa,qb,rc,sd->abcd", ints.g, c, c, c, c, optimize=True)
     return IntegralSet(ints.n_spatial, h, g, ints.e_core,
-                       n_electrons=ints.n_electrons, source=ints.source,
-                       symmetry=ints.symmetry)
+                       n_electrons=ints.n_electrons, symmetry=ints.symmetry)
 
 
 def canonicalize_core(ints: IntegralSet) -> tuple[IntegralSet, np.ndarray]:
@@ -315,7 +169,6 @@ class FockSpectrum:
     lambdas: np.ndarray
     lambda0: float
     off_diag_norm: float
-    matrix: np.ndarray
 
     def epsilon_of(self, mu: ExcitationIndex) -> float:
         """eps_mu = sum(lambda_A) - sum(lambda_I)."""
@@ -353,7 +206,7 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
             NonCanonicalOrbitalsWarning,
             stacklevel=2,
         )
-    return FockSpectrum(lambdas, float(lambdas[: basis.n_electrons].sum()), off_norm, f)
+    return FockSpectrum(lambdas, float(lambdas[: basis.n_electrons].sum()), off_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +229,10 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     The Slater-Condon rules on the space's bit masks, a block of rows of one
     of its S_z sectors at a time: popcount(m_a ^ m_b) sorts each pair
     b > a into a single (2), a double (4) or a zero. Pairs from different
-    sectors are never visited; their entries are +0.0. The phases and every
-    sum follow the order of the scalar Slater-Condon reference in the tests
-    (tests/oracle.py: matrix_element), so entry (a, b) for a <= b equals it
-    exactly.
+    sectors are never visited; their entries are +0.0. The phase is
+    _excite's, taking m_b to m_a; every sum follows the order of the scalar
+    Slater-Condon reference in the tests (tests/oracle.py: matrix_element),
+    so entry (a, b) for a <= b equals it exactly.
     """
     key = (basis.n_orbitals, basis.n_electrons)
     cached = ints._dense_cache.get(key)
@@ -396,7 +249,6 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     ham = np.diag(diag)
     flat, h_flat, anti_flat = ham.reshape(-1), h1.reshape(-1), anti.reshape(-1)
     exchange = np.ascontiguousarray(anti.diagonal(axis1=1, axis2=3)).reshape(K * K, K)
-    one = np.uint64(1)
     for sector in dets.sectors:
         step = max(1, (1 << 16) // len(sector))   # ~2^16 pairs a block: < 1 MB of temporaries
         for start in range(0, len(sector), step):
@@ -410,13 +262,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
                 # orbitals occupied in only one determinant of the pair, ascending
                 only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
                 only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
-                # position parity: swap only_b[j] out of m_b for only_a[j], one pair at a time
-                sign, mask = 1.0, masks[b]
-                for p, r in zip(only_a, only_b):
-                    lo, hi = np.minimum(p, r), np.maximum(p, r)
-                    between = (one << hi) - (one << (lo + one))
-                    sign = sign * (1.0 - 2.0 * (np.bitwise_count(mask & between) & 1))
-                    mask = mask ^ (one << p) ^ (one << r)
+                _, sign = _excite(masks[b], only_b, only_a)   # pair j: only_b[j] -> only_a[j]
                 if n_moved == 1:
                     pq = only_a[0].astype(np.intp) * K + only_b[0].astype(np.intp)
                     val = h_flat[pq]

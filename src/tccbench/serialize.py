@@ -16,7 +16,6 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .determinants import AmplitudeVector, ExcitationIndex
 from .exact import CiVector, SpectralSummary
 
 VERSION = "0.1.0"
@@ -37,12 +36,6 @@ def format_float(x: float) -> str:
 
 def to_jsonable(obj: Any) -> Any:
     """Reduce results/report objects to plain dict/list/scalar structure."""
-    if isinstance(obj, AmplitudeVector):
-        return {
-            "space": obj.space,
-            "scheme": obj.scheme,
-            "entries": {str(mu): float(v) for mu, v in obj.sorted_items()},
-        }
     if isinstance(obj, CiVector):
         return {
             "n_orbitals": obj.basis.n_orbitals,
@@ -57,8 +50,6 @@ def to_jsonable(obj: Any) -> Any:
             "state_index": obj.state_index,
             "ground_energy": obj.ground_energy,
         }
-    if isinstance(obj, ExcitationIndex):
-        return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

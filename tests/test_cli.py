@@ -215,6 +215,30 @@ def test_exit_input_errors(capsys):
                 "--trunc", "weird"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["tcc", "--model", "pairing:4,0.5,1.0", "--k", "abc"],
+    ["fci", "--model", "hubbard:2,1.0,4.0", "--no-such-flag"],
+    [],
+], ids=["bad value", "unknown flag", "no subcommand"])
+def test_usage_errors_are_input_errors(args, capsys):
+    # argparse exits 2, the code the CLI documents for a solver failure
+    code, out, err = run(args, capsys)
+    assert code == 1 and out == "" and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(["fci", "--help"], capsys)
+    assert code == 0 and "--model" in out
+
+
+@pytest.mark.parametrize("spec", ["pairing:4,0.5,,6", "hubbard:2,1.0,4.0,2,99"])
+def test_model_specs_with_empty_or_extra_fields_are_input_errors(spec, capsys):
+    # the empty field was dropped, so pairing:4,0.5,,6 ran spacing 6 with N = 4;
+    # hubbard ignored its fifth field
+    code, out, err = run(["fci", "--model", spec], capsys)
+    assert code == 1 and out == "" and err.startswith("error: bad model spec")
+
+
 @pytest.mark.parametrize("flags", [
     ["--tol", "0"], ["--damping", "0"], ["--max-iterations", "0"], ["--diis", "-3"],
     ["--k", "9"], ["--k", "2"], ["--trunc", "rank:0"], ["--tol", "nan"], ["--tol", "inf"],
@@ -479,15 +503,19 @@ COMMON_LAYERS = {"cli", "determinants", "errors", "exact", "hamiltonian", "seria
 
 @pytest.mark.parametrize("args, layers", [
     (["fci", "--model", "hubbard:2,1.0,4.0"], set()),
+    (["fci", "--fcidump", "{tmp}/hubbard2.fcidump"], {"fcidump"}),
     (["cas-fci", "--model", "hubbard:2,1.0,4.0", "--k", "3"], set()),
     (["select-cas", "--model", "hubbard:2,1.0,4.0"], {"entropy"}),
     (["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6"], {"tcc"}),
     (["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", "--samples", "2"],
      {"tcc", "diagnostics"}),
-], ids=["fci", "cas-fci", "select-cas", "tcc", "verify"])
+], ids=["fci", "fci-fcidump", "cas-fci", "select-cas", "tcc", "verify"])
 def test_commands_load_only_the_layers_they_run(args, layers, tmp_path):
     # compiling a module costs a fresh interpreter milliseconds; the eager
     # package loaded all of them for every command
+    with open(tmp_path / "hubbard2.fcidump", "w") as fh:
+        write_fcidump(hubbard_model(2, 1.0, 4.0), fh)
+    args = [a.format(tmp=tmp_path) for a in args]
     status, modules = _cold_command(args, tmp_path)
     assert status == 0
     assert {m for m in modules if m.startswith("tccbench.")} == {
@@ -505,7 +533,8 @@ def test_bare_package_import_loads_no_submodule():
 # ---------------------------------------------------------------------------
 
 # the names the package exported when it imported every submodule eagerly,
-# less matrix_element, which moved to the tests' oracle
+# less matrix_element, which moved to the tests' oracle, and
+# excitation_from_reference, which had no caller; plus the fcidump module
 PACKAGE_NAMES = [
     "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
     "Determinant", "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
@@ -516,7 +545,7 @@ PACKAGE_NAMES = [
     "classify_excitation", "cluster_to_ci", "determinants", "diagnostics", "entropy",
     "enumerate_determinants", "enumerate_excitations", "enumerate_truncated_space",
     "error_decomposition", "error_representation_check", "errors", "exact",
-    "excitation_from_reference", "excitation_space", "fci_solve", "fock_matrix",
+    "excitation_space", "fci_solve", "fcidump", "fock_matrix",
     "fock_norm_identity_check", "gap_report", "hamiltonian", "hubbard_model",
     "linear_limit_scaling_study", "monotonicity_probe", "mutual_information",
     "one_orbital_rdm", "pairing_model", "parse_fcidump", "permute_spatial_orbitals",

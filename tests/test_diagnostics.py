@@ -66,7 +66,7 @@ def _solve_full(system, t_cas):
 
 def test_gap_report_on_synthetic_spectrum():
     lam = np.array([-1.0, -0.5, 0.3, 0.8])
-    fock = FockSpectrum(lam, float(lam[0]), 0.0, np.diag(lam))
+    fock = FockSpectrum(lam, float(lam[0]), 0.0)
     basis = OrbitalBasis(4, 1)
     report = gap_report(fock, BasisSplit(basis, 2))
     assert report.eps0 == pytest.approx(0.8)        # lam3 - lam2
@@ -78,7 +78,7 @@ def test_gap_report_on_synthetic_spectrum():
 
 def test_gap_report_negative_gap_is_reported_not_raised():
     lam = np.array([1.0, 2.0, 0.5, 3.0])
-    fock = FockSpectrum(lam, 1.0, 0.0, np.diag(lam))
+    fock = FockSpectrum(lam, 1.0, 0.0)
     basis = OrbitalBasis(4, 1)
     report = gap_report(fock, BasisSplit(basis, 2))
     assert report.eps0 == pytest.approx(-1.5)

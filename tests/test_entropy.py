@@ -22,7 +22,6 @@ from tccbench.entropy import (
     WeakProfileWarning,
 )
 from tccbench.errors import (
-    EmptySelectionError,
     IndexOutOfRangeError,
     NotNormalizedError,
     SameOrbitalError,
@@ -216,9 +215,6 @@ def test_weak_profile_falls_back_to_reference():
         sel = select_cas(profile, n_electrons=2, s_threshold=0.5)
     assert sel.orbitals == (1, 2)
     assert sel.k == 2
-    with pytest.raises(EmptySelectionError):
-        select_cas(profile, n_electrons=2, s_threshold=0.5,
-                   include_reference=False)
 
 
 def test_jump_selection_cuts_at_largest_ratio():

@@ -7,6 +7,7 @@ import oracle
 from tccbench import (
     IntegralSet,
     OrbitalBasis,
+    apply_excitation,
     build_dense_hamiltonian,
     canonicalize_core,
     fock_matrix,
@@ -161,11 +162,13 @@ def test_fock_identity_on_determinants(pairing4):
     assert fock.off_diag_norm <= 1e-12
     diag = fock_diagonal_vector(fock, pairing4.basis)
     dets = enumerate_determinants(pairing4.basis)
-    from tccbench.determinants import excitation_from_reference
+    reference = dets[0]
 
     for d, val in zip(dets, diag):
-        hit = excitation_from_reference(d, pairing4.basis)
-        eps = fock.epsilon_of(hit[0]) if hit else 0.0
+        mu = pairing4.basis.determinants.excitation(d.mask)
+        if mu is not None:   # X_mu phi_0 is phi_d
+            assert apply_excitation(mu, reference)[0] == d
+        eps = fock.epsilon_of(mu) if mu else 0.0
         assert abs(val - (fock.lambda0 + eps)) <= 1e-12
 
 

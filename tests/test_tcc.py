@@ -27,6 +27,7 @@ from tccbench.determinants import (
     SPACE_CAS,
     SPACE_EXT,
     SPACE_FULL,
+    Determinant,
     classify_excitation,
     enumerate_excitations,
     excitation_space,
@@ -149,7 +150,7 @@ def test_zero_amplitude_energy_is_reference_expectation(pairing4):
     from oracle import matrix_element
 
     t_cas = AmplitudeVector(SPACE_CAS, {})
-    ref = pairing4.basis.reference
+    ref = Determinant((1, 2, 3, 4))
     want = matrix_element(ref, ref, pairing4.ints)
     got = tcc_energy(_empty_ext(), t_cas, pairing4.ints, pairing4.split)
     assert abs(got - want) <= 1e-13
@@ -223,7 +224,7 @@ def test_gap_violation_is_raised():
     good = tccbench.fock_matrix(ints, basis)
     lam = good.lambdas.copy()
     lam[3] = lam[2] - 1.0  # lambda_4 below lambda_3: eps_{3->4} < 0
-    bad = FockSpectrum(lam, good.lambda0, good.off_diag_norm, good.matrix)
+    bad = FockSpectrum(lam, good.lambda0, good.off_diag_norm)
     with pytest.raises(GapViolationError):
         solve_tcc(AmplitudeVector(SPACE_CAS, {}), ints, split, bad)
 
@@ -232,8 +233,7 @@ def test_divergence_guard(pairing4):
     """An absurd damping/tolerance combination must flag, not loop."""
     t_cas = _cas_amplitudes(pairing4)
     fock = pairing4.fock
-    tiny = FockSpectrum(fock.lambdas * 1e-6, fock.lambda0 * 1e-6,
-                        fock.off_diag_norm, fock.matrix * 1e-6)
+    tiny = FockSpectrum(fock.lambdas * 1e-6, fock.lambda0 * 1e-6, fock.off_diag_norm)
     result = solve_tcc(t_cas, pairing4.ints, pairing4.split, tiny,
                        TccConfig(max_iterations=50, tolerance=1e-12))
     assert result.diverged and not result.converged
