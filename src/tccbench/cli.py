@@ -222,6 +222,9 @@ def cmd_verify(args) -> int:
     if (run_all or args.error_scaling) and m < 4:
         raise InputError(f"the scaling fit needs m = min(N, K-N) >= 4 (rank:1..m-1 are fitted), "
                          f"got m = {m}; run --assumptions or --decomposition instead")
+    if (run_all or args.assumptions or args.error_scaling) and args.k == basis.n_orbitals:
+        raise InputError("k = K leaves the external space empty: no ball to sample and no "
+                         "scaling rows to fit; run --decomposition instead")
     fock = fock_matrix(ints, basis)
     payload: dict = {"gap": gap_report(fock, split)}
     cfg = _config_dict(args, ["k", "trunc", "delta", "samples", "tol", "damping", "diis",
@@ -347,13 +350,13 @@ def _apply_config_file(args, argv) -> None:
             raise InputError(f"unknown config key {key!r}")
         if key in given:
             continue
-        if actions[key].nargs == 0:   # a store_true flag
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
-        else:
-            try:
+        try:
+            if actions[key].nargs == 0:   # a store_true flag: 0/false/no or 1/true/yes
+                setattr(args, key, ("0", "false", "no", "1", "true", "yes").index(val.lower()) > 2)
+            else:
                 setattr(args, key, (actions[key].type or str)(val))
-            except ValueError as exc:
-                raise InputError(f"bad config value {key}={val!r}") from exc
+        except ValueError as exc:
+            raise InputError(f"bad config value {key}={val!r}") from exc
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -194,9 +194,9 @@ class AmplitudeVector:
     """Sparse map from excitation indices to real coefficients.
 
     `space` tags the index set the vector lives on; `scheme` names the
-    truncation when space == 'truncated'. Iteration is sorted by the
-    canonical index order so serialized output is reproducible. Explicit
-    zeros are dropped on construction; NaN and inf are rejected.
+    truncation when space == 'truncated'. `sorted_items()` follows the
+    canonical index order, so sums, seeded draws and cache keys over it are
+    reproducible. Explicit zeros are dropped on construction; NaN and inf are rejected.
     """
 
     space: str
@@ -219,9 +219,6 @@ class AmplitudeVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[ExcitationIndex]:
-        return iter(sorted(self.entries))
 
 
 def v_ext_norm(t: AmplitudeVector, fock) -> float:
@@ -343,9 +340,9 @@ class ExcitationSpace:
     Holds the position of X_mu phi_0 and its sign for every index, and --
     built on first use -- the excitation table
     (src, dst, sign, mu): X_{indices[mu]} phi_src = sign * phi_dst, one row
-    per nonzero action, grouped by rank, then ordered by index and source
-    determinant. Amplitude vectors on the space are ndarrays in index
-    order; with them T @ v is a single bincount over the table.
+    per nonzero action, stably sorted by the excitation level of phi_dst
+    (built by rank, then index and source). Amplitude vectors on the space
+    are ndarrays in index order; with them T @ v is one bincount over the table.
     """
 
     def __init__(self, basis: OrbitalBasis, indices: Sequence[ExcitationIndex]):
@@ -404,20 +401,18 @@ class ExcitationSpace:
 
     @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, sign, mu) rows of every nonzero X_mu phi_src."""
-        return self._rows(np.arange(self.dim))
+        """(src, dst, sign, mu) rows, stably sorted by phi_dst's level, each column in place."""
+        rows = self._rows(np.arange(self.dim))
+        order = np.argsort(self.dets.levels[rows[1]], kind="stable")
+        return tuple(np.take(col, order, out=col) for col in rows)
 
-    def block(self, rank: int) -> tuple[np.ndarray, tuple, np.ndarray]:
-        """(rows, (src, dst), outside): the table rows with phi_dst at excitation
-        level <= rank, their ends, and the determinants above that level.
+    def block(self, rank: int) -> int:
+        """The number of leading table rows, those with phi_dst at level <= rank.
 
         X_mu raises the level by |mu|, so these rows alone give T @ v on
-        those determinants from v on them, summed in the same table order.
+        those determinants from v on them, each summed in the same row order.
         """
-        level = self.dets.levels
-        src, dst, _, _ = self.table
-        rows = np.flatnonzero(level[dst] <= rank)
-        return rows, (src[rows], dst[rows]), level > rank
+        return int(np.count_nonzero(self.dets.levels[self.table[1]] <= rank))
 
     # -- amplitude vectors ---------------------------------------------------
 
@@ -458,8 +453,8 @@ class ExcitationSpace:
         _, _, sign, mu = self.table
         return t[mu] * sign
 
-    def _apply(self, coef: np.ndarray, v: np.ndarray, ends: tuple) -> np.ndarray:
-        src, dst = ends[:2]
+    def _apply(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+        src, dst = self.table[0][:len(coef)], self.table[1][:len(coef)]
         if v.ndim == 1:
             return np.bincount(dst, weights=coef * v[src], minlength=self.dim)
         out = np.empty_like(v)
@@ -469,18 +464,18 @@ class ExcitationSpace:
 
     def apply(self, t: np.ndarray, v: np.ndarray) -> np.ndarray:
         """T @ v for T = sum_a t[a] X_{indices[a]}; v is (dim,) or (dim, m)."""
-        return self._apply(self.coefficients(t), np.asarray(v, dtype=float), self.table)
+        return self._apply(self.coefficients(t), np.asarray(v, dtype=float))
 
     def exp_apply(self, t: np.ndarray, v: np.ndarray, sign: int = +1) -> np.ndarray:
         """e^{sign*T} @ v by the finite nilpotent series."""
-        return self.exp_series(self.coefficients(t), v, sign, self.table)
+        return self.exp_series(self.coefficients(t), v, sign)
 
-    def exp_series(self, coef: np.ndarray, v: np.ndarray, sign: int, ends: tuple) -> np.ndarray:
-        """e^{sign*T} @ v through the table rows with columns ends = (src, dst, ...)."""
+    def exp_series(self, coef: np.ndarray, v: np.ndarray, sign: int) -> np.ndarray:
+        """e^{sign*T} @ v through the first len(coef) table rows, whose coefficients coef holds."""
         acc = np.array(v, dtype=float)
         term = acc.copy()
         for m in range(1, self.basis.n_electrons + 1):
-            term = (sign / m) * self._apply(coef, term, ends)
+            term = (sign / m) * self._apply(coef, term)
             if not term.any():
                 break
             acc += term

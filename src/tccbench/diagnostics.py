@@ -196,31 +196,33 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     The off-CAS map O(t) = (e^{-T} A e^{T} - A) phi_0 with
     A = W_CAS - P W_CAS P, W_CAS = e^{-T^CAS} W e^{T^CAS}, is sampled on
     pairs in the delta-ball around t_*; L_* is the largest observed
-    ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2. Also embeds the monotonicity
-    probe for the same ball and seed.
+    ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2; W_CAS and A are only applied to
+    vectors. Also embeds the monotonicity probe for the same ball and seed.
     """
     space = external_space(split)
     op = TailoredHamiltonian(t_cas, ints, split, space)
     t_vec, r_star = _require_reference(t_star, op, delta, samples)
     eps = space.epsilon(fock)
 
-    w = op.ham - np.diag(fock_diagonal_vector(fock, split.basis))
-    eye = np.eye(space.dim)
-    e_plus = op.cas.exp_apply(op.t_cas, eye, +1)
-    e_minus = op.cas.exp_apply(op.t_cas, eye, -1)
-    w_cas = e_minus @ w @ e_plus
-    p = split.cas_determinants().astype(float)   # diagonal of the CAS projector
-    a = w_cas - (p[:, None] * w_cas) * p[None, :]
+    fock_diag = fock_diagonal_vector(fock, split.basis)
+    cas_coef = op.cas.coefficients(op.t_cas)
+    p = split.cas_determinants()   # diagonal of the CAS projector
+
+    def w_cas(x):
+        x = op.cas.exp_series(cas_coef, x, +1)
+        return op.cas.exp_series(cas_coef, op.ham @ x - fock_diag * x, -1)
+
+    def a(x):
+        return w_cas(x) - p * w_cas(p * x)
 
     ref = space.reference_state()
-    omega0 = float(ref @ (w_cas @ ref))
+    omega0 = float(w_cas(ref)[space.reference])
     omega_cas = float(sum(abs(val * fock.epsilon_of(s))
                           for s, val in t_cas.sorted_items()))
-
-    a_ref = a @ ref
+    a_ref = a(ref)
 
     def o_map(vec):
-        inner = a @ space.exp_apply(vec, ref, +1)
+        inner = a(space.exp_apply(vec, ref, +1))
         return space.exp_apply(vec, inner, -1) - a_ref
 
     pairs = _ball_pairs(t_vec, eps, delta, samples, seed)   # the probe's pairs too
@@ -382,16 +384,19 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     space = external_space(split)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
-    op = TailoredHamiltonian(t_cas, ints, split, space, 0)
-    e_star, e_d = (float(op(t)[space.reference]) for t in (ts, td))
+    op = TailoredHamiltonian(t_cas, ints, split, space)
+    v_d = op(td)
+    e_star, e_d = float(op(ts)[space.reference]), float(v_d[space.reference])
 
-    jac, grad, f_d = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
-    rho_primal = float(-(f_d @ (zs - zd)))
-    rho_dual = float(grad @ (ts - td) - (jac.T @ zd) @ (ts - td))
+    # the one Jacobian column rho* reads, Df(t_d) u = <., e^{-T^CAS}[e^{-T_d} H e^{T_d}, X_u] u0>
+    u = ts - td
+    df_u = op.conjugate(td, space.apply(u, op.u0)) - space.apply(u, v_d)
+    rho_primal = float(-(space.project(v_d) @ (zs - zd)))
+    rho_dual = float(df_u[space.reference] - zd @ space.project(df_u))
     remainder = 2.0 * (e_star - e_d) - rho_primal - rho_dual
 
     eps = space.epsilon(fock)
-    dist = float(np.sqrt((eps * (ts - td) ** 2).sum()))
+    dist = float(np.sqrt((eps * u ** 2).sum()))
     ratio = abs(remainder) / dist**3 if dist > 1e-13 else None
     return RepresentationCheck(float(remainder), dist, ratio)
 

@@ -140,7 +140,7 @@ class TailoredHamiltonian:
     T runs over `space` and is passed as an amplitude ndarray in its index
     order; e^{T^CAS} phi_0 is computed once. Results hold the determinants of
     excitation level <= `rank` (default: all that residual reads) and zeros
-    elsewhere, so e^{-T} and e^{-T^CAS} run on that block alone.
+    elsewhere, so e^{-T} and e^{-T^CAS} run on that block's leading table rows.
     """
 
     def __init__(self, t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
@@ -153,18 +153,17 @@ class TailoredHamiltonian:
         self.ham = build_dense_hamiltonian(ints, split.basis)
         self.u0 = self.cas.exp_apply(self.t_cas, space.reference_state())
         rank = space.max_rank if rank is None else rank
-        self.block = space.block(rank)
-        self.cas_block = self.cas.block(rank)
-        self.cas_coef = self.cas.coefficients(self.t_cas)[self.cas_block[0]]
+        self.rows = space.block(rank)
+        self.outside = space.dets.levels > rank
+        self.cas_coef = self.cas.coefficients(self.t_cas)[:self.cas.block(rank)]
 
     def conjugate(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """e^{-T^CAS} e^{-T} H e^{T} w on the block; w is (dim,) or (dim, m)."""
         coef = self.space.coefficients(t)
-        w = self.ham @ self.space.exp_series(coef, w, +1, self.space.table)
-        rows, ends, outside = self.block
-        w[outside] = 0.0
-        w = self.space.exp_series(coef[rows], w, -1, ends)
-        return self.cas.exp_series(self.cas_coef, w, -1, self.cas_block[1])
+        w = self.ham @ self.space.exp_series(coef, w, +1)
+        w[self.outside] = 0.0
+        w = self.space.exp_series(coef[:self.rows], w, -1)
+        return self.cas.exp_series(self.cas_coef, w, -1)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """The transformed reference e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} phi_0."""

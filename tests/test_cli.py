@@ -186,6 +186,28 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
     assert json.loads(out)["config"]["jump"] is True
 
 
+@pytest.mark.parametrize("text,why", [
+    ("mo=maybe", "bad config value"),   # both ran without --mo
+    ("mo=ture", "bad config value"),
+    ("k=abc", "bad config value"),
+    ("k", "bad config line"),
+])
+def test_bad_config_values_are_input_errors(text, why, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{text}\n")
+    code, out, err = run(["tcc", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
+    assert code == 1 and err.startswith("error:") and why in err and not out
+
+
+@pytest.mark.parametrize("value,mo", [("TRUE", True), ("No", False)])
+def test_boolean_config_values_ignore_case(value, mo, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mo={value}\n")
+    code, out, _ = run(["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"].get("mo", False) is mo
+
+
 def test_config_file_loses_to_flags_given_at_their_default(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("trunc=rank:1\nseed=5\n")
@@ -300,13 +322,18 @@ def test_negative_seed_is_an_input_error_before_any_solve(monkeypatch, capsys):
     ["--model", "hubbard:3,1.0,2.0", "--mo", "--k", "4"],
     ["--model", "hubbard:3,1.0,2.0", "--mo", "--k", "4", "--error-scaling"],
     ["--model", "hubbard:2,1.0,4.0", "--mo", "--k", "2"],
+    ["--model", "pairing:4,0.5,1.0", "--k", "8"],
+    ["--model", "pairing:4,0.5,1.0", "--k", "8", "--error-scaling"],
 ])
 def test_verify_rejects_an_unfittable_scaling_study_before_any_solve(args, monkeypatch, capsys):
     # m = min(N, K-N) < 4 leaves fewer than 3 fitted rows: hubbard:3 ran every solve
-    # and then exited 1 from the slope fit, hubbard:2 exited 2 on a singular adjoint
+    # and then exited 1 from the slope fit, hubbard:2 exited 2 on a singular adjoint.
+    # k = K (pairing:4 at --k 8) leaves no ball to sample and no row to fit: it
+    # exited 1 after CAS-FCI and the reference root, or after every scaling solve
     monkeypatch.setattr(tcc, "solve_tcc", _refuse("solve_tcc"))
     code, out, err = run(["verify", *args], capsys)
-    assert code == 1 and err.startswith("error:") and "m = " in err and not out
+    why = "k = K" if "pairing:4,0.5,1.0" in args else "m = "
+    assert code == 1 and err.startswith("error:") and why in err and not out
 
 
 @pytest.mark.parametrize("flag", ["--mi-threshold", "--s-threshold"])
@@ -452,7 +479,7 @@ def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
     # the CAS space, the rank:1/2/3 and full external spaces (tailored evaluations
     # run on the full one) and one space per cluster amplitude support
     assert built["spaces"] <= 8
-    assert built["operators"] <= 18
+    assert built["operators"] <= 17
     # one determinant space, so one mask sort, one level array and one occupation table
     assert built["dets"] == built["occupations"] == built["sectors"] == 1
 

@@ -66,6 +66,25 @@ def test_excitation_signs_match_dense_oracle(k, n):
 
 
 @pytest.mark.parametrize("k,n", [(6, 3), (8, 4)])
+def test_table_is_level_ordered_so_blocks_are_prefixes(k, n):
+    """The table holds the built rows stably sorted by the level of phi_dst:
+    levels never fall, each destination keeps its rows in build order (so every
+    bincount sums them as before), and block(r) is the prefix at level <= r."""
+    basis = OrbitalBasis(k, n)
+    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
+    built = space._rows(np.arange(space.dim))
+    level = basis.determinants.levels[space.table[1]].astype(int)
+    assert np.all(np.diff(level) >= 0)
+    for d in range(space.dim):
+        for col, built_col in zip(space.table, built):
+            assert np.array_equal(col[space.table[1] == d], built_col[built[1] == d])
+    for r in range(int(level.max()) + 1):
+        rows = space.block(r)
+        assert rows == np.count_nonzero(basis.determinants.levels[built[1]] <= r)
+        assert (level[:rows] <= r).all() and (level[rows:] > r).all()
+
+
+@pytest.mark.parametrize("k,n", [(6, 3), (8, 4)])
 def test_excitation_operators_commute(k, n):
     basis = OrbitalBasis(k, n)
     mus = enumerate_excitations(basis)

@@ -30,7 +30,7 @@ from tccbench import (
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
 from tccbench.diagnostics import STUDY_CONFIG, ScalingRow, _fit_slope
 from tccbench.errors import InputError, InsufficientPointsError, MissingReferenceError
-from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian
+from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian, fock_diagonal_vector
 from tccbench.determinants import excitation_space
 from tccbench.tcc import (
     MODE_FULL,
@@ -158,6 +158,41 @@ def test_assumption_report_interacting(pairing4):
     assert report.lipschitz_star > 0.0
     assert report.margin == pytest.approx(
         report.gap.eps0 - report.omega0 - report.omega_cas - report.lipschitz_star)
+
+
+def _dense_smallness(system, t_star, t_cas, samples, seed):
+    """omega0 and L_* of assumption_b_report from a dense W_CAS = e^{-T^CAS} W e^{T^CAS}
+    and A = W_CAS - P W_CAS P, built from the identity."""
+    space = external_space(system.split)
+    op = TailoredHamiltonian(t_cas, system.ints, system.split, space)
+    w = op.ham - np.diag(fock_diagonal_vector(system.fock, system.basis))
+    eye = np.eye(space.dim)
+    w_cas = op.cas.exp_apply(op.t_cas, eye, -1) @ w @ op.cas.exp_apply(op.t_cas, eye, +1)
+    p = system.split.cas_determinants().astype(float)
+    a = w_cas - (p[:, None] * w_cas) * p[None, :]
+    ref = space.reference_state()
+
+    def o_map(vec):
+        return space.exp_apply(vec, a @ space.exp_apply(vec, ref, +1), -1) - a @ ref
+
+    pairs = diagnostics._ball_pairs(space.embed(t_star), space.epsilon(system.fock),
+                                    0.1, samples, seed)
+    l_star = max(np.linalg.norm(o_map(t1) - o_map(t2)) / np.linalg.norm(t1 - t2)
+                 for t1, t2 in pairs)
+    return float(ref @ w_cas @ ref), float(l_star)
+
+
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_assumption_report_matches_the_dense_w_cas(model, request):
+    system = request.getfixturevalue(model)
+    t_cas = _cas_amplitudes(system)
+    t_star = _solve_full(system, t_cas).t
+    report = assumption_b_report(t_star, t_cas, system.ints, system.split, system.fock,
+                                 samples=4, seed=3)
+    omega0, l_star = _dense_smallness(system, t_star, t_cas, samples=4, seed=3)
+    assert omega0 != 0.0 and l_star > 0.0
+    assert abs(report.omega0 - omega0) <= 1e-12 * abs(omega0)
+    assert abs(report.lipschitz_star - l_star) <= 1e-12 * l_star
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +465,27 @@ def test_representation_zero_distance(pairing4):
     assert check.distance <= 1e-12
     assert check.cubic_ratio is None
     assert abs(check.remainder) <= 1e-10
+
+
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_representation_matches_the_full_jacobian(model, request):
+    """rho* read off one Jacobian column equals rho* from the whole Jacobian."""
+    system = request.getfixturevalue(model)
+    study = _study(system)
+    truncated = replace(STUDY_CONFIG, truncation=TruncationScheme(MODE_RANK, 2))
+    t_d, z_d = study.root(truncated).t, study.dual(truncated)
+    t_star, z_star = study.root(STUDY_CONFIG).t, study.dual(STUDY_CONFIG)
+    args = (study.t_cas, system.ints, system.split)
+    check = error_representation_check(t_d, z_d, t_star, z_star, *args, system.fock)
+
+    space = external_space(system.split)
+    td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
+    jac, grad, f_d = tcc_jacobian(t_d, *args, space.indices)
+    rho_primal = -(f_d @ (zs - zd))
+    rho_dual = grad @ (ts - td) - (jac.T @ zd) @ (ts - td)
+    want = 2.0 * (tcc_energy(t_star, *args) - tcc_energy(t_d, *args)) - rho_primal - rho_dual
+    assert check.distance > 0.0 and want != 0.0
+    assert abs(check.remainder - want) <= 1e-14
 
 
 def test_representation_cubic_ratio_bounded_over_sweep(pairing4):

@@ -255,7 +255,7 @@ def test_divergence_guard_sees_non_finite_residual(hubbard3_mo):
 def test_non_finite_amplitudes_are_rejected(pairing4):
     """NaN or inf never passes for a zero amplitude."""
     t_cas = _cas_amplitudes(pairing4)
-    mu = next(iter(t_cas))
+    mu = next(iter(t_cas.entries))
     for bad in (math.nan, math.inf):
         with pytest.raises(NonFiniteAmplitudeError):
             AmplitudeVector(SPACE_CAS, {mu: bad})
