@@ -13,7 +13,6 @@ Exit codes: 1 input error, 2 solver failure, 3 size limit exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,7 +55,7 @@ def _load_integrals(args):
         if not path.exists():
             raise InputError(f"no such file: {path}")
         data = path.read_bytes()
-        args.fcidump_sha256 = hashlib.sha256(data).hexdigest()
+        args.fcidump_sha256 = serialize.sha256(data).hexdigest()
         ints = parse_fcidump(data.decode())
     else:
         kind, _, argstr = args.model.partition(":")

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import io
 import json
@@ -45,6 +46,33 @@ def test_dumps_is_sorted_and_stable():
 def test_config_hash_changes_with_content():
     assert config_hash({"k": 2}) != config_hash({"k": 3})
     assert config_hash({"k": 2}) == config_hash({"k": 2})
+
+
+# the digest of {"model": "pairing:4,0.5,1.0", "k": 6}, taken through hashlib
+PINNED_DIGEST = "caba59829ab76fb6ff6e9720cb184f88f5a05e0fdd568369455b6550165d0169"
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"model": "pairing:4,0.5,1.0", "note": "Ψ₀ – tailored"},
+    {f"key_{i}": [i / 7, "x" * i] for i in range(20)},    # 1134 bytes: 18 blocks
+], ids=["empty", "non-ascii", "multi-block"])
+def test_config_hash_is_the_hashlib_sha256_of_the_dump(config):
+    assert config_hash(config) == hashlib.sha256(dumps(config).encode()).hexdigest()
+
+
+def test_config_hash_pins_one_digest():
+    assert config_hash({"model": "pairing:4,0.5,1.0", "k": 6}) == PINNED_DIGEST
+
+
+def test_config_hash_falls_back_to_hashlib_without_builtin_hashes():
+    # a None entry in sys.modules makes the import fail, as on a build
+    # without the built-in SHA-256
+    out = _cold_start('import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None; '
+                      "import hashlib; from tccbench import serialize; "
+                      "print(serialize.sha256 is hashlib.sha256, "
+                      'serialize.config_hash({"model": "pairing:4,0.5,1.0", "k": 6}))')
+    assert out == ["True", PINNED_DIGEST]
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +542,17 @@ def _cold_command(args, out) -> tuple[int, set[str]]:
 
 
 @pytest.mark.parametrize("args", [
+    ["fci", "--model", "hubbard:2,1.0,4.0"],
+    ["cas-fci", "--model", "hubbard:2,1.0,4.0", "--k", "3"],
     ["select-cas", "--model", "hubbard:6,1.0,2.0,4", "--mo"],
     ["tcc", "--model", "hubbard:4,1.0,2.0", "--mo", "--k", "6", "--trunc", "rank:2"],
-], ids=["select-cas", "tcc"])
+], ids=["fci", "cas-fci", "select-cas", "tcc"])
 def test_commands_do_not_import_numpy_ma(args, tmp_path):
     # numpy.ma costs 15-23 ms to import in a fresh interpreter; np.unique is
-    # one call that pulls it in
+    # one call that pulls it in. OpenSSL (_hashlib) costs about 3.5 MB and
+    # 4 ms; the config digest needs only the built-in SHA-256
     status, modules = _cold_command(args, tmp_path)
-    assert status == 0 and "numpy.ma" not in modules
+    assert status == 0 and "numpy.ma" not in modules and "_hashlib" not in modules
 
 
 # the layers every command loads; each command adds its own
