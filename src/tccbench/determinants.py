@@ -95,10 +95,7 @@ class Determinant:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for p in self.occ:
-            m |= 1 << (p - 1)
-        return m
+        return sum(1 << (p - 1) for p in self.occ)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Determinant":

@@ -7,13 +7,16 @@ energy-error decomposition with adjoint (dual) solves, the second-order
 error representation, and quadratic error-scaling studies over nested
 truncation families.
 
-All sampling-based quantities are seeded and deterministic; they are
-lower/upper *estimates* of constants defined as infima/suprema over
-continua and are labelled as such.
+All sampling-based quantities are seeded and deterministic: they draw from
+random.Random(seed).random(), normals by Box-Muller, which replaced numpy.random
+and so changed every seeded `verify` figure for a given seed. They are lower/upper
+*estimates* of constants defined as infima/suprema over continua and are labelled as such.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -112,15 +115,27 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
     return t_vec, r
 
 
+class _Stream(random.Random):
+    """random.Random(seed), whose stream CPython keeps; Box-Muller normals take two random() each."""
+
+    def __init__(self, seed: int):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:  # Random(-1) is Random(1)
+            raise ValueError(f"need an integer seed >= 0, got {seed!r}")
+        super().__init__(int(seed))
+
+    def normals(self, n: int) -> np.ndarray:
+        return np.array([math.sqrt(-2.0 * math.log(1.0 - self.random()))
+                         * math.cos(2.0 * math.pi * self.random()) for _ in range(n)])
+
+
 def _ball_pairs(center: np.ndarray, eps: np.ndarray, delta: float, samples: int,
                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`samples` seeded pairs of random points of the V-norm ball of radius delta
-    around center."""
-    rng = np.random.default_rng(seed)
+    """`samples` seeded pairs of random points of the V-norm ball of radius delta around center."""
+    rng = _Stream(seed)
 
     def point():
-        u = rng.standard_normal(len(eps))
-        u *= (delta * rng.uniform()) / np.sqrt((eps * u**2).sum())
+        u = rng.normals(len(eps))
+        u *= (delta * rng.random()) / np.sqrt((eps * u**2).sum())
         return center + u
 
     return [(point(), point()) for _ in range(samples)]
@@ -152,8 +167,7 @@ def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: 
     and the coordinate probes at the checked reference t_vec, whose residual is r_star."""
     pairs = [*pairs, *((t_vec + step, t_vec) for step in np.diag(delta / np.sqrt(eps)))]
 
-    g_v = np.inf
-    g_l2 = np.inf
+    g_v = g_l2 = np.inf
     l_hat = 0.0
     for v1, v2 in pairs:
         # every coordinate probe pairs with t_vec itself, whose residual is r_star
@@ -315,8 +329,7 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     error dE_cas of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
     """
     ints, split = study.ints, study.split
-    basis = split.basis
-    summary, states = fci_solve(ints, basis)
+    summary, states = fci_solve(ints, split.basis)
     e_fci = summary.ground_energy
     t_full = ci_to_cluster(states[0])
     t_star_cas, t_star_ext = split_amplitudes(t_full, split)
@@ -325,10 +338,9 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     if t_cas_source == "CAS_FCI":
         t_cas = t_fci_cas
     elif t_cas_source == "PERTURBED":
-        rng = np.random.default_rng(seed)
-        entries = {mu: val + noise * rng.standard_normal()
-                   for mu, val in t_fci_cas.sorted_items()}
-        t_cas = AmplitudeVector(SPACE_CAS, entries)
+        draws = _Stream(seed).normals(len(t_fci_cas)).tolist()
+        t_cas = AmplitudeVector(SPACE_CAS, {mu: val + noise * z for (mu, val), z
+                                            in zip(t_fci_cas.sorted_items(), draws)})
     else:
         raise ValueError(f"unknown t_cas_source {t_cas_source!r}")
 
@@ -478,14 +490,12 @@ def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
     """
     space = external_space(split)
     eps = space.epsilon(fock)
-    rng = np.random.default_rng(seed)
-    source = rng.standard_normal(len(space))
+    source = _Stream(seed).normals(len(space))
 
     ranks = np.array([mu.rank for mu in space.indices])
     study = ScalingStudy()
     for r in sorted(set(ranks.tolist())):
-        keep = ranks <= r
-        dropped = ~keep
+        dropped = ranks > r
         dist_sq = float((eps[dropped] * source[dropped] ** 2).sum())
         dist = float(np.sqrt(dist_sq))
         usable = dist > 1e-12

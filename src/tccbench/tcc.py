@@ -222,10 +222,8 @@ def split_amplitudes(t_full: AmplitudeVector, split: BasisSplit
 
 def _diis_extrapolate(trials: list[np.ndarray], errors: list[np.ndarray]) -> np.ndarray:
     m = len(trials)
-    b = np.empty((m + 1, m + 1))
+    b = np.full((m + 1, m + 1), -1.0)
     b[:m, :m] = np.array([[float(e1 @ e2) for e2 in errors] for e1 in errors])
-    b[m, :] = -1.0
-    b[:, m] = -1.0
     b[m, m] = 0.0
     rhs = np.zeros(m + 1)
     rhs[m] = -1.0

@@ -546,13 +546,17 @@ def _cold_command(args, out) -> tuple[int, set[str]]:
     ["cas-fci", "--model", "hubbard:2,1.0,4.0", "--k", "3"],
     ["select-cas", "--model", "hubbard:6,1.0,2.0,4", "--mo"],
     ["tcc", "--model", "hubbard:4,1.0,2.0", "--mo", "--k", "6", "--trunc", "rank:2"],
-], ids=["fci", "cas-fci", "select-cas", "tcc"])
+    ["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", "--trunc", "rank:2",
+     "--samples", "2"],
+], ids=["fci", "cas-fci", "select-cas", "tcc", "verify"])
 def test_commands_do_not_import_numpy_ma(args, tmp_path):
     # numpy.ma costs 15-23 ms to import in a fresh interpreter; np.unique is
     # one call that pulls it in. OpenSSL (_hashlib) costs about 3.5 MB and
-    # 4 ms; the config digest needs only the built-in SHA-256
+    # 4 ms; the config digest needs only the built-in SHA-256, and verify's
+    # sampling only `random`: numpy.random loads OpenSSL through secrets
     status, modules = _cold_command(args, tmp_path)
-    assert status == 0 and "numpy.ma" not in modules and "_hashlib" not in modules
+    assert status == 0
+    assert not {"numpy.ma", "numpy.random", "secrets", "hashlib", "_hashlib"} & modules
 
 
 # the layers every command loads; each command adds its own

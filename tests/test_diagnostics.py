@@ -1,3 +1,5 @@
+import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +238,49 @@ def test_sampling_ball_is_checked_by_the_library(pairing4, pairing4_root, delta,
                   delta=delta, samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_is_checked_by_the_library(pairing4, pairing4_root, seed):
+    # numpy's default_rng raised on both; random.Random(-1) gives seed 1's stream
+    t_star, t_cas = pairing4_root
+    with pytest.raises(ValueError, match="seed"):
+        assumption_b_report(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
+                            samples=2, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        linear_limit_scaling_study(pairing4.fock, pairing4.split, seed=seed)
+
+
+@pytest.mark.parametrize("delta", [0.1, 3.0])
+def test_ball_pairs_lie_in_the_ball(pairing4, pairing4_root, delta):
+    space = external_space(pairing4.split)
+    center, eps = space.embed(pairing4_root[0]), space.epsilon(pairing4.fock)
+    pairs = diagnostics._ball_pairs(center, eps, delta, 50, seed=7)
+    assert len(pairs) == 50
+    for p in (p for pair in pairs for p in pair):
+        assert np.sqrt((eps * (p - center) ** 2).sum()) <= delta * (1 + 1e-12)
+
+
+def test_ball_pairs_follow_the_seed():
+    center, eps = np.zeros(5), np.linspace(0.5, 2.5, 5)
+    first, again, other = (diagnostics._ball_pairs(center, eps, 0.1, 4, seed)
+                           for seed in (3, 3, 4))
+    assert all(np.array_equal(a, b) for pa, pb in zip(first, again) for a, b in zip(pa, pb))
+    assert not any(np.array_equal(a, b) for pa, pb in zip(first, other)
+                   for a, b in zip(pa, pb))
+
+
+@pytest.mark.parametrize("seed", [0, 5, np.int64(5), 2**70], ids=["0", "5", "int64", "2**70"])
+def test_normals_are_box_muller_on_random(seed):
+    rng = random.Random(int(seed))
+    scalar = [math.sqrt(-2.0 * math.log(1.0 - rng.random())) * math.cos(2.0 * math.pi * rng.random())
+              for _ in range(64)]
+    assert diagnostics._Stream(seed).normals(64).tolist() == scalar
+
+
+def test_normals_are_standard():
+    z = diagnostics._Stream(11).normals(20_000)
+    assert abs(z.mean()) <= 0.05 and abs(z.var() - 1.0) <= 0.05
+
+
 # ---------------------------------------------------------------------------
 # Fock-norm identity
 # ---------------------------------------------------------------------------
@@ -423,9 +468,9 @@ def test_error_decomposition_perturbed_cas(pairing4):
     dec = error_decomposition(study, TruncationScheme(MODE_FULL),
                               t_cas_source="PERTURBED", noise=1e-3, seed=5)
     assert dec.dE_cas > 1e-8           # perturbed CAS amplitudes cost energy
-    rng = np.random.default_rng(5)     # the perturbation error_decomposition draws
-    perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * rng.standard_normal()
-                                            for mu, val in study.t_cas.sorted_items()})
+    draws = diagnostics._Stream(5).normals(len(study.t_cas))   # the perturbation drawn
+    perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z for (mu, val), z
+                                            in zip(study.t_cas.sorted_items(), draws)})
     dense = abs(_php_energy(pairing4, perturbed) - _php_energy(pairing4, study.t_cas))
     assert abs(dec.dE_cas - dense) <= 1e-14
     assert dec.d_eps_cas > 1e-8
