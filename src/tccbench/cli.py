@@ -107,7 +107,10 @@ def _parse_trunc(spec: str) -> TruncationScheme:
     raise InputError(f"bad truncation spec {spec!r} (want sd|rank:N|foi:N|full)")
 
 
-def _emit(args, name: str, payload, config: dict, tsv=None):
+def _emit(args, name: str, payload, tsv=None):
+    """Write the document, whose config is the subcommand's set flags and the FCIDUMP digest."""
+    config = {k: getattr(args, k) for k in [*args.config_keys, "fcidump_sha256"]
+              if getattr(args, k, None) is not None}
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -121,12 +124,6 @@ def _emit(args, name: str, payload, config: dict, tsv=None):
         serialize.dump_document(payload, config, sys.stdout)
 
 
-def _config_dict(args, keys):
-    """The set values of the integral source, the seed and `keys`."""
-    keys = ["fcidump", "fcidump_sha256", "model", "mo", "seed", *keys]
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def cmd_fci(args) -> int:
     ints, basis = _load_integrals(args)
     summary, states = fci_solve(ints, basis, n_states=args.n_states)
     payload = {"summary": summary, "states": states}
-    _emit(args, "fci", payload, _config_dict(args, ["n_states"]))
+    _emit(args, "fci", payload)
     return 0
 
 
@@ -143,7 +140,7 @@ def cmd_cas_fci(args) -> int:
     ints, basis, split = _load_split(args)
     summary, states = cas_fci_solve(ints, basis, split, n_states=args.n_states)
     payload = {"summary": summary, "states": states, "k": args.k}
-    _emit(args, "cas_fci", payload, _config_dict(args, ["k", "n_states"]))
+    _emit(args, "cas_fci", payload)
     return 0
 
 
@@ -166,8 +163,7 @@ def cmd_select_cas(args) -> int:
         "selection": selection,
         "profile": {"s1": profile.s1, "mi": profile.mi},
     }
-    config = _config_dict(args, ["s_threshold", "mi_threshold", "jump"])
-    _emit(args, "select_cas", payload, config,
+    _emit(args, "select_cas", payload,
           tsv=("profile.tsv", serialize.write_profile_tsv, profile))
     return 0
 
@@ -194,8 +190,7 @@ def cmd_tcc(args) -> int:
         "t": result.t,
         "k": args.k,
     }
-    cfg = _config_dict(args, ["k", "trunc", "damping", "diis", "tol", "max_iterations"])
-    _emit(args, "tcc", payload, cfg,
+    _emit(args, "tcc", payload,
           tsv=("history.tsv", serialize.write_history_tsv, result.history))
     return 0
 
@@ -226,9 +221,6 @@ def cmd_verify(args) -> int:
                          "scaling rows to fit; run --decomposition instead")
     fock = fock_matrix(ints, basis)
     payload: dict = {"gap": gap_report(fock, split)}
-    cfg = _config_dict(args, ["k", "trunc", "delta", "samples", "tol", "damping", "diis",
-                              "max_iterations", "assumptions", "error_scaling",
-                              "decomposition"])
 
     # the solver flags drive the reference and truncated roots; the
     # decomposition and scaling sub-solves run at diagnostics.STUDY_CONFIG
@@ -254,7 +246,7 @@ def cmd_verify(args) -> int:
         payload["scaling"] = scaling
         payload["linear_limit_scaling"] = linear_limit_scaling_study(
             fock, split, seed=args.seed)
-    _emit(args, "verify", payload, cfg,
+    _emit(args, "verify", payload,
           tsv=("scaling.tsv", serialize.write_scaling_tsv, scaling) if scaling else None)
     return 0
 
@@ -331,41 +323,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=cmd_verify)
+    for p in sub.choices.values():   # a document's config: every flag but --out and --config
+        p.set_defaults(config_keys=[a.dest for a in p._actions
+                                    if a.dest not in ("help", "out", "config")])
     return parser
 
 
-def _apply_config_file(args, argv) -> None:
-    if not getattr(args, "config", None):
-        return
-    # the keys argv sets itself win: parse it again with every default unset
-    unset = object()
-    probe = build_parser()
-    command = probe.commands[args.command]
-    command.set_defaults(**dict.fromkeys(vars(args), unset))
-    given = {k for k, v in vars(probe.parse_args(argv)).items() if v is not unset}
+def _apply_config_file(parser, args, argv):
+    """args, or argv parsed again with the --config file's values as defaults: argv wins."""
+    if not args.config:
+        return args
+    command = parser.commands[args.command]
     actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+    defaults = {}
     for key, val in _read_config_file(args.config).items():
         if key not in actions:
             raise InputError(f"unknown config key {key!r}")
-        if key in given:
-            continue
         try:
             if actions[key].nargs == 0:   # a store_true flag: 0/false/no or 1/true/yes
-                setattr(args, key, ("0", "false", "no", "1", "true", "yes").index(val.lower()) > 2)
+                defaults[key] = ("0", "false", "no", "1", "true", "yes").index(val.lower()) > 2
             else:
-                setattr(args, key, (actions[key].type or str)(val))
+                defaults[key] = (actions[key].type or str)(val)
         except ValueError as exc:
             raise InputError(f"bad config value {key}={val!r}") from exc
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
         return EXIT_INPUT if exc.code else 0
     try:
-        _apply_config_file(args, argv)
+        args = _apply_config_file(parser, args, argv)
         return args.func(args)
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -492,6 +492,8 @@ def excitation_space(basis: OrbitalBasis, indices: tuple[ExcitationIndex, ...]) 
     return ExcitationSpace(basis, indices)
 
 
-def support_space(t: AmplitudeVector, basis: OrbitalBasis) -> ExcitationSpace:
-    """The shared ExcitationSpace of the indices t carries, in canonical order."""
-    return excitation_space(basis, tuple(sorted(t.entries)))
+def support_space(t: AmplitudeVector | Iterable[ExcitationIndex],
+                  basis: OrbitalBasis) -> ExcitationSpace:
+    """The shared ExcitationSpace of t's indices, in enumerate_excitations order."""
+    indices = t.entries if isinstance(t, AmplitudeVector) else t
+    return excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))

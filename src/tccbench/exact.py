@@ -20,7 +20,6 @@ from .determinants import (
     ExcitationSpace,
     OrbitalBasis,
     SPACE_FULL,
-    excitation_space,
     support_space,
 )
 from .errors import DimensionMismatchError, StateCountError, ZeroReferenceOverlapError
@@ -82,13 +81,13 @@ def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
 
 
 def _support_space(w: np.ndarray, basis: OrbitalBasis) -> ExcitationSpace:
-    """The indices mu with X_mu phi_0 in the support of a reference-orthogonal w, in
-    enumerate_excitations order: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
+    """The support space of the indices mu with X_mu phi_0 in the support of a
+    reference-orthogonal w: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
     dets = basis.determinants
     if w[dets.reference] != 0.0:
         raise DimensionMismatchError("vector has a reference component")
     indices = [dets.excitation(m) for m in dets.masks[np.flatnonzero(w)].tolist()]
-    return excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
+    return support_space(indices, basis)
 
 
 def ci_to_cluster(psi: CiVector) -> AmplitudeVector:

@@ -29,6 +29,9 @@ except ImportError:
 
 VERSION = "0.1.0"
 
+# the escapes JSON requires in a string: backslash, quote and U+0000-U+001F
+_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
 
 def format_float(x: float) -> str:
     """17 significant digits; exact round trip for doubles."""
@@ -86,7 +89,7 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
         # NaN/Infinity are not valid JSON literals; quote them
         parts.append(s if s[0] in "-0123456789" else f'"{s}"')
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        parts.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, (dict, list, tuple)):
         # (prefix, value) per member: dicts by sorted key, sequences in order
         items = ([(f'"{k}": ', obj[k]) for k in sorted(obj)] if isinstance(obj, dict)

@@ -43,6 +43,13 @@ def test_dumps_is_sorted_and_stable():
     assert json.loads(out) == {"b": 1, "a": [1.5, {"z": True, "y": None}]}
 
 
+def test_dumps_escapes_control_characters():
+    # only backslash and quote were escaped: a tab or newline went out raw
+    text = 'tab\there\nnew line \x01 "quoted" back\\slash'
+    assert json.loads(dumps(text)) == text
+    assert dumps("plain, Ψ₀") == '"plain, Ψ₀"\n'
+
+
 def test_config_hash_changes_with_content():
     assert config_hash({"k": 2}) != config_hash({"k": 3})
     assert config_hash({"k": 2}) == config_hash({"k": 2})
@@ -212,6 +219,59 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["config"]["s_threshold"] == 0.25
     assert json.loads(out)["config"]["jump"] is True
+
+
+def test_a_tab_in_the_model_spec_gives_a_parseable_document(capsys):
+    # float("\t4.0") parses, so the spec is accepted and echoed in the config
+    spec = "hubbard:2,1.0,\t4.0"
+    code, out, _ = run(["fci", "--model", spec], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["model"] == spec
+
+
+@pytest.mark.parametrize("argv", [
+    ["fci", "--n-states", "2"],
+    ["cas-fci", "--model", "pairing:4,0.5,1.0", "--k", "6"],
+    ["select-cas", "--model", "hubbard:2,1.0,4.0", "--jump"],
+    ["tcc", "--model", "hubbard:2,1.0,4.0", "--mo", "--k", "3", "--diis", "3"],
+    ["verify", "--model", "pairing:4,0.5,1.0", "--k", "6", "--samples", "2",
+     "--decomposition"],
+], ids=lambda argv: argv[0])
+def test_the_config_holds_every_flag_of_the_subcommand(argv, tmp_path, capsys):
+    if argv[0] == "fci":   # one command reads an FCIDUMP file, whose digest joins the config
+        path = tmp_path / "h2.fcidump"
+        with open(path, "w") as fh:
+            write_fcidump(hubbard_model(2, 1.0, 4.0), fh)
+        argv = [*argv, "--fcidump", str(path)]
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    dests = {a.dest for a in parser.commands[argv[0]]._actions} - {"help", "out", "config"}
+    want = {d for d in dests if getattr(args, d) is not None}
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == want | ({"fcidump_sha256"} if args.fcidump else set())
+    assert all(config[d] == getattr(args, d) for d in want)
+
+
+def test_a_config_file_run_builds_one_parser(tmp_path, monkeypatch, capsys):
+    # the flags argv gave were found with a second, probing parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1) or build())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_states=2\n")
+    code, out, _ = run(["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["config"]["n_states"] == 2
+    assert len(built) == 1
+
+
+def test_a_bad_config_value_is_an_error_even_where_a_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=abc\n")
+    code, out, err = run(["tcc", "--model", "hubbard:2,1.0,4.0", "--k", "2",
+                          "--config", str(cfg)], capsys)
+    assert code == 1 and "bad config value" in err and not out
 
 
 @pytest.mark.parametrize("text,why", [

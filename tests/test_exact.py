@@ -152,6 +152,17 @@ def test_apply_cluster_matches_oracle(rng):
             assert np.max(np.abs(got_block[:, j] - want)) <= 1e-12
 
 
+def test_support_spaces_follow_the_enumeration_order():
+    # support_space sorted by (holes, particles), which interleaves the ranks
+    basis = OrbitalBasis(8, 4)
+    mus = enumerate_excitations(basis)
+    t = AmplitudeVector(SPACE_FULL, {mu: 0.1 for mu in reversed(mus[::7])})
+    assert support_space(t, basis).indices == mus[::7]
+    assert support_space(reversed(mus[::7]), basis).indices == mus[::7]
+    back = ci_to_cluster(cluster_to_ci(t, basis))
+    assert list(back.entries) == [mu for mu in mus if mu in back.entries]
+
+
 def test_exp_cluster_inverse(rng):
     basis = OrbitalBasis(6, 3)
     dets = enumerate_determinants(basis)
