@@ -33,7 +33,7 @@ _EXPORTS = {
     "tcc": (
         "Study", "TailoredHamiltonian", "TccConfig", "TccResult", "TruncationScheme",
         "enumerate_truncated_space", "solve_dual", "solve_tcc", "split_amplitudes",
-        "tcc_energy", "tcc_jacobian", "tcc_residual", "truncated_space"),
+        "tcc_energy", "tcc_jacobian", "tcc_residual"),
     "entropy": (
         "CasSelection", "OrbitalEntropyProfile", "mutual_information", "one_orbital_rdm",
         "permute_spatial_orbitals", "select_cas", "two_orbital_rdm"),

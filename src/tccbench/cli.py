@@ -334,7 +334,7 @@ def _apply_config_file(parser, args, argv):
     if not args.config:
         return args
     command = parser.commands[args.command]
-    actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+    actions = {a.dest: a for a in command._actions if a.dest in (*args.config_keys, "out")}
     defaults = {}
     for key, val in _read_config_file(args.config).items():
         if key not in actions:

@@ -172,12 +172,9 @@ def enumerate_determinants(basis: OrbitalBasis) -> list[Determinant]:
 def enumerate_excitations(basis: OrbitalBasis) -> tuple[ExcitationIndex, ...]:
     """All excitation indices, ordered by (rank, holes, particles); cached."""
     n, k = basis.n_electrons, basis.n_orbitals
-    out = []
-    for r in range(1, min(n, k - n) + 1):
-        for holes in combinations(range(1, n + 1), r):
-            for particles in combinations(range(n + 1, k + 1), r):
-                out.append(ExcitationIndex(holes, particles))
-    return tuple(out)
+    return tuple(ExcitationIndex(holes, particles) for r in range(1, min(n, k - n) + 1)
+                 for holes in combinations(range(1, n + 1), r)
+                 for particles in combinations(range(n + 1, k + 1), r))
 
 
 SPACE_FULL = "full"
@@ -331,15 +328,14 @@ def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
 
 
 class ExcitationSpace:
-    """An ordered set of excitation indices acting on the N-electron determinants
-    of the basis's shared DeterminantSpace (`dets`).
+    """An ordered set of excitation indices acting on the N-electron determinants of the
+    basis's shared DeterminantSpace (`dets`).
 
-    Holds the position of X_mu phi_0 and its sign for every index, and --
-    built on first use -- the excitation table
-    (src, dst, sign, mu): X_{indices[mu]} phi_src = sign * phi_dst, one row
-    per nonzero action, stably sorted by the excitation level of phi_dst
-    (built by rank, then index and source). Amplitude vectors on the space
-    are ndarrays in index order; with them T @ v is one bincount over the table.
+    Holds the position of X_mu phi_0 and its sign for every index, and -- built by `block`
+    only as deep as it is read -- the excitation `table` (src, dst, sign, mu):
+    X_{indices[mu]} phi_src = sign * phi_dst, one row per nonzero action, stably sorted by
+    the excitation level of phi_dst (built by rank, then index and source). Amplitude
+    vectors on the space are ndarrays in index order; T @ v is one bincount over the table.
     """
 
     def __init__(self, basis: OrbitalBasis, indices: Sequence[ExcitationIndex]):
@@ -347,28 +343,23 @@ class ExcitationSpace:
         self.dets = basis.determinants
         self.indices = tuple(indices)
         self._slot = {mu: a for a, mu in enumerate(self.indices)}
-        by_rank: dict[int, list[int]] = {}
-        for a, mu in enumerate(self.indices):
-            by_rank.setdefault(mu.rank, []).append(a)
+        self.ranks = np.array([mu.rank for mu in self.indices], dtype=np.intp)
         # (ids, holes, particles) per rank, orbitals 0-based as _excite takes them
         self._groups = [
-            (np.array(ids),
-             _orbitals([self.indices[a].holes for a in ids]),
+            (ids, _orbitals([self.indices[a].holes for a in ids]),
              _orbitals([self.indices[a].particles for a in ids]))
-            for _, ids in sorted(by_rank.items())
+            for ids in (np.flatnonzero(self.ranks == r) for r in sorted(set(self.ranks.tolist())))
         ]
-        self.max_rank = max(by_rank, default=0)
         self.reference = self.dets.reference
         self.dim = len(self.dets.masks)
-        _, dst, sign, mu = self._rows(np.array([self.reference]))
+        self._top = int(self.dets.levels.max())   # the deepest level a row can reach
+        self.table, self._ends = (), ()   # _ends: per level, the table rows up to it
+        _, dst, sign, mu = self._rows(np.array([self.reference]), self._top)
         if len(mu) != len(self):
-            hit = set(mu.tolist())
-            bad = next(m for a, m in enumerate(self.indices) if a not in hit)
+            bad = self.indices[np.flatnonzero(np.bincount(mu, minlength=len(self)) == 0)[0]]
             raise SpaceMismatchError(f"index {bad} does not excite the reference")
-        self.ref_pos = np.empty(len(self), dtype=np.intp)
-        self.ref_pos[mu] = dst
-        self.ref_sign = np.empty(len(self))
-        self.ref_sign[mu] = sign
+        order = np.argsort(mu)   # the rows come by rank, the indices in any order
+        self.ref_pos, self.ref_sign = dst[order].astype(np.intp), sign[order].astype(float)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -377,13 +368,13 @@ class ExcitationSpace:
         """phi_0 as a coefficient vector."""
         return self.dets.reference_state()
 
-    def _rows(self, sources: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(src, dst, sign, mu) of every nonzero X_mu phi_src with src in `sources`."""
-        cols = [[np.empty(0, dtype=np.int32)] * 2 + [np.empty(0, dtype=np.int8)]
-                + [np.empty(0, dtype=np.int32)]]
-        masks = self.dets.masks[sources]
-        step = max(1, _TABLE_BLOCK // len(sources))
+    def _rows(self, sources: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
+        """(src, dst, sign, mu) of each nonzero X_mu phi_src, src in `sources`, up to `level`."""
+        cols = [[np.empty(0, dtype) for dtype in (np.int32, np.int32, np.int8, np.int32)]]
         for ids, holes, particles in self._groups:
+            src = sources[self.dets.levels[sources] <= level - len(holes)]
+            masks = self.dets.masks[src]
+            step = max(1, _TABLE_BLOCK // max(1, len(src)))
             hole_masks = np.bitwise_or.reduce(np.uint64(1) << holes, axis=0)
             part_masks = np.bitwise_or.reduce(np.uint64(1) << particles, axis=0)
             for lo in range(0, len(ids), step):
@@ -392,45 +383,52 @@ class ExcitationSpace:
                 a, j = np.nonzero(((masks & h) == h) & ((masks & p) == 0))
                 a += lo
                 dst, sign = _excite(masks[j], holes[:, a], particles[:, a])
-                cols.append([sources[j].astype(np.int32), self.dets.position(dst).astype(np.int32),
+                cols.append([src[j].astype(np.int32), self.dets.position(dst).astype(np.int32),
                              sign.astype(np.int8), ids[a].astype(np.int32)])
         return tuple(np.concatenate(col) for col in zip(*cols))
 
-    @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, sign, mu) rows, stably sorted by phi_dst's level, each column in place."""
-        rows = self._rows(np.arange(self.dim))
-        order = np.argsort(self.dets.levels[rows[1]], kind="stable")
-        return tuple(np.take(col, order, out=col) for col in rows)
+    def block(self, level: int) -> int:
+        """The number of leading table rows, those with phi_dst at level <= `level`.
 
-    def block(self, rank: int) -> int:
-        """The number of leading table rows, those with phi_dst at level <= rank.
-
-        X_mu raises the level by |mu|, so these rows alone give T @ v on
-        those determinants from v on them, each summed in the same row order.
-        """
-        return int(np.count_nonzero(self.dets.levels[self.table[1]] <= rank))
+        X_mu raises the level by |mu|, so these rows alone give T @ v on those determinants
+        from v on them, in the same row order. The table is built that deep on request;
+        a deeper one replaces it and holds its rows as a prefix."""
+        level = min(level, self._top)
+        if level >= len(self._ends):
+            rows = self._rows(np.arange(self.dim), level)
+            levels = self.dets.levels[rows[1]]
+            order = np.argsort(levels, kind="stable")
+            self.table = tuple(np.take(col, order, out=col) for col in rows)
+            self._ends = np.cumsum(np.bincount(levels, minlength=level + 1))
+        return int(self._ends[level])
 
     # -- amplitude vectors ---------------------------------------------------
+
+    def positions(self, indices: Iterable[ExcitationIndex]) -> np.ndarray:
+        """The positions of the indices in the space, in their order."""
+        try:
+            return np.array([self._slot[mu] for mu in indices], dtype=np.intp)
+        except KeyError as e:
+            raise SpaceMismatchError(f"index {e.args[0]} is not in the excitation space") from None
 
     def embed(self, t: AmplitudeVector) -> np.ndarray:
         """The entries of t as an ndarray in index order."""
         vec = np.zeros(len(self))
-        for mu, val in t.entries.items():
-            a = self._slot.get(mu)
-            if a is None:
-                raise SpaceMismatchError(f"index {mu} is not in the excitation space")
-            vec[a] = val
+        vec[self.positions(t.entries)] = list(t.entries.values())
         return vec
 
-    def amplitudes(self, vec: np.ndarray, space: str,
-                   scheme: Optional[str] = None) -> AmplitudeVector:
-        return AmplitudeVector(space, {mu: float(x) for mu, x in zip(self.indices, vec)},
-                               scheme=scheme)
+    def amplitudes(self, vec: np.ndarray, space: str, scheme: Optional[str] = None,
+                   cols: Optional[np.ndarray] = None) -> AmplitudeVector:
+        """vec on the indices at positions `cols` (default: all of them) as amplitudes."""
+        indices = self.indices if cols is None else [self.indices[a] for a in cols]
+        return AmplitudeVector(space, {mu: float(x) for mu, x in zip(indices, vec)}, scheme=scheme)
 
     def epsilon(self, fock) -> np.ndarray:
-        """The Fock weights eps_mu in index order."""
-        return np.array([fock.epsilon_of(mu) for mu in self.indices])
+        """The Fock weights eps_mu in index order, each summed as fock.epsilon_of sums it."""
+        eps = np.empty(len(self))
+        for ids, holes, particles in self._groups:
+            eps[ids] = sum(fock.lambdas[particles]) - sum(fock.lambdas[holes])
+        return eps
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Components <X_mu phi_0, v> per index; v is (dim,) or (dim, m)."""
@@ -439,16 +437,17 @@ class ExcitationSpace:
 
     # -- the cluster kernel --------------------------------------------------
 
-    def coefficients(self, t: np.ndarray) -> np.ndarray:
-        """t[mu] * sign per table row, for a finite amplitude vector t."""
+    def coefficients(self, t: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+        """t[mu] * sign for the first `rows` table rows (default: all), for a finite t."""
         t = np.asarray(t, dtype=float)
         if t.shape != (len(self),):
             raise DimensionMismatchError(
                 f"amplitude vector shape {t.shape}, space has {len(self)} indices")
         if not np.isfinite(t).all():
             raise NonFiniteAmplitudeError("amplitude vector has NaN or inf entries")
+        rows = self.block(self._top) if rows is None else rows
         _, _, sign, mu = self.table
-        return t[mu] * sign
+        return t[mu[:rows]] * sign[:rows]
 
     def _apply(self, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         src, dst = self.table[0][:len(coef)], self.table[1][:len(coef)]
@@ -478,12 +477,14 @@ class ExcitationSpace:
             acc += term
         return acc
 
-    def excitation_columns(self, u: np.ndarray) -> np.ndarray:
-        """The dim x n matrix whose column a is X_{indices[a]} u."""
-        src, dst, sign, mu = self.table
-        out = np.zeros((self.dim, len(self)))
-        out[dst, mu] = sign * u[src]   # X_mu maps distinct sources to distinct targets
-        return out
+    def excitation_columns(self, u: np.ndarray, cols: np.ndarray, rows: int) -> np.ndarray:
+        """The dim x len(cols) matrix whose column c is X_{indices[cols[c]]} u, by `rows` rows."""
+        src, dst, sign, mu = (col[:rows] for col in self.table)
+        column = np.full(len(self), len(cols))   # the other indices write to a dropped column
+        column[cols] = np.arange(len(cols))
+        out = np.zeros((self.dim, len(cols) + 1))
+        out[dst, column[mu]] = sign * u[src]   # X_mu maps distinct sources to distinct targets
+        return out[:, :-1]
 
 
 @lru_cache(maxsize=32)

@@ -73,9 +73,8 @@ def gap_report(fock: FockSpectrum, split: BasisSplit) -> GapReport:
     eps0 = float(lam[k] - lam[k - 1]) if k < kk else np.inf
     eps0_ext = float(lam[k] - lam[n - 1]) if k < kk else np.inf
     homo_lumo = float(lam[n] - lam[n - 1])
-    eps = external_space(split).epsilon(fock)
-    min_eps = eps.min() if len(eps) else np.inf
-    return GapReport(eps0, eps0_ext, homo_lumo, float(min_eps), min_eps > 0.0)
+    min_eps = float(external_space(split).epsilon(fock).min(initial=np.inf))
+    return GapReport(eps0, eps0_ext, homo_lumo, min_eps, min_eps > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +151,11 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     linear (W = 0) case the plain-denominator estimate gamma_hat_l2
     attains min eps_mu exactly.
     """
-    op = TailoredHamiltonian(t_cas, ints, split, external_space(split))
+    op = TailoredHamiltonian(t_cas, ints, split)
     t_vec, r_star = _require_reference(t_star, op, delta, samples)
     eps = op.space.epsilon(fock)
     pairs = _ball_pairs(t_vec, eps, delta, samples, seed)
-    return MonotonicityProbe(*_probe(op, t_vec, r_star, eps, delta, pairs),
-                             delta, samples, seed)
+    return MonotonicityProbe(*_probe(op, t_vec, r_star, eps, delta, pairs), delta, samples, seed)
 
 
 def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: np.ndarray,
@@ -213,8 +211,8 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2; W_CAS and A are only applied to
     vectors. Also embeds the monotonicity probe for the same ball and seed.
     """
-    space = external_space(split)
-    op = TailoredHamiltonian(t_cas, ints, split, space)
+    op = TailoredHamiltonian(t_cas, ints, split)
+    space = op.space
     t_vec, r_star = _require_reference(t_star, op, delta, samples)
     eps = space.epsilon(fock)
 
@@ -393,10 +391,10 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     is cubic in the primal/dual errors; it vanishes identically for a
     quadratic (linear-residual) problem.
     """
-    space = external_space(split)
+    op = TailoredHamiltonian(t_cas, ints, split)
+    space = op.space
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
-    op = TailoredHamiltonian(t_cas, ints, split, space)
     v_d = op(td)
     e_star, e_d = float(op(ts)[space.reference]), float(v_d[space.reference])
 
@@ -492,10 +490,9 @@ def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
     eps = space.epsilon(fock)
     source = _Stream(seed).normals(len(space))
 
-    ranks = np.array([mu.rank for mu in space.indices])
     study = ScalingStudy()
-    for r in sorted(set(ranks.tolist())):
-        dropped = ranks > r
+    for r in sorted(set(space.ranks.tolist())):
+        dropped = space.ranks > r
         dist_sq = float((eps[dropped] * source[dropped] ** 2).sum())
         dist = float(np.sqrt(dist_sq))
         usable = dist > 1e-12

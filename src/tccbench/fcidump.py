@@ -10,11 +10,13 @@ from typing import TextIO
 
 import numpy as np
 
+from .determinants import MAX_SPIN_ORBITALS
 from .errors import (
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
     MalformedHeaderError,
+    SizeLimitError,
 )
 from .hamiltonian import SYMMETRY_8FOLD, IntegralSet
 
@@ -53,6 +55,8 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
         raise MalformedHeaderError(f"non-integer header field: {exc}") from exc
     if norb < 1 or nelec < 0:
         raise MalformedHeaderError(f"bad NORB/NELEC: {norb}/{nelec}")
+    if 2 * norb > MAX_SPIN_ORBITALS:   # checked before the NORB^4 integral arrays exist
+        raise SizeLimitError(f"NORB={norb} exceeds the hard limit of {MAX_SPIN_ORBITALS // 2}")
     if "ORBSYM" in fields and fields["ORBSYM"]:
         syms = [s for s in fields["ORBSYM"].replace(",", " ").split() if s]
         if len(syms) not in (0, norb):

@@ -15,6 +15,7 @@ beside the solver they call.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from .determinants import (
     SPACE_TRUNCATED,
     ExcitationIndex,
     ExcitationSpace,
+    _frozen,
     classify_excitation,
     enumerate_excitations,
     excitation_space,
@@ -73,24 +75,27 @@ class TruncationScheme:
         return self.mode if self.mode == MODE_FULL else f"{self.mode}:{self.n}"
 
 
-def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme
-                              ) -> list[ExcitationIndex]:
-    """Deterministically ordered external indices kept by the scheme."""
-    return [mu for mu in enumerate_excitations(split.basis)
-            if classify_excitation(mu, split) == "ext"
-            and (scheme.mode != MODE_RANK or mu.rank <= scheme.n)
-            and (scheme.mode != MODE_FOI or sum(a > split.k for a in mu.particles) <= scheme.n)]
+@lru_cache(maxsize=32)
+def external_space(split: BasisSplit) -> ExcitationSpace:
+    """Every external index, in enumerate_excitations order: the one space of them."""
+    return excitation_space(split.basis, tuple(
+        mu for mu in enumerate_excitations(split.basis) if classify_excitation(mu, split) == "ext"))
 
 
 @lru_cache(maxsize=32)
-def truncated_space(split: BasisSplit, scheme: TruncationScheme) -> ExcitationSpace:
-    """The ExcitationSpace of enumerate_truncated_space(split, scheme)."""
-    return excitation_space(split.basis, tuple(enumerate_truncated_space(split, scheme)))
+def truncation_positions(split: BasisSplit, scheme: TruncationScheme) -> np.ndarray:
+    """The ascending positions in external_space(split) of the indices the scheme keeps."""
+    return _frozen(np.flatnonzero([
+        (scheme.mode != MODE_RANK or mu.rank <= scheme.n)
+        and (scheme.mode != MODE_FOI or sum(p > split.k for p in mu.particles) <= scheme.n)
+        for mu in external_space(split).indices]))
 
 
-def external_space(split: BasisSplit) -> ExcitationSpace:
-    """Every external index, in enumerate_truncated_space order."""
-    return truncated_space(split, TruncationScheme(MODE_FULL))
+def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme
+                              ) -> list[ExcitationIndex]:
+    """Deterministically ordered external indices kept by the scheme."""
+    indices = external_space(split).indices
+    return [indices[a] for a in truncation_positions(split, scheme)]
 
 
 @lru_cache(maxsize=32)
@@ -137,29 +142,30 @@ class TccResult:
 class TailoredHamiltonian:
     """e^{-T^CAS} e^{-T} H e^{T} e^{T^CAS} on ndarrays, for frozen t^CAS.
 
-    T runs over `space` and is passed as an amplitude ndarray in its index
-    order; e^{T^CAS} phi_0 is computed once. Results hold the determinants of
-    excitation level <= `rank` (default: all that residual reads) and zeros
-    elsewhere, so e^{-T} and e^{-T^CAS} run on that block's leading table rows.
+    T runs over external_space(split), as an amplitude ndarray in its index order; e^{T^CAS}
+    phi_0 is computed once. Results hold the determinants of level <= `rank` (default: all
+    that residual reads) and zeros elsewhere, so e^{-T} and e^{-T^CAS} run on that block's
+    leading table rows, and e^{T} on those up to rank + 2, as H couples levels at most 2 apart.
     """
 
     def __init__(self, t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
-                 space: ExcitationSpace, rank: Optional[int] = None):
+                 rank: Optional[int] = None):
         if t_cas.space != SPACE_CAS:
             raise SpaceMismatchError(f"CAS amplitudes tagged {t_cas.space!r}")
-        self.space = space
+        self.space = space = external_space(split)
         self.cas = cas_space(split)
         self.t_cas = self.cas.embed(t_cas)
         self.ham = build_dense_hamiltonian(ints, split.basis)
         self.u0 = self.cas.exp_apply(self.t_cas, space.reference_state())
-        rank = space.max_rank if rank is None else rank
+        rank = space.ranks.max(initial=0) if rank is None else rank
+        self.forward = space.block(rank + 2)   # first, so the table is built once
         self.rows = space.block(rank)
         self.outside = space.dets.levels > rank
-        self.cas_coef = self.cas.coefficients(self.t_cas)[:self.cas.block(rank)]
+        self.cas_coef = self.cas.coefficients(self.t_cas, self.cas.block(rank))
 
     def conjugate(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         """e^{-T^CAS} e^{-T} H e^{T} w on the block; w is (dim,) or (dim, m)."""
-        coef = self.space.coefficients(t)
+        coef = self.space.coefficients(t, self.forward)
         w = self.ham @ self.space.exp_series(coef, w, +1)
         w[self.outside] = 0.0
         w = self.space.exp_series(coef[:self.rows], w, -1)
@@ -178,20 +184,18 @@ def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector, ints: Int
                            split: BasisSplit, rank: int) -> np.ndarray:
     """The transformed reference up to level `rank`, with t embedded in external_space(split).
 
-    Rows of indices off t's support add +-0.0 to sums that start at +0.0: the bits of T on it.
-    """
+    Rows of indices off t's support add +-0.0 to sums that start at +0.0: the bits of T on it."""
     if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
         raise SpaceMismatchError(f"external amplitudes tagged {t.space!r}")
-    space = external_space(split)
-    return TailoredHamiltonian(t_cas, ints, split, space, rank)(space.embed(t))
+    return TailoredHamiltonian(t_cas, ints, split, rank)(external_space(split).embed(t))
 
 
 def tcc_residual(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                  split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """f(t; t^CAS) restricted to the truncated index set."""
-    target = truncated_space(split, scheme)
-    v = _transformed_reference(t, t_cas, ints, split, target.max_rank)
-    return target.amplitudes(target.project(v), SPACE_TRUNCATED, scheme.describe())
+    space, kept = external_space(split), truncation_positions(split, scheme)
+    v = _transformed_reference(t, t_cas, ints, split, space.ranks[kept].max(initial=0))
+    return space.amplitudes(space.project(v)[kept], SPACE_TRUNCATED, scheme.describe(), kept)
 
 
 def tcc_energy(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
@@ -220,7 +224,7 @@ def split_amplitudes(t_full: AmplitudeVector, split: BasisSplit
 # Quasi-Newton solve
 # ---------------------------------------------------------------------------
 
-def _diis_extrapolate(trials: list[np.ndarray], errors: list[np.ndarray]) -> np.ndarray:
+def _diis_extrapolate(trials: Sequence[np.ndarray], errors: Sequence[np.ndarray]) -> np.ndarray:
     m = len(trials)
     b = np.full((m + 1, m + 1), -1.0)
     b[:m, :m] = np.array([[float(e1 @ e2) for e2 in errors] for e1 in errors])
@@ -241,32 +245,29 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
     local, runaway iterates are reported rather than truncated).
     """
     scheme = config.truncation
-    space = truncated_space(split, scheme)
-    op = TailoredHamiltonian(t_cas, ints, split, space)
-    t_vec = np.zeros(len(space))
+    space, kept = external_space(split), truncation_positions(split, scheme)
+    op = TailoredHamiltonian(t_cas, ints, split, space.ranks[kept].max(initial=0))
+    t_full, t_vec = np.zeros(len(space)), np.zeros(len(kept))   # t_full: t_vec at kept, else 0
 
-    if not len(space):
+    if not len(kept):
         # k = K (or an empty truncation): nothing to solve
-        energy = float(op(t_vec)[space.reference])
-        t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
+        energy = float(op(t_full)[space.reference])
+        t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe(), kept)
         return TccResult(t, energy, [(0, 0.0, 0.0, energy)], True, 0)
 
-    eps = space.epsilon(fock)
+    eps = space.epsilon(fock)[kept]
     if eps.min() <= 0.0:
-        raise GapViolationError(
-            f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set"
-        )
+        raise GapViolationError(f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set")
 
     history: list[tuple[int, float, float, float]] = []
-    trials: list[np.ndarray] = []
-    errs: list[np.ndarray] = []
-    converged = False
-    diverged = False
+    trials, errs = deque(maxlen=config.diis), deque(maxlen=config.diis)   # the DIIS window
+    converged = diverged = False
     it = 0
 
     for it in range(1, config.max_iterations + 1):
-        v = op(t_vec)
-        r_vec = space.project(v)
+        t_full[kept] = t_vec
+        v = op(t_full)
+        r_vec = space.project(v)[kept]
         energy = float(v[space.reference])
         l2 = float(np.linalg.norm(r_vec))
         vnorm = float(np.sqrt((eps * t_vec**2).sum()))
@@ -285,17 +286,15 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
         if config.diis:
             trials.append(trial)
             errs.append(step)
-            if len(trials) > config.diis:
-                trials.pop(0)
-                errs.pop(0)
             if len(trials) > 1:
                 trial = _diis_extrapolate(trials, errs)
         t_vec = trial
     else:
         # out of iterations: the last update was never evaluated
-        energy = float(op(t_vec)[space.reference])
+        t_full[kept] = t_vec
+        energy = float(op(t_full)[space.reference])
 
-    t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe())
+    t = space.amplitudes(t_vec, SPACE_TRUNCATED, scheme.describe(), kept)
     return TccResult(t, energy, history, converged, it, diverged)
 
 
@@ -312,32 +311,31 @@ def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     Df(t) S = <., e^{-T^CAS} [e^{-T} H e^{T}, S] e^{T^CAS} phi_0>
     (S commutes with e^{T^CAS}), which is exact on the finite space --
     no finite differences involved. The reference component of each
-    column is the energy gradient E'(t) e_nu.
-    """
-    space = excitation_space(split.basis, tuple(indices))
-    op = TailoredHamiltonian(t_cas, ints, split, space)
+    column is the energy gradient E'(t) e_nu. Only the columns of `indices` are built."""
+    space = external_space(split)
+    cols = space.positions(indices)
+    op = TailoredHamiltonian(t_cas, ints, split, space.ranks[cols].max(initial=0))
     t_vec = space.embed(t)
     v_base = op(t_vec)
     # all columns at once: one dim x n block through e^{T}, H and e^{-T}
-    cols = (op.conjugate(t_vec, space.excitation_columns(op.u0))
-            - space.excitation_columns(v_base))
-    return space.project(cols), cols[space.reference].copy(), space.project(v_base)
+    block = (op.conjugate(t_vec, space.excitation_columns(op.u0, cols, op.forward))
+             - space.excitation_columns(v_base, cols, op.rows))
+    return space.project(block)[cols], block[space.reference].copy(), space.project(v_base)[cols]
 
 
 def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
                split: BasisSplit, scheme: TruncationScheme) -> AmplitudeVector:
     """Adjoint solve: z with <f'(t_d) u, z> = E'(t_d)(u) for all u in the space."""
-    space = truncated_space(split, scheme)
-    if not len(space):
+    space, kept = external_space(split), truncation_positions(split, scheme)
+    if not len(kept):
         return AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
-    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, space.indices)
+    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, [space.indices[a] for a in kept])
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise SingularJacobianError(
             f"adjoint system singular (smallest singular value {svals[-1]:.3e})"
         )
-    z = np.linalg.solve(jac.T, grad)
-    return space.amplitudes(z, SPACE_TRUNCATED, scheme.describe())
+    return space.amplitudes(np.linalg.solve(jac.T, grad), SPACE_TRUNCATED, scheme.describe(), kept)
 
 
 class Study:

@@ -48,7 +48,7 @@ from tccbench import (
     write_fcidump,
 )
 from tccbench.cli import main as cli_main
-from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, excitation_space
+from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED
 from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
 
 LN2 = np.log(2.0)
@@ -287,8 +287,8 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
     jac, _, _ = tcc_jacobian(_to_amplitudes(t0, indices), t_cas, system.ints,
                              system.split, indices)
 
-    op = TailoredHamiltonian(t_cas, system.ints, system.split,
-                             excitation_space(system.basis, tuple(indices)))
+    op = TailoredHamiltonian(t_cas, system.ints, system.split)   # its space holds `indices`
+    assert op.space.indices == tuple(indices)
 
     def residual(vec):
         return op.residual(vec)

@@ -266,6 +266,28 @@ def test_a_config_file_run_builds_one_parser(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_a_config_line_naming_another_config_file_is_an_error(tmp_path, capsys):
+    # it was accepted and ignored: argv's own --config always won
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"config={tmp_path / 'other.cfg'}\n")
+    code, out, err = run(["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)], capsys)
+    assert code == 1 and "unknown config key 'config'" in err and not out
+
+
+def test_an_out_line_sets_the_output_directory_and_argv_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={tmp_path / 'from_file'}\n")
+    argv = ["fci", "--model", "hubbard:2,1.0,4.0", "--config", str(cfg)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and not out
+    doc = json.loads((tmp_path / "from_file" / "fci.json").read_text())
+    assert "out" not in doc["config"]
+    code, out, _ = run([*argv, "--out", str(tmp_path / "from_argv")], capsys)
+    assert code == 0 and not out
+    assert json.loads((tmp_path / "from_argv" / "fci.json").read_text()) == doc
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from_argv", "from_file", "run.cfg"]
+
+
 def test_a_bad_config_value_is_an_error_even_where_a_flag_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=abc\n")
@@ -472,6 +494,16 @@ def test_size_limit_is_checked_before_enumeration(command, dim_184756_fcidump, c
     assert err == "limit exceeded: determinant space dim 184756 exceeds 20000\n"
 
 
+@pytest.mark.parametrize("norb", [33, 10**6])
+def test_fcidump_orbital_limit_is_checked_in_the_header(norb, tmp_path, capsys):
+    # NORB=33 allocated the NORB^4 integral arrays, then exited 1 as a bad electron count
+    path = tmp_path / "big.fcidump"
+    path.write_text(f"&FCI NORB={norb},NELEC=2,\n&END\n 1.0 1 1 0 0\n")
+    code, out, err = run(["fci", "--fcidump", str(path)], capsys)
+    assert code == 3 and not out
+    assert err == f"limit exceeded: NORB={norb} exceeds the hard limit of 32\n"
+
+
 @pytest.mark.parametrize("flag", ["--config", "--fcidump"])
 def test_unreadable_paths_are_input_errors(flag, tmp_path, capsys):
     # a directory ended in an IsADirectoryError traceback
@@ -554,7 +586,8 @@ def _count_builds(monkeypatch) -> dict[str, int]:
     counted(tcc.TailoredHamiltonian, "operators")
     for name in ("occupations", "sectors"):
         counted_array(name)
-    for cached in (determinants.excitation_space, tcc.truncated_space, tcc.cas_space):
+    for cached in (determinants.excitation_space, tcc.external_space, tcc.cas_space,
+                   tcc.truncation_positions):
         cached.cache_clear()
     return built
 
@@ -564,12 +597,32 @@ def test_verify_builds_each_space_and_operator_it_needs(monkeypatch, capsys):
     code, _, _ = run(["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
                       "--trunc", "rank:2", "--diis", "8"], capsys)
     assert code == 0
-    # the CAS space, the rank:1/2/3 and full external spaces (tailored evaluations
-    # run on the full one) and one space per cluster amplitude support
-    assert built["spaces"] <= 8
+    # the CAS space, the one external space (every truncation is a set of positions
+    # in it) and one space per cluster amplitude support
+    assert built["spaces"] <= 5
     assert built["operators"] <= 17
     # one determinant space, so one mask sort, one level array and one occupation table
     assert built["dets"] == built["occupations"] == built["sectors"] == 1
+
+
+def test_tcc_builds_one_external_space_as_deep_as_it_reads(monkeypatch, capsys):
+    from tccbench import determinants
+
+    _count_builds(monkeypatch)   # empties the space caches
+    built = []
+    init = determinants.ExcitationSpace.__init__
+    monkeypatch.setattr(determinants.ExcitationSpace, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    argv = ["tcc", "--model", "pairing:6,0.5,1.0", "--k", "8", "--trunc", "rank:2", "--diis", "8"]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    _, _, split = cli._load_split(cli.build_parser().parse_args(argv))
+    external = [space for space in built if any(
+        determinants.classify_excitation(mu, split) == "ext" for mu in space.indices)]
+    assert external == [tcc.external_space(split)]
+    # rank:2 is read at levels <= 2, which H couples to levels <= 4, where e^T must reach;
+    # the whole table would reach level 6 in 30,171 rows
+    assert len(external[0]._ends) == 5 and len(external[0].table[0]) == 20_779
 
 
 def test_select_cas_builds_one_determinant_space(monkeypatch, capsys):
@@ -673,7 +726,7 @@ PACKAGE_NAMES = [
     "one_orbital_rdm", "pairing_model", "parse_fcidump", "permute_spatial_orbitals",
     "quadratic_scaling_study", "rotate_orbitals", "select_cas", "solve_dual", "solve_tcc",
     "split_amplitudes", "tcc", "tcc_energy", "tcc_jacobian", "tcc_residual",
-    "truncated_space", "two_orbital_rdm", "v_ext_norm", "write_fcidump",
+    "two_orbital_rdm", "v_ext_norm", "write_fcidump",
 ]
 
 

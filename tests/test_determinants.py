@@ -45,6 +45,7 @@ def test_excitation_signs_match_dense_oracle(k, n):
     # the excitation table must hold exactly the oracle's nonzero actions
     space = excitation_space(basis, tuple(enumerate_excitations(basis)))
     assert space.indices == tuple(enumerate_excitations(basis))
+    space.block(n)   # the whole table: no determinant lies above level N
     src, dst, sign, mu_id = space.table
     rows = {(int(a), int(i)): (int(j), float(s))
             for i, j, s, a in zip(src, dst, sign, mu_id)}
@@ -72,7 +73,8 @@ def test_table_is_level_ordered_so_blocks_are_prefixes(k, n):
     bincount sums them as before), and block(r) is the prefix at level <= r."""
     basis = OrbitalBasis(k, n)
     space = excitation_space(basis, tuple(enumerate_excitations(basis)))
-    built = space._rows(np.arange(space.dim))
+    built = space._rows(np.arange(space.dim), n)
+    space.block(n)   # the whole table: no determinant lies above level N
     level = basis.determinants.levels[space.table[1]].astype(int)
     assert np.all(np.diff(level) >= 0)
     for d in range(space.dim):
@@ -82,6 +84,16 @@ def test_table_is_level_ordered_so_blocks_are_prefixes(k, n):
         rows = space.block(r)
         assert rows == np.count_nonzero(basis.determinants.levels[built[1]] <= r)
         assert (level[:rows] <= r).all() and (level[rows:] > r).all()
+
+
+@pytest.mark.parametrize("system", ["hubbard2_site", "hubbard2_mo", "hubbard3_mo", "hubbard4_mo",
+                                    "pairing4", "pairing4_g0", "pairing3_2e"])
+def test_space_epsilon_is_epsilon_of_bit_for_bit(system, request):
+    # every index of the basis, so every CAS and external index of any split
+    system = request.getfixturevalue(system)
+    space = excitation_space(system.basis, tuple(enumerate_excitations(system.basis)))
+    want = np.array([system.fock.epsilon_of(mu) for mu in space.indices])
+    assert space.epsilon(system.fock).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k,n", [(6, 3), (8, 4)])

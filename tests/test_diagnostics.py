@@ -31,9 +31,9 @@ from tccbench import (
 )
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
 from tccbench.diagnostics import STUDY_CONFIG, ScalingRow, _fit_slope
-from tccbench.errors import InputError, InsufficientPointsError, MissingReferenceError
+from tccbench.errors import (
+    InputError, InsufficientPointsError, MissingReferenceError, SingularJacobianError)
 from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian, fock_diagonal_vector
-from tccbench.determinants import excitation_space
 from tccbench.tcc import (
     MODE_FULL,
     MODE_RANK,
@@ -41,6 +41,7 @@ from tccbench.tcc import (
     cas_space,
     external_space,
     tcc_energy,
+    truncation_positions,
 )
 
 
@@ -166,7 +167,7 @@ def _dense_smallness(system, t_star, t_cas, samples, seed):
     """omega0 and L_* of assumption_b_report from a dense W_CAS = e^{-T^CAS} W e^{T^CAS}
     and A = W_CAS - P W_CAS P, built from the identity."""
     space = external_space(system.split)
-    op = TailoredHamiltonian(t_cas, system.ints, system.split, space)
+    op = TailoredHamiltonian(t_cas, system.ints, system.split)
     w = op.ham - np.diag(fock_diagonal_vector(system.fock, system.basis))
     eye = np.eye(space.dim)
     w_cas = op.cas.exp_apply(op.t_cas, eye, -1) @ w @ op.cas.exp_apply(op.t_cas, eye, +1)
@@ -355,11 +356,13 @@ def test_jacobian_matches_finite_differences(hubbard2_mo, pairing4):
 
         jac, grad, res = tcc_jacobian(_to_amplitudes(t0, indices), t_cas,
                                       system.ints, system.split, indices)
-        op = TailoredHamiltonian(t_cas, system.ints, system.split,
-                                 excitation_space(system.basis, tuple(indices)))
+        op = TailoredHamiltonian(t_cas, system.ints, system.split)
+        kept = truncation_positions(system.split, scheme)
 
         def residual(vec):
-            return op.residual(vec)
+            full = np.zeros(len(op.space))
+            full[kept] = vec
+            return op.residual(full)[kept]
 
         fd = oracle.finite_difference_jacobian(residual, t0, h=1e-6)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) <= 1e-6
@@ -393,6 +396,19 @@ def test_dual_solve_adjoint_consistency(pairing4, rng):
     for _ in range(20):
         u = rng.standard_normal(len(indices))
         assert abs(grad @ u - (jac @ u) @ zv) <= 1e-9 * max(1.0, np.linalg.norm(u))
+
+
+def test_dual_solve_raises_on_a_singular_adjoint(hubbard2_mo):
+    """The rank:1 root of hubbard:2,1.0,4.0 --mo --k 2: its 4 x 4 Jacobian is singular."""
+    system = hubbard2_mo
+    scheme = TruncationScheme(MODE_RANK, 1)
+    study = _study(system)
+    root = study.root(TccConfig(truncation=scheme))
+    jac, _, _ = tcc_jacobian(root.t, study.t_cas, system.ints, system.split,
+                             enumerate_truncated_space(system.split, scheme))
+    assert jac.shape == (4, 4)
+    with pytest.raises(SingularJacobianError, match="adjoint system singular"):
+        solve_dual(root.t, study.t_cas, system.ints, system.split, scheme)
 
 
 def test_dual_solve_linear_limit_is_zero(pairing4_g0):

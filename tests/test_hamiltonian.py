@@ -242,6 +242,16 @@ def test_fcidump_header_errors():
         parse_fcidump("&FCI NORB=2,NELEC=2,ORBSYM=1,1,1,\n&END\n")
 
 
+@pytest.mark.parametrize("norb", [32, 33, 10**6])
+def test_fcidump_norb_is_bounded_before_the_integrals_are_allocated(norb):
+    text = f"&FCI NORB={norb},NELEC=2,\n&END\n"
+    if norb == 32:   # K = 64, the limit itself
+        assert parse_fcidump(text).n_spin_orbitals == 64
+    else:
+        with pytest.raises(SizeLimitError, match=f"NORB={norb} exceeds the hard limit of 32"):
+            parse_fcidump(text)
+
+
 def test_fcidump_record_errors():
     head = "&FCI NORB=2,NELEC=2,\n&END\n"
     with pytest.raises(IndexOutOfRangeError):

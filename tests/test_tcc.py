@@ -28,6 +28,7 @@ from tccbench.determinants import (
     SPACE_EXT,
     SPACE_FULL,
     Determinant,
+    ExcitationSpace,
     classify_excitation,
     enumerate_excitations,
     excitation_space,
@@ -38,7 +39,8 @@ from tccbench.errors import (
     SpaceMismatchError,
 )
 from tccbench.hamiltonian import FockSpectrum
-from tccbench.tcc import MODE_FOI, MODE_FULL, MODE_RANK, Study, cas_space, truncated_space
+from tccbench.tcc import (
+    MODE_FOI, MODE_FULL, MODE_RANK, Study, cas_space, external_space, truncation_positions)
 
 
 def _cas_amplitudes(system):
@@ -113,14 +115,25 @@ def test_space_tags_are_enforced(pairing4):
         tcc_energy(_empty_ext(), bad_cas, pairing4.ints, pairing4.split)
 
 
+def _conjugate_on(space, op, t, w, rank):
+    """e^{-T^CAS} e^{-T} H e^{T} w with T on any `space`: e^{T} through its whole
+    table, e^{-T} and e^{-T^CAS} through the rows landing at level <= rank."""
+    coef = space.coefficients(t)
+    w = op.ham @ space.exp_series(coef, w, +1)
+    w[space.dets.levels > rank] = 0.0
+    w = space.exp_series(coef[:space.block(rank)], w, -1)
+    return op.cas.exp_series(op.cas.coefficients(op.t_cas, op.cas.block(rank)), w, -1)
+
+
 def _on_support(t, t_cas, system, scheme):
-    """Energy and residual with T on the space of t's own indices, in canonical order."""
+    """Energy and truncated residual with T on the space of t's own indices, in canonical order."""
     space = excitation_space(system.basis, tuple(sorted(t.entries)))
-    target = truncated_space(system.split, scheme)
-    energy = TailoredHamiltonian(t_cas, system.ints, system.split, space, 0)
-    residual = TailoredHamiltonian(t_cas, system.ints, system.split, space, target.max_rank)
+    target, kept = external_space(system.split), truncation_positions(system.split, scheme)
+    op = TailoredHamiltonian(t_cas, system.ints, system.split)
     t_vec = space.embed(t)
-    return float(energy(t_vec)[space.reference]), target.project(residual(t_vec))
+    energy = _conjugate_on(space, op, t_vec, op.u0, 0)[space.reference]
+    residual = _conjugate_on(space, op, t_vec, op.u0, target.ranks[kept].max())
+    return float(energy), target.project(residual)[kept]
 
 
 @pytest.mark.parametrize("trunc", ["rank:1", "rank:2", "full", "fci pair"])
@@ -142,7 +155,8 @@ def test_external_space_evaluation_equals_the_support_space(model, trunc, reques
     energy, residual = _on_support(t, t_cas, system, scheme)
     assert tcc_energy(t, t_cas, system.ints, system.split) == energy
     got = tcc_residual(t, t_cas, system.ints, system.split, scheme)
-    assert np.array_equal(truncated_space(system.split, scheme).embed(got), residual)
+    kept = truncation_positions(system.split, scheme)
+    assert np.array_equal(external_space(system.split).embed(got)[kept], residual)
 
 
 def test_zero_amplitude_energy_is_reference_expectation(pairing4):
@@ -263,7 +277,7 @@ def test_non_finite_amplitudes_are_rejected(pairing4):
     t_cas.entries[mu] = math.nan
     with pytest.raises(NonFiniteAmplitudeError):
         solve_tcc(t_cas, pairing4.ints, pairing4.split, pairing4.fock)
-    space = truncated_space(pairing4.split, TruncationScheme(MODE_FULL))
+    space = external_space(pairing4.split)
     t = np.zeros(len(space))
     t[0] = math.inf
     with pytest.raises(NonFiniteAmplitudeError):
@@ -309,16 +323,43 @@ def test_config_rejects_a_negative_diis_history():
 # ---------------------------------------------------------------------------
 
 def test_spaces_share_one_enumeration(pairing4):
-    """cas_space and truncated_space draw their indices from one shared tuple."""
+    """cas_space and external_space draw their indices from one shared tuple."""
     everything = enumerate_excitations(pairing4.basis)
     assert enumerate_excitations(pairing4.basis) is everything
     order = {mu: a for a, mu in enumerate(everything)}
     cas = cas_space(pairing4.split).indices
-    ext = truncated_space(pairing4.split, TruncationScheme(MODE_FULL)).indices
+    ext = external_space(pairing4.split).indices
     assert sorted(cas + ext, key=order.get) == list(everything)
     for part in (cas, ext):
         assert [order[mu] for mu in part] == sorted(order[mu] for mu in part)
         assert all(mu is everything[order[mu]] for mu in part)
+
+
+def _split_of(model, *flags):
+    from tccbench import cli
+    return cli._load_split(cli.build_parser().parse_args(["tcc", "--model", model, *flags]))
+
+
+@pytest.mark.parametrize("model,flags,level", [
+    ("pairing:6,0.5,1.0", ["--k", "8"], 3),
+    ("pairing:6,0.5,1.0", ["--k", "8"], 4),
+    ("hubbard:4,1.0,2.0", ["--mo", "--k", "6"], 1),
+    ("hubbard:4,1.0,2.0", ["--mo", "--k", "6"], 3),
+])
+def test_a_table_built_to_a_level_is_the_whole_tables_prefix(model, flags, level):
+    _, basis, split = _split_of(model, *flags)
+    indices = external_space(split).indices
+    shallow, whole = ExcitationSpace(basis, indices), ExcitationSpace(basis, indices)
+    rows = shallow.block(level)
+    top = basis.n_electrons   # no determinant lies above level N: every row
+    assert whole.block(top) == len(whole.table[0]) > rows == len(shallow.table[0])
+    assert len(shallow._ends) == level + 1
+    for part, col in zip(shallow.table, whole.table):
+        assert part.dtype == col.dtype and np.array_equal(part, col[:rows])
+    # a deeper request rebuilds it: the same rows as a table built whole at once
+    shallow.block(top)
+    for col, want in zip(shallow.table, whole.table):
+        assert np.array_equal(col, want)
 
 
 def _full_table_conjugate(op, t, w):
@@ -339,12 +380,16 @@ def test_block_conjugation_equals_the_full_table_path(model, trunc, pairing4, rn
     system = _hubbard4() if model == "hubbard4" else pairing4
     split = system.split
     mode, _, n = trunc.partition(":")
-    space = truncated_space(split, TruncationScheme(mode, int(n) if n else None))
-    op = TailoredHamiltonian(_cas_amplitudes(system), system.ints, split, space)
-    t = 0.1 * rng.standard_normal(len(space))     # a generic point, not a root
-    read = np.concatenate(([space.reference], space.ref_pos))
-    above = split.basis.determinants.levels > max(mu.rank for mu in space.indices)
-    for w in (op.u0, space.excitation_columns(op.u0)):   # a vector and a (dim, m) block
+    kept = truncation_positions(split, TruncationScheme(mode, int(n) if n else None))
+    space = external_space(split)
+    rank = space.ranks[kept].max()
+    op = TailoredHamiltonian(_cas_amplitudes(system), system.ints, split, rank)
+    t = np.zeros(len(space))
+    t[kept] = 0.1 * rng.standard_normal(len(kept))     # a generic point, not a root
+    read = np.concatenate(([space.reference], space.ref_pos[kept]))
+    above = split.basis.determinants.levels > rank
+    # a vector and a (dim, m) block of whole columns, every level filled
+    for w in (op.u0, space.excitation_columns(op.u0, kept, space.block(split.basis.n_electrons))):
         fast, slow = op.conjugate(t, w), _full_table_conjugate(op, t, w)
         assert np.array_equal(fast[read], slow[read])
         assert not fast[above].any()
@@ -353,13 +398,15 @@ def test_block_conjugation_equals_the_full_table_path(model, trunc, pairing4, rn
 def test_residual_block_follows_the_target_rank(pairing4, rng):
     """A full-space residual of rank-1 amplitudes reads levels above the support."""
     t_cas = _cas_amplitudes(pairing4)
-    support = truncated_space(pairing4.split, TruncationScheme(MODE_RANK, 1))
-    t = support.amplitudes(0.1 * rng.standard_normal(len(support)), "truncated", "rank:1")
-    target = truncated_space(pairing4.split, TruncationScheme(MODE_FULL))
-    assert target.max_rank > support.max_rank
-    op = TailoredHamiltonian(t_cas, pairing4.ints, pairing4.split, support)
-    want = target.project(_full_table_conjugate(op, support.embed(t), op.u0))
+    space = external_space(pairing4.split)
+    support = truncation_positions(pairing4.split, TruncationScheme(MODE_RANK, 1))
+    t_vec = np.zeros(len(space))
+    t_vec[support] = 0.1 * rng.standard_normal(len(support))
+    t = space.amplitudes(t_vec, "truncated", "rank:1")
+    assert space.ranks.max() > 1
+    op = TailoredHamiltonian(t_cas, pairing4.ints, pairing4.split, 1)
+    want = space.project(_full_table_conjugate(op, t_vec, op.u0))
     got = tcc_residual(t, t_cas, pairing4.ints, pairing4.split, TruncationScheme(MODE_FULL))
-    assert np.array_equal(target.embed(got), want)
+    assert np.array_equal(space.embed(got), want)
     # a block sized from the support alone misses the target's higher ranks
-    assert not np.array_equal(target.project(op(support.embed(t))), want)
+    assert not np.array_equal(space.project(op(t_vec)), want)
