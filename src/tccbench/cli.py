@@ -23,23 +23,14 @@ from typing import TYPE_CHECKING
 # --fcidump runs compile the FCIDUMP reader.
 from . import serialize
 from .determinants import BasisSplit, OrbitalBasis
-from .errors import (
-    GapViolationError,
-    InputError,
-    SingularJacobianError,
-    SizeLimitError,
-    SolverFailureError,
-    TccBenchError,
-)
+from .errors import InputError, TccBenchError
 from .exact import cas_fci_solve, fci_solve
 from .hamiltonian import canonicalize_core, fock_matrix, hubbard_model, pairing_model
 
 if TYPE_CHECKING:
     from .tcc import TccConfig, TruncationScheme
 
-EXIT_INPUT = 1
-EXIT_SOLVER = 2
-EXIT_LIMIT = 3
+EXIT_INPUT = 1   # a usage or I/O error; each TccBenchError carries its own exit code
 
 # the fields a --model KIND takes after its colon: (fewest, most)
 _MODEL_FIELDS = {"hubbard": (3, 4), "pairing": (2, 4)}
@@ -360,18 +351,12 @@ def main(argv=None) -> int:
     try:
         args = _apply_config_file(parser, args, argv)
         return args.func(args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverFailureError, GapViolationError, SingularJacobianError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SizeLimitError as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
     except TccBenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

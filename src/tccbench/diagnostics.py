@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -97,9 +98,12 @@ def check_ball(delta: float, samples: int) -> None:
         raise InputError(f"need finite delta > 0 and samples >= 1, got {delta}, {samples}")
 
 
-def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonian,
-                       delta: float, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """t_* as an ndarray of op's space, and the residual f(t_*) it was checked by."""
+def _ball(t_star: Optional[AmplitudeVector], t_cas: AmplitudeVector, ints: IntegralSet,
+          split: BasisSplit, fock: FockSpectrum, delta: float, samples: int, seed: int
+          ) -> tuple[TailoredHamiltonian, np.ndarray, np.ndarray, np.ndarray, list]:
+    """The sampled ball B_delta(t_*) of both reports: the tailored operator, t_* as an
+    ndarray of its space, the residual f(t_*) it was checked by, eps and the seeded pairs."""
+    op = TailoredHamiltonian(t_cas, ints, split)
     check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
@@ -111,7 +115,16 @@ def _require_reference(t_star: Optional[AmplitudeVector], op: TailoredHamiltonia
         raise MissingReferenceError(
             f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}"
         )
-    return t_vec, r
+    eps = op.space.epsilon(fock)
+    return op, t_vec, r, eps, _ball_pairs(t_vec, eps, delta, samples, seed)
+
+
+def _quotient(num: float, den: float, delta: float) -> float:
+    """num / den of one sample, refused unless finite: min and max would skip a NaN."""
+    q = num / den if den else math.nan
+    if not math.isfinite(q):
+        raise InputError(f"a sample of the delta={delta} ball gave a non-finite quotient")
+    return q
 
 
 class _Stream(random.Random):
@@ -151,32 +164,32 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     linear (W = 0) case the plain-denominator estimate gamma_hat_l2
     attains min eps_mu exactly.
     """
-    op = TailoredHamiltonian(t_cas, ints, split)
-    t_vec, r_star = _require_reference(t_star, op, delta, samples)
-    eps = op.space.epsilon(fock)
-    pairs = _ball_pairs(t_vec, eps, delta, samples, seed)
-    return MonotonicityProbe(*_probe(op, t_vec, r_star, eps, delta, pairs), delta, samples, seed)
+    ball = _ball(t_star, t_cas, ints, split, fock, delta, samples, seed)
+    return MonotonicityProbe(*_probe(*ball, delta), delta, samples, seed)
 
 
 def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: np.ndarray,
-           delta: float, pairs: list[tuple[np.ndarray, np.ndarray]]
+           pairs: list[tuple[np.ndarray, np.ndarray]], delta: float
            ) -> tuple[float, float, float]:
     """(gamma_hat, gamma_hat_l2, l_hat) of monotonicity_probe over the ball pairs
     and the coordinate probes at the checked reference t_vec, whose residual is r_star."""
-    pairs = [*pairs, *((t_vec + step, t_vec) for step in np.diag(delta / np.sqrt(eps)))]
+    n, h = len(eps), delta / np.sqrt(eps)
+    # t_vec + h_mu e_mu, each made only when the loop reads it
+    probes = ((t_vec + h[mu] * np.eye(1, n, mu)[0], t_vec) for mu in range(n))
 
     g_v = g_l2 = np.inf
     l_hat = 0.0
-    for v1, v2 in pairs:
+    for v1, v2 in chain(pairs, probes):
         # every coordinate probe pairs with t_vec itself, whose residual is r_star
         df = op.residual(v1) - (r_star if v2 is t_vec else op.residual(v2))
         dt = v1 - v2
         inner = float(df @ dt)
         vsq = float((eps * dt**2).sum())
         lsq = float((dt**2).sum())
-        g_v = min(g_v, inner / vsq)
-        g_l2 = min(g_l2, inner / lsq)
-        l_hat = max(l_hat, float(np.sqrt((df**2 / eps).sum()) / np.sqrt(vsq)))
+        g_v = min(g_v, _quotient(inner, vsq, delta))
+        g_l2 = min(g_l2, _quotient(inner, lsq, delta))
+        l_hat = max(l_hat, _quotient(float(np.sqrt((df**2 / eps).sum())),
+                                     math.sqrt(vsq), delta))
     return float(g_v), float(g_l2), float(l_hat)
 
 
@@ -185,18 +198,12 @@ def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: 
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AssumptionReport:
+class AssumptionReport(MonotonicityProbe):
     gap: GapReport
     omega0: float          # <phi0, W_CAS phi0>
     omega_cas: float       # sum |t_sigma^CAS eps_sigma|
     lipschitz_star: float  # sampled Lipschitz estimate of the O-map
     margin: float          # eps0 - omega0 - omega_cas - lipschitz_star
-    gamma_hat: float
-    gamma_hat_l2: float
-    l_hat: float
-    delta: float
-    samples: int
-    seed: int
 
 
 def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
@@ -209,12 +216,11 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     A = W_CAS - P W_CAS P, W_CAS = e^{-T^CAS} W e^{T^CAS}, is sampled on
     pairs in the delta-ball around t_*; L_* is the largest observed
     ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2; W_CAS and A are only applied to
-    vectors. Also embeds the monotonicity probe for the same ball and seed.
+    vectors. Also carries the monotonicity probe of the same ball.
     """
-    op = TailoredHamiltonian(t_cas, ints, split)
+    ball = _ball(t_star, t_cas, ints, split, fock, delta, samples, seed)
+    op, pairs = ball[0], ball[-1]
     space = op.space
-    t_vec, r_star = _require_reference(t_star, op, delta, samples)
-    eps = space.epsilon(fock)
 
     fock_diag = fock_diagonal_vector(fock, split.basis)
     cas_coef = op.cas.coefficients(op.t_cas)
@@ -237,18 +243,16 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
         inner = a(space.exp_apply(vec, ref, +1))
         return space.exp_apply(vec, inner, -1) - a_ref
 
-    pairs = _ball_pairs(t_vec, eps, delta, samples, seed)   # the probe's pairs too
     l_star = 0.0
     for t1, t2 in pairs:
         num = float(np.linalg.norm(o_map(t1) - o_map(t2)))
         den = float(np.linalg.norm(t1 - t2))
-        l_star = max(l_star, num / den)
+        l_star = max(l_star, _quotient(num, den, delta))
 
     gaps = gap_report(fock, split)
     margin = gaps.eps0 - omega0 - omega_cas - l_star
-    return AssumptionReport(gaps, omega0, omega_cas, float(l_star), float(margin),
-                            *_probe(op, t_vec, r_star, eps, delta, pairs),
-                            delta, samples, seed)
+    return AssumptionReport(*_probe(*ball, delta), delta, samples, seed,
+                            gaps, omega0, omega_cas, float(l_star), float(margin))
 
 
 # ---------------------------------------------------------------------------

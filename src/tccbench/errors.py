@@ -2,7 +2,9 @@
 
 
 class TccBenchError(Exception):
-    """Base class for all workbench errors."""
+    """Base class for all workbench errors, with the exit code and stderr prefix the CLI uses."""
+
+    exit_code, prefix = 1, "error"
 
 
 class InputError(TccBenchError):
@@ -32,6 +34,8 @@ class StateCountError(InputError):
 class SizeLimitError(TccBenchError):
     """Requested system exceeds the supported desk scale."""
 
+    exit_code, prefix = 3, "limit exceeded"
+
 
 class DimensionLimitError(SizeLimitError):
     """Determinant space too large for the dense solver path."""
@@ -53,7 +57,13 @@ class NonPositiveWeightError(TccBenchError):
     """An epsilon weight is <= 0; the CAS-ext gap assumption is violated."""
 
 
-class GapViolationError(TccBenchError):
+class SolverError(TccBenchError):
+    """A solve failed, or the problem it was given is ill-posed."""
+
+    exit_code, prefix = 2, "solver error"
+
+
+class GapViolationError(SolverError):
     """min epsilon over the external index set is <= 0."""
 
 
@@ -73,11 +83,11 @@ class MissingReferenceError(TccBenchError):
     """A converged reference amplitude vector is required but absent."""
 
 
-class SingularJacobianError(TccBenchError):
+class SingularJacobianError(SolverError):
     """Adjoint system is singular; monotonicity constant is ~0."""
 
 
-class SolverFailureError(TccBenchError):
+class SolverFailureError(SolverError):
     """A sub-solve required by a diagnostic did not converge."""
 
 

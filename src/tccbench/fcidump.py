@@ -10,15 +10,13 @@ from typing import TextIO
 
 import numpy as np
 
-from .determinants import MAX_SPIN_ORBITALS
 from .errors import (
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
     MalformedHeaderError,
-    SizeLimitError,
 )
-from .hamiltonian import SYMMETRY_8FOLD, IntegralSet
+from .hamiltonian import SYMMETRY_8FOLD, IntegralSet, check_orbital_count
 
 _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)")
 
@@ -55,8 +53,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
         raise MalformedHeaderError(f"non-integer header field: {exc}") from exc
     if norb < 1 or nelec < 0:
         raise MalformedHeaderError(f"bad NORB/NELEC: {norb}/{nelec}")
-    if 2 * norb > MAX_SPIN_ORBITALS:   # checked before the NORB^4 integral arrays exist
-        raise SizeLimitError(f"NORB={norb} exceeds the hard limit of {MAX_SPIN_ORBITALS // 2}")
+    check_orbital_count(norb)
     if "ORBSYM" in fields and fields["ORBSYM"]:
         syms = [s for s in fields["ORBSYM"].replace(",", " ").split() if s]
         if len(syms) not in (0, norb):
@@ -116,12 +113,12 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
     return IntegralSet(norb, h, g, e_core, n_electrons=nelec)
 
 
-def write_fcidump(ints: IntegralSet, stream: TextIO, ms2: int = 0) -> None:
+def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
     """Write an IntegralSet in canonical FCIDUMP order.
 
     Canonical order: two-electron records first with ascending compound
-    index over i>=j, k>=l, (ij)>=(kl); then one-electron records with
-    i>=j; then the core energy. Requires full 8-fold symmetry.
+    index over i>=j, k>=l, (ij)>=(kl); then one-electron records with i>=j;
+    then the core energy. MS2 is the reference's, NELEC mod 2. Needs 8-fold symmetry.
     """
     if ints.symmetry != SYMMETRY_8FOLD:
         raise DimensionMismatchError(
@@ -131,7 +128,7 @@ def write_fcidump(ints: IntegralSet, stream: TextIO, ms2: int = 0) -> None:
     n = ints.n_spatial
     nelec = ints.n_electrons if ints.n_electrons is not None else 0
     orbsym = ",".join(["1"] * n)
-    stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={ms2},\n")
+    stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={nelec % 2},\n")
     stream.write(f"  ORBSYM={orbsym},\n  ISYM=1,\n&END\n")
 
     def rec(value, i, j, k, l):

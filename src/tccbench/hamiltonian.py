@@ -24,13 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import ExcitationIndex, OrbitalBasis, _excite
+from .determinants import MAX_SPIN_ORBITALS, ExcitationIndex, OrbitalBasis, _excite
 from .errors import DimensionMismatchError, NonFiniteIntegralError, SizeLimitError
 
 SYMMETRY_8FOLD = "8-fold"
 SYMMETRY_4FOLD = "4-fold"
-
-MAX_MODEL_LEVELS = 10
 
 
 class NonCanonicalOrbitalsWarning(UserWarning):
@@ -83,14 +81,19 @@ class IntegralSet:
 # Built-in models
 # ---------------------------------------------------------------------------
 
+def check_orbital_count(norb: int) -> None:
+    """Refuse more spatial orbitals than an OrbitalBasis takes, before any norb^4 array exists."""
+    if 2 * norb > MAX_SPIN_ORBITALS:
+        raise SizeLimitError(f"NORB={norb} exceeds the hard limit of {MAX_SPIN_ORBITALS // 2}")
+
+
 def hubbard_model(n_sites: int, t_hop: float, u: float, n_electrons: Optional[int] = None) -> IntegralSet:
     """Open-boundary 1D Hubbard chain in the site basis.
 
     h has -t_hop on nearest-neighbour bonds; (pp|pp) = u gives the
     on-site repulsion U n_up n_down per site.
     """
-    if n_sites > MAX_MODEL_LEVELS:
-        raise SizeLimitError(f"n_sites={n_sites} exceeds {MAX_MODEL_LEVELS}")
+    check_orbital_count(n_sites)
     h = np.zeros((n_sites, n_sites))
     for p in range(n_sites - 1):
         h[p, p + 1] = h[p + 1, p] = -t_hop
@@ -112,8 +115,7 @@ def pairing_model(n_levels: int, g_pair: float, spacing: float = 1.0,
     (pq|rs) = -g_pair * delta_{pr} delta_{qs}, which carries only the
     particle-exchange 4-fold symmetry, not the real-orbital 8-fold one.
     """
-    if n_levels > MAX_MODEL_LEVELS:
-        raise SizeLimitError(f"n_levels={n_levels} exceeds {MAX_MODEL_LEVELS}")
+    check_orbital_count(n_levels)
     h = np.diag([spacing * p for p in range(n_levels)]).astype(float)
     g = np.zeros((n_levels,) * 4)
     for p in range(n_levels):

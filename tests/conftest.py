@@ -70,6 +70,12 @@ def pairing4() -> System:
 
 
 @pytest.fixture(scope="session")
+def pairing6() -> System:
+    """6-level pairing model, g=0.5 (K=12, N=6, k=8): 896 external indices."""
+    return _make("pairing6", pairing_model(6, 0.5, 1.0), 8)
+
+
+@pytest.fixture(scope="session")
 def pairing4_g0() -> System:
     """Same level structure with the interaction switched off (W = 0)."""
     return _make("pairing4-g0", pairing_model(4, 0.0, 1.0), 6)

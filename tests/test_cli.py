@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tccbench
-from tccbench import cli, hubbard_model, tcc, write_fcidump
+from tccbench import cli, errors, hubbard_model, tcc, write_fcidump
 from tccbench.cli import main
 from tccbench.serialize import config_hash, dumps, format_float
 
@@ -472,6 +472,56 @@ def test_verify_with_an_empty_external_space(capsys):
 def test_exit_size_limit(capsys):
     code, _, _ = run(["fci", "--model", "hubbard:11,1.0,1.0"], capsys)
     assert code == 3
+
+
+def test_models_share_the_fcidump_orbital_bound(capsys):
+    # a 10-level cap refused pairing:12 (dim 276), which ran as an FCIDUMP file
+    code, out, err = run(["fci", "--model", "pairing:12,0.5,1.0,2"], capsys)
+    assert code == 0 and not err
+    assert len(json.loads(out)["payload"]["summary"]["eigenvalues"]) == 276
+    code, out, err = run(["fci", "--model", "hubbard:33,1.0,2.0,1"], capsys)
+    assert code == 3 and not out
+    assert err == "limit exceeded: NORB=33 exceeds the hard limit of 32\n"
+
+
+def _parent_category(cls):
+    """The exit code and prefix that main assigned each error class by an except list."""
+    if issubclass(cls, (errors.SolverFailureError, errors.GapViolationError,
+                        errors.SingularJacobianError)):
+        return 2, "solver error"
+    if issubclass(cls, errors.SizeLimitError):
+        return 3, "limit exceeded"
+    return 1, "error"
+
+
+# every class but the SolverError base, which nothing raises and the parent did not have
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, errors.TccBenchError)
+                                 and c is not errors.SolverError],
+                         ids=lambda c: c.__name__)
+def test_each_error_class_carries_its_exit_code_and_prefix(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_fci", fail)
+    code, prefix = _parent_category(cls)
+    assert (cls.exit_code, cls.prefix) == (code, prefix)
+    assert run(["fci", "--model", "hubbard:2,1.0,4.0"], capsys) == (code, "", f"{prefix}: boom\n")
+
+
+@pytest.mark.parametrize("command", [
+    "verify --model hubbard:4,1.0,2.0 --mo --k 6 --trunc rank:2 --samples 2 --delta 1e300 "
+    "--assumptions",
+    "verify --model pairing:4,0.5,1.0 --k 6 --trunc rank:2 --diis 8 --assumptions --samples 3 "
+    "--delta 1e80",
+], ids=["hubbard4-1e300", "pairing4-1e80"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_samples_are_input_errors(command, capsys):
+    # overflowed samples were skipped: exit 0 with gamma_hat Infinity and a positive margin
+    delta = command.split("--delta ")[1].split()[0]
+    code, out, err = run(command.split(), capsys)
+    assert code == 1 and not out
+    assert err == f"error: a sample of the delta={float(delta)} ball gave a non-finite quotient\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 import math
 import random
-from dataclasses import replace
+import re
+import tracemalloc
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import oracle
 from tccbench import diagnostics
 from tccbench import (
     AmplitudeVector,
+    AssumptionReport,
     BasisSplit,
     OrbitalBasis,
     Study,
@@ -30,7 +33,7 @@ from tccbench import (
     tcc_jacobian,
 )
 from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
-from tccbench.diagnostics import STUDY_CONFIG, ScalingRow, _fit_slope
+from tccbench.diagnostics import STUDY_CONFIG, MonotonicityProbe, ScalingRow, _fit_slope
 from tccbench.errors import (
     InputError, InsufficientPointsError, MissingReferenceError, SingularJacobianError)
 from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian, fock_diagonal_vector
@@ -224,6 +227,53 @@ def test_assumption_report_builds_one_operator(pairing4, pairing4_root, monkeypa
     # the reference check, two per sampled pair and one per coordinate probe
     assert len(built) == 1
     assert len(residuals) == 1 + 2 * samples + len(external_space(pairing4.split))
+
+
+def test_assumption_report_adds_five_smallness_fields_to_the_probe():
+    assert issubclass(AssumptionReport, MonotonicityProbe)
+    assert [f.name for f in fields(AssumptionReport)] == [
+        *(f.name for f in fields(MonotonicityProbe)),
+        "gap", "omega0", "omega_cas", "lipschitz_star", "margin"]
+
+
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_assumption_report_carries_the_probe_of_its_ball(model, request):
+    system = request.getfixturevalue(model)
+    t_cas = _cas_amplitudes(system)
+    args = (_solve_full(system, t_cas).t, t_cas, system.ints, system.split, system.fock)
+    report = assumption_b_report(*args, delta=0.05, samples=4, seed=7)
+    probe = monotonicity_probe(*args, delta=0.05, samples=4, seed=7)
+    assert {f.name: getattr(report, f.name) for f in fields(MonotonicityProbe)} == asdict(probe)
+
+
+def test_coordinate_probes_are_made_one_at_a_time(pairing6):
+    # the n x n diag of steps and the list of n probe vectors took 2 n^2 8 bytes
+    system = pairing6
+    op = TailoredHamiltonian(_cas_amplitudes(system), system.ints, system.split)
+    n = len(op.space)
+    assert n == 896
+    t_vec = np.full(n, 1e-3)
+    r = op.residual(t_vec)   # builds the tables every probe reads
+    eps = op.space.epsilon(system.fock)
+    tracemalloc.start()
+    try:
+        diagnostics._probe(op, t_vec, r, eps, [], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("delta", [1e80, 1e-320])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_samples_are_refused(pairing4, pairing4_root, delta):
+    # 1e80: overflowed samples were skipped by min and max; 1e-320: points that
+    # coincide divided by zero
+    t_star, t_cas = pairing4_root
+    for probe in (monotonicity_probe, assumption_b_report):
+        with pytest.raises(InputError, match=re.escape(f"delta={delta} ball gave a non-finite")):
+            probe(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
+                  delta=delta, samples=3, seed=0)
 
 
 @pytest.mark.parametrize("delta,samples", [

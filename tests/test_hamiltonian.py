@@ -19,6 +19,7 @@ from tccbench import (
 )
 from tccbench.determinants import enumerate_determinants
 from tccbench.errors import (
+    DimensionLimitError,
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
@@ -187,10 +188,15 @@ def test_fluctuation_is_exact_complement(pairing4, rng):
 
 
 def test_model_size_limits():
-    with pytest.raises(SizeLimitError):
-        hubbard_model(11, 1.0, 1.0)
-    with pytest.raises(SizeLimitError):
-        pairing_model(12, 0.5)
+    # the builders take the FCIDUMP header's bound, 2n <= 64 spin-orbitals, before any n^4 array
+    for build in (hubbard_model, pairing_model):
+        for n in (33, 10**6):
+            with pytest.raises(SizeLimitError, match=f"NORB={n} exceeds the hard limit of 32"):
+                build(n, 1.0, 1.0)
+    # 11 sites build; their half-filled determinant space is what the dense path refuses
+    assert hubbard_model(11, 1.0, 1.0).n_spatial == 11
+    with pytest.raises(DimensionLimitError):
+        OrbitalBasis(22, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +221,20 @@ def test_fcidump_write_is_byte_stable():
     write_fcidump(ints, a)
     write_fcidump(parse_fcidump(a.getvalue()), b)
     assert a.getvalue() == b.getvalue()
+
+
+def test_fcidump_states_the_references_spin():
+    # MS2=0 was written for any electron count, which 3 electrons cannot have
+    ints = pairing_model(6, 0.0, 1.0, 3)
+    buf = io.StringIO()
+    write_fcidump(ints, buf)
+    assert buf.getvalue().startswith("&FCI NORB=6,NELEC=3,MS2=1,\n")
+    back = parse_fcidump(buf.getvalue())
+    assert back.n_electrons == 3
+    assert np.array_equal(back.h, ints.h) and np.array_equal(back.g, ints.g)
+    again = io.StringIO()
+    write_fcidump(back, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_fcidump_accepts_fortran_d_exponents():
