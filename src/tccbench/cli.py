@@ -13,6 +13,7 @@ Exit codes: 1 input error, 2 solver failure, 3 size limit exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -342,6 +343,8 @@ def _apply_config_file(parser, args, argv):
 
 
 def main(argv=None) -> int:
+    if argv is None:   # run as a program: what the imports built lives until exit, so no
+        gc.freeze()    # collection scans it again, at exit neither; a caller's heap is left alone
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:

@@ -48,6 +48,7 @@ from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
 )
 
 REFERENCE_RESIDUAL_TOL = 1e-8
+_SAMPLED = dict(over="ignore", invalid="ignore", divide="ignore")   # _quotient refuses overflows
 # Solver settings of the error-decomposition and scaling sub-solves; the
 # CLI's solver flags drive only the reference and truncated roots of `verify`.
 STUDY_CONFIG = TccConfig(max_iterations=500, tolerance=1e-11, diis=8)
@@ -140,6 +141,7 @@ class _Stream(random.Random):
                          * math.cos(2.0 * math.pi * self.random()) for _ in range(n)])
 
 
+@np.errstate(**_SAMPLED)
 def _ball_pairs(center: np.ndarray, eps: np.ndarray, delta: float, samples: int,
                 seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """`samples` seeded pairs of random points of the V-norm ball of radius delta around center."""
@@ -168,6 +170,7 @@ def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     return MonotonicityProbe(*_probe(*ball, delta), delta, samples, seed)
 
 
+@np.errstate(**_SAMPLED)
 def _probe(op: TailoredHamiltonian, t_vec: np.ndarray, r_star: np.ndarray, eps: np.ndarray,
            pairs: list[tuple[np.ndarray, np.ndarray]], delta: float
            ) -> tuple[float, float, float]:
@@ -244,10 +247,11 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
         return space.exp_apply(vec, inner, -1) - a_ref
 
     l_star = 0.0
-    for t1, t2 in pairs:
-        num = float(np.linalg.norm(o_map(t1) - o_map(t2)))
-        den = float(np.linalg.norm(t1 - t2))
-        l_star = max(l_star, _quotient(num, den, delta))
+    with np.errstate(**_SAMPLED):
+        for t1, t2 in pairs:
+            num = float(np.linalg.norm(o_map(t1) - o_map(t2)))
+            den = float(np.linalg.norm(t1 - t2))
+            l_star = max(l_star, _quotient(num, den, delta))
 
     gaps = gap_report(fock, split)
     margin = gaps.eps0 - omega0 - omega_cas - l_star

@@ -224,15 +224,15 @@ def split_amplitudes(t_full: AmplitudeVector, split: BasisSplit
 # Quasi-Newton solve
 # ---------------------------------------------------------------------------
 
-def _diis_extrapolate(trials: Sequence[np.ndarray], errors: Sequence[np.ndarray]) -> np.ndarray:
-    m = len(trials)
+def _diis_extrapolate(window: Sequence[tuple], gram: np.ndarray) -> np.ndarray:
+    m = len(window)
     b = np.full((m + 1, m + 1), -1.0)
-    b[:m, :m] = np.array([[float(e1 @ e2) for e2 in errors] for e1 in errors])
+    b[:m, :m] = gram
     b[m, m] = 0.0
     rhs = np.zeros(m + 1)
     rhs[m] = -1.0
     coef, *_ = np.linalg.lstsq(b, rhs, rcond=None)
-    return sum(c * t for c, t in zip(coef[:m], trials))
+    return sum(c * t for c, (t, _) in zip(coef[:m], window))
 
 
 def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
@@ -260,7 +260,7 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
         raise GapViolationError(f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set")
 
     history: list[tuple[int, float, float, float]] = []
-    trials, errs = deque(maxlen=config.diis), deque(maxlen=config.diis)   # the DIIS window
+    window, gram = deque(maxlen=config.diis), np.zeros((config.diis or 0,) * 2)   # DIIS
     converged = diverged = False
     it = 0
 
@@ -284,10 +284,13 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
         step = -config.damping * r_vec / eps
         trial = t_vec + step
         if config.diis:
-            trials.append(trial)
-            errs.append(step)
-            if len(trials) > 1:
-                trial = _diis_extrapolate(trials, errs)
+            if len(window) == config.diis:   # the oldest pair leaves with its Gram row and column
+                gram = np.roll(gram, -1, axis=(0, 1))
+            window.append((trial, step))   # (trial, error) pairs; gram[i, j] = e_i @ e_j
+            m = len(window)   # only the new error's products are computed
+            gram[m - 1, :m] = gram[:m, m - 1] = [float(e @ step) for _, e in window]
+            if m > 1:
+                trial = _diis_extrapolate(window, gram[:m, :m])
         t_vec = trial
     else:
         # out of iterations: the last update was never evaluated

@@ -202,3 +202,16 @@ def finite_difference_jacobian(func, x0: np.ndarray, h: float = 1e-6) -> np.ndar
         xm[col] -= h
         jac[:, col] = (func(xp) - func(xm)) / (2.0 * h)
     return jac
+
+
+def diis_extrapolate(trials, errors) -> np.ndarray:
+    """Pulay's DIIS combination of the trials, with all m^2 products e_i @ e_j computed anew:
+    the loop reference the solver's kept Gram matrix is held to."""
+    m = len(trials)
+    b = np.full((m + 1, m + 1), -1.0)
+    b[:m, :m] = np.array([[float(e1 @ e2) for e2 in errors] for e1 in errors])
+    b[m, m] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = -1.0
+    coef, *_ = np.linalg.lstsq(b, rhs, rcond=None)
+    return sum(c * t for c, t in zip(coef[:m], trials))

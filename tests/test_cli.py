@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import importlib
 import io
@@ -515,13 +516,25 @@ def test_each_error_class_carries_its_exit_code_and_prefix(cls, monkeypatch, cap
     "verify --model pairing:4,0.5,1.0 --k 6 --trunc rank:2 --diis 8 --assumptions --samples 3 "
     "--delta 1e80",
 ], ids=["hubbard4-1e300", "pairing4-1e80"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error")   # numpy warned of each overflow before the error line
 def test_non_finite_samples_are_input_errors(command, capsys):
     # overflowed samples were skipped: exit 0 with gamma_hat Infinity and a positive margin
     delta = command.split("--delta ")[1].split()[0]
     code, out, err = run(command.split(), capsys)
     assert code == 1 and not out
     assert err == f"error: a sample of the delta={float(delta)} ball gave a non-finite quotient\n"
+
+
+def test_an_overflowing_ball_prints_one_error_line(tmp_path):
+    # the program printed four numpy RuntimeWarnings, eight lines with file paths, first
+    done = subprocess.run(
+        [sys.executable, "-m", "tccbench.cli", "verify", "--model", "hubbard:4,1.0,2.0", "--mo",
+         "--k", "6", "--trunc", "rank:2", "--samples", "2", "--delta", "1e300", "--assumptions",
+         "--out", str(tmp_path)],
+        env=_program_env(), capture_output=True, text=True)
+    assert done.returncode == 1 and not done.stdout
+    assert done.stderr == "error: a sample of the delta=1e+300 ball gave a non-finite quotient\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture(scope="module")
@@ -688,11 +701,15 @@ def test_select_cas_builds_one_determinant_space(monkeypatch, capsys):
 # Cold start
 # ---------------------------------------------------------------------------
 
+def _program_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's tccbench."""
+    return {**os.environ, "PYTHONPATH": str(Path(tccbench.__file__).resolve().parents[1])}
+
+
 def _cold_start(code: str, *args: str) -> list[str]:
     """Run `code` with `args` in a fresh interpreter; its stdout, split."""
-    env = {**os.environ, "PYTHONPATH": str(Path(tccbench.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-W", "ignore", "-c", code, *args],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=_program_env(), capture_output=True, text=True, check=True)
     return done.stdout.split()
 
 
@@ -751,6 +768,60 @@ def test_bare_package_import_loads_no_submodule():
     loaded = _cold_start("import sys, tccbench; "
                          "print(*(m for m in sys.modules if m.startswith('tccbench')))")
     assert loaded == ["tccbench"]
+
+
+# ---------------------------------------------------------------------------
+# Program entries
+# ---------------------------------------------------------------------------
+
+# How each program entry reaches cli.main(): `python -m tccbench.cli` runs the
+# module as __main__, and the console script of pyproject.toml calls main().
+PROGRAM_ENTRIES = {
+    "python -m": "try:\n"
+                 "    runpy.run_module('tccbench.cli', run_name='__main__')\n"
+                 "except SystemExit as exc:\n"
+                 "    status = exc.code\n",
+    "console script": "from tccbench.cli import main\nstatus = main()\n",
+}
+
+
+@pytest.mark.parametrize("entry", PROGRAM_ENTRIES)
+def test_program_entries_freeze_the_imported_heap_once(entry, tmp_path):
+    # the imported heap lives until exit, so no collection needs to scan it, shutdown's included
+    code = ("import gc, runpy, sys\n"
+            "freezes = []\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: freezes.append(1) or freeze()\n"
+            "sys.argv = ['tccbench', *sys.argv[1:]]\n"
+            + PROGRAM_ENTRIES[entry] +
+            "print(status, len(freezes), gc.get_freeze_count())\n")
+    status, freezes, frozen = _cold_start(code, "tcc", "--model", "pairing:4,0.5,1.0", "--k", "6",
+                                          "--trunc", "rank:2", "--out", str(tmp_path))
+    assert (status, freezes) == ("0", "1") and int(frozen) > 0
+    assert json.loads((tmp_path / "tcc.json").read_text())["payload"]["converged"] is True
+
+
+def test_a_call_with_argv_leaves_the_collector_alone(monkeypatch, capsys):
+    # a library caller's heap is its own: freezing it would pin every later test's garbage
+    def refuse():
+        raise AssertionError("a call with an argument list froze the heap")
+
+    frozen = gc.get_freeze_count()
+    monkeypatch.setattr(gc, "freeze", refuse)
+    assert run(["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6"], capsys)[0] == 0
+    assert run(["fci", "--model", "bad"], capsys)[0] == 1
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_program_run_writes_the_documents_of_a_call(tmp_path, capsys):
+    args = ["verify", "--model", "pairing:4,0.5,1.0", "--k", "6",
+            "--trunc", "rank:2", "--samples", "5", "--seed", "7"]
+    program, call = tmp_path / "program", tmp_path / "call"
+    subprocess.run([sys.executable, "-m", "tccbench.cli", *args, "--out", str(program)],
+                   env=_program_env(), check=True)
+    assert run(args + ["--out", str(call)], capsys)[0] == 0
+    for name in ("verify.json", "scaling.tsv"):
+        assert (program / name).read_bytes() == (call / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,41 @@ def test_solver_evaluates_each_iterate_once(pairing4, monkeypatch):
     assert not result.converged and len(calls) == 4
 
 
+@pytest.mark.parametrize("diis", [2, 3, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("system", ["pairing4", "hubbard4_mo"])
+def test_diis_keeps_the_gram_matrix_the_full_recomputation_builds(system, seed, diis, request,
+                                                                  monkeypatch):
+    # solve_tcc computes only each new error's products and rolls out the evicted row and
+    # column; the Gram matrix and every extrapolation must carry the bits of recomputing
+    # all m^2 products. A seeded perturbation of t^CAS gives each run its own steps.
+    from oracle import diis_extrapolate
+
+    system = request.getfixturevalue(system)
+    draws = np.random.default_rng(seed).standard_normal(len(_cas_amplitudes(system).entries))
+    t_cas = AmplitudeVector(SPACE_CAS, {mu: val + 0.05 * z for (mu, val), z
+                                        in zip(_cas_amplitudes(system).sorted_items(), draws)})
+    sizes = []
+    extrapolate = tcc._diis_extrapolate
+
+    def checked(window, gram):
+        trials, errors = [t for t, _ in window], [e for _, e in window]
+        full = np.array([[float(e1 @ e2) for e2 in errors] for e1 in errors])
+        assert gram.tobytes() == full.tobytes()
+        got = extrapolate(window, gram)
+        assert got.tobytes() == diis_extrapolate(trials, errors).tobytes()
+        sizes.append(len(window))
+        return got
+
+    monkeypatch.setattr(tcc, "_diis_extrapolate", checked)
+    result = solve_tcc(t_cas, system.ints, system.split, system.fock,
+                       TccConfig(diis=diis, truncation=TruncationScheme(MODE_RANK, 2)))
+    assert result.converged
+    # every push after the window filled evicted its oldest pair
+    assert sizes == [min(m, diis) for m in range(2, result.iterations)]
+    assert sizes.count(diis) > 2
+
+
 def test_collapse_k_equals_n_reproduces_cc_equals_fci(hubbard2_mo, pairing3_2e):
     """2-electron systems: untruncated CC at k = N recovers FCI."""
     for system in (hubbard2_mo, pairing3_2e):
