@@ -33,7 +33,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
 
     All eight permutational images of each (ij|kl) record are folded in;
     conflicting duplicates beyond 1e-12 are rejected. Fortran D-exponents
-    are accepted. ORBSYM/ISYM are validated but not exploited.
+    are accepted. MS2, if given, must be NELEC mod 2. ORBSYM/ISYM are validated, not used.
     """
     text = stream if isinstance(stream, str) else stream.read()
     m = re.search(r"&(?:FCI|fci)(.*?)(?:&END|/)", text, re.S)
@@ -47,12 +47,15 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
     try:
         norb = int(fields["NORB"])
         nelec = int(fields["NELEC"])
+        ms2 = int(fields.get("MS2", nelec % 2))
     except KeyError as exc:
         raise MalformedHeaderError(f"missing header field {exc}") from exc
     except ValueError as exc:
         raise MalformedHeaderError(f"non-integer header field: {exc}") from exc
     if norb < 1 or nelec < 0:
         raise MalformedHeaderError(f"bad NORB/NELEC: {norb}/{nelec}")
+    if ms2 != nelec % 2:   # the reference occupies orbitals 1..NELEC: M_s = 0, or +1/2 for odd NELEC
+        raise MalformedHeaderError(f"MS2={ms2} is not the reference's MS2={nelec % 2} for NELEC={nelec}")
     check_orbital_count(norb)
     if "ORBSYM" in fields and fields["ORBSYM"]:
         syms = [s for s in fields["ORBSYM"].replace(",", " ").split() if s]

@@ -5,8 +5,9 @@ tccbench.fcidump), two built-in model generators, the Fock/fluctuation
 splitting H = F + W, and the dense Slater-Condon Hamiltonian build.
 
 Spin convention: spatial orbital p in 1..n_spatial expands to
-spin-orbitals 2p-1 (up) and 2p (down). Two-electron integrals are kept
-in chemists' notation (pq|rs) over spatial orbitals.
+spin-orbitals 2p-1 (up) and 2p (down). The integrals stay spatial, the
+two-electron ones in chemists' notation (pq|rs): the Fock matrix and the H
+build read h_PQ and <PQ||RS> from them, never from a K^4 spin-orbital tensor.
 
 The Fock operator used throughout is the *diagonal* of the spin-orbital
 Fock matrix built at the reference; all off-diagonal pieces are
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -64,17 +64,15 @@ class IntegralSet:
     def n_spin_orbitals(self) -> int:
         return 2 * self.n_spatial
 
-    @cached_property
-    def spin_orbital_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(h_PQ, <PQ||RS>) over 0-based spin-orbitals; <PQ|RS> = (pr|qs) when
-        P, R and Q, S share a spin, zero otherwise."""
-        k = self.n_spin_orbitals
-        h1, phys = np.zeros((k, k)), np.zeros((k,) * 4)
-        for s in (0, 1):
-            h1[s::2, s::2] = self.h
-            for t in (0, 1):
-                phys[s::2, t::2, s::2, t::2] = self.g.transpose(0, 2, 1, 3)
-        return h1, phys - phys.transpose(0, 1, 3, 2)
+
+def _spin_integrals(ints: IntegralSet, P, Q, R=None, S=None) -> np.ndarray:
+    """h_PQ, or <PQ||RS> given R and S, for 0-based spin-orbital index arrays, read from h and
+    (pq|rs): P is orbital P >> 1, spin P & 1; <PQ|RS> = (pr|qs) if P, R and Q, S share a spin."""
+    if R is None:
+        return np.where((P ^ Q) & 1 == 0, ints.h[P >> 1, Q >> 1], 0.0)
+    p, q, r, s = P >> 1, Q >> 1, R >> 1, S >> 1
+    direct = np.where(((P ^ R) | (Q ^ S)) & 1 == 0, ints.g[p, r, q, s], 0.0)
+    return direct - np.where(((P ^ S) | (Q ^ R)) & 1 == 0, ints.g[p, s, q, r], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,10 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
         raise DimensionMismatchError(
             f"basis has K={basis.n_orbitals}, integrals give K={K}"
         )
-    h1, anti = ints.spin_orbital_tensors
-    f = h1.copy()
+    P, Q = np.arange(K)[:, None], np.arange(K)
+    f = _spin_integrals(ints, P, Q)
     for i in range(basis.n_electrons):
-        f += anti[:, i, :, i]
+        f += _spin_integrals(ints, P, i, Q, i)
     f = np.triu(f) + np.triu(f, 1).T   # the upper triangle, mirrored
     lambdas = np.diag(f).copy()
     off = f - np.diag(lambdas)
@@ -242,15 +240,16 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
         return cached
     K, dets = basis.n_orbitals, basis.determinants
     masks, occ, dim = dets.masks, dets.occupations, len(dets.masks)
-    h1, anti = ints.spin_orbital_tensors
+    Q = np.arange(K)
+    P = Q[:, None]
+    h_diag, pair = _spin_integrals(ints, Q, Q), _spin_integrals(ints, P, Q, P, Q)
+    exchange = _spin_integrals(ints, P[..., None], Q, Q[:, None], Q)   # [p, q, r] = <pr||qr>
     diag = np.full(dim, float(ints.e_core))
     for p in range(K):
-        diag += np.where(occ[:, p], h1[p, p], 0.0)
+        diag += np.where(occ[:, p], h_diag[p], 0.0)
     for p, q in combinations(range(K), 2):
-        diag += np.where(occ[:, p] & occ[:, q], anti[p, q, p, q], 0.0)
+        diag += np.where(occ[:, p] & occ[:, q], pair[p, q], 0.0)
     ham = np.diag(diag)
-    flat, h_flat, anti_flat = ham.reshape(-1), h1.reshape(-1), anti.reshape(-1)
-    exchange = np.ascontiguousarray(anti.diagonal(axis1=1, axis2=3)).reshape(K * K, K)
     for sector in dets.sectors:
         step = max(1, (1 << 16) // len(sector))   # ~2^16 pairs a block: < 1 MB of temporaries
         for start in range(0, len(sector), step):
@@ -265,16 +264,13 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
                 only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
                 only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
                 _, sign = _excite(masks[b], only_b, only_a)   # pair j: only_b[j] -> only_a[j]
-                if n_moved == 1:
-                    pq = only_a[0].astype(np.intp) * K + only_b[0].astype(np.intp)
-                    val = h_flat[pq]
-                    common, exch = occ[a] & occ[b], exchange[pq]   # exch[:, r] = <pr||qr>
+                pqrs = [x.astype(np.intp) for x in only_a + only_b]
+                val = _spin_integrals(ints, *pqrs)
+                if n_moved == 1:   # h_pq + sum over the common orbitals r of <pr||qr>
+                    common, exch = occ[a] & occ[b], exchange[pqrs[0], pqrs[1]]
                     for r in range(K):
                         val += np.where(common[:, r], exch[:, r], 0.0)
-                else:
-                    p, q, r, s = (x.astype(np.intp) for x in only_a + only_b)
-                    val = anti_flat[((p * K + q) * K + r) * K + s]
-                flat[a * dim + b] = flat[b * dim + a] = sign * val
+                ham[a, b] = ham[b, a] = sign * val
     ham.flags.writeable = False   # shared by every caller through the cache
     ints._dense_cache[key] = ham
     return ham

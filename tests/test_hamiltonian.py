@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tccbench.errors import (
 )
 from tccbench.hamiltonian import (
     NonCanonicalOrbitalsWarning,
+    _spin_integrals,
     fock_diagonal_vector,
 )
 
@@ -76,16 +78,64 @@ def test_dense_hamiltonian_matches_oracle_sector(hubbard2_site, hubbard3_mo, pai
         assert np.max(np.abs(build_dense_hamiltonian(ints, basis) - want)) <= 1e-12
 
 
+def _exact_systems():
+    """Integrals the package must read exactly as the oracle's scalar lookups do:
+    8-fold and 4-fold, canonical and not, even and odd N."""
+    return [_random_4fold(12, 6, 4), hubbard_model(4, 1.0, 2.0), pairing_model(5, 0.5, 1.0),
+            _random_4fold(7, 5, 5)]
+
+
+def test_spin_integrals_equal_the_oracle_lookups():
+    """Every h_PQ and <PQ||RS> of a K = 8 set, against the 1-based scalar lookups."""
+    ints = _random_4fold(5, 4, 3)
+    pq, pqrs = np.indices((8,) * 2), np.indices((8,) * 4)
+    spin_h = np.vectorize(lambda p, q: oracle.spin_h(ints, p + 1, q + 1))
+    anti = np.vectorize(lambda p, q, r, s: oracle.antisymmetrized(ints, p + 1, q + 1, r + 1, s + 1))
+    assert np.array_equal(_spin_integrals(ints, *pq), spin_h(*pq))
+    assert np.array_equal(_spin_integrals(ints, *pqrs), anti(*pqrs))
+
+
 def test_dense_hamiltonian_equals_matrix_elements():
     """The vectorised build sums in matrix_element's order: equal entries."""
-    ints = _random_4fold(12, 6, 4)
-    basis = OrbitalBasis(12, 4)
-    dets = enumerate_determinants(basis)
-    ham = build_dense_hamiltonian(ints, basis)
-    want = np.array([[oracle.matrix_element(d1, d2, ints) if a <= b else 0.0
-                      for b, d2 in enumerate(dets)] for a, d1 in enumerate(dets)])
-    want = np.triu(want) + np.triu(want, 1).T
-    assert np.array_equal(ham, want)
+    for ints in _exact_systems():
+        basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+        dets = enumerate_determinants(basis)
+        ham = build_dense_hamiltonian(ints, basis)
+        want = np.array([[oracle.matrix_element(d1, d2, ints) if a <= b else 0.0
+                          for b, d2 in enumerate(dets)] for a, d1 in enumerate(dets)])
+        want = np.triu(want) + np.triu(want, 1).T
+        assert np.array_equal(ham, want)
+
+
+def test_fock_matrix_equals_the_oracle_sum():
+    """lambda_P and the off-diagonal norm from f_PQ = h_PQ + sum_I <PI||QI>, summed in I order."""
+    for ints in [*_exact_systems(), canonicalize_core(hubbard_model(3, 1.0, 2.0, 2))[0]]:
+        k, n = ints.n_spin_orbitals, ints.n_electrons
+        f = np.zeros((k, k))
+        for p in range(1, k + 1):
+            for q in range(p, k + 1):
+                val = oracle.spin_h(ints, p, q)
+                for i in range(1, n + 1):
+                    val += oracle.antisymmetrized(ints, p, i, q, i)
+                f[p - 1, q - 1] = f[q - 1, p - 1] = val
+        fock = fock_matrix(ints, OrbitalBasis(k, n))
+        assert np.array_equal(fock.lambdas, np.diag(f))
+        assert fock.off_diag_norm == float(np.linalg.norm(f - np.diag(np.diag(f))))
+        assert fock.lambda0 == float(np.diag(f)[:n].sum())
+
+
+def test_fock_and_h_build_no_spin_orbital_tensor():
+    # at NORB = 32 (dim 64) the K^4 = 64^4 float64 tensors <PQ|RS> and <PQ||RS> took 256 MB
+    ints = hubbard_model(32, 1.0, 2.0, 1)
+    basis = OrbitalBasis(64, 1)
+    tracemalloc.start()
+    try:
+        fock_matrix(ints, basis)
+        build_dense_hamiltonian(ints, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20   # one K^4 tensor is 128 MB
 
 
 def test_non_finite_integrals_are_rejected():
@@ -260,6 +310,17 @@ def test_fcidump_header_errors():
         parse_fcidump("&FCI NORB=x,NELEC=2,\n&END\n")
     with pytest.raises(MalformedHeaderError):
         parse_fcidump("&FCI NORB=2,NELEC=2,ORBSYM=1,1,1,\n&END\n")
+    # an MS2 the reference (orbitals 1..NELEC, MS2 = NELEC mod 2) cannot have, or no integer
+    for norb, nelec, ms2 in [(2, 2, 2), (2, 2, 1), (2, 3, 0), (2, 1, -1), (2, 2, "0.5"),
+                             (2, 2, "x"), (2, 2, ""), (32, 2, 2)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeaderError, match="MS2|non-integer"):
+                parse_fcidump(f"&FCI NORB={norb},NELEC={nelec},MS2={ms2},\n&END\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20   # before the n^4 arrays: (pq|rs) alone is 8 MB at NORB = 32
 
 
 @pytest.mark.parametrize("norb", [32, 33, 10**6])
