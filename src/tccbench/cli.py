@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -342,9 +343,14 @@ def _apply_config_file(parser, args, argv):
     return parser.parse_args(argv)
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     if argv is None:   # run as a program: what the imports built lives until exit, so no
         gc.freeze()    # collection scans it again, at exit neither; a caller's heap is left alone
+        warnings.showwarning = _print_warning   # one line per warning, as errors print
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:

@@ -43,40 +43,21 @@ def format_float(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Canonical structure conversion
+# JSON documents
 # ---------------------------------------------------------------------------
 
-def to_jsonable(obj: Any) -> Any:
-    """Reduce results/report objects to plain dict/list/scalar structure."""
-    if isinstance(obj, CiVector):
-        return {
-            "n_orbitals": obj.basis.n_orbitals,
-            "n_electrons": obj.basis.n_electrons,
-            "normalization": obj.normalization,
-            "coefficients": [float(c) for c in obj.coefficients],
-        }
-    if isinstance(obj, SpectralSummary):
-        return {
-            "eigenvalues": [float(e) for e in obj.eigenvalues],
-            "gap": float(obj.gap),
-            "state_index": obj.state_index,
-            "ground_energy": obj.ground_energy,
-        }
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, np.generic):   # numpy scalars: float, int, bool
-        return obj.item()
-    return obj
-
-
 def _emit(obj: Any, parts: list[str], indent: int) -> None:
+    """Append obj as JSON, each node turned into the dict, list or scalar it is written as."""
+    if isinstance(obj, CiVector):
+        obj = {"n_orbitals": obj.basis.n_orbitals, "n_electrons": obj.basis.n_electrons,
+               "normalization": obj.normalization, "coefficients": obj.coefficients}
+    elif isinstance(obj, SpectralSummary):
+        obj = {"eigenvalues": [float(e) for e in obj.eigenvalues], "gap": float(obj.gap),
+               "state_index": obj.state_index, "ground_energy": obj.ground_energy}
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    elif isinstance(obj, (np.ndarray, np.generic)):   # nested lists, Python scalars
+        obj = obj.tolist()
     pad = "  " * indent
     if obj is None:
         parts.append("null")
@@ -91,9 +72,12 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
     elif isinstance(obj, str):
         parts.append('"' + obj.translate(_ESCAPES) + '"')
     elif isinstance(obj, (dict, list, tuple)):
-        # (prefix, value) per member: dicts by sorted key, sequences in order
-        items = ([(f'"{k}": ', obj[k]) for k in sorted(obj)] if isinstance(obj, dict)
-                 else [("", x) for x in obj])
+        # (prefix, value) per member: dicts by sorted str(key), sequences in order
+        if isinstance(obj, dict):
+            obj = {str(k): v for k, v in obj.items()}
+            items = [(f'"{k}": ', obj[k]) for k in sorted(obj)]
+        else:
+            items = [("", x) for x in obj]
         opening, closing = "{}" if isinstance(obj, dict) else "[]"
         if not items:
             parts.append(opening + closing)
@@ -110,7 +94,7 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
 
 def dumps(obj: Any) -> str:
     parts: list[str] = []
-    _emit(to_jsonable(obj), parts, 0)
+    _emit(obj, parts, 0)
     return "".join(parts) + "\n"
 
 
@@ -120,13 +104,8 @@ def config_hash(config: dict) -> str:
 
 def dump_document(payload: Any, config: dict, stream: TextIO) -> None:
     """Write a versioned, config-stamped JSON document."""
-    doc = {
-        "version": VERSION,
-        "config": to_jsonable(config),
-        "config_sha256": config_hash(to_jsonable(config)),
-        "payload": to_jsonable(payload),
-    }
-    stream.write(dumps(doc))
+    stream.write(dumps({"version": VERSION, "config": config,
+                        "config_sha256": config_hash(config), "payload": payload}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 import tccbench
 from tccbench import cli, errors, hubbard_model, tcc, write_fcidump
 from tccbench.cli import main
+from tccbench.determinants import AmplitudeVector, ExcitationIndex, OrbitalBasis
+from tccbench.exact import CiVector, DegenerateGroundStateWarning, SpectralSummary
 from tccbench.serialize import config_hash, dumps, format_float
 
 
@@ -49,6 +53,109 @@ def test_dumps_escapes_control_characters():
     text = 'tab\there\nnew line \x01 "quoted" back\\slash'
     assert json.loads(dumps(text)) == text
     assert dumps("plain, Ψ₀") == '"plain, Ψ₀"\n'
+
+
+@dataclasses.dataclass
+class _Amplitudes:
+    label: str
+    t: AmplitudeVector
+
+
+def _every_branch():
+    """A payload that reaches every branch of the emitter."""
+    return {
+        "ci": CiVector(OrbitalBasis(4, 2), [0.5, -0.5, 0.5, 0.5, 0.0, 1 / 3]),
+        "spectrum": SpectralSummary(np.array([-1.25, 0.5]), 1.75),
+        "amplitudes": _Amplitudes("ext", AmplitudeVector("ext", {
+            ExcitationIndex((2,), (3,)): 0.25, ExcitationIndex((1, 2), (3, 4)): -0.1})),
+        "numpy": [np.int64(7), np.bool_(False), np.float64(0.1), np.arange(6).reshape(2, 3) / 4],
+        "tuple": (1, "two", True),
+        "special": [None, float("nan"), float("inf"), float("-inf")],
+        "empty": [{}, []],
+        "text": "tab\there \x01 Ψ₀ é",
+        "a": 1, "a!": 2, 10: "ten", "9": "nine",
+    }
+
+
+# the bytes the two-pass emitter (to_jsonable, then _emit) wrote, so any byte the one walk
+# changes fails; keys sort by str(key): "a" precedes "a!" though '"a!": ' sorts first
+EVERY_BRANCH_JSON = r"""{
+  "10": "ten",
+  "9": "nine",
+  "a": 1,
+  "a!": 2,
+  "amplitudes": {
+    "label": "ext",
+    "t": {
+      "entries": {
+        "1,2->3,4": -0.10000000000000001,
+        "2->3": 0.25
+      },
+      "scheme": null,
+      "space": "ext"
+    }
+  },
+  "ci": {
+    "coefficients": [
+      0.5,
+      -0.5,
+      0.5,
+      0.5,
+      0,
+      0.33333333333333331
+    ],
+    "n_electrons": 2,
+    "n_orbitals": 4,
+    "normalization": "L2"
+  },
+  "empty": [
+    {},
+    []
+  ],
+  "numpy": [
+    7,
+    false,
+    0.10000000000000001,
+    [
+      [
+        0,
+        0.25,
+        0.5
+      ],
+      [
+        0.75,
+        1,
+        1.25
+      ]
+    ]
+  ],
+  "special": [
+    null,
+    "NaN",
+    "Infinity",
+    -Infinity
+  ],
+  "spectrum": {
+    "eigenvalues": [
+      -1.25,
+      0.5
+    ],
+    "gap": 1.75,
+    "ground_energy": -1.25,
+    "state_index": 0
+  },
+  "text": "tab\u0009here \u0001 Ψ₀ é",
+  "tuple": [
+    1,
+    "two",
+    true
+  ]
+}
+"""
+
+
+def test_dumps_writes_the_pinned_bytes_for_every_branch():
+    assert dumps(_every_branch()) == EVERY_BRANCH_JSON
 
 
 def test_config_hash_changes_with_content():
@@ -822,6 +929,36 @@ def test_a_program_run_writes_the_documents_of_a_call(tmp_path, capsys):
     assert run(args + ["--out", str(call)], capsys)[0] == 0
     for name in ("verify.json", "scaling.tsv"):
         assert (program / name).read_bytes() == (call / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, messages", [
+    (["fci", "--model", "pairing:5,0.5,1.0", "--n-states", "2"],
+     ["near-degenerate ground state; sign fix by lowest determinant index"]),
+    (["tcc", "--model", "hubbard:3,1.0,2.0", "--mo", "--k", "4"],
+     ["reference orbitals are not canonical (off-diagonal Fock norm 5.000e-01); "
+      "the diagonal Fock action is exact only for the retained diagonal",
+      "near-degenerate CAS ground state; sign fix by lowest determinant index"]),
+], ids=["fci odd N", "tcc non-canonical odd N"])
+def test_a_program_run_prints_each_warning_as_one_line(args, messages, tmp_path, capsys):
+    # each warning printed two lines: the package's file path and line number, then the source line
+    program, call = tmp_path / "program", tmp_path / "call"
+    done = subprocess.run([sys.executable, "-m", "tccbench.cli", *args, "--out", str(program)],
+                          env=_program_env(), capture_output=True, text=True)
+    assert done.returncode == 0 and not done.stdout
+    assert done.stderr == "".join(f"warning: {m}\n" for m in messages)
+    assert run(args + ["--out", str(call)], capsys)[0] == 0
+    names = sorted(p.name for p in call.iterdir())
+    assert names and sorted(p.name for p in program.iterdir()) == names
+    for name in names:
+        assert (program / name).read_bytes() == (call / name).read_bytes()
+
+
+def test_a_call_with_argv_leaves_the_warning_display_alone(capsys):
+    # the caller's display still receives the warning: a replaced one would print it instead
+    with pytest.warns(DegenerateGroundStateWarning):
+        shown = warnings.showwarning
+        assert run(["fci", "--model", "pairing:5,0.5,1.0", "--n-states", "2"], capsys)[0] == 0
+        assert warnings.showwarning is shown
 
 
 # ---------------------------------------------------------------------------
