@@ -15,7 +15,7 @@ s(i,j) <= ln 4.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -232,11 +232,4 @@ def permute_spatial_orbitals(ints: IntegralSet, perm: tuple[int, ...]) -> Integr
     idx = np.array(perm) - 1
     if sorted(perm) != list(range(1, ints.n_spatial + 1)):
         raise ValueError(f"not a permutation of 1..{ints.n_spatial}: {perm}")
-    return IntegralSet(
-        ints.n_spatial,
-        ints.h[np.ix_(idx, idx)],
-        ints.g[np.ix_(idx, idx, idx, idx)],
-        ints.e_core,
-        n_electrons=ints.n_electrons,
-        symmetry=ints.symmetry,
-    )
+    return replace(ints, h=ints.h[np.ix_(idx, idx)], g=ints.g[np.ix_(idx, idx, idx, idx)])

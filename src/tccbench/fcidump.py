@@ -16,7 +16,7 @@ from .errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
 )
-from .hamiltonian import SYMMETRY_8FOLD, IntegralSet, check_orbital_count
+from .hamiltonian import INTEGRAL_TOL, IntegralSet, check_orbital_count
 
 _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)")
 
@@ -32,7 +32,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
     """Read a Molpro-style FCIDUMP file into an IntegralSet.
 
     All eight permutational images of each (ij|kl) record are folded in;
-    conflicting duplicates beyond 1e-12 are rejected. Fortran D-exponents
+    conflicting duplicates beyond INTEGRAL_TOL are rejected. Fortran D-exponents
     are accepted. MS2, if given, must be NELEC mod 2. ORBSYM/ISYM are validated, not used.
     """
     text = stream if isinstance(stream, str) else stream.read()
@@ -87,7 +87,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             if idx < 0 or idx > norb:
                 raise IndexOutOfRangeError(f"record line {lineno}: index {idx} > NORB={norb}")
         if i == j == k == l == 0:
-            if core_seen and abs(e_core - value) > 1e-12:
+            if core_seen and abs(e_core - value) > INTEGRAL_TOL:
                 raise DuplicateCanonicalEntryError("conflicting core-energy records")
             e_core, core_seen = value, True
         elif k == 0 and l == 0:
@@ -96,7 +96,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
                     f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
                 )
             a, b = i - 1, j - 1
-            if (h_seen[a, b] or h_seen[b, a]) and abs(h[a, b] - value) > 1e-12:
+            if (h_seen[a, b] or h_seen[b, a]) and abs(h[a, b] - value) > INTEGRAL_TOL:
                 raise DuplicateCanonicalEntryError(f"conflicting h({i},{j}) records")
             h[a, b] = h[b, a] = value
             h_seen[a, b] = h_seen[b, a] = True
@@ -106,7 +106,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             )
         else:
             for a, b, c, d in _eightfold_indices(i - 1, j - 1, k - 1, l - 1):
-                if g_seen[a, b, c, d] and abs(g[a, b, c, d] - value) > 1e-12:
+                if g_seen[a, b, c, d] and abs(g[a, b, c, d] - value) > INTEGRAL_TOL:
                     raise DuplicateCanonicalEntryError(
                         f"conflicting (ij|kl) records at ({i},{j},{k},{l})"
                     )
@@ -121,14 +121,14 @@ def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
 
     Canonical order: two-electron records first with ascending compound
     index over i>=j, k>=l, (ij)>=(kl); then one-electron records with i>=j;
-    then the core energy. MS2 is the reference's, NELEC mod 2. Needs 8-fold symmetry.
+    then the core energy. MS2 is the reference's, NELEC mod 2. Needs 8-fold symmetry:
+    given IntegralSet's 4-fold one, that is (pq|rs) = (qp|rs), tested one p at a time.
     """
-    if ints.symmetry != SYMMETRY_8FOLD:
-        raise DimensionMismatchError(
-            "FCIDUMP stores a single value per 8-fold orbit; "
-            f"integrals declare {ints.symmetry} symmetry"
-        )
     n = ints.n_spatial
+    for p in range(n):
+        if np.abs(ints.g[p] - ints.g[:, p]).max() > INTEGRAL_TOL:
+            raise DimensionMismatchError("FCIDUMP stores a single value per 8-fold orbit; "
+                                         f"(pq|rs) is not (qp|rs) at p={p + 1}")
     nelec = ints.n_electrons if ints.n_electrons is not None else 0
     orbsym = ",".join(["1"] * n)
     stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={nelec % 2},\n")

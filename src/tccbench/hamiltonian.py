@@ -8,6 +8,8 @@ Spin convention: spatial orbital p in 1..n_spatial expands to
 spin-orbitals 2p-1 (up) and 2p (down). The integrals stay spatial, the
 two-electron ones in chemists' notation (pq|rs): the Fock matrix and the H
 build read h_PQ and <PQ||RS> from them, never from a K^4 spin-orbital tensor.
+Both read one orientation of each symmetric pair, so IntegralSet refuses h != h^T and
+(pq|rs) != (qp|sr) or (rs|pq); write_fcidump tests (pq|rs) itself for the 8-fold symmetry.
 
 The Fock operator used throughout is the *diagonal* of the spin-orbital
 Fock matrix built at the reference; all off-diagonal pieces are
@@ -18,17 +20,16 @@ F phi_mu = (Lambda0 + eps_mu) phi_mu is exact rather than approximate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .determinants import MAX_SPIN_ORBITALS, ExcitationIndex, OrbitalBasis, _excite
-from .errors import DimensionMismatchError, NonFiniteIntegralError, SizeLimitError
+from .errors import DimensionMismatchError, InputError, NonFiniteIntegralError, SizeLimitError
 
-SYMMETRY_8FOLD = "8-fold"
-SYMMETRY_4FOLD = "4-fold"
+INTEGRAL_TOL = 1e-12   # two integrals this close are equal: FCIDUMP duplicates, symmetry checks
 
 
 class NonCanonicalOrbitalsWarning(UserWarning):
@@ -44,12 +45,11 @@ class IntegralSet:
     g: np.ndarray
     e_core: float = 0.0
     n_electrons: Optional[int] = None
-    symmetry: str = SYMMETRY_8FOLD
-    _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _dense_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_spatial
-        # frozen, with private read-only copies: no edit may leave _dense_cache stale
+        # frozen, private read-only copies, a cache no constructor takes: none goes stale
         object.__setattr__(self, "h", np.array(self.h, dtype=float))
         object.__setattr__(self, "g", np.array(self.g, dtype=float))
         self.h.flags.writeable = self.g.flags.writeable = False
@@ -59,6 +59,12 @@ class IntegralSet:
             raise DimensionMismatchError(f"g must be {(n,) * 4}, got {self.g.shape}")
         if not all(np.isfinite(x).all() for x in (self.h, self.g, self.e_core)):
             raise NonFiniteIntegralError("integrals or core energy hold NaN or inf")
+        if np.abs(self.h - self.h.T).max(initial=0.0) > INTEGRAL_TOL:
+            raise InputError("h is not symmetric")
+        for p, gp in enumerate(self.g):   # (pq|rs) for one p at a time: no n^4 temporary
+            if (np.abs(gp - self.g[:, p].transpose(0, 2, 1)).max() > INTEGRAL_TOL
+                    or np.abs(gp - self.g[:, :, p].transpose(2, 0, 1)).max() > INTEGRAL_TOL):
+                raise InputError(f"(pq|rs) is not (qp|sr) = (rs|pq) at p={p + 1}")
 
     @property
     def n_spin_orbitals(self) -> int:
@@ -121,8 +127,7 @@ def pairing_model(n_levels: int, g_pair: float, spacing: float = 1.0,
             g[p, q, p, q] = -g_pair
     if n_electrons is None:
         n_electrons = n_levels  # half filling in spin-orbitals
-    sym = SYMMETRY_8FOLD if g_pair == 0.0 else SYMMETRY_4FOLD
-    return IntegralSet(n_levels, h, g, 0.0, n_electrons=n_electrons, symmetry=sym)
+    return IntegralSet(n_levels, h, g, 0.0, n_electrons=n_electrons)
 
 
 def rotate_orbitals(ints: IntegralSet, c: np.ndarray) -> IntegralSet:
@@ -137,8 +142,7 @@ def rotate_orbitals(ints: IntegralSet, c: np.ndarray) -> IntegralSet:
         raise DimensionMismatchError("rotation matrix is not orthogonal")
     h = c.T @ ints.h @ c
     g = np.einsum("pqrs,pa,qb,rc,sd->abcd", ints.g, c, c, c, c, optimize=True)
-    return IntegralSet(ints.n_spatial, h, g, ints.e_core,
-                       n_electrons=ints.n_electrons, symmetry=ints.symmetry)
+    return replace(ints, h=h, g=g)
 
 
 def canonicalize_core(ints: IntegralSet) -> tuple[IntegralSet, np.ndarray]:

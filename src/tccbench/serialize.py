@@ -75,7 +75,7 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
         # (prefix, value) per member: dicts by sorted str(key), sequences in order
         if isinstance(obj, dict):
             obj = {str(k): v for k, v in obj.items()}
-            items = [(f'"{k}": ', obj[k]) for k in sorted(obj)]
+            items = [('"' + k.translate(_ESCAPES) + '": ', obj[k]) for k in sorted(obj)]
         else:
             items = [("", x) for x in obj]
         opening, closing = "{}" if isinstance(obj, dict) else "[]"

@@ -55,6 +55,12 @@ def test_dumps_escapes_control_characters():
     assert dumps("plain, Ψ₀") == '"plain, Ψ₀"\n'
 
 
+def test_dumps_escapes_dict_keys():
+    # keys went out raw while string values were escaped: a tab in a key was invalid JSON
+    doc = {"tab\there": 1, 'a "quoted" key': [2], "back\\slash": {"new\nline": None}}
+    assert json.loads(dumps(doc)) == doc
+
+
 @dataclasses.dataclass
 class _Amplitudes:
     label: str

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,12 @@ from tccbench.errors import (
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
+    InputError,
     MalformedHeaderError,
     NonFiniteIntegralError,
     SizeLimitError,
 )
+from tccbench.exact import DegenerateGroundStateWarning, fci_solve
 from tccbench.hamiltonian import (
     NonCanonicalOrbitalsWarning,
     _spin_integrals,
@@ -62,8 +65,7 @@ def _random_4fold(seed, n_spatial, n_electrons):
     g = rng.standard_normal((n_spatial,) * 4)
     g = g + g.transpose(1, 0, 3, 2)
     g = g + g.transpose(2, 3, 0, 1)
-    return IntegralSet(n_spatial, h + h.T, g, 0.25, n_electrons=n_electrons,
-                       symmetry="4-fold")
+    return IntegralSet(n_spatial, h + h.T, g, 0.25, n_electrons=n_electrons)
 
 
 def test_dense_hamiltonian_matches_oracle_sector(hubbard2_site, hubbard3_mo, pairing4):
@@ -167,6 +169,48 @@ def test_integrals_are_private_read_only_copies():
     assert np.array_equal(build_dense_hamiltonian(ints, basis), before)
     with pytest.raises(ValueError):
         build_dense_hamiltonian(ints, basis)[0, 0] += 5.0
+
+
+def test_a_replaced_set_gets_its_own_hamiltonian():
+    """replace() copied the source's H cache, so the U = 2 energy came back for U = 6."""
+    ints = hubbard_model(3, 1.0, 2.0)
+    basis = OrbitalBasis(6, 3)
+    build_dense_hamiltonian(ints, basis)
+    tripled = replace(ints, g=3 * ints.g)
+    fresh = IntegralSet(3, ints.h, 3 * ints.g, 0.0, n_electrons=3)
+    assert np.array_equal(build_dense_hamiltonian(tripled, basis),
+                          build_dense_hamiltonian(fresh, basis))
+    with pytest.warns(DegenerateGroundStateWarning):   # the M_s = +-1/2 pair of odd N
+        energy = fci_solve(tripled, basis)[0].ground_energy
+    assert abs(energy - -0.90673) < 1e-5
+
+
+def test_integrals_without_the_symmetry_the_builds_read_are_refused(request):
+    """h = h^T, (pq|rs) = (qp|sr) and (pq|rs) = (rs|pq), each broken alone; every test
+    system, the rotated ones with their ~1e-16 rounding included, has all three."""
+    for name in ("hubbard2_site", "hubbard2_mo", "hubbard3_mo", "hubbard4_mo",
+                 "pairing4", "pairing6", "pairing4_g0", "pairing3_2e"):
+        replace(request.getfixturevalue(name).ints)
+    ints = _random_4fold(5, 4, 4)
+    for delta, ok in ((1e-13, True), (1e-10, False)):
+        h = ints.h.copy()
+        h[0, 1] += delta   # h[1, 0] keeps its value
+        no_qpsr = ints.g.copy()   # (pq|rs) = (rs|pq) kept
+        no_qpsr[0, 1, 2, 3] += delta
+        no_qpsr[2, 3, 0, 1] += delta
+        no_rspq = ints.g.copy()   # (pq|rs) = (qp|sr) kept
+        no_rspq[0, 1, 2, 3] += delta
+        no_rspq[1, 0, 3, 2] += delta
+        for changed in ({"h": h}, {"g": no_qpsr}, {"g": no_rspq}):
+            if ok:
+                replace(ints, **changed)
+            else:
+                with pytest.raises(InputError, match="symmetric|qp|sr"):
+                    replace(ints, **changed)
+    h = hubbard_model(3, 1.0, 2.0).h.copy()
+    h[0, 1] = -5.0   # FCI read h[0, 1] alone and reported -9.21506
+    with pytest.raises(InputError, match="h is not symmetric"):
+        IntegralSet(3, h, hubbard_model(3, 1.0, 2.0).g, n_electrons=3)
 
 
 def test_dense_hamiltonian_is_symmetric(pairing4):
@@ -354,3 +398,20 @@ def test_fcidump_write_requires_eightfold_symmetry():
     ints = pairing_model(3, 0.5)
     with pytest.raises(DimensionMismatchError):
         write_fcidump(ints, io.StringIO())
+
+
+def test_fcidump_write_tests_the_integrals_not_a_declaration():
+    """A 4-fold set built with no declaration was written as 8-fold and read back changed."""
+    with pytest.raises(DimensionMismatchError, match="8-fold"):
+        write_fcidump(_random_4fold(3, 3, 2), io.StringIO())
+
+
+def test_fcidump_round_trips_rotated_integrals():
+    """Rotated integrals' (pq|rs) and (rs|pq) differ by ~1e-16: no check may ask for equality."""
+    ints = canonicalize_core(hubbard_model(4, 1.0, 2.0))[0]
+    buf = io.StringIO()
+    write_fcidump(ints, buf)
+    back = parse_fcidump(buf.getvalue())
+    basis = OrbitalBasis(8, 4)
+    diff = build_dense_hamiltonian(back, basis) - build_dense_hamiltonian(ints, basis)
+    assert np.max(np.abs(diff)) <= 1e-12
