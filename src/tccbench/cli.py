@@ -70,10 +70,7 @@ def _load_integrals(args):
             raise InputError(f"bad model spec {args.model!r}: {exc}") from exc
     if getattr(args, "mo", False):
         ints, _ = canonicalize_core(ints)
-    try:
-        return ints, OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
-    except ValueError as exc:
-        raise InputError(f"bad electron count: {exc}") from exc
+    return ints, OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
 
 
 def _load_split(args):
@@ -81,10 +78,7 @@ def _load_split(args):
     ints, basis = _load_integrals(args)
     if args.k is None:
         raise InputError(f"{args.command} requires --k")
-    try:
-        return ints, basis, BasisSplit(basis, args.k)
-    except ValueError as exc:
-        raise InputError(f"bad --k: {exc}") from exc
+    return ints, basis, BasisSplit(basis, args.k)
 
 
 def _parse_trunc(spec: str) -> TruncationScheme:
@@ -140,10 +134,7 @@ def cmd_cas_fci(args) -> int:
 def cmd_select_cas(args) -> int:
     from .entropy import MODE_JUMP, MODE_THRESHOLD, check_thresholds, mutual_information, select_cas
 
-    try:   # before the eigensolve, which is the command's whole cost
-        check_thresholds(args.s_threshold, args.mi_threshold)
-    except ValueError as exc:
-        raise InputError(f"bad selection settings: {exc}") from exc
+    check_thresholds(args.s_threshold, args.mi_threshold)   # before the eigensolve, the whole cost
     ints, basis = _load_integrals(args)
     _, states = fci_solve(ints, basis)
     psi = states[0]
@@ -164,11 +155,8 @@ def cmd_select_cas(args) -> int:
 def _solver_config(args) -> TccConfig:
     from .tcc import TccConfig
 
-    try:
-        return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
-                         damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
-    except ValueError as exc:
-        raise InputError(f"bad solver settings: {exc}") from exc
+    return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
+                     damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
 
 
 def cmd_tcc(args) -> int:

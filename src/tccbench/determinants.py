@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionLimitError,
     DimensionMismatchError,
+    InputError,
     NonFiniteAmplitudeError,
     NonPositiveWeightError,
     SpaceMismatchError,
@@ -48,9 +49,9 @@ class OrbitalBasis:
     def __post_init__(self):
         k, n = self.n_orbitals, self.n_electrons
         if not 0 < n < k:
-            raise ValueError(f"need 0 < N < K, got N={n}, K={k}")
+            raise InputError(f"need 0 < N < K, got N={n}, K={k}")
         if k > MAX_SPIN_ORBITALS:
-            raise ValueError(f"K={k} exceeds the hard limit of {MAX_SPIN_ORBITALS}")
+            raise InputError(f"K={k} exceeds the hard limit of {MAX_SPIN_ORBITALS}")
         # checked before any layer enumerates the determinants or their indices
         dim = math.comb(k, n)
         if dim > MAX_DENSE_DIM:
@@ -71,7 +72,7 @@ class BasisSplit:
 
     def __post_init__(self):
         if not self.basis.n_electrons <= self.k <= self.basis.n_orbitals:
-            raise ValueError(
+            raise InputError(
                 f"need N <= k <= K, got k={self.k}, N={self.basis.n_electrons}, "
                 f"K={self.basis.n_orbitals}"
             )
@@ -89,9 +90,9 @@ class Determinant:
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.occ, self.occ[1:])):
-            raise ValueError(f"occupation not strictly increasing: {self.occ}")
+            raise InputError(f"occupation not strictly increasing: {self.occ}")
         if self.occ and self.occ[0] < 1:
-            raise ValueError("orbital indices are 1-based")
+            raise InputError("orbital indices are 1-based")
 
     @property
     def mask(self) -> int:
@@ -121,12 +122,12 @@ class ExcitationIndex:
 
     def __post_init__(self):
         if len(self.holes) != len(self.particles) or not self.holes:
-            raise ValueError("holes and particles must be equally long and nonempty")
+            raise InputError("holes and particles must be equally long and nonempty")
         for seq in (self.holes, self.particles):
             if any(a >= b for a, b in zip(seq, seq[1:])) or seq[0] < 1:
-                raise ValueError(f"indices must be strictly increasing and 1-based: {seq}")
+                raise InputError(f"indices must be strictly increasing and 1-based: {seq}")
         if set(self.holes) & set(self.particles):
-            raise ValueError("holes and particles must be disjoint")
+            raise InputError("holes and particles must be disjoint")
 
     @property
     def rank(self) -> int:
@@ -199,7 +200,7 @@ class AmplitudeVector:
 
     def __post_init__(self):
         if self.space not in (SPACE_FULL, SPACE_CAS, SPACE_EXT, SPACE_TRUNCATED):
-            raise ValueError(f"unknown space tag {self.space!r}")
+            raise InputError(f"unknown space tag {self.space!r}")
         for mu, v in self.entries.items():
             if not math.isfinite(v):
                 raise NonFiniteAmplitudeError(f"amplitude of {mu} is {v}")
@@ -350,6 +351,10 @@ class ExcitationSpace:
              _orbitals([self.indices[a].particles for a in ids]))
             for ids in (np.flatnonzero(self.ranks == r) for r in sorted(set(self.ranks.tolist())))
         ]
+        for ids, holes, particles in self._groups:   # no orbital past K: one past 64 wraps in a shift
+            if max(holes.max(), particles.max()) >= basis.n_orbitals:
+                bad = self.indices[ids[np.maximum(holes, particles).max(axis=0).argmax()]]
+                raise SpaceMismatchError(f"index {bad} has an orbital above K={basis.n_orbitals}")
         self.reference = self.dets.reference
         self.dim = len(self.dets.masks)
         self._top = int(self.dets.levels.max())   # the deepest level a row can reach

@@ -133,7 +133,7 @@ class _Stream(random.Random):
 
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)) or seed < 0:  # Random(-1) is Random(1)
-            raise ValueError(f"need an integer seed >= 0, got {seed!r}")
+            raise InputError(f"need an integer seed >= 0, got {seed!r}")
         super().__init__(int(seed))
 
     def normals(self, n: int) -> np.ndarray:
@@ -348,7 +348,7 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
         t_cas = AmplitudeVector(SPACE_CAS, {mu: val + noise * z for (mu, val), z
                                             in zip(t_fci_cas.sorted_items(), draws)})
     else:
-        raise ValueError(f"unknown t_cas_source {t_cas_source!r}")
+        raise InputError(f"unknown t_cas_source {t_cas_source!r}")
 
     e_star = study.root(STUDY_CONFIG, t_cas).energy
     e_tilde = study.root(STUDY_CONFIG).energy

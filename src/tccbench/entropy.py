@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NotNormalizedError, SameOrbitalError
+from .errors import IndexOutOfRangeError, InputError, NotNormalizedError, SameOrbitalError
 from .exact import CiVector
 from .hamiltonian import IntegralSet
 
@@ -161,7 +161,7 @@ def _spin_pair(spatial: int) -> tuple[int, int]:
 def check_thresholds(s_threshold: float, mi_threshold: float) -> None:
     """Reject a negative (or NaN) selection threshold."""
     if not (s_threshold >= 0 and mi_threshold >= 0):   # NaN fails too
-        raise ValueError(f"thresholds must be nonnegative, got {s_threshold}, {mi_threshold}")
+        raise InputError(f"thresholds must be nonnegative, got {s_threshold}, {mi_threshold}")
 
 
 def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
@@ -181,7 +181,7 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
     check_thresholds(s_threshold, mi_threshold)
     k_orb = profile.n_orbitals
     if k_orb % 2:
-        raise ValueError(f"spin partners need an even number of spin-orbitals, got K = {k_orb}")
+        raise InputError(f"spin partners need an even number of spin-orbitals, got K = {k_orb}")
     selected: set[int] = set()
     jump_ratio = None
     jump_ties = 0
@@ -211,7 +211,7 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
         for _, i, j in pairs[:cut]:
             selected.update((i, j))
     else:
-        raise ValueError(f"unknown selection mode {mode!r}")
+        raise InputError(f"unknown selection mode {mode!r}")
 
     selected.update(range(1, n_electrons + 1))
     # close under spin partners
@@ -231,5 +231,5 @@ def permute_spatial_orbitals(ints: IntegralSet, perm: tuple[int, ...]) -> Integr
     """
     idx = np.array(perm) - 1
     if sorted(perm) != list(range(1, ints.n_spatial + 1)):
-        raise ValueError(f"not a permutation of 1..{ints.n_spatial}: {perm}")
+        raise InputError(f"not a permutation of 1..{ints.n_spatial}: {perm}")
     return replace(ints, h=ints.h[np.ix_(idx, idx)], g=ints.g[np.ix_(idx, idx, idx, idx)])

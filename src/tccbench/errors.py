@@ -7,8 +7,8 @@ class TccBenchError(Exception):
     exit_code, prefix = 1, "error"
 
 
-class InputError(TccBenchError):
-    """Bad user input (files, configs, index ranges)."""
+class InputError(TccBenchError, ValueError):
+    """Bad user input (files, configs, index ranges, argument values); a ValueError too."""
 
 
 class MalformedHeaderError(InputError):

@@ -182,6 +182,14 @@ class FockSpectrum:
         )
 
 
+def _check_basis(ints: IntegralSet, basis: OrbitalBasis) -> int:
+    """K, once the basis has as many spin-orbitals as the integrals."""
+    if basis.n_orbitals != ints.n_spin_orbitals:
+        raise DimensionMismatchError(
+            f"basis has K={basis.n_orbitals}, integrals give K={ints.n_spin_orbitals}")
+    return basis.n_orbitals
+
+
 def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
     """Build the spin-orbital Fock matrix f_PQ = h_PQ + sum_I <PI||QI>.
 
@@ -190,11 +198,7 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
     when it is non-negligible since the diagonal-action identity then
     only holds for the retained diagonal part.
     """
-    K = ints.n_spin_orbitals
-    if basis.n_orbitals != K:
-        raise DimensionMismatchError(
-            f"basis has K={basis.n_orbitals}, integrals give K={K}"
-        )
+    K = _check_basis(ints, basis)
     P, Q = np.arange(K)[:, None], np.arange(K)
     f = _spin_integrals(ints, P, Q)
     for i in range(basis.n_electrons):
@@ -238,7 +242,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     Slater-Condon reference in the tests (tests/oracle.py: matrix_element),
     so entry (a, b) for a <= b equals it exactly.
     """
-    key = (basis.n_orbitals, basis.n_electrons)
+    key = (_check_basis(ints, basis), basis.n_electrons)
     cached = ints._dense_cache.get(key)
     if cached is not None:
         return cached

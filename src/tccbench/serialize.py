@@ -15,6 +15,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .exact import CiVector, SpectralSummary
 
 # CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL
@@ -26,8 +27,6 @@ except ImportError:
         from _sha256 import sha256    # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
-
-VERSION = "0.1.0"
 
 # the escapes JSON requires in a string: backslash, quote and U+0000-U+001F
 _ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"', **{c: f"\\u{c:04x}" for c in range(0x20)}}

@@ -38,6 +38,7 @@ from .determinants import (
 )
 from .errors import (
     GapViolationError,
+    InputError,
     SingularJacobianError,
     SolverFailureError,
     SpaceMismatchError,
@@ -67,9 +68,9 @@ class TruncationScheme:
 
     def __post_init__(self):
         if self.mode not in (MODE_RANK, MODE_FOI, MODE_FULL):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
+            raise InputError(f"unknown truncation mode {self.mode!r}")
         if self.mode != MODE_FULL and (self.n is None or self.n < 1):
-            raise ValueError(f"mode {self.mode!r} needs a positive rank cap")
+            raise InputError(f"mode {self.mode!r} needs a positive rank cap")
 
     def describe(self) -> str:
         return self.mode if self.mode == MODE_FULL else f"{self.mode}:{self.n}"
@@ -115,13 +116,13 @@ class TccConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise InputError("max_iterations must be positive")
         if not 0 < self.tolerance < np.inf:   # NaN fails too
-            raise ValueError("tolerance must be positive and finite")
+            raise InputError("tolerance must be positive and finite")
         if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+            raise InputError("damping must lie in (0, 1]")
         if self.diis is not None and self.diis < 0:
-            raise ValueError("diis must be a non-negative history length")
+            raise InputError("diis must be a non-negative history length")
 
 
 @dataclass

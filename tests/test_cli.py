@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -16,9 +17,24 @@ import numpy as np
 import pytest
 
 import tccbench
-from tccbench import cli, errors, hubbard_model, tcc, write_fcidump
+from tccbench import (
+    cli,
+    diagnostics,
+    entropy,
+    errors,
+    hubbard_model,
+    serialize,
+    tcc,
+    write_fcidump,
+)
 from tccbench.cli import main
-from tccbench.determinants import AmplitudeVector, ExcitationIndex, OrbitalBasis
+from tccbench.determinants import (
+    AmplitudeVector,
+    BasisSplit,
+    Determinant,
+    ExcitationIndex,
+    OrbitalBasis,
+)
 from tccbench.exact import CiVector, DegenerateGroundStateWarning, SpectralSummary
 from tccbench.serialize import config_hash, dumps, format_float
 
@@ -623,6 +639,59 @@ def test_each_error_class_carries_its_exit_code_and_prefix(cls, monkeypatch, cap
     assert run(["fci", "--model", "hubbard:2,1.0,4.0"], capsys) == (code, "", f"{prefix}: boom\n")
 
 
+def _profile(n_orbitals):
+    return entropy.OrbitalEntropyProfile(np.zeros(n_orbitals), np.zeros((n_orbitals,) * 2),
+                                         np.zeros((n_orbitals,) * 2))
+
+
+# one call per argument check of the library, each given a value outside the analysis's range
+ARGUMENT_CHECKS = {
+    "OrbitalBasis N": lambda s: OrbitalBasis(8, 8),
+    "OrbitalBasis K": lambda s: OrbitalBasis(66, 2),
+    "BasisSplit": lambda s: BasisSplit(s.basis, 9),
+    "TruncationScheme mode": lambda s: tcc.TruncationScheme("guess"),
+    "TruncationScheme rank": lambda s: tcc.TruncationScheme(tcc.MODE_RANK, 0),
+    "TccConfig max_iterations": lambda s: tcc.TccConfig(max_iterations=0),
+    "TccConfig tolerance": lambda s: tcc.TccConfig(tolerance=-1.0),
+    "TccConfig damping": lambda s: tcc.TccConfig(damping=1.5),
+    "TccConfig diis": lambda s: tcc.TccConfig(diis=-1),
+    "check_thresholds": lambda s: entropy.check_thresholds(0.0, -1.0),
+    "select_cas mode": lambda s: entropy.select_cas(_profile(4), 2, mode="GUESS"),
+    "select_cas odd K": lambda s: entropy.select_cas(_profile(5), 2),
+    "permute_spatial_orbitals": lambda s: entropy.permute_spatial_orbitals(s.ints, (1, 1, 2, 3)),
+    "_Stream": lambda s: diagnostics._Stream(-1),
+    "error_decomposition source": lambda s: diagnostics.error_decomposition(
+        tcc.Study(s.ints, s.split, s.fock), tcc.TruncationScheme(tcc.MODE_FULL), "GUESS"),
+    "AmplitudeVector tag": lambda s: AmplitudeVector("guess"),
+    "Determinant order": lambda s: Determinant((2, 1)),
+    "Determinant 1-based": lambda s: Determinant((0, 1)),
+    "ExcitationIndex lengths": lambda s: ExcitationIndex((1,), ()),
+    "ExcitationIndex order": lambda s: ExcitationIndex((2, 1), (5, 6)),
+    "ExcitationIndex disjoint": lambda s: ExcitationIndex((1,), (1,)),
+}
+
+
+@pytest.mark.parametrize("check", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
+def test_every_argument_check_raises_an_input_error(check, pairing4):
+    # each raised a bare ValueError, which the CLI translated block by block
+    with pytest.raises(errors.InputError) as info:
+        check(pairing4)
+    assert isinstance(info.value, ValueError) and info.value.exit_code == 1
+
+
+@pytest.mark.parametrize("command, message", [
+    ("tcc --model pairing:4,0.5,1.0 --k 9", "need N <= k <= K, got k=9, N=4, K=8"),
+    ("fci --model pairing:4,0.5,1.0,9", "need 0 < N < K, got N=9, K=8"),
+    ("select-cas --model hubbard:2,1.0,4.0 --mi-threshold -1",
+     "thresholds must be nonnegative, got 0.0, -1.0"),
+    ("tcc --model pairing:4,0.5,1.0 --k 6 --tol -1", "tolerance must be positive and finite"),
+], ids=["--k 9", "N=9", "--mi-threshold -1", "--tol -1"])
+def test_a_bad_argument_prints_the_librarys_message(command, message, capsys):
+    # the CLI put "bad --k: ", "bad electron count: ", "bad selection settings: " or
+    # "bad solver settings: " before each
+    assert run(command.split(), capsys) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", [
     "verify --model hubbard:4,1.0,2.0 --mo --k 6 --trunc rank:2 --samples 2 --delta 1e300 "
     "--assumptions",
@@ -992,6 +1061,14 @@ PACKAGE_NAMES = [
     "split_amplitudes", "tcc", "tcc_energy", "tcc_jacobian", "tcc_residual",
     "two_orbital_rdm", "v_ext_norm", "write_fcidump",
 ]
+
+
+def test_one_version_string_matches_pyproject():
+    # the package and serialize each held their own copy of "0.1.0"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE)[1]
+    assert version == tccbench.__version__ == serialize.VERSION
 
 
 def test_package_names_resolve_to_their_modules_objects(monkeypatch):

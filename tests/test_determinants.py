@@ -12,6 +12,7 @@ from tccbench import (
     OrbitalBasis,
     apply_excitation,
     classify_excitation,
+    cluster_to_ci,
     enumerate_determinants,
     enumerate_excitations,
     v_ext_norm,
@@ -241,6 +242,16 @@ def test_space_check(pairing4):
             tcc_energy(t, t_cas, pairing4.ints, pairing4.split)
         with pytest.raises(SpaceMismatchError):
             tcc_residual(t, t_cas, pairing4.ints, pairing4.split, TruncationScheme("full"))
+
+
+@pytest.mark.parametrize("holes, particles", [((1,), (9,)), ((1,), (70,)), ((66,), (5,))],
+                         ids=["particle 9", "particle 70", "hole 66"])
+def test_an_index_with_an_orbital_above_k_is_refused(holes, particles):
+    # orbital 9 of K = 8 raised an IndexError; 70 wrapped to bit 5 in the uint64 shift, so
+    # cluster_to_ci gave 0.905 phi_0, not even intermediate-normalized
+    mu = ExcitationIndex(holes, particles)
+    with pytest.raises(SpaceMismatchError, match=f"index {mu} has an orbital above K=8"):
+        cluster_to_ci(AmplitudeVector(SPACE_FULL, {mu: 0.1}), OrbitalBasis(8, 4))
 
 
 def test_v_ext_norm_matches_weights(pairing4):

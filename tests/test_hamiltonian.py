@@ -7,6 +7,7 @@ import pytest
 
 import oracle
 from tccbench import (
+    BasisSplit,
     IntegralSet,
     OrbitalBasis,
     apply_excitation,
@@ -30,7 +31,7 @@ from tccbench.errors import (
     NonFiniteIntegralError,
     SizeLimitError,
 )
-from tccbench.exact import DegenerateGroundStateWarning, fci_solve
+from tccbench.exact import DegenerateGroundStateWarning, cas_fci_solve, fci_solve
 from tccbench.hamiltonian import (
     NonCanonicalOrbitalsWarning,
     _spin_integrals,
@@ -211,6 +212,17 @@ def test_integrals_without_the_symmetry_the_builds_read_are_refused(request):
     h[0, 1] = -5.0   # FCI read h[0, 1] alone and reported -9.21506
     with pytest.raises(InputError, match="h is not symmetric"):
         IntegralSet(3, h, hubbard_model(3, 1.0, 2.0).g, n_electrons=3)
+
+
+@pytest.mark.parametrize("k, n", [(6, 2), (10, 4)])
+def test_the_h_build_refuses_a_basis_of_another_k(k, n):
+    # K = 6 gave the H of hubbard:4's first three sites, and cached it; K = 10 an IndexError
+    ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(k, n)
+    for solve in (build_dense_hamiltonian, fci_solve,
+                  lambda ints, basis: cas_fci_solve(ints, basis, BasisSplit(basis, n))):
+        with pytest.raises(DimensionMismatchError, match=f"basis has K={k}, integrals give K=8"):
+            solve(ints, basis)
+    assert not ints._dense_cache
 
 
 def test_dense_hamiltonian_is_symmetric(pairing4):
