@@ -34,8 +34,9 @@ if TYPE_CHECKING:
 
 EXIT_INPUT = 1   # a usage or I/O error; each TccBenchError carries its own exit code
 
-# the fields a --model KIND takes after its colon: (fewest, most)
-_MODEL_FIELDS = {"hubbard": (3, 4), "pairing": (2, 4)}
+# each --model KIND: the fewest fields it takes after its colon, and its builder, whose
+# parameters are an int, two floats and an electron count, at most four fields in that order
+_MODELS = {"hubbard": (3, hubbard_model), "pairing": (2, pairing_model)}
 
 
 def _load_integrals(args):
@@ -52,20 +53,15 @@ def _load_integrals(args):
         ints = parse_fcidump(data.decode())
     else:
         kind, _, argstr = args.model.partition(":")
-        if kind.lower() not in _MODEL_FIELDS:
+        if kind.lower() not in _MODELS:
             raise InputError(f"unknown model kind {kind!r}")
         parts = argstr.split(",")   # no fields at all reads as one empty field
-        fewest, most = _MODEL_FIELDS[kind.lower()]
-        if not fewest <= len(parts) <= most or "" in parts:
+        fewest, build = _MODELS[kind.lower()]
+        if not fewest <= len(parts) <= 4 or "" in parts:
             raise InputError(f"bad model spec {args.model!r}: {kind} takes "
-                             f"{fewest} to {most} nonempty comma-separated fields")
+                             f"{fewest} to 4 nonempty comma-separated fields")
         try:
-            nelec = int(parts[3]) if len(parts) > 3 else None
-            if kind.lower() == "hubbard":
-                ints = hubbard_model(int(parts[0]), float(parts[1]), float(parts[2]), nelec)
-            else:
-                sp = float(parts[2]) if len(parts) > 2 else 1.0
-                ints = pairing_model(int(parts[0]), float(parts[1]), sp, nelec)
+            ints = build(*(cast(x) for cast, x in zip((int, float, float, int), parts)))
         except ValueError as exc:
             raise InputError(f"bad model spec {args.model!r}: {exc}") from exc
     if getattr(args, "mo", False):

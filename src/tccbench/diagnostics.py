@@ -334,21 +334,18 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
     split, then every term of the triangle decomposition plus the CAS
     error dE_cas of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
     """
-    ints, split = study.ints, study.split
-    summary, states = fci_solve(ints, split.basis)
-    e_fci = summary.ground_energy
-    t_full = ci_to_cluster(states[0])
-    t_star_cas, t_star_ext = split_amplitudes(t_full, split)
-
-    t_fci_cas = study.t_cas
-    if t_cas_source == "CAS_FCI":
-        t_cas = t_fci_cas
-    elif t_cas_source == "PERTURBED":
+    if t_cas_source not in ("CAS_FCI", "PERTURBED"):   # before any solve
+        raise InputError(f"unknown t_cas_source {t_cas_source!r}")
+    t_fci_cas = t_cas = study.t_cas
+    if t_cas_source == "PERTURBED":
         draws = _Stream(seed).normals(len(t_fci_cas)).tolist()
         t_cas = AmplitudeVector(SPACE_CAS, {mu: val + noise * z for (mu, val), z
                                             in zip(t_fci_cas.sorted_items(), draws)})
-    else:
-        raise InputError(f"unknown t_cas_source {t_cas_source!r}")
+
+    ints, split = study.ints, study.split
+    summary, states = fci_solve(ints, split.basis)
+    e_fci = summary.ground_energy
+    t_star_cas, t_star_ext = split_amplitudes(ci_to_cluster(states[0]), split)
 
     e_star = study.root(STUDY_CONFIG, t_cas).energy
     e_tilde = study.root(STUDY_CONFIG).energy

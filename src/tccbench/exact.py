@@ -170,6 +170,8 @@ def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
     Vectors are embedded back into the full coefficient order with zero
     external coefficients.
     """
+    if split.basis != basis:   # its CAS determinants index another basis's space
+        raise DimensionMismatchError(f"split is of {split.basis}, not of {basis}")
     idx = np.flatnonzero(split.cas_determinants())
     return _lowest_states(build_dense_hamiltonian(ints, basis), basis, (idx,), n_states, "CAS ")
 

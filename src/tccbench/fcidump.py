@@ -16,23 +16,30 @@ from .errors import (
     IndexOutOfRangeError,
     MalformedHeaderError,
 )
-from .hamiltonian import INTEGRAL_TOL, IntegralSet, check_orbital_count
+from .hamiltonian import IntegralSet, check_orbital_count, integrals_differ
 
 _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)")
 
+# the record shapes, by which indices are 0, each with its conflicting duplicate's message
+_CONFLICTS = {(True,) * 4: "conflicting core-energy records",
+              (False, False, True, True): "conflicting h({0},{1}) records",
+              (False,) * 4: "conflicting (ij|kl) records at ({0},{1},{2},{3})"}
 
-def _eightfold_indices(p, q, r, s):
+
+def _orbit(i, j, k, l):
+    """The images of a record under i <-> j, k <-> l and (ij) <-> (kl); h_ij's include (0 0 i j),
+    which nothing reads. The largest is the canonical record: i >= j, k >= l, (ij) >= (kl)."""
     return {
-        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+        (i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+        (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i),
     }
 
 
 def parse_fcidump(stream: TextIO | str) -> IntegralSet:
     """Read a Molpro-style FCIDUMP file into an IntegralSet.
 
-    All eight permutational images of each (ij|kl) record are folded in;
-    conflicting duplicates beyond INTEGRAL_TOL are rejected. Fortran D-exponents
+    Each record names one orbit (the core energy, h_ij = h_ji, or the eight images of (ij|kl));
+    two records of an orbit whose values integrals_differ are refused. Fortran D-exponents
     are accepted. MS2, if given, must be NELEC mod 2. ORBSYM/ISYM are validated, not used.
     """
     text = stream if isinstance(stream, str) else stream.read()
@@ -64,13 +71,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
                 f"ORBSYM lists {len(syms)} entries for NORB={norb}"
             )
 
-    h = np.zeros((norb, norb))
-    g = np.zeros((norb, norb, norb, norb))
-    h_seen = np.zeros((norb, norb), dtype=bool)
-    g_seen = np.zeros((norb, norb, norb, norb), dtype=bool)
-    e_core = 0.0
-    core_seen = False
-
+    seen = {}   # each orbit's canonical record -> the value last read for it
     for lineno, raw in enumerate(body.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -86,34 +87,22 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
                 raise IndexOutOfRangeError(f"record line {lineno}: index {idx} > NORB={norb}")
-        if i == j == k == l == 0:
-            if core_seen and abs(e_core - value) > INTEGRAL_TOL:
-                raise DuplicateCanonicalEntryError("conflicting core-energy records")
-            e_core, core_seen = value, True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise IndexOutOfRangeError(
-                    f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
-                )
-            a, b = i - 1, j - 1
-            if (h_seen[a, b] or h_seen[b, a]) and abs(h[a, b] - value) > INTEGRAL_TOL:
-                raise DuplicateCanonicalEntryError(f"conflicting h({i},{j}) records")
-            h[a, b] = h[b, a] = value
-            h_seen[a, b] = h_seen[b, a] = True
-        elif 0 in (i, j, k, l):
+        shape = (i == 0, j == 0, k == 0, l == 0)
+        if shape not in _CONFLICTS:
             raise IndexOutOfRangeError(
                 f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
             )
-        else:
-            for a, b, c, d in _eightfold_indices(i - 1, j - 1, k - 1, l - 1):
-                if g_seen[a, b, c, d] and abs(g[a, b, c, d] - value) > INTEGRAL_TOL:
-                    raise DuplicateCanonicalEntryError(
-                        f"conflicting (ij|kl) records at ({i},{j},{k},{l})"
-                    )
-                g[a, b, c, d] = value
-                g_seen[a, b, c, d] = True
+        key = max(_orbit(i, j, k, l))
+        if key in seen and integrals_differ(seen[key], value, (seen[key], value)):
+            raise DuplicateCanonicalEntryError(_CONFLICTS[shape].format(i, j, k, l))
+        seen[key] = value
 
-    return IntegralSet(norb, h, g, e_core, n_electrons=nelec)
+    v = np.zeros((norb + 1,) * 4)   # index 0 is a record's 0: h_ij is v[i, j, 0, 0]
+    for key, value in seen.items():
+        for image in _orbit(*key):
+            v[image] = value
+    return IntegralSet(norb, v[1:, 1:, 0, 0], v[1:, 1:, 1:, 1:], float(v[0, 0, 0, 0]),
+                       n_electrons=nelec)
 
 
 def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
@@ -124,9 +113,9 @@ def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
     then the core energy. MS2 is the reference's, NELEC mod 2. Needs 8-fold symmetry:
     given IntegralSet's 4-fold one, that is (pq|rs) = (qp|rs), tested one p at a time.
     """
-    n = ints.n_spatial
+    n, g = ints.n_spatial, ints.g
     for p in range(n):
-        if np.abs(ints.g[p] - ints.g[:, p]).max() > INTEGRAL_TOL:
+        if integrals_differ(g[p], g[:, p], g):
             raise DimensionMismatchError("FCIDUMP stores a single value per 8-fold orbit; "
                                          f"(pq|rs) is not (qp|rs) at p={p + 1}")
     nelec = ints.n_electrons if ints.n_electrons is not None else 0
@@ -139,12 +128,9 @@ def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
 
     for i in range(1, n + 1):
         for j in range(1, i + 1):
-            ij = i * (i + 1) // 2 + j
             for k in range(1, i + 1):
-                for l in range(1, k + 1):
-                    if k * (k + 1) // 2 + l > ij:
-                        continue
-                    v = ints.g[i - 1, j - 1, k - 1, l - 1]
+                for l in range(1, (j if k == i else k) + 1):   # (kl) <= (ij)
+                    v = g[i - 1, j - 1, k - 1, l - 1]
                     if v != 0.0:
                         rec(v, i, j, k, l)
     for i in range(1, n + 1):

@@ -10,6 +10,7 @@ two-electron ones in chemists' notation (pq|rs): the Fock matrix and the H
 build read h_PQ and <PQ||RS> from them, never from a K^4 spin-orbital tensor.
 Both read one orientation of each symmetric pair, so IntegralSet refuses h != h^T and
 (pq|rs) != (qp|sr) or (rs|pq); write_fcidump tests (pq|rs) itself for the 8-fold symmetry.
+These and FCIDUMP's duplicate records agree by one relative rule: integrals_differ.
 
 The Fock operator used throughout is the *diagonal* of the spin-orbital
 Fock matrix built at the reference; all off-diagonal pieces are
@@ -29,7 +30,14 @@ import numpy as np
 from .determinants import MAX_SPIN_ORBITALS, ExcitationIndex, OrbitalBasis, _excite
 from .errors import DimensionMismatchError, InputError, NonFiniteIntegralError, SizeLimitError
 
-INTEGRAL_TOL = 1e-12   # two integrals this close are equal: FCIDUMP duplicates, symmetry checks
+INTEGRAL_TOL = 1e-12   # relative to the integrals' scale, absolute below 1
+
+
+def integrals_differ(a, b, scale) -> bool:
+    """Whether integrals a and b (numbers or arrays) differ by over INTEGRAL_TOL * max(1, |scale|):
+    scale is h or g for a symmetry check, or two FCIDUMP records, read only past INTEGRAL_TOL."""
+    diff = np.abs(a - b).max(initial=0.0)
+    return bool(diff > INTEGRAL_TOL and diff > INTEGRAL_TOL * max(1, np.max(scale), -np.min(scale)))
 
 
 class NonCanonicalOrbitalsWarning(UserWarning):
@@ -59,11 +67,11 @@ class IntegralSet:
             raise DimensionMismatchError(f"g must be {(n,) * 4}, got {self.g.shape}")
         if not all(np.isfinite(x).all() for x in (self.h, self.g, self.e_core)):
             raise NonFiniteIntegralError("integrals or core energy hold NaN or inf")
-        if np.abs(self.h - self.h.T).max(initial=0.0) > INTEGRAL_TOL:
+        if integrals_differ(self.h, self.h.T, self.h):
             raise InputError("h is not symmetric")
         for p, gp in enumerate(self.g):   # (pq|rs) for one p at a time: no n^4 temporary
-            if (np.abs(gp - self.g[:, p].transpose(0, 2, 1)).max() > INTEGRAL_TOL
-                    or np.abs(gp - self.g[:, :, p].transpose(2, 0, 1)).max() > INTEGRAL_TOL):
+            if (integrals_differ(gp, self.g[:, p].transpose(0, 2, 1), self.g)
+                    or integrals_differ(gp, self.g[:, :, p].transpose(2, 0, 1), self.g)):
                 raise InputError(f"(pq|rs) is not (qp|sr) = (rs|pq) at p={p + 1}")
 
     @property

@@ -672,8 +672,10 @@ ARGUMENT_CHECKS = {
 
 
 @pytest.mark.parametrize("check", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
-def test_every_argument_check_raises_an_input_error(check, pairing4):
-    # each raised a bare ValueError, which the CLI translated block by block
+def test_every_argument_check_raises_an_input_error(check, pairing4, monkeypatch):
+    # each raised a bare ValueError, which the CLI translated block by block; and each is
+    # checked before any FCI (error_decomposition ran one before it read its source)
+    monkeypatch.setattr(diagnostics, "fci_solve", lambda *a, **k: pytest.fail("fci_solve ran"))
     with pytest.raises(errors.InputError) as info:
         check(pairing4)
     assert isinstance(info.value, ValueError) and info.value.exit_code == 1

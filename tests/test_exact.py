@@ -24,7 +24,7 @@ from tccbench.determinants import (
     enumerate_excitations,
     support_space,
 )
-from tccbench.errors import ZeroReferenceOverlapError
+from tccbench.errors import DimensionMismatchError, ZeroReferenceOverlapError
 from tccbench.exact import CiVector
 
 
@@ -109,6 +109,19 @@ def test_cas_fci_at_k_equals_full_fci(hubbard2_mo):
     s_full, _ = fci_solve(hubbard2_mo.ints, basis)
     s_cas, _ = cas_fci_solve(hubbard2_mo.ints, basis, split)
     assert abs(s_full.ground_energy - s_cas.ground_energy) <= 1e-13
+
+
+@pytest.mark.parametrize("n_electrons", [3, 5])
+def test_cas_fci_refuses_a_split_of_another_basis(n_electrons):
+    # the CAS determinants of (8, 3) or (8, 5) indexed the (8, 4) H: -0.7320508075688774 and 0.0
+    # came back for hubbard:4's CAS-FCI energy, -0.27945231576860674
+    ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(8, 4)
+    split = BasisSplit(OrbitalBasis(8, n_electrons), 6)
+    with pytest.raises(DimensionMismatchError, match="split is of"):
+        cas_fci_solve(ints, basis, split)
+    assert not ints._dense_cache   # refused before the build
+    energy = cas_fci_solve(ints, basis, BasisSplit(basis, 6))[0].ground_energy
+    assert abs(energy - -0.27945231576860674) <= 1e-12
 
 
 def test_variational_ordering(pairing4):

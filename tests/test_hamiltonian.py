@@ -1,6 +1,8 @@
 import io
+import re
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -192,26 +194,39 @@ def test_integrals_without_the_symmetry_the_builds_read_are_refused(request):
     for name in ("hubbard2_site", "hubbard2_mo", "hubbard3_mo", "hubbard4_mo",
                  "pairing4", "pairing6", "pairing4_g0", "pairing3_2e"):
         replace(request.getfixturevalue(name).ints)
-    ints = _random_4fold(5, 4, 4)
-    for delta, ok in ((1e-13, True), (1e-10, False)):
-        h = ints.h.copy()
-        h[0, 1] += delta   # h[1, 0] keeps its value
-        no_qpsr = ints.g.copy()   # (pq|rs) = (rs|pq) kept
-        no_qpsr[0, 1, 2, 3] += delta
-        no_qpsr[2, 3, 0, 1] += delta
-        no_rspq = ints.g.copy()   # (pq|rs) = (qp|sr) kept
-        no_rspq[0, 1, 2, 3] += delta
-        no_rspq[1, 0, 3, 2] += delta
-        for changed in ({"h": h}, {"g": no_qpsr}, {"g": no_rspq}):
-            if ok:
-                replace(ints, **changed)
-            else:
-                with pytest.raises(InputError, match="symmetric|qp|sr"):
+    unit = _random_4fold(5, 4, 4)
+    for scale in (1.0, 1e4):   # the bound is relative to the largest |h| or |g|
+        ints = IntegralSet(4, scale * unit.h, scale * unit.g, n_electrons=4)
+        for delta, ok in ((1e-13 * scale, True), (1e-10 * scale, False)):
+            h = ints.h.copy()
+            h[0, 1] += delta   # h[1, 0] keeps its value
+            no_qpsr = ints.g.copy()   # (pq|rs) = (rs|pq) kept
+            no_qpsr[0, 1, 2, 3] += delta
+            no_qpsr[2, 3, 0, 1] += delta
+            no_rspq = ints.g.copy()   # (pq|rs) = (qp|sr) kept
+            no_rspq[0, 1, 2, 3] += delta
+            no_rspq[1, 0, 3, 2] += delta
+            for changed in ({"h": h}, {"g": no_qpsr}, {"g": no_rspq}):
+                if ok:
                     replace(ints, **changed)
+                else:
+                    with pytest.raises(InputError, match="symmetric|qp|sr"):
+                        replace(ints, **changed)
     h = hubbard_model(3, 1.0, 2.0).h.copy()
     h[0, 1] = -5.0   # FCI read h[0, 1] alone and reported -9.21506
     with pytest.raises(InputError, match="h is not symmetric"):
         IntegralSet(3, h, hubbard_model(3, 1.0, 2.0).g, n_electrons=3)
+
+
+def test_rotated_integrals_of_any_scale_are_accepted():
+    """canonicalize_core leaves asymmetries of about 1e-16 of the largest |h| and |g|: 1.29e-12
+    in h at t = 1e4 and 3.64e-12 in g at U = 1e5, which an absolute 1e-12 refused."""
+    canonicalize_core(hubbard_model(4, 1.0, 1e5))
+    site = hubbard_model(6, 1e4, 2.0)
+    basis = OrbitalBasis(12, 6)
+    e_site, e_mo = (fci_solve(ints, basis)[0].ground_energy
+                    for ints in (site, canonicalize_core(site)[0]))
+    assert abs(e_mo - e_site) <= 1e-12 * abs(e_site)   # both about -69876.184205213
 
 
 @pytest.mark.parametrize("k, n", [(6, 2), (10, 4)])
@@ -357,6 +372,34 @@ def test_fcidump_folds_eightfold_symmetry():
         assert g[idx] == 0.7
 
 
+# the eight images of (32|21), each of them a record of the same orbit
+_ORBIT_3221 = [(3, 2, 2, 1), (2, 3, 2, 1), (3, 2, 1, 2), (2, 3, 1, 2),
+               (2, 1, 3, 2), (1, 2, 3, 2), (2, 1, 2, 3), (1, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("records, message", [
+    ([(0.5, 0, 0, 0, 0), (0.5, 0, 0, 0, 0)], None),
+    ([(-1.0, 2, 1, 0, 0), (-1.0, 1, 2, 0, 0)], None),
+    ([(0.7, *image) for image in _ORBIT_3221], None),
+    ([(0.5, 0, 0, 0, 0), (0.6, 0, 0, 0, 0)], "conflicting core-energy records"),
+    ([(-1.0, 2, 1, 0, 0), (-1.5, 1, 2, 0, 0)], "conflicting h(1,2) records"),
+    ([(0.7, 3, 2, 2, 1), (0.8, 1, 2, 2, 3)], "conflicting (ij|kl) records at (1,2,2,3)"),
+], ids=["core twice", "h both ways", "(ij|kl) 8 ways", "core conflict", "h conflict",
+        "(ij|kl) conflict"])
+def test_fcidump_reads_each_orbit_once(records, message):
+    """Every record of an orbit gives its one value; another value through any image is refused."""
+    def dump(records):
+        return "&FCI NORB=3,NELEC=2,\n&END\n" + "".join(" {} {} {} {} {}\n".format(*r)
+                                                        for r in records)
+    if message is None:   # the values the orbit's first record gives alone
+        ints, first = parse_fcidump(dump(records)), parse_fcidump(dump(records[:1]))
+        assert ints.e_core == first.e_core
+        assert np.array_equal(ints.h, first.h) and np.array_equal(ints.g, first.g)
+    else:
+        with pytest.raises(DuplicateCanonicalEntryError, match=f"^{re.escape(message)}$"):
+            parse_fcidump(dump(records))
+
+
 def test_fcidump_header_errors():
     with pytest.raises(MalformedHeaderError):
         parse_fcidump("no header here\n")
@@ -404,6 +447,30 @@ def test_fcidump_record_errors():
     # consistent duplicates are fine
     ints = parse_fcidump(head + " 1.0 1 2 1 1\n 1.0 2 1 1 1\n")
     assert ints.g[0, 1, 0, 0] == 1.0
+
+
+def test_fcidump_write_pins_its_records():
+    """The writer's walk over canonical orbits gives the bytes of the compound-index loop."""
+    buf = io.StringIO()
+    write_fcidump(hubbard_model(3, 1.0, 2.0), buf)
+    assert buf.getvalue() == (
+        "&FCI NORB=3,NELEC=3,MS2=1,\n  ORBSYM=1,1,1,\n  ISYM=1,\n&END\n"
+        "  2.0000000000000000E+00    1    1    1    1\n"
+        "  2.0000000000000000E+00    2    2    2    2\n"
+        "  2.0000000000000000E+00    3    3    3    3\n"
+        " -1.0000000000000000E+00    2    1    0    0\n"
+        " -1.0000000000000000E+00    3    2    0    0\n"
+        "  0.0000000000000000E+00    0    0    0    0\n")
+    ints = canonicalize_core(hubbard_model(4, 1.0, 2.0))[0]
+    buf = io.StringIO()
+    write_fcidump(ints, buf)
+    want = []   # i >= j, k >= l and (ij) >= (kl) by compound index, nonzero values only
+    for i, j, k, l in product(range(1, 5), repeat=4):
+        canonical = i >= j and k >= l and i * (i + 1) // 2 + j >= k * (k + 1) // 2 + l
+        if canonical and ints.g[i - 1, j - 1, k - 1, l - 1] != 0.0:
+            want.append(f" {ints.g[i - 1, j - 1, k - 1, l - 1]: .16E} {i:4d} {j:4d} {k:4d} {l:4d}\n")
+    records = buf.getvalue().split("&END\n")[1].splitlines(keepends=True)
+    assert len(want) == 55 and records[:55] == want
 
 
 def test_fcidump_write_requires_eightfold_symmetry():
