@@ -26,13 +26,14 @@ import numpy as np
 from .determinants import (
     AmplitudeVector,
     BasisSplit,
+    ExcitationSpace,
     OrbitalBasis,
-    SPACE_CAS,
     SPACE_EXT,
     support_space,
     v_ext_norm,
 )
-from .errors import InputError, InsufficientPointsError, MissingReferenceError
+from .errors import (
+    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError)
 from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import FockSpectrum, IntegralSet, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
@@ -93,6 +94,15 @@ class MonotonicityProbe:
     seed: int
 
 
+def _weights(space: ExcitationSpace, fock: FockSpectrum) -> np.ndarray:
+    """The weights eps_mu of space, refused like v_ext_norm's if one is <= 0 (naming the lowest)."""
+    eps = space.epsilon(fock)
+    if eps.min(initial=np.inf) <= 0.0:
+        mu = int(eps.argmin())
+        raise NonPositiveWeightError(f"eps_mu <= 0 for {space.indices[mu]}: {eps[mu]}")
+    return eps
+
+
 def check_ball(delta: float, samples: int) -> None:
     """Reject a sampling ball that is empty or unbounded, or sampled no times."""
     if not 0 < delta < np.inf or samples < 1:
@@ -110,13 +120,13 @@ def _ball(t_star: Optional[AmplitudeVector], t_cas: AmplitudeVector, ints: Integ
         raise MissingReferenceError("a converged reference amplitude vector is required")
     if not len(op.space):
         raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
+    eps = _weights(op.space, fock)
     t_vec = op.space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
         raise MissingReferenceError(
             f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}"
         )
-    eps = op.space.epsilon(fock)
     return op, t_vec, r, eps, _ball_pairs(t_vec, eps, delta, samples, seed)
 
 
@@ -325,31 +335,25 @@ class ErrorDecomposition:
 
 
 def error_decomposition(study: Study, scheme: TruncationScheme,
-                        t_cas_source: str = "CAS_FCI", noise: float = 0.0,
-                        seed: int = 0) -> ErrorDecomposition:
+                        t_cas: Optional[AmplitudeVector] = None) -> ErrorDecomposition:
     """Split |E(t_d; t^CAS) - E_FCI| into truncation and CAS contributions.
 
-    Computes the full-space root t_* of f(.; t^CAS), the root with the
-    CAS-exact amplitudes, the truncated root t_d, and the FCI amplitude
-    split, then every term of the triangle decomposition plus the CAS
-    error dE_cas of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
+    Tailors on t_cas (default: study.t_cas, from CAS-FCI): the full-space root t_*
+    of f(.; t^CAS), the root with the CAS-FCI amplitudes and the truncated root t_d,
+    solved before the FCI amplitude split so that a t_cas of another space is refused
+    first; then every term of the triangle decomposition plus the CAS error dE_cas
+    of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
     """
-    if t_cas_source not in ("CAS_FCI", "PERTURBED"):   # before any solve
-        raise InputError(f"unknown t_cas_source {t_cas_source!r}")
-    t_fci_cas = t_cas = study.t_cas
-    if t_cas_source == "PERTURBED":
-        draws = _Stream(seed).normals(len(t_fci_cas)).tolist()
-        t_cas = AmplitudeVector(SPACE_CAS, {mu: val + noise * z for (mu, val), z
-                                            in zip(t_fci_cas.sorted_items(), draws)})
+    t_fci_cas = study.t_cas
+    t_cas = t_fci_cas if t_cas is None else t_cas
+    e_star = study.root(STUDY_CONFIG, t_cas).energy
+    e_tilde = study.root(STUDY_CONFIG).energy
+    e_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).energy
 
     ints, split = study.ints, study.split
     summary, states = fci_solve(ints, split.basis)
     e_fci = summary.ground_energy
     t_star_cas, t_star_ext = split_amplitudes(ci_to_cluster(states[0]), split)
-
-    e_star = study.root(STUDY_CONFIG, t_cas).energy
-    e_tilde = study.root(STUDY_CONFIG).energy
-    e_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).energy
     e_exact_pair = tcc_energy(t_star_ext, t_star_cas, ints, split)
 
     d_eps = abs(e_d - e_star)
@@ -398,6 +402,7 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     """
     op = TailoredHamiltonian(t_cas, ints, split)
     space = op.space
+    eps = _weights(space, fock)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
     v_d = op(td)
@@ -409,8 +414,6 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     rho_primal = float(-(space.project(v_d) @ (zs - zd)))
     rho_dual = float(df_u[space.reference] - zd @ space.project(df_u))
     remainder = 2.0 * (e_star - e_d) - rho_primal - rho_dual
-
-    eps = space.epsilon(fock)
     dist = float(np.sqrt((eps * u ** 2).sum()))
     ratio = abs(remainder) / dist**3 if dist > 1e-13 else None
     return RepresentationCheck(float(remainder), dist, ratio)
@@ -492,7 +495,7 @@ def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
     exactly, and the fitted slope is 2 up to round-off.
     """
     space = external_space(split)
-    eps = space.epsilon(fock)
+    eps = _weights(space, fock)
     source = _Stream(seed).normals(len(space))
 
     study = ScalingStudy()

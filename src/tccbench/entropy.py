@@ -204,7 +204,7 @@ def select_cas(profile: OrbitalEntropyProfile, n_electrons: int,
                 break
             ratio = np.inf if lo <= 0.0 else hi / lo
             if ratio > best:
-                best, cut = ratio, a + 1
+                best, cut, jump_ties = ratio, a + 1, 0
             elif ratio == best and np.isfinite(ratio):
                 jump_ties += 1
         jump_ratio = best if cut else None

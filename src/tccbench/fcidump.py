@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicateCanonicalEntryError,
     IndexOutOfRangeError,
+    InputError,
     MalformedHeaderError,
 )
 from .hamiltonian import IntegralSet, check_orbital_count, integrals_differ
@@ -72,7 +73,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             )
 
     seen = {}   # each orbit's canonical record -> the value last read for it
-    for lineno, raw in enumerate(body.splitlines(), 1):
+    for lineno, raw in enumerate(body.splitlines(), text.count("\n", 0, m.end()) + 1):
         line = raw.strip()
         if not line:
             continue
@@ -86,7 +87,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             raise MalformedHeaderError(f"record line {lineno}: {exc}") from exc
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
-                raise IndexOutOfRangeError(f"record line {lineno}: index {idx} > NORB={norb}")
+                raise IndexOutOfRangeError(f"record line {lineno}: index {idx} is not in 0..NORB={norb}")
         shape = (i == 0, j == 0, k == 0, l == 0)
         if shape not in _CONFLICTS:
             raise IndexOutOfRangeError(
@@ -113,12 +114,13 @@ def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
     then the core energy. MS2 is the reference's, NELEC mod 2. Needs 8-fold symmetry:
     given IntegralSet's 4-fold one, that is (pq|rs) = (qp|rs), tested one p at a time.
     """
-    n, g = ints.n_spatial, ints.g
+    n, g, nelec = ints.n_spatial, ints.g, ints.n_electrons
+    if nelec is None:
+        raise InputError("FCIDUMP needs NELEC, and the IntegralSet has no electron count")
     for p in range(n):
         if integrals_differ(g[p], g[:, p], g):
             raise DimensionMismatchError("FCIDUMP stores a single value per 8-fold orbit; "
                                          f"(pq|rs) is not (qp|rs) at p={p + 1}")
-    nelec = ints.n_electrons if ints.n_electrons is not None else 0
     orbsym = ",".join(["1"] * n)
     stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={nelec % 2},\n")
     stream.write(f"  ORBSYM={orbsym},\n  ISYM=1,\n&END\n")

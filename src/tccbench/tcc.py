@@ -364,7 +364,7 @@ class Study:
     def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:
         """The converged root under `config`, tailored on t_cas (default: self.t_cas)."""
         t_cas = self.t_cas if t_cas is None else t_cas
-        key = (config, tuple(t_cas.sorted_items()))
+        key = (config, t_cas.space, tuple(t_cas.sorted_items()))
         if key not in self._roots:
             result = solve_tcc(t_cas, self.ints, self.split, self.fock, config)
             if not result.converged:

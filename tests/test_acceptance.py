@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
+from tccbench import diagnostics
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
@@ -266,11 +267,15 @@ def test_acceptance_10_error_decomposition(pairing4):
     assert full.d_eps <= 1e-10
     assert full.dE_cas <= 1e-10
     slacks.append(full.triangle_slack)
-    for dec in (
-        error_decomposition(study, TruncationScheme(MODE_RANK, 2)),
-        error_decomposition(study, TruncationScheme(MODE_RANK, 1),
-                            t_cas_source="PERTURBED", noise=1e-3, seed=9),
-    ):
+    draws = diagnostics._Stream(9).normals(len(study.t_cas))   # t^CAS + 1e-3 x seeded normals
+    perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z for (mu, val), z
+                                            in zip(study.t_cas.sorted_items(), draws)})
+    approx = error_decomposition(study, TruncationScheme(MODE_RANK, 1), t_cas=perturbed)
+    # the figures of the former t_cas_source="PERTURBED", noise=1e-3, seed=9
+    assert approx.d_eps == pytest.approx(0.13425858928461643, rel=0, abs=1e-12)
+    assert approx.d_eps_cas == pytest.approx(0.00022101101310134652, rel=0, abs=1e-12)
+    assert approx.dE_cas == pytest.approx(0.00020747781052576908, rel=0, abs=1e-12)
+    for dec in (error_decomposition(study, TruncationScheme(MODE_RANK, 2)), approx):
         slacks.append(dec.triangle_slack)
     assert all(s >= -1e-10 for s in slacks)
     print(f"PASS 10: triangle slack >= -1e-10 on all runs (min "

@@ -660,8 +660,6 @@ ARGUMENT_CHECKS = {
     "select_cas odd K": lambda s: entropy.select_cas(_profile(5), 2),
     "permute_spatial_orbitals": lambda s: entropy.permute_spatial_orbitals(s.ints, (1, 1, 2, 3)),
     "_Stream": lambda s: diagnostics._Stream(-1),
-    "error_decomposition source": lambda s: diagnostics.error_decomposition(
-        tcc.Study(s.ints, s.split, s.fock), tcc.TruncationScheme(tcc.MODE_FULL), "GUESS"),
     "AmplitudeVector tag": lambda s: AmplitudeVector("guess"),
     "Determinant order": lambda s: Determinant((2, 1)),
     "Determinant 1-based": lambda s: Determinant((0, 1)),
@@ -672,10 +670,8 @@ ARGUMENT_CHECKS = {
 
 
 @pytest.mark.parametrize("check", ARGUMENT_CHECKS.values(), ids=ARGUMENT_CHECKS)
-def test_every_argument_check_raises_an_input_error(check, pairing4, monkeypatch):
-    # each raised a bare ValueError, which the CLI translated block by block; and each is
-    # checked before any FCI (error_decomposition ran one before it read its source)
-    monkeypatch.setattr(diagnostics, "fci_solve", lambda *a, **k: pytest.fail("fci_solve ran"))
+def test_every_argument_check_raises_an_input_error(check, pairing4):
+    # each raised a bare ValueError, which the CLI translated block by block
     with pytest.raises(errors.InputError) as info:
         check(pairing4)
     assert isinstance(info.value, ValueError) and info.value.exit_code == 1

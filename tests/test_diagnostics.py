@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,20 +24,26 @@ from tccbench import (
     enumerate_truncated_space,
     error_decomposition,
     error_representation_check,
+    fci_solve,
+    fock_matrix,
     fock_norm_identity_check,
     gap_report,
+    hubbard_model,
     linear_limit_scaling_study,
     monotonicity_probe,
     quadratic_scaling_study,
     solve_dual,
     solve_tcc,
+    split_amplitudes,
     tcc_jacobian,
 )
-from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, ExcitationIndex
+from tccbench.determinants import SPACE_CAS, SPACE_EXT, SPACE_TRUNCATED, ExcitationIndex
 from tccbench.diagnostics import STUDY_CONFIG, MonotonicityProbe, ScalingRow, _fit_slope
 from tccbench.errors import (
-    InputError, InsufficientPointsError, MissingReferenceError, SingularJacobianError)
-from tccbench.hamiltonian import FockSpectrum, build_dense_hamiltonian, fock_diagonal_vector
+    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError,
+    SingularJacobianError, SpaceMismatchError)
+from tccbench.hamiltonian import (
+    FockSpectrum, NonCanonicalOrbitalsWarning, build_dense_hamiltonian, fock_diagonal_vector)
 from tccbench.tcc import (
     MODE_FULL,
     MODE_RANK,
@@ -96,6 +103,40 @@ def test_gap_report_at_k_equals_big_k(pairing4):
     basis = pairing4.basis
     report = gap_report(pairing4.fock, BasisSplit(basis, basis.n_orbitals))
     assert np.isinf(report.eps0) and np.isinf(report.min_eps_ext)
+
+
+@pytest.fixture(scope="module")
+def hubbard4_site():
+    """The 4-site chain in the site basis at k = 6, where 55 external eps_mu are <= 0, down
+    to -8.0; t_* and t^CAS are the FCI split, so t_* passes the ball's residual check."""
+    ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(8, 4)
+    split = BasisSplit(basis, 6)
+    with pytest.warns(NonCanonicalOrbitalsWarning):
+        fock = fock_matrix(ints, basis)
+    _, states = fci_solve(ints, basis)
+    t_cas, t_star = split_amplitudes(ci_to_cluster(states[0]), split)
+    return SimpleNamespace(ints=ints, split=split, fock=fock, t_cas=t_cas, t_star=t_star)
+
+
+_ZERO = AmplitudeVector(SPACE_EXT)
+WEIGHTED_CALLS = {
+    "monotonicity_probe": lambda s: monotonicity_probe(s.t_star, s.t_cas, s.ints, s.split,
+                                                       s.fock),
+    "assumption_b_report": lambda s: assumption_b_report(s.t_star, s.t_cas, s.ints, s.split,
+                                                         s.fock),
+    "error_representation_check": lambda s: error_representation_check(
+        _ZERO, _ZERO, s.t_star, _ZERO, s.t_cas, s.ints, s.split, s.fock),
+    "linear_limit_scaling_study": lambda s: linear_limit_scaling_study(s.fock, s.split),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHTED_CALLS.values(), ids=WEIGHTED_CALLS)
+def test_non_positive_weights_are_refused_by_name(call, hubbard4_site):
+    # sqrt(eps) made the sampled points NaN (NonFiniteAmplitudeError), the representation
+    # check returned distance nan, and the scaling study found no usable row
+    with pytest.raises(NonPositiveWeightError,
+                       match=r"^eps_mu <= 0 for 1,2,3,4->5,6,7,8: -8\.0$"):
+        call(hubbard4_site)
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +572,37 @@ def _php_energy(system, t_cas):
 
 def test_error_decomposition_perturbed_cas(pairing4):
     study = _study(pairing4)
-    dec = error_decomposition(study, TruncationScheme(MODE_FULL),
-                              t_cas_source="PERTURBED", noise=1e-3, seed=5)
-    assert dec.dE_cas > 1e-8           # perturbed CAS amplitudes cost energy
-    draws = diagnostics._Stream(5).normals(len(study.t_cas))   # the perturbation drawn
+    draws = diagnostics._Stream(5).normals(len(study.t_cas))   # t^CAS + 1e-3 x seeded normals
     perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z for (mu, val), z
                                             in zip(study.t_cas.sorted_items(), draws)})
+    dec = error_decomposition(study, TruncationScheme(MODE_FULL), t_cas=perturbed)
+    # the figures of the former t_cas_source="PERTURBED", noise=1e-3, seed=5
+    assert dec.dE_cas == pytest.approx(0.0007968191926439605, rel=0, abs=1e-12)
+    assert dec.d_eps_cas == pytest.approx(0.0008857528717387542, rel=0, abs=1e-12)
+    assert dec.dE == pytest.approx(0.023990250974415095, rel=0, abs=1e-12)
     dense = abs(_php_energy(pairing4, perturbed) - _php_energy(pairing4, study.t_cas))
     assert abs(dec.dE_cas - dense) <= 1e-14
-    assert dec.d_eps_cas > 1e-8
     assert dec.triangle_slack >= -1e-10
-    with pytest.raises(ValueError):
-        error_decomposition(study, TruncationScheme(MODE_FULL), t_cas_source="WHAT")
+
+
+@pytest.mark.parametrize("scheme", [TruncationScheme(MODE_RANK, 2), TruncationScheme(MODE_FULL)],
+                         ids=lambda s: s.describe())
+def test_error_decomposition_tailors_on_study_t_cas_by_default(pairing4, scheme):
+    given = _study(pairing4)
+    assert (error_decomposition(given, scheme, t_cas=given.t_cas)
+            == error_decomposition(_study(pairing4), scheme))
+
+
+@pytest.mark.parametrize("tagged", ["empty", "cas entries"])
+def test_error_decomposition_refuses_a_foreign_t_cas_before_the_fci(pairing4, tagged,
+                                                                    monkeypatch):
+    monkeypatch.setattr(diagnostics, "fci_solve", lambda *a, **k: pytest.fail("fci_solve ran"))
+    study = _study(pairing4)
+    study.root(STUDY_CONFIG)   # a root on study.t_cas, whose entries the mis-tagged copy shares
+    entries = {} if tagged == "empty" else dict(study.t_cas.entries)
+    with pytest.raises(SpaceMismatchError, match="CAS amplitudes tagged 'ext'"):
+        error_decomposition(study, TruncationScheme(MODE_FULL),
+                            t_cas=AmplitudeVector(SPACE_EXT, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -217,21 +217,24 @@ def test_weak_profile_falls_back_to_reference():
     assert sel.k == 2
 
 
+# (background, the four strongest pairs' I, the selection, its jump ratio and ties)
+JUMP_PROFILES = [
+    (0.004, [1.0, 0.8, 0.01, 0.005], (1, 2, 3, 4), 80.0, 0),   # largest gap 0.8 / 0.01
+    # ties of ratio 2 that a later, larger ratio displaced are not the winner's ties
+    (0.0, [8.0, 4.0, 2.0, 1.0], tuple(range(1, 9)), np.inf, 0),
+    (0.0, [8.0, 4.0, 2.0, 0.5], tuple(range(1, 9)), np.inf, 0),
+    (0.0625, [1.0, 0.25], (1, 2, 3, 4), 4.0, 1),   # 1 / 0.25 = 0.25 / 0.0625: a true tie
+]
+
+
 def test_jump_selection_cuts_at_largest_ratio():
-    mi = np.full((8, 8), 0.004)  # weak background correlation
-    np.fill_diagonal(mi, 0.0)
-
-    def put(i, j, v):
-        mi[i - 1, j - 1] = mi[j - 1, i - 1] = v
-
-    put(1, 3, 1.0)
-    put(2, 4, 0.8)
-    put(5, 7, 0.01)   # largest ratio gap: 0.8 / 0.01 = 80
-    put(6, 8, 0.005)
-    sel = select_cas(_profile(np.zeros(8), mi), n_electrons=2, mode=MODE_JUMP)
-    assert sel.orbitals == (1, 2, 3, 4)
-    assert sel.jump_ratio == pytest.approx(80.0)
-    assert sel.jump_ties == 0
+    for background, pairs, orbitals, ratio, ties in JUMP_PROFILES:
+        mi = np.full((8, 8), background)
+        np.fill_diagonal(mi, 0.0)
+        for (i, j), v in zip([(1, 3), (2, 4), (5, 7), (6, 8)], pairs):
+            mi[i - 1, j - 1] = mi[j - 1, i - 1] = v
+        sel = select_cas(_profile(np.zeros(8), mi), n_electrons=2, mode=MODE_JUMP)
+        assert (sel.orbitals, sel.jump_ratio, sel.jump_ties) == (orbitals, ratio, ties)
 
 
 def test_jump_selection_on_hubbard_dimer():

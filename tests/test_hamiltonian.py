@@ -449,6 +449,32 @@ def test_fcidump_record_errors():
     assert ints.g[0, 1, 0, 0] == 1.0
 
 
+@pytest.mark.parametrize("record, error, message", [
+    (" 1.0 -1 1 0 0", IndexOutOfRangeError, "index -1 is not in 0..NORB=2"),
+    (" 1.0 3 1 0 0", IndexOutOfRangeError, "index 3 is not in 0..NORB=2"),
+    (" 1.0 1 1 0", MalformedHeaderError, "expected 5 fields, got 4"),
+], ids=["negative index", "index above NORB", "short record"])
+def test_fcidump_record_errors_name_the_file_line(record, error, message):
+    # header on lines 1-4, a good record on 5, a blank line 6: the bad record is line 7,
+    # where the count used to start at the &END line as 1 and name line 4
+    text = "&FCI NORB=2,NELEC=2,\n  ORBSYM=1,1,\n  ISYM=1,\n&END\n 4.0 1 1 1 1\n\n" + record + "\n"
+    with pytest.raises(error, match=f"^record line 7: {re.escape(message)}$"):
+        parse_fcidump(text)
+
+
+def test_fcidump_writer_refuses_a_set_with_no_electron_count():
+    # it wrote NELEC=0, a file every command then refused as N=0
+    ints = hubbard_model(2, 1.0, 4.0)
+    buf = io.StringIO()
+    with pytest.raises(InputError, match="no electron count"):
+        write_fcidump(IntegralSet(2, ints.h, ints.g), buf)
+    assert buf.getvalue() == ""
+    write_fcidump(IntegralSet(2, ints.h, ints.g, n_electrons=2), buf)
+    back = parse_fcidump(buf.getvalue())
+    assert back.n_electrons == 2
+    assert np.array_equal(back.h, ints.h) and np.array_equal(back.g, ints.g)
+
+
 def test_fcidump_write_pins_its_records():
     """The writer's walk over canonical orbits gives the bytes of the compound-index loop."""
     buf = io.StringIO()
