@@ -21,8 +21,7 @@ _EXPORTS = {
     "determinants": (
         "AmplitudeVector", "BasisSplit", "Determinant", "ExcitationIndex",
         "ExcitationSpace", "OrbitalBasis", "apply_excitation", "classify_excitation",
-        "enumerate_determinants", "enumerate_excitations", "excitation_space",
-        "v_ext_norm"),
+        "enumerate_determinants", "enumerate_excitations", "excitation_space"),
     "hamiltonian": (
         "FockSpectrum", "IntegralSet", "build_dense_hamiltonian", "canonicalize_core",
         "fock_matrix", "hubbard_model", "pairing_model", "rotate_orbitals"),

@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     NonFiniteAmplitudeError,
-    NonPositiveWeightError,
     SpaceMismatchError,
 )
 
@@ -214,23 +213,6 @@ class AmplitudeVector:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def v_ext_norm(t: AmplitudeVector, fock) -> float:
-    """Weighted l2 norm sqrt(sum eps_mu t_mu^2).
-
-    Raises NonPositiveWeightError when some eps_mu <= 0, which signals a
-    violated CAS-ext gap for the indices carried by t.
-    """
-    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
-        raise SpaceMismatchError(f"v_ext_norm needs an external vector, got {t.space!r}")
-    acc = 0.0
-    for mu, val in t.entries.items():
-        eps = fock.epsilon_of(mu)
-        if eps <= 0.0:
-            raise NonPositiveWeightError(f"eps_mu <= 0 for {mu}: {eps}")
-        acc += eps * val * val
-    return acc ** 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +411,7 @@ class ExcitationSpace:
         return AmplitudeVector(space, {mu: float(x) for mu, x in zip(indices, vec)}, scheme=scheme)
 
     def epsilon(self, fock) -> np.ndarray:
-        """The Fock weights eps_mu in index order, each summed as fock.epsilon_of sums it."""
+        """The weights sum(lambda_A) - sum(lambda_I) in index order, each sum left to right."""
         eps = np.empty(len(self))
         for ids, holes, particles in self._groups:
             eps[ids] = sum(fock.lambdas[particles]) - sum(fock.lambdas[holes])

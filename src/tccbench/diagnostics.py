@@ -29,11 +29,12 @@ from .determinants import (
     ExcitationSpace,
     OrbitalBasis,
     SPACE_EXT,
+    SPACE_TRUNCATED,
     support_space,
-    v_ext_norm,
 )
 from .errors import (
-    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError)
+    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError,
+    SpaceMismatchError)
 from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import FockSpectrum, IntegralSet, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
@@ -95,7 +96,7 @@ class MonotonicityProbe:
 
 
 def _weights(space: ExcitationSpace, fock: FockSpectrum) -> np.ndarray:
-    """The weights eps_mu of space, refused like v_ext_norm's if one is <= 0 (naming the lowest)."""
+    """The weights eps_mu of space, refused if one is <= 0 (naming the lowest): the V-norm's."""
     eps = space.epsilon(fock)
     if eps.min(initial=np.inf) <= 0.0:
         mu = int(eps.argmin())
@@ -113,15 +114,17 @@ def _ball(t_star: Optional[AmplitudeVector], t_cas: AmplitudeVector, ints: Integ
           split: BasisSplit, fock: FockSpectrum, delta: float, samples: int, seed: int
           ) -> tuple[TailoredHamiltonian, np.ndarray, np.ndarray, np.ndarray, list]:
     """The sampled ball B_delta(t_*) of both reports: the tailored operator, t_* as an
-    ndarray of its space, the residual f(t_*) it was checked by, eps and the seeded pairs."""
-    op = TailoredHamiltonian(t_cas, ints, split)
+    ndarray of its space, the residual f(t_*) it was checked by, eps and the seeded pairs.
+    The arguments are checked before the operator builds H."""
     check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
-    if not len(op.space):
+    space = external_space(split)   # the operator's
+    if not len(space):
         raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
-    eps = _weights(op.space, fock)
-    t_vec = op.space.embed(t_star)
+    eps = _weights(space, fock)
+    op = TailoredHamiltonian(t_cas, ints, split)
+    t_vec = space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
         raise MissingReferenceError(
@@ -248,8 +251,8 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
 
     ref = space.reference_state()
     omega0 = float(w_cas(ref)[space.reference])
-    omega_cas = float(sum(abs(val * fock.epsilon_of(s))
-                          for s, val in t_cas.sorted_items()))
+    eps_cas = dict(zip(op.cas.indices, op.cas.epsilon(fock)))
+    omega_cas = float(sum(abs(val * eps_cas[s]) for s, val in t_cas.sorted_items()))
     a_ref = a(ref)
 
     def o_map(vec):
@@ -294,12 +297,14 @@ def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
     t has rho = 1 when no other determinant couples, and rho >= 1
     always since the reference column alone realizes ||t||_V.
     """
+    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
+        raise SpaceMismatchError(f"||t||_V needs an external vector, got {t.space!r}")
     space = support_space(t, basis)
     t_vec = space.embed(t)
     refpos = space.reference
     diag = fock_diagonal_vector(fock, basis) - fock.lambda0
 
-    t_norm = v_ext_norm(t, fock)
+    t_norm = float(np.sqrt((_weights(space, fock) * t_vec**2).sum()))
     t_phi0 = space.apply(t_vec, space.reference_state())
     fock_norm = float(np.sqrt(max(0.0, t_phi0 @ (diag * t_phi0))))
     deviation = abs(t_norm - fock_norm)
@@ -458,7 +463,7 @@ def quadratic_scaling_study(study: Study, schemes: list[TruncationScheme]) -> Sc
     from the fit.
     """
     space = external_space(study.split)
-    eps = space.epsilon(study.fock)
+    eps = _weights(space, study.fock)
 
     star = study.root(STUDY_CONFIG)
     ts = space.embed(star.t)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import MAX_SPIN_ORBITALS, ExcitationIndex, OrbitalBasis, _excite
+from .determinants import MAX_SPIN_ORBITALS, OrbitalBasis, _excite
 from .errors import DimensionMismatchError, InputError, NonFiniteIntegralError, SizeLimitError
 
 INTEGRAL_TOL = 1e-12   # relative to the integrals' scale, absolute below 1
@@ -181,13 +181,6 @@ class FockSpectrum:
     lambdas: np.ndarray
     lambda0: float
     off_diag_norm: float
-
-    def epsilon_of(self, mu: ExcitationIndex) -> float:
-        """eps_mu = sum(lambda_A) - sum(lambda_I)."""
-        return float(
-            sum(self.lambdas[a - 1] for a in mu.particles)
-            - sum(self.lambdas[i - 1] for i in mu.holes)
-        )
 
 
 def _check_basis(ints: IntegralSet, basis: OrbitalBasis) -> int:

@@ -7,7 +7,8 @@ with the package beyond the integral and determinant containers. Used to
 pin signs, matrix elements, reduced density matrices and operator norms.
 
 The scalar integral lookups and the Slater-Condon matrix_element are the
-loop references the package's vectorised Hamiltonian build is held to.
+loop references the package's vectorised Hamiltonian build is held to, and the
+scalar epsilon is the one ExcitationSpace.epsilon is held to bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def matrix_element(d1, d2, ints) -> float:
     (P, Q), (R, S) = diff1, diff2
     sign = _align_phase(d1, d2, [P, Q], [R, S])
     return sign * antisymmetrized(ints, P, Q, R, S)
+
+
+def epsilon(fock, mu) -> float:
+    """eps_mu = sum(lambda_A) - sum(lambda_I) of one index, each sum left to right."""
+    return float(
+        sum(fock.lambdas[a - 1] for a in mu.particles)
+        - sum(fock.lambdas[i - 1] for i in mu.holes)
+    )
 
 
 def dense_hamiltonian_fock(ints, n_modes: int) -> np.ndarray:

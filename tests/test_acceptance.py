@@ -240,7 +240,7 @@ def test_acceptance_08_linear_limit_monotonicity(pairing4_g0):
     probe = monotonicity_probe(t_star, t_cas, system.ints, system.split,
                                system.fock, delta=0.1, samples=20, seed=0)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
-    min_eps = min(system.fock.epsilon_of(mu) for mu in indices)
+    min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
     study = linear_limit_scaling_study(system.fock, system.split, seed=0)
     assert abs(study.slope - 2.0) <= 1e-6

@@ -19,6 +19,7 @@ from tccbench import (
     TccConfig,
     TruncationScheme,
     assumption_b_report,
+    canonicalize_core,
     cas_fci_solve,
     ci_to_cluster,
     enumerate_truncated_space,
@@ -37,7 +38,8 @@ from tccbench import (
     split_amplitudes,
     tcc_jacobian,
 )
-from tccbench.determinants import SPACE_CAS, SPACE_EXT, SPACE_TRUNCATED, ExcitationIndex
+from tccbench.determinants import (
+    SPACE_CAS, SPACE_EXT, SPACE_FULL, SPACE_TRUNCATED, ExcitationIndex)
 from tccbench.diagnostics import STUDY_CONFIG, MonotonicityProbe, ScalingRow, _fit_slope
 from tccbench.errors import (
     InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError,
@@ -127,6 +129,10 @@ WEIGHTED_CALLS = {
     "error_representation_check": lambda s: error_representation_check(
         _ZERO, _ZERO, s.t_star, _ZERO, s.t_cas, s.ints, s.split, s.fock),
     "linear_limit_scaling_study": lambda s: linear_limit_scaling_study(s.fock, s.split),
+    "fock_norm_identity_check": lambda s: fock_norm_identity_check(s.t_star, s.fock,
+                                                                   s.split.basis),
+    "quadratic_scaling_study": lambda s: quadratic_scaling_study(
+        Study(s.ints, s.split, s.fock), [TruncationScheme(MODE_RANK, 1)]),
 }
 
 
@@ -151,7 +157,7 @@ def test_monotonicity_probe_linear_limit(pairing4_g0):
     probe = monotonicity_probe(t_star, t_cas, system.ints, system.split,
                                system.fock, delta=0.1, samples=10, seed=3)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
-    min_eps = min(system.fock.epsilon_of(mu) for mu in indices)
+    min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
     assert abs(probe.gamma_hat - 1.0) <= 1e-12
     assert abs(probe.l_hat - 1.0) <= 1e-12
@@ -180,6 +186,47 @@ def test_monotonicity_probe_requires_converged_reference(pairing4):
     with pytest.raises(MissingReferenceError):
         monotonicity_probe(bogus, t_cas, pairing4.ints, pairing4.split,
                            pairing4.fock)
+
+
+BALL_CALLS = {"monotonicity_probe": monotonicity_probe, "assumption_b_report": assumption_b_report}
+
+
+@pytest.mark.parametrize("report", BALL_CALLS.values(), ids=BALL_CALLS)
+def test_the_ball_is_checked_before_the_operator_is_built(report, pairing4, hubbard4_site,
+                                                          monkeypatch):
+    # the operator, dense H included, came first: monotonicity_probe(None, ...) on
+    # pairing:6 at k = 8 built the dim-924 H before it raised MissingReferenceError
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tailored operator was built before the ball was checked")
+
+    monkeypatch.setattr(diagnostics, "TailoredHamiltonian", refuse)
+    s, zero, no_cas = pairing4, AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS)
+    with pytest.raises(MissingReferenceError, match="converged reference"):
+        report(None, no_cas, s.ints, s.split, s.fock)
+    for delta, samples in ((0.0, 20), (0.1, 0)):
+        with pytest.raises(InputError, match="need finite delta > 0 and samples >= 1"):
+            report(zero, no_cas, s.ints, s.split, s.fock, delta=delta, samples=samples)
+    with pytest.raises(InputError, match="k = K leaves the external space empty"):
+        report(zero, no_cas, s.ints, BasisSplit(s.basis, s.basis.n_orbitals), s.fock)
+    h = hubbard4_site
+    with pytest.raises(NonPositiveWeightError, match=r"^eps_mu <= 0 for 1,2,3,4->5,6,7,8"):
+        report(h.t_star, h.t_cas, h.ints, h.split, h.fock)
+
+
+def test_omega_cas_sums_the_sorted_cas_amplitudes():
+    # hubbard:5,1.0,2.0,4 --mo at k = 8 (67 CAS amplitudes): a numpy sum, or one in the
+    # CAS space's order, gives other bits than the sum in sorted_items order
+    ints, _ = canonicalize_core(hubbard_model(5, 1.0, 2.0, 4))
+    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    split = BasisSplit(basis, 8)
+    fock = fock_matrix(ints, basis)
+    study = Study(ints, split, fock)
+    star = study.root(TccConfig(max_iterations=500, diis=8))
+    t_cas = study.t_cas
+    assert len(t_cas) == 67
+    report = assumption_b_report(star.t, t_cas, ints, split, fock, samples=1)
+    assert report.omega_cas == sum(abs(v * oracle.epsilon(fock, s))
+                                   for s, v in t_cas.sorted_items())
 
 
 def test_assumption_report_linear_limit(pairing4_g0):
@@ -396,6 +443,25 @@ def test_fock_norm_single_entry_has_unit_ratio(pairing4):
     check = fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
     assert check.deviation <= 1e-13
     assert check.rho == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fock_norm_vext_norm_matches_the_weights(pairing4):
+    fock = pairing4.fock
+    mu1 = ExcitationIndex((1,), (7,))
+    mu2 = ExcitationIndex((1, 2), (7, 8))
+    t = AmplitudeVector(SPACE_EXT, {mu1: 0.3, mu2: -0.2})
+    want = np.sqrt(oracle.epsilon(fock, mu1) * 0.09 + oracle.epsilon(fock, mu2) * 0.04)
+    assert abs(fock_norm_identity_check(t, fock, pairing4.basis).t_vext_norm - want) <= 1e-14
+
+
+def test_fock_norm_refuses_a_nonpositive_weight_and_a_full_or_cas_vector(pairing4):
+    flat = FockSpectrum(np.zeros(pairing4.basis.n_orbitals), 0.0, 0.0)
+    t = AmplitudeVector(SPACE_EXT, {ExcitationIndex((1,), (7,)): 0.1})
+    with pytest.raises(NonPositiveWeightError, match=r"^eps_mu <= 0 for 1->7: 0\.0$"):
+        fock_norm_identity_check(t, flat, pairing4.basis)
+    for tag in (SPACE_FULL, SPACE_CAS):
+        with pytest.raises(SpaceMismatchError, match=f"needs an external vector, got '{tag}'"):
+            fock_norm_identity_check(AmplitudeVector(tag), pairing4.fock, pairing4.basis)
 
 
 def test_fock_norm_operator_norm_matches_power_iteration(pairing4, rng):

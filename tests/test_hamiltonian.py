@@ -290,7 +290,7 @@ def test_fock_identity_on_determinants(pairing4):
         mu = pairing4.basis.determinants.excitation(d.mask)
         if mu is not None:   # X_mu phi_0 is phi_d
             assert apply_excitation(mu, reference)[0] == d
-        eps = fock.epsilon_of(mu) if mu else 0.0
+        eps = oracle.epsilon(fock, mu) if mu else 0.0
         assert abs(val - (fock.lambda0 + eps)) <= 1e-12
 
 
