@@ -27,7 +27,7 @@ from . import serialize
 from .determinants import BasisSplit, OrbitalBasis
 from .errors import InputError, TccBenchError
 from .exact import cas_fci_solve, fci_solve
-from .hamiltonian import canonicalize_core, fock_matrix, hubbard_model, pairing_model
+from .hamiltonian import canonicalize_core, hubbard_model, pairing_model
 
 if TYPE_CHECKING:
     from .tcc import TccConfig, TruncationScheme
@@ -158,8 +158,8 @@ def _solver_config(args) -> TccConfig:
 def cmd_tcc(args) -> int:
     from .tcc import Study
 
-    ints, basis, split = _load_split(args)
-    result = Study(ints, split, fock_matrix(ints, basis)).root(_solver_config(args))
+    ints, _, split = _load_split(args)
+    result = Study(ints, split).root(_solver_config(args))
     payload = {
         "energy": result.energy,
         "converged": result.converged,
@@ -196,25 +196,24 @@ def cmd_verify(args) -> int:
     if (run_all or args.assumptions or args.error_scaling) and args.k == basis.n_orbitals:
         raise InputError("k = K leaves the external space empty: no ball to sample and no "
                          "scaling rows to fit; run --decomposition instead")
-    fock = fock_matrix(ints, basis)
-    payload: dict = {"gap": gap_report(fock, split)}
+    study = Study(ints, split)
+    payload: dict = {"gap": gap_report(study.fock, split)}
 
     # the solver flags drive the reference and truncated roots; the
     # decomposition and scaling sub-solves run at diagnostics.STUDY_CONFIG
     truncated = _solver_config(args)
     full = replace(truncated, truncation=TruncationScheme(MODE_FULL))
-    study = Study(ints, split, fock)
     star = study.root(full)
 
     if run_all or args.assumptions:
         payload["assumptions"] = assumption_b_report(
-            star.t, study.t_cas, ints, split, fock,
+            star.t, study.t_cas, ints, split, study.fock,
             delta=args.delta, samples=args.samples, seed=args.seed)
     if run_all or args.decomposition:
         payload["decomposition"] = error_decomposition(study, truncated.truncation)
         payload["representation"] = error_representation_check(
             study.root(truncated).t, study.dual(truncated), star.t, study.dual(full),
-            study.t_cas, ints, split, fock)
+            study.t_cas, ints, split, study.fock)
     scaling = None
     if run_all or args.error_scaling:
         family = [TruncationScheme(MODE_RANK, r) for r in range(1, m)]
@@ -222,7 +221,7 @@ def cmd_verify(args) -> int:
         scaling = quadratic_scaling_study(study, family)
         payload["scaling"] = scaling
         payload["linear_limit_scaling"] = linear_limit_scaling_study(
-            fock, split, seed=args.seed)
+            study.fock, split, seed=args.seed)
     _emit(args, "verify", payload,
           tsv=("scaling.tsv", serialize.write_scaling_tsv, scaling) if scaling else None)
     return 0

@@ -27,6 +27,8 @@ from .hamiltonian import IntegralSet, build_dense_hamiltonian
 
 NORM_L2 = "L2"
 NORM_INTERMEDIATE = "INTERMEDIATE"
+DEGENERACY_TOL = 1e-10   # ground gaps below it are degenerate levels
+SECTOR_TOL = 1e-12   # CAS ground-state norm outside the reference's S_z sector that is rounding
 
 
 class DegenerateGroundStateWarning(UserWarning):
@@ -127,7 +129,7 @@ def _fix_sign(vec: np.ndarray, degenerate: bool) -> np.ndarray:
 
 
 def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarray, ...],
-                   n_states: int, label: str) -> tuple[SpectralSummary, list[CiVector]]:
+                   n_states: int) -> tuple[SpectralSummary, list[CiVector]]:
     """Eigenpairs of H over determinant blocks it does not couple, embedded in full order.
 
     The blocks' spectra merge into one ascending spectrum; within a degenerate
@@ -141,12 +143,10 @@ def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarra
     block = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])
     order = np.argsort(values, kind="stable")
     gap = float(values[order[1]] - values[order[0]]) if len(values) > 1 else np.inf
-    degenerate = gap < 1e-10
+    degenerate = gap < DEGENERACY_TOL
     if degenerate:
-        warnings.warn(f"near-degenerate {label}ground state; sign fix by lowest determinant index",
-                      DegenerateGroundStateWarning, stacklevel=3)
         lead = np.array([basis.determinants.reference in idx for idx in blocks])[block]
-        order = np.lexsort((values, ~(lead & (values - values[order[0]] < 1e-10))))
+        order = np.lexsort((values, ~(lead & (values - values[order[0]] < DEGENERACY_TOL))))
     states = []
     for i in order[:n_states]:
         b = block[i]   # eigenvector column: i less the position of block b's first value
@@ -156,22 +156,36 @@ def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarra
     return SpectralSummary(values[order], gap), states
 
 
+def _warned(solved: tuple[SpectralSummary, list[CiVector]], label: str) -> tuple:
+    """`solved`, after one warning if its ground level is degenerate."""
+    if solved[0].gap < DEGENERACY_TOL:
+        warnings.warn(f"near-degenerate {label}ground state; sign fix by lowest determinant index",
+                      DegenerateGroundStateWarning, stacklevel=3)
+    return solved
+
+
 def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
               ) -> tuple[SpectralSummary, list[CiVector]]:
     """Lowest eigenpairs of the dense H over the full space, one S_z sector at a time."""
     ham = build_dense_hamiltonian(ints, basis)
-    return _lowest_states(ham, basis, basis.determinants.sectors, n_states, "")
+    return _warned(_lowest_states(ham, basis, basis.determinants.sectors, n_states), "")
 
 
 def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
                   n_states: int = 1) -> tuple[SpectralSummary, list[CiVector]]:
     """Eigenpairs of P H P restricted to determinants inside the CAS.
 
-    Vectors are embedded back into the full coefficient order with zero
+    One block, or one per S_z sector when the block's ground state has more than
+    rounding weight outside the reference's sector (an odd-N doublet's M_s = -1/2
+    member). Vectors are embedded back into the full coefficient order with zero
     external coefficients.
     """
     if split.basis != basis:   # its CAS determinants index another basis's space
         raise DimensionMismatchError(f"split is of {split.basis}, not of {basis}")
-    idx = np.flatnonzero(split.cas_determinants())
-    return _lowest_states(build_dense_hamiltonian(ints, basis), basis, (idx,), n_states, "CAS ")
-
+    ham, cas, dets = build_dense_hamiltonian(ints, basis), split.cas_determinants(), basis.determinants
+    solved = _lowest_states(ham, basis, (np.flatnonzero(cas),), n_states)
+    ref_sector = next(s for s in dets.sectors if dets.reference in s)
+    if np.linalg.norm(np.delete(solved[1][0].coefficients, ref_sector)) > SECTOR_TOL:
+        blocks = tuple(s[cas[s]] for s in dets.sectors if cas[s].any())
+        solved = _lowest_states(ham, basis, blocks, n_states)
+    return _warned(solved, "CAS ")

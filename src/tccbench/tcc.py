@@ -44,7 +44,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from .exact import cas_fci_solve, ci_to_cluster
-from .hamiltonian import FockSpectrum, IntegralSet, build_dense_hamiltonian
+from .hamiltonian import FockSpectrum, IntegralSet, build_dense_hamiltonian, fock_matrix
 
 MODE_RANK = "rank"
 MODE_FOI = "foi"
@@ -343,15 +343,15 @@ def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
 
 
 class Study:
-    """The solves of one (integrals, CAS split, Fock) problem, each made once.
+    """The solves of one (integrals, CAS split) problem, each made once.
 
-    t^CAS comes from CAS-FCI; `root` memoises the converged roots of
-    f(.; t^CAS) and `dual` the adjoint solutions at them. `root` is the
-    one place a non-converged solve becomes an error.
+    The Fock spectrum is the integrals' own; t^CAS comes from CAS-FCI; `root`
+    memoises the converged roots of f(.; t^CAS) and `dual` the adjoint solutions
+    at them. `root` is the one place a non-converged solve becomes an error.
     """
 
-    def __init__(self, ints: IntegralSet, split: BasisSplit, fock: FockSpectrum):
-        self.ints, self.split, self.fock = ints, split, fock
+    def __init__(self, ints: IntegralSet, split: BasisSplit):
+        self.ints, self.split, self.fock = ints, split, fock_matrix(ints, split.basis)
         self._roots: dict[tuple, TccResult] = {}
         self._duals: dict[TccConfig, AmplitudeVector] = {}
 

@@ -252,8 +252,7 @@ def test_acceptance_09_quadratic_error_scaling(pairing4):
     """Energy error scales quadratically in the amplitude distance."""
     family = [TruncationScheme(MODE_RANK, n) for n in (1, 2, 3)]
     family.append(TruncationScheme(MODE_FULL))
-    study = quadratic_scaling_study(Study(pairing4.ints, pairing4.split, pairing4.fock),
-                                    family)
+    study = quadratic_scaling_study(Study(pairing4.ints, pairing4.split), family)
     assert 1.7 <= study.slope <= 2.3
     print(f"PASS 9: log-log slope over the rank-1/2/3/full family is "
           f"{study.slope:.4f}, inside [1.7, 2.3]")
@@ -262,7 +261,7 @@ def test_acceptance_09_quadratic_error_scaling(pairing4):
 def test_acceptance_10_error_decomposition(pairing4):
     """Triangle decomposition holds; exact-CAS full solves leave no slack terms."""
     slacks = []
-    study = Study(pairing4.ints, pairing4.split, pairing4.fock)
+    study = Study(pairing4.ints, pairing4.split)
     full = error_decomposition(study, TruncationScheme(MODE_FULL))
     assert full.d_eps <= 1e-10
     assert full.dE_cas <= 1e-10

@@ -591,6 +591,20 @@ def test_exit_solver_failure(capsys):
     assert code == 2 and "solver" in err
 
 
+@pytest.mark.parametrize("args", [
+    "tcc --model hubbard:4,1.0,2.0,3 --mo --k 6",
+    "tcc --model hubbard:4,1.0,2.0,3 --mo --k 8",
+    "tcc --model pairing:5,0.5,1.0 --k 10",
+    "tcc --model hubbard:5,1.0,2.0,5 --mo --k 8",
+    "tcc --model hubbard:5,1.0,2.0,5 --mo --k 10",
+    "verify --model hubbard:5,1.0,2.0,5 --mo --k 8 --trunc rank:2 --diis 8 --samples 3",
+])
+def test_odd_electron_commands_tailor_on_the_reference_sector(args, tmp_path, capsys):
+    # each exited 1: "reference overlap ... too small for intermediate normalization"
+    code, _, err = run(args.split() + ["--out", str(tmp_path)], capsys)
+    assert code == 0, err
+
+
 def test_verify_with_an_empty_external_space(capsys):
     # k = K: nothing to sample around t_*, but the decomposition is defined
     base = ["verify", "--model", "pairing:4,0.5,1.0", "--k", "8", "--samples", "2"]

@@ -132,7 +132,7 @@ WEIGHTED_CALLS = {
     "fock_norm_identity_check": lambda s: fock_norm_identity_check(s.t_star, s.fock,
                                                                    s.split.basis),
     "quadratic_scaling_study": lambda s: quadratic_scaling_study(
-        Study(s.ints, s.split, s.fock), [TruncationScheme(MODE_RANK, 1)]),
+        Study(s.ints, s.split), [TruncationScheme(MODE_RANK, 1)]),
 }
 
 
@@ -219,10 +219,8 @@ def test_omega_cas_sums_the_sorted_cas_amplitudes():
     ints, _ = canonicalize_core(hubbard_model(5, 1.0, 2.0, 4))
     basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
     split = BasisSplit(basis, 8)
-    fock = fock_matrix(ints, basis)
-    study = Study(ints, split, fock)
-    star = study.root(TccConfig(max_iterations=500, diis=8))
-    t_cas = study.t_cas
+    study = Study(ints, split)
+    star, t_cas, fock = study.root(TccConfig(max_iterations=500, diis=8)), study.t_cas, study.fock
     assert len(t_cas) == 67
     report = assumption_b_report(star.t, t_cas, ints, split, fock, samples=1)
     assert report.omega_cas == sum(abs(v * oracle.epsilon(fock, s))
@@ -592,7 +590,7 @@ def test_dual_solve_empty_space(pairing4):
 # ---------------------------------------------------------------------------
 
 def _study(system):
-    return Study(system.ints, system.split, system.fock)
+    return Study(system.ints, system.split)
 
 
 def test_error_decomposition_full_external(pairing4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from tccbench.determinants import (
     support_space,
 )
 from tccbench.errors import DimensionMismatchError, ZeroReferenceOverlapError
-from tccbench.exact import CiVector
+from tccbench.exact import CiVector, DegenerateGroundStateWarning
 
 
 def test_fci_matches_hubbard_dimer_analytic():
@@ -122,6 +124,24 @@ def test_cas_fci_refuses_a_split_of_another_basis(n_electrons):
     assert not ints._dense_cache   # refused before the build
     energy = cas_fci_solve(ints, basis, BasisSplit(basis, 6))[0].ground_energy
     assert abs(energy - -0.27945231576860674) <= 1e-12
+
+
+def test_odd_electron_cas_ground_state_lies_in_the_reference_sector():
+    """hubbard:4,1.0,2.0,3 --mo at k = 6: the one-block CAS eigh gave the doublet's
+    M_s = -1/2 member, reference overlap 1.291e-16, which ci_to_cluster refused."""
+    ints, _ = canonicalize_core(hubbard_model(4, 1.0, 2.0, 3))
+    basis = OrbitalBasis(8, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summary, states = cas_fci_solve(ints, basis, BasisSplit(basis, 6), n_states=2)
+    assert [w.category for w in caught] == [DegenerateGroundStateWarning]   # one, not one per solve
+    assert summary.gap < 1e-10
+    sector = next(idx for idx in basis.determinants.sectors
+                  if basis.determinants.reference in idx)
+    c = states[0].coefficients
+    assert np.all(np.delete(c, sector) == 0.0)
+    assert len(ci_to_cluster(states[0])) > 0
+    assert np.all(states[1].coefficients[sector] == 0.0)   # the M_s = -1/2 member follows
 
 
 def test_variational_ordering(pairing4):

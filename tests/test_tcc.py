@@ -16,7 +16,9 @@ from tccbench import (
     fci_solve,
     canonicalize_core,
     cas_fci_solve,
+    fock_matrix,
     hubbard_model,
+    pairing_model,
     solve_tcc,
     split_amplitudes,
     tcc_energy,
@@ -148,7 +150,7 @@ def test_external_space_evaluation_equals_the_support_space(model, trunc, reques
     else:
         mode, _, n = trunc.partition(":")
         scheme = TruncationScheme(mode, int(n) if n else None)
-        study = Study(system.ints, system.split, system.fock)
+        study = Study(system.ints, system.split)
         t_cas = study.t_cas
         t = study.root(TccConfig(max_iterations=500, tolerance=1e-11, diis=8,
                                  truncation=scheme)).t
@@ -261,6 +263,35 @@ def test_collapse_k_equals_big_k_reproduces_cas_fci(pairing4):
     assert result.converged and result.iterations == 0
     assert len(result.t) == 0
     assert abs(result.energy - summary.ground_energy) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pairing_model(5, 0.5, 1.0),
+    lambda: canonicalize_core(hubbard_model(4, 1.0, 2.0, 3))[0],
+], ids=["pairing5", "hubbard4-n3"])
+def test_study_at_k_equals_big_k_gives_the_fci_energy(make):
+    """Odd N, a degenerate CAS ground level: one block gave its M_s = -1/2 member, and
+    t^CAS failed with a reference overlap of about 1e-16 (ZeroReferenceOverlapError)."""
+    ints = make()
+    basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
+    study = Study(ints, BasisSplit(basis, basis.n_orbitals))
+    energy = study.root(TccConfig(truncation=TruncationScheme(MODE_FULL))).energy
+    assert abs(energy - fci_solve(ints, basis)[0].ground_energy) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo", "hubbard2_site"])
+def test_a_study_weights_by_the_fock_spectrum_of_its_integrals(model, request):
+    system = request.getfixturevalue(model)
+    fock = Study(system.ints, system.split).fock
+    want = fock_matrix(system.ints, system.basis)
+    assert np.array_equal(fock.lambdas, want.lambdas)
+    assert fock.lambda0 == want.lambda0 and fock.off_diag_norm == want.off_diag_norm
+
+
+def test_a_study_takes_no_fock_spectrum(pairing4):
+    # any other spectrum changed D = diag(eps), the gap check and every V-norm unchecked
+    with pytest.raises(TypeError):
+        Study(pairing4.ints, pairing4.split, pairing4.fock)
 
 
 def test_gap_violation_is_raised():
