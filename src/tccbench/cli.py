@@ -74,7 +74,7 @@ def _load_split(args):
     ints, basis = _load_integrals(args)
     if args.k is None:
         raise InputError(f"{args.command} requires --k")
-    return ints, basis, BasisSplit(basis, args.k)
+    return ints, BasisSplit(basis, args.k)
 
 
 def _parse_trunc(spec: str) -> TruncationScheme:
@@ -120,8 +120,7 @@ def cmd_fci(args) -> int:
 
 
 def cmd_cas_fci(args) -> int:
-    ints, basis, split = _load_split(args)
-    summary, states = cas_fci_solve(ints, basis, split, n_states=args.n_states)
+    summary, states = cas_fci_solve(*_load_split(args), n_states=args.n_states)
     payload = {"summary": summary, "states": states, "k": args.k}
     _emit(args, "cas_fci", payload)
     return 0
@@ -158,8 +157,7 @@ def _solver_config(args) -> TccConfig:
 def cmd_tcc(args) -> int:
     from .tcc import Study
 
-    ints, _, split = _load_split(args)
-    result = Study(ints, split).root(_solver_config(args))
+    result = Study(*_load_split(args)).root(_solver_config(args))
     payload = {
         "energy": result.energy,
         "converged": result.converged,
@@ -187,7 +185,8 @@ def cmd_verify(args) -> int:
     check_ball(args.delta, args.samples)
     if args.seed < 0:
         raise InputError(f"need --seed >= 0, got {args.seed}")
-    ints, basis, split = _load_split(args)
+    ints, split = _load_split(args)
+    basis = split.basis
     run_all = not (args.assumptions or args.error_scaling or args.decomposition)
     m = min(basis.n_electrons, basis.n_orbitals - basis.n_electrons)
     if (run_all or args.error_scaling) and m < 4:
@@ -207,13 +206,11 @@ def cmd_verify(args) -> int:
 
     if run_all or args.assumptions:
         payload["assumptions"] = assumption_b_report(
-            star.t, study.t_cas, ints, split, study.fock,
-            delta=args.delta, samples=args.samples, seed=args.seed)
+            study, star.t, delta=args.delta, samples=args.samples, seed=args.seed)
     if run_all or args.decomposition:
         payload["decomposition"] = error_decomposition(study, truncated.truncation)
         payload["representation"] = error_representation_check(
-            study.root(truncated).t, study.dual(truncated), star.t, study.dual(full),
-            study.t_cas, ints, split, study.fock)
+            study, study.root(truncated).t, study.dual(truncated), star.t, study.dual(full))
     scaling = None
     if run_all or args.error_scaling:
         family = [TruncationScheme(MODE_RANK, r) for r in range(1, m)]

@@ -108,9 +108,6 @@ class Determinant:
             p += 1
         return cls(tuple(occ))
 
-    def __len__(self) -> int:
-        return len(self.occ)
-
 
 @dataclass(frozen=True, order=True)
 class ExcitationIndex:

@@ -36,7 +36,7 @@ from .errors import (
     InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError,
     SpaceMismatchError)
 from .exact import ci_to_cluster, fci_solve
-from .hamiltonian import FockSpectrum, IntegralSet, fock_diagonal_vector
+from .hamiltonian import FockSpectrum, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
     Study,
     TailoredHamiltonian,
@@ -53,7 +53,7 @@ REFERENCE_RESIDUAL_TOL = 1e-8
 _SAMPLED = dict(over="ignore", invalid="ignore", divide="ignore")   # _quotient refuses overflows
 # Solver settings of the error-decomposition and scaling sub-solves; the
 # CLI's solver flags drive only the reference and truncated roots of `verify`.
-STUDY_CONFIG = TccConfig(max_iterations=500, tolerance=1e-11, diis=8)
+STUDY_CONFIG = TccConfig(tolerance=1e-11, diis=8)
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +110,20 @@ def check_ball(delta: float, samples: int) -> None:
         raise InputError(f"need finite delta > 0 and samples >= 1, got {delta}, {samples}")
 
 
-def _ball(t_star: Optional[AmplitudeVector], t_cas: AmplitudeVector, ints: IntegralSet,
-          split: BasisSplit, fock: FockSpectrum, delta: float, samples: int, seed: int
+def _ball(study: Study, t_star: Optional[AmplitudeVector], t_cas: Optional[AmplitudeVector],
+          delta: float, samples: int, seed: int
           ) -> tuple[TailoredHamiltonian, np.ndarray, np.ndarray, np.ndarray, list]:
-    """The sampled ball B_delta(t_*) of both reports: the tailored operator, t_* as an
-    ndarray of its space, the residual f(t_*) it was checked by, eps and the seeded pairs.
-    The arguments are checked before the operator builds H."""
+    """The sampled ball B_delta(t_*) of both reports: the tailored operator on t_cas (default:
+    study.t_cas), t_* as an ndarray of its space, the residual f(t_*) it was checked by, eps and
+    the seeded pairs. The arguments are checked before the operator builds H."""
     check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
-    space = external_space(split)   # the operator's
+    space = external_space(study.split)   # the operator's
     if not len(space):
         raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
-    eps = _weights(space, fock)
-    op = TailoredHamiltonian(t_cas, ints, split)
+    eps = _weights(space, study.fock)
+    op = TailoredHamiltonian(study.t_cas if t_cas is None else t_cas, study.ints, study.split)
     t_vec = space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
@@ -168,18 +168,17 @@ def _ball_pairs(center: np.ndarray, eps: np.ndarray, delta: float, samples: int,
     return [(point(), point()) for _ in range(samples)]
 
 
-def monotonicity_probe(t_star: AmplitudeVector, t_cas: AmplitudeVector,
-                       ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
-                       delta: float = 0.1, samples: int = 20, seed: int = 0
-                       ) -> MonotonicityProbe:
-    """Sampled monotonicity and Lipschitz constants of f on B_delta(t_*).
+def monotonicity_probe(study: Study, t_star: AmplitudeVector, *, delta: float = 0.1,
+                       samples: int = 20, seed: int = 0,
+                       t_cas: Optional[AmplitudeVector] = None) -> MonotonicityProbe:
+    """Sampled monotonicity and Lipschitz constants of f(.; t_cas) on B_delta(t_*).
 
     Random pairs inside the ball are complemented by deterministic
     coordinate-direction probes (t_* + h e_mu vs t_*), so that in the
     linear (W = 0) case the plain-denominator estimate gamma_hat_l2
     attains min eps_mu exactly.
     """
-    ball = _ball(t_star, t_cas, ints, split, fock, delta, samples, seed)
+    ball = _ball(study, t_star, t_cas, delta, samples, seed)
     return MonotonicityProbe(*_probe(*ball, delta), delta, samples, seed)
 
 
@@ -222,10 +221,9 @@ class AssumptionReport(MonotonicityProbe):
     margin: float          # eps0 - omega0 - omega_cas - lipschitz_star
 
 
-def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
-                        ints: IntegralSet, split: BasisSplit, fock: FockSpectrum,
-                        delta: float = 0.1, samples: int = 20, seed: int = 0
-                        ) -> AssumptionReport:
+def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float = 0.1,
+                        samples: int = 20, seed: int = 0,
+                        t_cas: Optional[AmplitudeVector] = None) -> AssumptionReport:
     """Smallness margin eps0 - omega0 - Omega_CAS - L_* with sampled L_*.
 
     The off-CAS map O(t) = (e^{-T} A e^{T} - A) phi_0 with
@@ -234,9 +232,10 @@ def assumption_b_report(t_star: AmplitudeVector, t_cas: AmplitudeVector,
     ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2; W_CAS and A are only applied to
     vectors. Also carries the monotonicity probe of the same ball.
     """
-    ball = _ball(t_star, t_cas, ints, split, fock, delta, samples, seed)
+    ball = _ball(study, t_star, t_cas, delta, samples, seed)
     op, pairs = ball[0], ball[-1]
-    space = op.space
+    space, split, fock = op.space, study.split, study.fock
+    t_cas = study.t_cas if t_cas is None else t_cas
 
     fock_diag = fock_diagonal_vector(fock, split.basis)
     cas_coef = op.cas.coefficients(op.t_cas)
@@ -390,12 +389,11 @@ class RepresentationCheck:
     cubic_ratio: Optional[float]  # |R| / distance^3
 
 
-def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
-                               t_star: AmplitudeVector, z_star: AmplitudeVector,
-                               t_cas: AmplitudeVector, ints: IntegralSet,
-                               split: BasisSplit, fock: FockSpectrum
-                               ) -> RepresentationCheck:
-    """Residual of the second-order (dual-weighted) error identity.
+def error_representation_check(study: Study, t_d: AmplitudeVector, z_d: AmplitudeVector,
+                               t_star: AmplitudeVector, z_star: AmplitudeVector, *,
+                               t_cas: Optional[AmplitudeVector] = None) -> RepresentationCheck:
+    """Residual of the second-order (dual-weighted) error identity of f(.; t_cas)
+    (default: study.t_cas).
 
     With primal residual rho(t_d)(u) = -<f(t_d), u> and dual residual
     rho*(t_d, z_d)(u) = E'(t_d)(u) - <Df(t_d) u, z_d>, the remainder
@@ -405,9 +403,9 @@ def error_representation_check(t_d: AmplitudeVector, z_d: AmplitudeVector,
     is cubic in the primal/dual errors; it vanishes identically for a
     quadratic (linear-residual) problem.
     """
-    op = TailoredHamiltonian(t_cas, ints, split)
+    op = TailoredHamiltonian(study.t_cas if t_cas is None else t_cas, study.ints, study.split)
     space = op.space
-    eps = _weights(space, fock)
+    eps = _weights(space, study.fock)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
 
     v_d = op(td)

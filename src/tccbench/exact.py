@@ -171,17 +171,16 @@ def fci_solve(ints: IntegralSet, basis: OrbitalBasis, n_states: int = 1
     return _warned(_lowest_states(ham, basis, basis.determinants.sectors, n_states), "")
 
 
-def cas_fci_solve(ints: IntegralSet, basis: OrbitalBasis, split: BasisSplit,
-                  n_states: int = 1) -> tuple[SpectralSummary, list[CiVector]]:
-    """Eigenpairs of P H P restricted to determinants inside the CAS.
+def cas_fci_solve(ints: IntegralSet, split: BasisSplit, *, n_states: int = 1
+                  ) -> tuple[SpectralSummary, list[CiVector]]:
+    """Eigenpairs of P H P restricted to determinants inside the CAS of split.basis.
 
     One block, or one per S_z sector when the block's ground state has more than
     rounding weight outside the reference's sector (an odd-N doublet's M_s = -1/2
     member). Vectors are embedded back into the full coefficient order with zero
     external coefficients.
     """
-    if split.basis != basis:   # its CAS determinants index another basis's space
-        raise DimensionMismatchError(f"split is of {split.basis}, not of {basis}")
+    basis = split.basis
     ham, cas, dets = build_dense_hamiltonian(ints, basis), split.cas_determinants(), basis.determinants
     solved = _lowest_states(ham, basis, (np.flatnonzero(cas),), n_states)
     ref_sector = next(s for s in dets.sectors if dets.reference in s)

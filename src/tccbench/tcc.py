@@ -108,7 +108,7 @@ def cas_space(split: BasisSplit) -> ExcitationSpace:
 
 @dataclass(frozen=True)
 class TccConfig:
-    max_iterations: int = 200
+    max_iterations: int = 500
     tolerance: float = 1e-10
     damping: float = 1.0
     diis: Optional[int] = None
@@ -358,7 +358,7 @@ class Study:
     @cached_property
     def t_cas(self) -> AmplitudeVector:
         """t^CAS: the cluster amplitudes of the CAS-FCI ground state."""
-        _, states = cas_fci_solve(self.ints, self.split.basis, self.split)
+        _, states = cas_fci_solve(self.ints, self.split)
         return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
 
     def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:

@@ -61,7 +61,7 @@ def _to_amplitudes(vec, indices):
 
 
 def _cas_amplitudes(system):
-    _, states = cas_fci_solve(system.ints, system.basis, system.split)
+    _, states = cas_fci_solve(system.ints, system.split)
     t = ci_to_cluster(states[0])
     return AmplitudeVector(SPACE_CAS, dict(t.entries))
 
@@ -172,7 +172,7 @@ def test_acceptance_05_collapse_limits(hubbard2_mo, pairing3_2e, pairing4):
 
     basis = pairing4.basis
     split = BasisSplit(basis, basis.n_orbitals)
-    summary, states = cas_fci_solve(pairing4.ints, basis, split)
+    summary, states = cas_fci_solve(pairing4.ints, split)
     t_cas = AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
     result = solve_tcc(t_cas, pairing4.ints, split, pairing4.fock)
     assert abs(result.energy - summary.ground_energy) <= 1e-12
@@ -237,8 +237,8 @@ def test_acceptance_08_linear_limit_monotonicity(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve(system, t_cas).t
-    probe = monotonicity_probe(t_star, t_cas, system.ints, system.split,
-                               system.fock, delta=0.1, samples=20, seed=0)
+    probe = monotonicity_probe(Study(system.ints, system.split), t_star, t_cas=t_cas,
+                               delta=0.1, samples=20, seed=0)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
     min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
@@ -311,8 +311,8 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
     idx0 = enumerate_truncated_space(lin.split, full)
     t_d0 = _to_amplitudes(0.05 * rng.standard_normal(len(idx0)), idx0)
     z_d0 = solve_dual(t_d0, t_cas0, lin.ints, lin.split, full)
-    lin_check = error_representation_check(t_d0, z_d0, t_star0, z_star0,
-                                           t_cas0, lin.ints, lin.split, lin.fock)
+    lin_check = error_representation_check(Study(lin.ints, lin.split), t_d0, z_d0, t_star0,
+                                           z_star0, t_cas=t_cas0)
     assert abs(lin_check.remainder) <= 1e-10
 
     # cubic quotient stays bounded over the nested truncation sweep
@@ -324,9 +324,8 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
         scheme = TruncationScheme(MODE_RANK, n)
         t_d = _solve(pairing4, t_cas4, scheme).t
         z_d = solve_dual(t_d, t_cas4, pairing4.ints, pairing4.split, scheme)
-        check = error_representation_check(t_d, z_d, t_star, z_star, t_cas4,
-                                           pairing4.ints, pairing4.split,
-                                           pairing4.fock)
+        check = error_representation_check(Study(pairing4.ints, pairing4.split), t_d, z_d,
+                                           t_star, z_star, t_cas=t_cas4)
         if check.cubic_ratio is not None:
             ratios.append(check.cubic_ratio)
     assert len(ratios) >= 2 and all(np.isfinite(r) for r in ratios)

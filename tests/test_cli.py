@@ -180,6 +180,12 @@ def test_dumps_writes_the_pinned_bytes_for_every_branch():
     assert dumps(_every_branch()) == EVERY_BRANCH_JSON
 
 
+@pytest.mark.parametrize("obj", [object(), {1.5j}], ids=["object", "set"])
+def test_dumps_refuses_a_type_it_does_not_write(obj):
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(obj).__name__}$"):
+        dumps(obj)
+
+
 def test_config_hash_changes_with_content():
     assert config_hash({"k": 2}) != config_hash({"k": 3})
     assert config_hash({"k": 2}) == config_hash({"k": 2})
@@ -499,6 +505,25 @@ def test_model_specs_with_empty_or_extra_fields_are_input_errors(spec, capsys):
     # hubbard ignored its fifth field
     code, out, err = run(["fci", "--model", spec], capsys)
     assert code == 1 and out == "" and err.startswith("error: bad model spec")
+
+
+@pytest.mark.parametrize("spec, field", [("hubbard:x,1.0,2.0", "x"), ("pairing:4.5,0.5", "4.5")])
+def test_a_model_field_that_does_not_parse_is_an_input_error(spec, field, capsys):
+    assert run(["fci", "--model", spec], capsys) == (
+        1, "", f"error: bad model spec {spec!r}: invalid literal for int() with base 10: "
+               f"{field!r}\n")
+
+
+def test_trunc_sd_is_rank_2(capsys):
+    argv = ["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6", "--trunc"]
+    (code, sd, _), (_, rank2, _) = (run([*argv, spec], capsys) for spec in ("sd", "rank:2"))
+    assert code == 0 and json.loads(sd)["payload"] == json.loads(rank2)["payload"]
+    assert json.loads(sd)["payload"]["t"]["scheme"] == "rank:2"
+
+
+def test_the_solver_defaults_are_the_tcc_commands():
+    # TccConfig stopped at 200 iterations, the tcc and verify commands at 500
+    assert cli._solver_config(cli.build_parser().parse_args(["tcc"])) == tcc.TccConfig()
 
 
 @pytest.mark.parametrize("flags", [
@@ -873,7 +898,7 @@ def test_tcc_builds_one_external_space_as_deep_as_it_reads(monkeypatch, capsys):
     argv = ["tcc", "--model", "pairing:6,0.5,1.0", "--k", "8", "--trunc", "rank:2", "--diis", "8"]
     code, _, _ = run(argv, capsys)
     assert code == 0
-    _, _, split = cli._load_split(cli.build_parser().parse_args(argv))
+    _, split = cli._load_split(cli.build_parser().parse_args(argv))
     external = [space for space in built if any(
         determinants.classify_excitation(mu, split) == "ext" for mu in space.indices)]
     assert external == [tcc.external_space(split)]

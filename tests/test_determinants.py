@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tccbench.determinants import (
     SPACE_FULL,
     excitation_space,
 )
-from tccbench.errors import DimensionLimitError, SpaceMismatchError
+from tccbench.errors import DimensionLimitError, DimensionMismatchError, SpaceMismatchError
 
 
 def _oracle_action(mu, det, n_modes):
@@ -251,3 +252,18 @@ def test_an_index_with_an_orbital_above_k_is_refused(holes, particles):
     mu = ExcitationIndex(holes, particles)
     with pytest.raises(SpaceMismatchError, match=f"index {mu} has an orbital above K=8"):
         cluster_to_ci(AmplitudeVector(SPACE_FULL, {mu: 0.1}), OrbitalBasis(8, 4))
+
+
+def test_an_index_that_does_not_excite_the_reference_is_refused():
+    # N = 2 occupies orbitals 1 and 2: orbital 3 holds no electron to move
+    with pytest.raises(SpaceMismatchError, match=r"^index 3->4 does not excite the reference$"):
+        excitation_space(OrbitalBasis(4, 2), (ExcitationIndex((3,), (4,)),))
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 2)], ids=["one too many", "two columns"])
+def test_an_amplitude_array_of_another_shape_is_refused(shape):
+    space = excitation_space(OrbitalBasis(4, 2), tuple(enumerate_excitations(OrbitalBasis(4, 2))))
+    assert len(space) == 5
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"amplitude vector shape {shape}, space has 5 indices")):
+        space.coefficients(np.zeros(shape))

@@ -32,6 +32,7 @@ from tccbench import (
     hubbard_model,
     linear_limit_scaling_study,
     monotonicity_probe,
+    pairing_model,
     quadratic_scaling_study,
     solve_dual,
     solve_tcc,
@@ -63,7 +64,7 @@ def _to_amplitudes(vec, indices):
 
 
 def _cas_amplitudes(system):
-    _, states = cas_fci_solve(system.ints, system.basis, system.split)
+    _, states = cas_fci_solve(system.ints, system.split)
     t = ci_to_cluster(states[0])
     return AmplitudeVector(SPACE_CAS, dict(t.entries))
 
@@ -114,25 +115,24 @@ def hubbard4_site():
     ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(8, 4)
     split = BasisSplit(basis, 6)
     with pytest.warns(NonCanonicalOrbitalsWarning):
-        fock = fock_matrix(ints, basis)
+        study = Study(ints, split)
     _, states = fci_solve(ints, basis)
     t_cas, t_star = split_amplitudes(ci_to_cluster(states[0]), split)
-    return SimpleNamespace(ints=ints, split=split, fock=fock, t_cas=t_cas, t_star=t_star)
+    return SimpleNamespace(ints=ints, split=split, fock=study.fock, study=study, t_cas=t_cas,
+                           t_star=t_star)
 
 
 _ZERO = AmplitudeVector(SPACE_EXT)
 WEIGHTED_CALLS = {
-    "monotonicity_probe": lambda s: monotonicity_probe(s.t_star, s.t_cas, s.ints, s.split,
-                                                       s.fock),
-    "assumption_b_report": lambda s: assumption_b_report(s.t_star, s.t_cas, s.ints, s.split,
-                                                         s.fock),
+    "monotonicity_probe": lambda s: monotonicity_probe(s.study, s.t_star, t_cas=s.t_cas),
+    "assumption_b_report": lambda s: assumption_b_report(s.study, s.t_star, t_cas=s.t_cas),
     "error_representation_check": lambda s: error_representation_check(
-        _ZERO, _ZERO, s.t_star, _ZERO, s.t_cas, s.ints, s.split, s.fock),
+        s.study, _ZERO, _ZERO, s.t_star, _ZERO, t_cas=s.t_cas),
     "linear_limit_scaling_study": lambda s: linear_limit_scaling_study(s.fock, s.split),
     "fock_norm_identity_check": lambda s: fock_norm_identity_check(s.t_star, s.fock,
                                                                    s.split.basis),
     "quadratic_scaling_study": lambda s: quadratic_scaling_study(
-        Study(s.ints, s.split), [TruncationScheme(MODE_RANK, 1)]),
+        s.study, [TruncationScheme(MODE_RANK, 1)]),
 }
 
 
@@ -154,8 +154,8 @@ def test_monotonicity_probe_linear_limit(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve_full(system, t_cas).t
-    probe = monotonicity_probe(t_star, t_cas, system.ints, system.split,
-                               system.fock, delta=0.1, samples=10, seed=3)
+    probe = monotonicity_probe(_study(system), t_star, t_cas=t_cas, delta=0.1, samples=10,
+                               seed=3)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
     min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
@@ -166,26 +166,24 @@ def test_monotonicity_probe_linear_limit(pairing4_g0):
 def test_monotonicity_probe_interacting(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     t_star = _solve_full(pairing4, t_cas).t
-    probe = monotonicity_probe(t_star, t_cas, pairing4.ints, pairing4.split,
-                               pairing4.fock, delta=0.05, samples=10, seed=0)
+    probe = monotonicity_probe(_study(pairing4), t_star, t_cas=t_cas, delta=0.05, samples=10,
+                               seed=0)
     assert np.isfinite(probe.gamma_hat) and np.isfinite(probe.l_hat)
     # the V-denominator quotient is always bounded by the dual-norm ratio
     assert probe.gamma_hat <= probe.l_hat + 1e-12
     # same seed, same answer
-    again = monotonicity_probe(t_star, t_cas, pairing4.ints, pairing4.split,
-                               pairing4.fock, delta=0.05, samples=10, seed=0)
+    again = monotonicity_probe(_study(pairing4), t_star, t_cas=t_cas, delta=0.05, samples=10,
+                               seed=0)
     assert again == probe
 
 
 def test_monotonicity_probe_requires_converged_reference(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     with pytest.raises(MissingReferenceError):
-        monotonicity_probe(None, t_cas, pairing4.ints, pairing4.split,
-                           pairing4.fock)
+        monotonicity_probe(_study(pairing4), None, t_cas=t_cas)
     bogus = AmplitudeVector(SPACE_TRUNCATED, {}, scheme="full")
     with pytest.raises(MissingReferenceError):
-        monotonicity_probe(bogus, t_cas, pairing4.ints, pairing4.split,
-                           pairing4.fock)
+        monotonicity_probe(_study(pairing4), bogus, t_cas=t_cas)
 
 
 BALL_CALLS = {"monotonicity_probe": monotonicity_probe, "assumption_b_report": assumption_b_report}
@@ -200,17 +198,41 @@ def test_the_ball_is_checked_before_the_operator_is_built(report, pairing4, hubb
         raise AssertionError("the tailored operator was built before the ball was checked")
 
     monkeypatch.setattr(diagnostics, "TailoredHamiltonian", refuse)
-    s, zero, no_cas = pairing4, AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS)
+    s, zero, no_cas = _study(pairing4), AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS)
     with pytest.raises(MissingReferenceError, match="converged reference"):
-        report(None, no_cas, s.ints, s.split, s.fock)
+        report(s, None, t_cas=no_cas)
     for delta, samples in ((0.0, 20), (0.1, 0)):
         with pytest.raises(InputError, match="need finite delta > 0 and samples >= 1"):
-            report(zero, no_cas, s.ints, s.split, s.fock, delta=delta, samples=samples)
+            report(s, zero, t_cas=no_cas, delta=delta, samples=samples)
     with pytest.raises(InputError, match="k = K leaves the external space empty"):
-        report(zero, no_cas, s.ints, BasisSplit(s.basis, s.basis.n_orbitals), s.fock)
+        basis = pairing4.basis
+        report(Study(pairing4.ints, BasisSplit(basis, basis.n_orbitals)), zero, t_cas=no_cas)
     h = hubbard4_site
     with pytest.raises(NonPositiveWeightError, match=r"^eps_mu <= 0 for 1,2,3,4->5,6,7,8"):
-        report(h.t_star, h.t_cas, h.ints, h.split, h.fock)
+        report(h.study, h.t_star, t_cas=h.t_cas)
+
+
+def test_the_reports_take_no_fock_spectrum(pairing4, pairing4_root):
+    # each took ints, split and a Fock spectrum apart: pairing:4,0.5,2.0's spectrum
+    # weighted the pairing:4,0.5,1.0 root, and gap.eps0 read 2.0 for 1.0
+    t_star, t_cas = pairing4_root
+    s, other = pairing4, fock_matrix(pairing_model(4, 0.5, 2.0), pairing4.basis)
+    calls = (lambda: monotonicity_probe(t_star, t_cas, s.ints, s.split, other, samples=1),
+             lambda: assumption_b_report(t_star, t_cas, s.ints, s.split, other, samples=1),
+             lambda: error_representation_check(t_star, _ZERO, t_star, _ZERO, t_cas, s.ints,
+                                                s.split, other),
+             lambda: monotonicity_probe(_study(s), t_star, other),
+             lambda: assumption_b_report(_study(s), t_star, fock=other),
+             lambda: error_representation_check(_study(s), t_star, _ZERO, t_star, _ZERO, other))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_the_assumption_report_gap_is_that_of_the_studys_integrals(pairing4, pairing4_root):
+    report = assumption_b_report(_study(pairing4), pairing4_root[0], samples=1)
+    assert report.gap == gap_report(fock_matrix(pairing4.ints, pairing4.basis), pairing4.split)
+    assert report.gap.eps0 == 1.0
 
 
 def test_omega_cas_sums_the_sorted_cas_amplitudes():
@@ -222,7 +244,7 @@ def test_omega_cas_sums_the_sorted_cas_amplitudes():
     study = Study(ints, split)
     star, t_cas, fock = study.root(TccConfig(max_iterations=500, diis=8)), study.t_cas, study.fock
     assert len(t_cas) == 67
-    report = assumption_b_report(star.t, t_cas, ints, split, fock, samples=1)
+    report = assumption_b_report(study, star.t, samples=1)
     assert report.omega_cas == sum(abs(v * oracle.epsilon(fock, s))
                                    for s, v in t_cas.sorted_items())
 
@@ -232,8 +254,7 @@ def test_assumption_report_linear_limit(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve_full(system, t_cas).t
-    report = assumption_b_report(t_star, t_cas, system.ints, system.split,
-                                 system.fock, samples=5, seed=1)
+    report = assumption_b_report(_study(system), t_star, t_cas=t_cas, samples=5, seed=1)
     assert report.omega0 == 0.0
     assert report.omega_cas == 0.0
     assert report.lipschitz_star <= 1e-13
@@ -244,8 +265,7 @@ def test_assumption_report_linear_limit(pairing4_g0):
 def test_assumption_report_interacting(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     t_star = _solve_full(pairing4, t_cas).t
-    report = assumption_b_report(t_star, t_cas, pairing4.ints, pairing4.split,
-                                 pairing4.fock, samples=10, seed=0)
+    report = assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=10, seed=0)
     assert report.omega_cas > 0.0
     assert report.lipschitz_star > 0.0
     assert report.margin == pytest.approx(
@@ -279,8 +299,7 @@ def test_assumption_report_matches_the_dense_w_cas(model, request):
     system = request.getfixturevalue(model)
     t_cas = _cas_amplitudes(system)
     t_star = _solve_full(system, t_cas).t
-    report = assumption_b_report(t_star, t_cas, system.ints, system.split, system.fock,
-                                 samples=4, seed=3)
+    report = assumption_b_report(_study(system), t_star, t_cas=t_cas, samples=4, seed=3)
     omega0, l_star = _dense_smallness(system, t_star, t_cas, samples=4, seed=3)
     assert omega0 != 0.0 and l_star > 0.0
     assert abs(report.omega0 - omega0) <= 1e-12 * abs(omega0)
@@ -308,8 +327,7 @@ def test_assumption_report_builds_one_operator(pairing4, pairing4_root, monkeypa
     monkeypatch.setattr(diagnostics, "TailoredHamiltonian", Counted)
     t_star, t_cas = pairing4_root
     samples = 3
-    assumption_b_report(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
-                        samples=samples, seed=0)
+    assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=samples, seed=0)
     # the reference check, two per sampled pair and one per coordinate probe
     assert len(built) == 1
     assert len(residuals) == 1 + 2 * samples + len(external_space(pairing4.split))
@@ -326,9 +344,9 @@ def test_assumption_report_adds_five_smallness_fields_to_the_probe():
 def test_assumption_report_carries_the_probe_of_its_ball(model, request):
     system = request.getfixturevalue(model)
     t_cas = _cas_amplitudes(system)
-    args = (_solve_full(system, t_cas).t, t_cas, system.ints, system.split, system.fock)
-    report = assumption_b_report(*args, delta=0.05, samples=4, seed=7)
-    probe = monotonicity_probe(*args, delta=0.05, samples=4, seed=7)
+    args = (_study(system), _solve_full(system, t_cas).t)
+    report = assumption_b_report(*args, t_cas=t_cas, delta=0.05, samples=4, seed=7)
+    probe = monotonicity_probe(*args, t_cas=t_cas, delta=0.05, samples=4, seed=7)
     assert {f.name: getattr(report, f.name) for f in fields(MonotonicityProbe)} == asdict(probe)
 
 
@@ -358,8 +376,7 @@ def test_non_finite_samples_are_refused(pairing4, pairing4_root, delta):
     t_star, t_cas = pairing4_root
     for probe in (monotonicity_probe, assumption_b_report):
         with pytest.raises(InputError, match=re.escape(f"delta={delta} ball gave a non-finite")):
-            probe(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
-                  delta=delta, samples=3, seed=0)
+            probe(_study(pairing4), t_star, t_cas=t_cas, delta=delta, samples=3, seed=0)
 
 
 @pytest.mark.parametrize("delta,samples", [
@@ -371,8 +388,7 @@ def test_sampling_ball_is_checked_by_the_library(pairing4, pairing4_root, delta,
     t_star, t_cas = pairing4_root
     for probe in (monotonicity_probe, assumption_b_report):
         with pytest.raises(InputError):
-            probe(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
-                  delta=delta, samples=samples, seed=0)
+            probe(_study(pairing4), t_star, t_cas=t_cas, delta=delta, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -380,8 +396,7 @@ def test_seed_is_checked_by_the_library(pairing4, pairing4_root, seed):
     # numpy's default_rng raised on both; random.Random(-1) gives seed 1's stream
     t_star, t_cas = pairing4_root
     with pytest.raises(ValueError, match="seed"):
-        assumption_b_report(t_star, t_cas, pairing4.ints, pairing4.split, pairing4.fock,
-                            samples=2, seed=seed)
+        assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=2, seed=seed)
     with pytest.raises(ValueError, match="seed"):
         linear_limit_scaling_study(pairing4.fock, pairing4.split, seed=seed)
 
@@ -683,8 +698,7 @@ def test_representation_remainder_linear_limit(pairing4_g0, rng):
     indices = enumerate_truncated_space(system.split, full)
     t_d = _to_amplitudes(0.05 * rng.standard_normal(len(indices)), indices)
     z_d = solve_dual(t_d, t_cas, system.ints, system.split, full)
-    check = error_representation_check(t_d, z_d, t_star, z_star, t_cas,
-                                       system.ints, system.split, system.fock)
+    check = error_representation_check(_study(system), t_d, z_d, t_star, z_star, t_cas=t_cas)
     assert abs(check.remainder) <= 1e-10
     assert check.distance > 0.0
 
@@ -694,9 +708,8 @@ def test_representation_zero_distance(pairing4):
     full = TruncationScheme(MODE_FULL)
     t_star = _solve_full(pairing4, t_cas).t
     z_star = solve_dual(t_star, t_cas, pairing4.ints, pairing4.split, full)
-    check = error_representation_check(t_star, z_star, t_star, z_star, t_cas,
-                                       pairing4.ints, pairing4.split,
-                                       pairing4.fock)
+    check = error_representation_check(_study(pairing4), t_star, z_star, t_star, z_star,
+                                       t_cas=t_cas)
     assert check.distance <= 1e-12
     assert check.cubic_ratio is None
     assert abs(check.remainder) <= 1e-10
@@ -711,7 +724,7 @@ def test_representation_matches_the_full_jacobian(model, request):
     t_d, z_d = study.root(truncated).t, study.dual(truncated)
     t_star, z_star = study.root(STUDY_CONFIG).t, study.dual(STUDY_CONFIG)
     args = (study.t_cas, system.ints, system.split)
-    check = error_representation_check(t_d, z_d, t_star, z_star, *args, system.fock)
+    check = error_representation_check(study, t_d, z_d, t_star, z_star)
 
     space = external_space(system.split)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
@@ -736,9 +749,8 @@ def test_representation_cubic_ratio_bounded_over_sweep(pairing4):
                                      diis=8, truncation=scheme))
         assert result.converged
         z_d = solve_dual(result.t, t_cas, pairing4.ints, pairing4.split, scheme)
-        check = error_representation_check(result.t, z_d, t_star, z_star, t_cas,
-                                           pairing4.ints, pairing4.split,
-                                           pairing4.fock)
+        check = error_representation_check(_study(pairing4), result.t, z_d, t_star, z_star,
+                                           t_cas=t_cas)
         if check.cubic_ratio is not None:
             ratios.append(check.cubic_ratio)
     assert len(ratios) >= 2

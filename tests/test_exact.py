@@ -98,7 +98,7 @@ def test_cas_fci_matches_explicit_projection(pairing4):
     dets = enumerate_determinants(basis)
     idx = [a for a, d in enumerate(dets) if d.occ[-1] <= split.k]
     want = np.linalg.eigvalsh(ham[np.ix_(idx, idx)])[0]
-    summary, states = cas_fci_solve(pairing4.ints, basis, split)
+    summary, states = cas_fci_solve(pairing4.ints, split)
     assert abs(summary.ground_energy - want) <= 1e-12
     # embedded state has exactly zero external coefficients
     outside = np.delete(states[0].coefficients, idx)
@@ -109,21 +109,27 @@ def test_cas_fci_at_k_equals_full_fci(hubbard2_mo):
     basis = hubbard2_mo.basis
     split = BasisSplit(basis, basis.n_orbitals)
     s_full, _ = fci_solve(hubbard2_mo.ints, basis)
-    s_cas, _ = cas_fci_solve(hubbard2_mo.ints, basis, split)
+    s_cas, _ = cas_fci_solve(hubbard2_mo.ints, split)
     assert abs(s_full.ground_energy - s_cas.ground_energy) <= 1e-13
 
 
 @pytest.mark.parametrize("n_electrons", [3, 5])
 def test_cas_fci_refuses_a_split_of_another_basis(n_electrons):
     # the CAS determinants of (8, 3) or (8, 5) indexed the (8, 4) H: -0.7320508075688774 and 0.0
-    # came back for hubbard:4's CAS-FCI energy, -0.27945231576860674
+    # came back for hubbard:4's CAS-FCI energy, -0.27945231576860674; the basis is now the
+    # split's, and a second one is not taken
     ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(8, 4)
     split = BasisSplit(OrbitalBasis(8, n_electrons), 6)
-    with pytest.raises(DimensionMismatchError, match="split is of"):
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
         cas_fci_solve(ints, basis, split)
     assert not ints._dense_cache   # refused before the build
-    energy = cas_fci_solve(ints, basis, BasisSplit(basis, 6))[0].ground_energy
+    energy = cas_fci_solve(ints, BasisSplit(basis, 6))[0].ground_energy
     assert abs(energy - -0.27945231576860674) <= 1e-12
+
+
+def test_a_ci_vector_of_another_length_is_refused():
+    with pytest.raises(DimensionMismatchError, match=r"^expected 6 coefficients, got \(5,\)$"):
+        CiVector(OrbitalBasis(4, 2), np.zeros(5))
 
 
 def test_odd_electron_cas_ground_state_lies_in_the_reference_sector():
@@ -133,7 +139,7 @@ def test_odd_electron_cas_ground_state_lies_in_the_reference_sector():
     basis = OrbitalBasis(8, 3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        summary, states = cas_fci_solve(ints, basis, BasisSplit(basis, 6), n_states=2)
+        summary, states = cas_fci_solve(ints, BasisSplit(basis, 6), n_states=2)
     assert [w.category for w in caught] == [DegenerateGroundStateWarning]   # one, not one per solve
     assert summary.gap < 1e-10
     sector = next(idx for idx in basis.determinants.sectors
@@ -149,7 +155,7 @@ def test_variational_ordering(pairing4):
     basis = pairing4.basis
     energies = []
     for k in (4, 6, 8):
-        s, _ = cas_fci_solve(pairing4.ints, basis, BasisSplit(basis, k))
+        s, _ = cas_fci_solve(pairing4.ints, BasisSplit(basis, k))
         energies.append(s.ground_energy)
     assert energies[0] >= energies[1] >= energies[2]
 

@@ -152,6 +152,20 @@ def test_non_finite_integrals_are_rejected():
         IntegralSet(1, [[0.0]], np.zeros((1, 1, 1, 1)), e_core=-np.inf)
 
 
+@pytest.mark.parametrize("h, g, message", [
+    (np.zeros((2, 3)), np.zeros((2,) * 4), "h must be 2x2, got (2, 3)"),
+    (np.zeros((2, 2)), np.zeros((2,) * 3), "g must be (2, 2, 2, 2), got (2, 2, 2)"),
+], ids=["h", "g"])
+def test_integrals_of_another_shape_are_refused(h, g, message):
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        IntegralSet(2, h, g)
+
+
+def test_a_rotation_of_another_shape_is_refused():
+    with pytest.raises(DimensionMismatchError, match="^rotation matrix has wrong shape$"):
+        rotate_orbitals(hubbard_model(3, 1.0, 2.0), np.eye(2))
+
+
 def test_integrals_are_private_read_only_copies():
     """An edit after a build can reach neither the integrals nor the cached H."""
     h = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -234,7 +248,7 @@ def test_the_h_build_refuses_a_basis_of_another_k(k, n):
     # K = 6 gave the H of hubbard:4's first three sites, and cached it; K = 10 an IndexError
     ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(k, n)
     for solve in (build_dense_hamiltonian, fci_solve,
-                  lambda ints, basis: cas_fci_solve(ints, basis, BasisSplit(basis, n))):
+                  lambda ints, basis: cas_fci_solve(ints, BasisSplit(basis, n))):
         with pytest.raises(DimensionMismatchError, match=f"basis has K={k}, integrals give K=8"):
             solve(ints, basis)
     assert not ints._dense_cache
@@ -422,6 +436,13 @@ def test_fcidump_header_errors():
         assert peak < 2**20   # before the n^4 arrays: (pq|rs) alone is 8 MB at NORB = 32
 
 
+@pytest.mark.parametrize("counts", ["NORB=0,NELEC=2", "NORB=2,NELEC=-1"])
+def test_fcidump_refuses_no_orbitals_and_a_negative_electron_count(counts):
+    norb, nelec = (field.split("=")[1] for field in counts.split(","))
+    with pytest.raises(MalformedHeaderError, match=f"^bad NORB/NELEC: {norb}/{nelec}$"):
+        parse_fcidump(f"&FCI {counts},\n&END\n")
+
+
 @pytest.mark.parametrize("norb", [32, 33, 10**6])
 def test_fcidump_norb_is_bounded_before_the_integrals_are_allocated(norb):
     text = f"&FCI NORB={norb},NELEC=2,\n&END\n"
@@ -453,7 +474,8 @@ def test_fcidump_record_errors():
     (" 1.0 -1 1 0 0", IndexOutOfRangeError, "index -1 is not in 0..NORB=2"),
     (" 1.0 3 1 0 0", IndexOutOfRangeError, "index 3 is not in 0..NORB=2"),
     (" 1.0 1 1 0", MalformedHeaderError, "expected 5 fields, got 4"),
-], ids=["negative index", "index above NORB", "short record"])
+    (" 1.0 1 x 0 0", MalformedHeaderError, "invalid literal for int() with base 10: 'x'"),
+], ids=["negative index", "index above NORB", "short record", "non-integer index"])
 def test_fcidump_record_errors_name_the_file_line(record, error, message):
     # header on lines 1-4, a good record on 5, a blank line 6: the bad record is line 7,
     # where the count used to start at the &END line as 1 and name line 4

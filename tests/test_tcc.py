@@ -46,7 +46,7 @@ from tccbench.tcc import (
 
 
 def _cas_amplitudes(system):
-    _, states = cas_fci_solve(system.ints, system.basis, system.split)
+    _, states = cas_fci_solve(system.ints, system.split)
     t = ci_to_cluster(states[0])
     return AmplitudeVector(SPACE_CAS, dict(t.entries))
 
@@ -115,6 +115,12 @@ def test_space_tags_are_enforced(pairing4):
     bad_cas = AmplitudeVector(SPACE_EXT, {})
     with pytest.raises(SpaceMismatchError):
         tcc_energy(_empty_ext(), bad_cas, pairing4.ints, pairing4.split)
+
+
+def test_split_amplitudes_takes_only_a_full_space_vector(pairing4):
+    for tag in (SPACE_CAS, SPACE_EXT):
+        with pytest.raises(SpaceMismatchError, match=f"^expected a full-space vector, got '{tag}'$"):
+            split_amplitudes(AmplitudeVector(tag), pairing4.split)
 
 
 def _conjugate_on(space, op, t, w, rank):
@@ -256,7 +262,7 @@ def test_collapse_k_equals_n_reproduces_cc_equals_fci(hubbard2_mo, pairing3_2e):
 def test_collapse_k_equals_big_k_reproduces_cas_fci(pairing4):
     basis = pairing4.basis
     split = BasisSplit(basis, basis.n_orbitals)
-    summary, states = cas_fci_solve(pairing4.ints, basis, split)
+    summary, states = cas_fci_solve(pairing4.ints, split)
     t = ci_to_cluster(states[0])
     t_cas = AmplitudeVector(SPACE_CAS, dict(t.entries))
     result = solve_tcc(t_cas, pairing4.ints, split, pairing4.fock)
@@ -413,7 +419,8 @@ def _split_of(model, *flags):
     ("hubbard:4,1.0,2.0", ["--mo", "--k", "6"], 3),
 ])
 def test_a_table_built_to_a_level_is_the_whole_tables_prefix(model, flags, level):
-    _, basis, split = _split_of(model, *flags)
+    _, split = _split_of(model, *flags)
+    basis = split.basis
     indices = external_space(split).indices
     shallow, whole = ExcitationSpace(basis, indices), ExcitationSpace(basis, indices)
     rows = shallow.block(level)
