@@ -39,8 +39,8 @@ _EXPORTS = {
     "diagnostics": (
         "AssumptionReport", "ErrorDecomposition", "GapReport", "ScalingStudy",
         "assumption_b_report", "error_decomposition", "error_representation_check",
-        "fock_norm_identity_check", "gap_report", "linear_limit_scaling_study",
-        "monotonicity_probe", "quadratic_scaling_study"),
+        "gap_report", "linear_limit_scaling_study", "monotonicity_probe",
+        "quadratic_scaling_study"),
     "errors": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -217,8 +217,7 @@ def cmd_verify(args) -> int:
         family.append(TruncationScheme(MODE_FULL))
         scaling = quadratic_scaling_study(study, family)
         payload["scaling"] = scaling
-        payload["linear_limit_scaling"] = linear_limit_scaling_study(
-            study.fock, split, seed=args.seed)
+        payload["linear_limit_scaling"] = linear_limit_scaling_study(study, seed=args.seed)
     _emit(args, "verify", payload,
           tsv=("scaling.tsv", serialize.write_scaling_tsv, scaling) if scaling else None)
     return 0

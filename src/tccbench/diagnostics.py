@@ -2,10 +2,10 @@
 
 Reports and probes covering: spectral gap bookkeeping, the ball-local
 smallness condition on the off-CAS fluctuation map, sampled
-monotonicity/Lipschitz constants, the Fock-norm identity, the full
-energy-error decomposition with adjoint (dual) solves, the second-order
-error representation, and quadratic error-scaling studies over nested
-truncation families.
+monotonicity/Lipschitz constants, the full energy-error decomposition
+with adjoint (dual) solves, the second-order error representation, and
+quadratic error-scaling studies over nested truncation families. Each
+report that tailors reads f(.; t^CAS) from the `Study` it is given.
 
 All sampling-based quantities are seeded and deterministic: they draw from
 random.Random(seed).random(), normals by Box-Muller, which replaced numpy.random
@@ -23,18 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import (
-    AmplitudeVector,
-    BasisSplit,
-    ExcitationSpace,
-    OrbitalBasis,
-    SPACE_EXT,
-    SPACE_TRUNCATED,
-    support_space,
-)
+from .determinants import AmplitudeVector, BasisSplit, ExcitationSpace, SPACE_EXT
 from .errors import (
-    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError,
-    SpaceMismatchError)
+    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError)
 from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import FockSpectrum, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
@@ -110,12 +101,11 @@ def check_ball(delta: float, samples: int) -> None:
         raise InputError(f"need finite delta > 0 and samples >= 1, got {delta}, {samples}")
 
 
-def _ball(study: Study, t_star: Optional[AmplitudeVector], t_cas: Optional[AmplitudeVector],
-          delta: float, samples: int, seed: int
+def _ball(study: Study, t_star: Optional[AmplitudeVector], delta: float, samples: int, seed: int
           ) -> tuple[TailoredHamiltonian, np.ndarray, np.ndarray, np.ndarray, list]:
-    """The sampled ball B_delta(t_*) of both reports: the tailored operator on t_cas (default:
-    study.t_cas), t_* as an ndarray of its space, the residual f(t_*) it was checked by, eps and
-    the seeded pairs. The arguments are checked before the operator builds H."""
+    """The sampled ball B_delta(t_*) of both reports: the study's tailored operator, t_* as an
+    ndarray of its space, the residual f(t_*) it was checked by, eps and the seeded pairs.
+    The arguments are checked before the operator builds H."""
     check_ball(delta, samples)
     if t_star is None:
         raise MissingReferenceError("a converged reference amplitude vector is required")
@@ -123,7 +113,7 @@ def _ball(study: Study, t_star: Optional[AmplitudeVector], t_cas: Optional[Ampli
     if not len(space):
         raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
     eps = _weights(space, study.fock)
-    op = TailoredHamiltonian(study.t_cas if t_cas is None else t_cas, study.ints, study.split)
+    op = TailoredHamiltonian(study.t_cas, study.ints, study.split)
     t_vec = space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
@@ -169,16 +159,15 @@ def _ball_pairs(center: np.ndarray, eps: np.ndarray, delta: float, samples: int,
 
 
 def monotonicity_probe(study: Study, t_star: AmplitudeVector, *, delta: float = 0.1,
-                       samples: int = 20, seed: int = 0,
-                       t_cas: Optional[AmplitudeVector] = None) -> MonotonicityProbe:
-    """Sampled monotonicity and Lipschitz constants of f(.; t_cas) on B_delta(t_*).
+                       samples: int = 20, seed: int = 0) -> MonotonicityProbe:
+    """Sampled monotonicity and Lipschitz constants of the study's f(.; t^CAS) on B_delta(t_*).
 
     Random pairs inside the ball are complemented by deterministic
     coordinate-direction probes (t_* + h e_mu vs t_*), so that in the
     linear (W = 0) case the plain-denominator estimate gamma_hat_l2
     attains min eps_mu exactly.
     """
-    ball = _ball(study, t_star, t_cas, delta, samples, seed)
+    ball = _ball(study, t_star, delta, samples, seed)
     return MonotonicityProbe(*_probe(*ball, delta), delta, samples, seed)
 
 
@@ -222,8 +211,7 @@ class AssumptionReport(MonotonicityProbe):
 
 
 def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float = 0.1,
-                        samples: int = 20, seed: int = 0,
-                        t_cas: Optional[AmplitudeVector] = None) -> AssumptionReport:
+                        samples: int = 20, seed: int = 0) -> AssumptionReport:
     """Smallness margin eps0 - omega0 - Omega_CAS - L_* with sampled L_*.
 
     The off-CAS map O(t) = (e^{-T} A e^{T} - A) phi_0 with
@@ -232,10 +220,9 @@ def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float =
     ratio ||O(t1)-O(t2)||_2 / ||t1-t2||_2; W_CAS and A are only applied to
     vectors. Also carries the monotonicity probe of the same ball.
     """
-    ball = _ball(study, t_star, t_cas, delta, samples, seed)
+    ball = _ball(study, t_star, delta, samples, seed)
     op, pairs = ball[0], ball[-1]
     space, split, fock = op.space, study.split, study.fock
-    t_cas = study.t_cas if t_cas is None else t_cas
 
     fock_diag = fock_diagonal_vector(fock, split.basis)
     cas_coef = op.cas.coefficients(op.t_cas)
@@ -251,7 +238,7 @@ def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float =
     ref = space.reference_state()
     omega0 = float(w_cas(ref)[space.reference])
     eps_cas = dict(zip(op.cas.indices, op.cas.epsilon(fock)))
-    omega_cas = float(sum(abs(val * eps_cas[s]) for s, val in t_cas.sorted_items()))
+    omega_cas = float(sum(abs(val * eps_cas[s]) for s, val in study.t_cas.sorted_items()))
     a_ref = a(ref)
 
     def o_map(vec):
@@ -272,57 +259,6 @@ def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float =
 
 
 # ---------------------------------------------------------------------------
-# Fock-norm identity
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FockNormCheck:
-    deviation: float       # | ||t||_V - ||T phi0||_F |
-    t_vext_norm: float
-    t_phi0_fock_norm: float
-    operator_norm: float   # Fock-norm-induced norm of T
-    rho: float             # operator_norm / ||t||_V
-
-
-def fock_norm_identity_check(t: AmplitudeVector, fock: FockSpectrum,
-                             basis: OrbitalBasis) -> FockNormCheck:
-    """Check ||t||_V = sqrt(<T phi0, (F - Lambda0) T phi0>) with explicit F.
-
-    Also reports the operator-norm ratio rho(t) = ||T||_op / ||t||_V.
-    The operator norm uses the Fock seminorm sqrt(<w,(F-Lambda0)w>) on
-    the excited determinants and unit weight on the reference component
-    (the reference has zero Fock seminorm), realized as the spectral
-    norm of the weighted matrix D^{1/2} A Dtilde^{-1/2}. A single-entry
-    t has rho = 1 when no other determinant couples, and rho >= 1
-    always since the reference column alone realizes ||t||_V.
-    """
-    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
-        raise SpaceMismatchError(f"||t||_V needs an external vector, got {t.space!r}")
-    space = support_space(t, basis)
-    t_vec = space.embed(t)
-    refpos = space.reference
-    diag = fock_diagonal_vector(fock, basis) - fock.lambda0
-
-    t_norm = float(np.sqrt((_weights(space, fock) * t_vec**2).sum()))
-    t_phi0 = space.apply(t_vec, space.reference_state())
-    fock_norm = float(np.sqrt(max(0.0, t_phi0 @ (diag * t_phi0))))
-    deviation = abs(t_norm - fock_norm)
-
-    # weighted operator matrix: domain = reference (+) excited, codomain = excited
-    exc = np.delete(np.arange(space.dim), refpos)
-    cols = np.concatenate(([refpos], exc))
-    a = space.apply(t_vec, np.eye(space.dim)[:, cols])[exc, :]
-    d_out = np.sqrt(np.maximum(diag[exc], 0.0))
-    d_in = np.concatenate(([1.0], d_out))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = (d_out[:, None] * a) / d_in[None, :]
-    m[~np.isfinite(m)] = 0.0
-    op_norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
-    rho = op_norm / t_norm if t_norm > 0 else np.inf
-    return FockNormCheck(deviation, t_norm, fock_norm, op_norm, float(rho))
-
-
-# ---------------------------------------------------------------------------
 # Error decomposition
 # ---------------------------------------------------------------------------
 
@@ -338,21 +274,19 @@ class ErrorDecomposition:
     e_truncated: float
 
 
-def error_decomposition(study: Study, scheme: TruncationScheme,
-                        t_cas: Optional[AmplitudeVector] = None) -> ErrorDecomposition:
-    """Split |E(t_d; t^CAS) - E_FCI| into truncation and CAS contributions.
+def error_decomposition(study: Study, scheme: TruncationScheme) -> ErrorDecomposition:
+    """Split |E(t_d; t^CAS) - E_FCI| into truncation and CAS contributions, t^CAS = study.t_cas.
 
-    Tailors on t_cas (default: study.t_cas, from CAS-FCI): the full-space root t_*
-    of f(.; t^CAS), the root with the CAS-FCI amplitudes and the truncated root t_d,
-    solved before the FCI amplitude split so that a t_cas of another space is refused
-    first; then every term of the triangle decomposition plus the CAS error dE_cas
+    The study's full-space root t_* and truncated root t_d are solved first, so that a t^CAS
+    of another space is refused before CAS-FCI or FCI runs; the root with the CAS-FCI
+    amplitudes is the study's own when it is exact, else an exact sibling's, which shares
+    the H cache. Then every term of the triangle decomposition plus the CAS error dE_cas
     of the CAS-only energies <phi_0, H e^{T^CAS} phi_0>.
     """
-    t_fci_cas = study.t_cas
-    t_cas = t_fci_cas if t_cas is None else t_cas
-    e_star = study.root(STUDY_CONFIG, t_cas).energy
-    e_tilde = study.root(STUDY_CONFIG).energy
-    e_d = study.root(replace(STUDY_CONFIG, truncation=scheme), t_cas).energy
+    e_star = study.root(STUDY_CONFIG).energy
+    e_d = study.root(replace(STUDY_CONFIG, truncation=scheme)).energy
+    exact = study if study.exact else Study(study.ints, study.split)
+    e_tilde = exact.root(STUDY_CONFIG).energy
 
     ints, split = study.ints, study.split
     summary, states = fci_solve(ints, split.basis)
@@ -367,8 +301,8 @@ def error_decomposition(study: Study, scheme: TruncationScheme,
 
     # e^{T^CAS} phi_0 lies in the CAS, so this is <phi_0, P H P e^{T^CAS} phi_0>
     no_ext = AmplitudeVector(SPACE_EXT)
-    de_cas = abs(tcc_energy(no_ext, t_cas, ints, split)
-                 - tcc_energy(no_ext, t_fci_cas, ints, split))
+    de_cas = abs(tcc_energy(no_ext, study.t_cas, ints, split)
+                 - tcc_energy(no_ext, exact.t_cas, ints, split))
 
     return ErrorDecomposition(
         dE=de, d_eps=d_eps, d_eps_cas=d_eps_cas, d_eps_cas_star=d_eps_cas_star,
@@ -390,10 +324,9 @@ class RepresentationCheck:
 
 
 def error_representation_check(study: Study, t_d: AmplitudeVector, z_d: AmplitudeVector,
-                               t_star: AmplitudeVector, z_star: AmplitudeVector, *,
-                               t_cas: Optional[AmplitudeVector] = None) -> RepresentationCheck:
-    """Residual of the second-order (dual-weighted) error identity of f(.; t_cas)
-    (default: study.t_cas).
+                               t_star: AmplitudeVector, z_star: AmplitudeVector
+                               ) -> RepresentationCheck:
+    """Residual of the second-order (dual-weighted) error identity of the study's f(.; t^CAS).
 
     With primal residual rho(t_d)(u) = -<f(t_d), u> and dual residual
     rho*(t_d, z_d)(u) = E'(t_d)(u) - <Df(t_d) u, z_d>, the remainder
@@ -403,7 +336,7 @@ def error_representation_check(study: Study, t_d: AmplitudeVector, z_d: Amplitud
     is cubic in the primal/dual errors; it vanishes identically for a
     quadratic (linear-residual) problem.
     """
-    op = TailoredHamiltonian(study.t_cas if t_cas is None else t_cas, study.ints, study.split)
+    op = TailoredHamiltonian(study.t_cas, study.ints, study.split)
     space = op.space
     eps = _weights(space, study.fock)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
@@ -482,8 +415,7 @@ def quadratic_scaling_study(study: Study, schemes: list[TruncationScheme]) -> Sc
     return scaling
 
 
-def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
-                               seed: int = 0) -> ScalingStudy:
+def linear_limit_scaling_study(study: Study, *, seed: int = 0) -> ScalingStudy:
     """Quadratic-law study for the linear (W = 0) limit.
 
     With a vanishing fluctuation the true truncation error degenerates
@@ -495,18 +427,19 @@ def linear_limit_scaling_study(fock: FockSpectrum, split: BasisSplit,
 
         |E(t_d) - E(t_*)| = ||t_d - t_*||_V^2
 
-    exactly, and the fitted slope is 2 up to round-off.
+    exactly, and the fitted slope is 2 up to round-off. Only the study's split and
+    Fock weights are read: no root is solved.
     """
-    space = external_space(split)
-    eps = _weights(space, fock)
+    space = external_space(study.split)
+    eps = _weights(space, study.fock)
     source = _Stream(seed).normals(len(space))
 
-    study = ScalingStudy()
+    scaling = ScalingStudy()
     for r in sorted(set(space.ranks.tolist())):
         dropped = space.ranks > r
         dist_sq = float((eps[dropped] * source[dropped] ** 2).sum())
         dist = float(np.sqrt(dist_sq))
         usable = dist > 1e-12
-        study.rows.append(ScalingRow(f"rank:{r}", dist, dist_sq, 0.0, usable))
-    study.slope = _fit_slope(study.rows)
-    return study
+        scaling.rows.append(ScalingRow(f"rank:{r}", dist, dist_sq, 0.0, usable))
+    scaling.slope = _fit_slope(scaling.rows)
+    return scaling

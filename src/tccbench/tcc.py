@@ -337,22 +337,24 @@ def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise SingularJacobianError(
-            f"adjoint system singular (smallest singular value {svals[-1]:.3e})"
-        )
+            f"adjoint system singular (smallest singular value {svals[-1]:.3e})")
     return space.amplitudes(np.linalg.solve(jac.T, grad), SPACE_TRUNCATED, scheme.describe(), kept)
 
 
 class Study:
-    """The solves of one (integrals, CAS split) problem, each made once.
+    """One tailored problem, f(.; t^CAS) on its integrals and CAS split; each solve made once.
 
-    The Fock spectrum is the integrals' own; t^CAS comes from CAS-FCI; `root`
-    memoises the converged roots of f(.; t^CAS) and `dual` the adjoint solutions
-    at them. `root` is the one place a non-converged solve becomes an error.
+    The Fock spectrum is the integrals' own; t^CAS is the one given, else (`exact`) the
+    CAS-FCI amplitudes. `root` memoises the converged roots of f(.; t^CAS) and `dual` the
+    adjoint solutions at them. `root` is the one place a non-converged solve becomes an error.
     """
 
-    def __init__(self, ints: IntegralSet, split: BasisSplit):
+    def __init__(self, ints: IntegralSet, split: BasisSplit, *, t_cas: Optional[AmplitudeVector] = None):
         self.ints, self.split, self.fock = ints, split, fock_matrix(ints, split.basis)
-        self._roots: dict[tuple, TccResult] = {}
+        self.exact = t_cas is None
+        if t_cas is not None:   # shadows the CAS-FCI amplitudes below
+            self.t_cas = t_cas
+        self._roots: dict[TccConfig, TccResult] = {}
         self._duals: dict[TccConfig, AmplitudeVector] = {}
 
     @cached_property
@@ -361,19 +363,17 @@ class Study:
         _, states = cas_fci_solve(self.ints, self.split)
         return AmplitudeVector(SPACE_CAS, dict(ci_to_cluster(states[0]).entries))
 
-    def root(self, config: TccConfig, t_cas: Optional[AmplitudeVector] = None) -> TccResult:
-        """The converged root under `config`, tailored on t_cas (default: self.t_cas)."""
-        t_cas = self.t_cas if t_cas is None else t_cas
-        key = (config, t_cas.space, tuple(t_cas.sorted_items()))
-        if key not in self._roots:
-            result = solve_tcc(t_cas, self.ints, self.split, self.fock, config)
+    def root(self, config: TccConfig) -> TccResult:
+        """The converged root under `config`."""
+        if config not in self._roots:
+            result = solve_tcc(self.t_cas, self.ints, self.split, self.fock, config)
             if not result.converged:
                 raise SolverFailureError(
                     f"{config.truncation.describe()} solve not converged in {result.iterations} "
                     f"iterations (final residual {result.history[-1][1]:.3e}"
                     f"{', diverged' if result.diverged else ''})")
-            self._roots[key] = result
-        return self._roots[key]
+            self._roots[config] = result
+        return self._roots[config]
 
     def dual(self, config: TccConfig) -> AmplitudeVector:
         """The dual root z at root(config)."""

@@ -9,11 +9,22 @@ pin signs, matrix elements, reduced density matrices and operator norms.
 The scalar integral lookups and the Slater-Condon matrix_element are the
 loop references the package's vectorised Hamiltonian build is held to, and the
 scalar epsilon is the one ExcitationSpace.epsilon is held to bit for bit.
+
+fock_norm_identity_check is the exception: it states the Fock-norm identity
+||t||_V = ||T phi_0||_F in the package's own determinant algebra and V-norm
+weights, and lives here because no command reports it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from tccbench.determinants import SPACE_EXT, SPACE_TRUNCATED, support_space
+from tccbench.diagnostics import _weights
+from tccbench.errors import SpaceMismatchError
+from tccbench.hamiltonian import fock_diagonal_vector
 
 
 def creation(n_modes: int, p: int) -> np.ndarray:
@@ -224,3 +235,49 @@ def diis_extrapolate(trials, errors) -> np.ndarray:
     rhs[m] = -1.0
     coef, *_ = np.linalg.lstsq(b, rhs, rcond=None)
     return sum(c * t for c, t in zip(coef[:m], trials))
+
+
+@dataclass
+class FockNormCheck:
+    deviation: float       # | ||t||_V - ||T phi0||_F |
+    t_vext_norm: float
+    t_phi0_fock_norm: float
+    operator_norm: float   # Fock-norm-induced norm of T
+    rho: float             # operator_norm / ||t||_V
+
+
+def fock_norm_identity_check(t, fock, basis) -> FockNormCheck:
+    """Check ||t||_V = sqrt(<T phi0, (F - Lambda0) T phi0>) with explicit F.
+
+    Also reports the operator-norm ratio rho(t) = ||T||_op / ||t||_V.
+    The operator norm uses the Fock seminorm sqrt(<w,(F-Lambda0)w>) on
+    the excited determinants and unit weight on the reference component
+    (the reference has zero Fock seminorm), realized as the spectral
+    norm of the weighted matrix D^{1/2} A Dtilde^{-1/2}. A single-entry
+    t has rho = 1 when no other determinant couples, and rho >= 1
+    always since the reference column alone realizes ||t||_V.
+    """
+    if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
+        raise SpaceMismatchError(f"||t||_V needs an external vector, got {t.space!r}")
+    space = support_space(t, basis)
+    t_vec = space.embed(t)
+    refpos = space.reference
+    diag = fock_diagonal_vector(fock, basis) - fock.lambda0
+
+    t_norm = float(np.sqrt((_weights(space, fock) * t_vec**2).sum()))
+    t_phi0 = space.apply(t_vec, space.reference_state())
+    fock_norm = float(np.sqrt(max(0.0, t_phi0 @ (diag * t_phi0))))
+    deviation = abs(t_norm - fock_norm)
+
+    # weighted operator matrix: domain = reference (+) excited, codomain = excited
+    exc = np.delete(np.arange(space.dim), refpos)
+    cols = np.concatenate(([refpos], exc))
+    a = space.apply(t_vec, np.eye(space.dim)[:, cols])[exc, :]
+    d_out = np.sqrt(np.maximum(diag[exc], 0.0))
+    d_in = np.concatenate(([1.0], d_out))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = (d_out[:, None] * a) / d_in[None, :]
+    m[~np.isfinite(m)] = 0.0
+    op_norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
+    rho = op_norm / t_norm if t_norm > 0 else np.inf
+    return FockNormCheck(deviation, t_norm, fock_norm, op_norm, float(rho))

@@ -31,7 +31,6 @@ from tccbench import (
     error_decomposition,
     error_representation_check,
     fci_solve,
-    fock_norm_identity_check,
     hubbard_model,
     linear_limit_scaling_study,
     monotonicity_probe,
@@ -189,7 +188,7 @@ def test_acceptance_06_fock_norm_identity(hubbard2_mo, pairing3_2e, pairing4):
                                             TruncationScheme(MODE_FULL))
         for _ in range(100):
             t = _to_amplitudes(0.5 * rng.standard_normal(len(indices)), indices)
-            check = fock_norm_identity_check(t, system.fock, system.basis)
+            check = oracle.fock_norm_identity_check(t, system.fock, system.basis)
             worst = max(worst, check.deviation)
     assert worst <= 1e-12
     print(f"PASS 6: Fock-norm identity on 300 random amplitude vectors, "
@@ -237,12 +236,12 @@ def test_acceptance_08_linear_limit_monotonicity(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve(system, t_cas).t
-    probe = monotonicity_probe(Study(system.ints, system.split), t_star, t_cas=t_cas,
+    probe = monotonicity_probe(Study(system.ints, system.split, t_cas=t_cas), t_star,
                                delta=0.1, samples=20, seed=0)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
     min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
-    study = linear_limit_scaling_study(system.fock, system.split, seed=0)
+    study = linear_limit_scaling_study(Study(system.ints, system.split), seed=0)
     assert abs(study.slope - 2.0) <= 1e-6
     print(f"PASS 8: W=0 monotonicity constant = min eps_mu = {min_eps} "
           f"exactly; quadratic slope {study.slope:.12f} = 2 +- 1e-6")
@@ -269,7 +268,8 @@ def test_acceptance_10_error_decomposition(pairing4):
     draws = diagnostics._Stream(9).normals(len(study.t_cas))   # t^CAS + 1e-3 x seeded normals
     perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z for (mu, val), z
                                             in zip(study.t_cas.sorted_items(), draws)})
-    approx = error_decomposition(study, TruncationScheme(MODE_RANK, 1), t_cas=perturbed)
+    approx = error_decomposition(Study(pairing4.ints, pairing4.split, t_cas=perturbed),
+                                 TruncationScheme(MODE_RANK, 1))
     # the figures of the former t_cas_source="PERTURBED", noise=1e-3, seed=9
     assert approx.d_eps == pytest.approx(0.13425858928461643, rel=0, abs=1e-12)
     assert approx.d_eps_cas == pytest.approx(0.00022101101310134652, rel=0, abs=1e-12)
@@ -311,8 +311,8 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
     idx0 = enumerate_truncated_space(lin.split, full)
     t_d0 = _to_amplitudes(0.05 * rng.standard_normal(len(idx0)), idx0)
     z_d0 = solve_dual(t_d0, t_cas0, lin.ints, lin.split, full)
-    lin_check = error_representation_check(Study(lin.ints, lin.split), t_d0, z_d0, t_star0,
-                                           z_star0, t_cas=t_cas0)
+    lin_check = error_representation_check(Study(lin.ints, lin.split, t_cas=t_cas0), t_d0, z_d0,
+                                           t_star0, z_star0)
     assert abs(lin_check.remainder) <= 1e-10
 
     # cubic quotient stays bounded over the nested truncation sweep
@@ -324,8 +324,8 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
         scheme = TruncationScheme(MODE_RANK, n)
         t_d = _solve(pairing4, t_cas4, scheme).t
         z_d = solve_dual(t_d, t_cas4, pairing4.ints, pairing4.split, scheme)
-        check = error_representation_check(Study(pairing4.ints, pairing4.split), t_d, z_d,
-                                           t_star, z_star, t_cas=t_cas4)
+        check = error_representation_check(Study(pairing4.ints, pairing4.split, t_cas=t_cas4),
+                                           t_d, z_d, t_star, z_star)
         if check.cubic_ratio is not None:
             ratios.append(check.cubic_ratio)
     assert len(ratios) >= 2 and all(np.isfinite(r) for r in ratios)

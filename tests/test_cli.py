@@ -1078,9 +1078,9 @@ def test_a_call_with_argv_leaves_the_warning_display_alone(capsys):
 # ---------------------------------------------------------------------------
 
 # the names the package exported when it imported every submodule eagerly,
-# less matrix_element, which moved to the tests' oracle, excitation_from_reference,
-# which had no caller, and v_ext_norm, whose one caller reads the space's weights;
-# plus the fcidump module
+# less matrix_element and fock_norm_identity_check, which moved to the tests' oracle,
+# excitation_from_reference, which had no caller, and v_ext_norm, whose one caller
+# reads the space's weights; plus the fcidump module
 PACKAGE_NAMES = [
     "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
     "Determinant", "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
@@ -1092,7 +1092,7 @@ PACKAGE_NAMES = [
     "enumerate_determinants", "enumerate_excitations", "enumerate_truncated_space",
     "error_decomposition", "error_representation_check", "errors", "exact",
     "excitation_space", "fci_solve", "fcidump", "fock_matrix",
-    "fock_norm_identity_check", "gap_report", "hamiltonian", "hubbard_model",
+    "gap_report", "hamiltonian", "hubbard_model",
     "linear_limit_scaling_study", "monotonicity_probe", "mutual_information",
     "one_orbital_rdm", "pairing_model", "parse_fcidump", "permute_spatial_orbitals",
     "quadratic_scaling_study", "rotate_orbitals", "select_cas", "solve_dual", "solve_tcc",
@@ -1121,7 +1121,7 @@ def test_package_names_resolve_to_their_modules_objects(monkeypatch):
     # the diagnostics layer re-exports what moved beside the solver
     for name in ("Study", "solve_dual", "tcc_jacobian"):
         assert getattr(tccbench.diagnostics, name) is getattr(tcc, name)
-    for name in ("matrix_element", "no_such_name"):
+    for name in ("matrix_element", "fock_norm_identity_check", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(tccbench, name)
     # a tracer or a test that rebinds a module's function rebinds it for the package too

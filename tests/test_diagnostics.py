@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
-from tccbench import diagnostics
+from tccbench import diagnostics, tcc
 from tccbench import (
     AmplitudeVector,
     AssumptionReport,
@@ -27,7 +27,6 @@ from tccbench import (
     error_representation_check,
     fci_solve,
     fock_matrix,
-    fock_norm_identity_check,
     gap_report,
     hubbard_model,
     linear_limit_scaling_study,
@@ -114,23 +113,22 @@ def hubbard4_site():
     to -8.0; t_* and t^CAS are the FCI split, so t_* passes the ball's residual check."""
     ints, basis = hubbard_model(4, 1.0, 2.0), OrbitalBasis(8, 4)
     split = BasisSplit(basis, 6)
-    with pytest.warns(NonCanonicalOrbitalsWarning):
-        study = Study(ints, split)
     _, states = fci_solve(ints, basis)
     t_cas, t_star = split_amplitudes(ci_to_cluster(states[0]), split)
-    return SimpleNamespace(ints=ints, split=split, fock=study.fock, study=study, t_cas=t_cas,
-                           t_star=t_star)
+    with pytest.warns(NonCanonicalOrbitalsWarning):
+        study = Study(ints, split, t_cas=t_cas)
+    return SimpleNamespace(split=split, fock=study.fock, study=study, t_star=t_star)
 
 
 _ZERO = AmplitudeVector(SPACE_EXT)
 WEIGHTED_CALLS = {
-    "monotonicity_probe": lambda s: monotonicity_probe(s.study, s.t_star, t_cas=s.t_cas),
-    "assumption_b_report": lambda s: assumption_b_report(s.study, s.t_star, t_cas=s.t_cas),
+    "monotonicity_probe": lambda s: monotonicity_probe(s.study, s.t_star),
+    "assumption_b_report": lambda s: assumption_b_report(s.study, s.t_star),
     "error_representation_check": lambda s: error_representation_check(
-        s.study, _ZERO, _ZERO, s.t_star, _ZERO, t_cas=s.t_cas),
-    "linear_limit_scaling_study": lambda s: linear_limit_scaling_study(s.fock, s.split),
-    "fock_norm_identity_check": lambda s: fock_norm_identity_check(s.t_star, s.fock,
-                                                                   s.split.basis),
+        s.study, _ZERO, _ZERO, s.t_star, _ZERO),
+    "linear_limit_scaling_study": lambda s: linear_limit_scaling_study(s.study),
+    "fock_norm_identity_check": lambda s: oracle.fock_norm_identity_check(s.t_star, s.fock,
+                                                                          s.split.basis),
     "quadratic_scaling_study": lambda s: quadratic_scaling_study(
         s.study, [TruncationScheme(MODE_RANK, 1)]),
 }
@@ -154,8 +152,7 @@ def test_monotonicity_probe_linear_limit(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve_full(system, t_cas).t
-    probe = monotonicity_probe(_study(system), t_star, t_cas=t_cas, delta=0.1, samples=10,
-                               seed=3)
+    probe = monotonicity_probe(_study(system, t_cas), t_star, delta=0.1, samples=10, seed=3)
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
     min_eps = min(oracle.epsilon(system.fock, mu) for mu in indices)
     assert probe.gamma_hat_l2 == min_eps
@@ -166,24 +163,22 @@ def test_monotonicity_probe_linear_limit(pairing4_g0):
 def test_monotonicity_probe_interacting(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     t_star = _solve_full(pairing4, t_cas).t
-    probe = monotonicity_probe(_study(pairing4), t_star, t_cas=t_cas, delta=0.05, samples=10,
-                               seed=0)
+    probe = monotonicity_probe(_study(pairing4, t_cas), t_star, delta=0.05, samples=10, seed=0)
     assert np.isfinite(probe.gamma_hat) and np.isfinite(probe.l_hat)
     # the V-denominator quotient is always bounded by the dual-norm ratio
     assert probe.gamma_hat <= probe.l_hat + 1e-12
     # same seed, same answer
-    again = monotonicity_probe(_study(pairing4), t_star, t_cas=t_cas, delta=0.05, samples=10,
-                               seed=0)
+    again = monotonicity_probe(_study(pairing4, t_cas), t_star, delta=0.05, samples=10, seed=0)
     assert again == probe
 
 
 def test_monotonicity_probe_requires_converged_reference(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     with pytest.raises(MissingReferenceError):
-        monotonicity_probe(_study(pairing4), None, t_cas=t_cas)
+        monotonicity_probe(_study(pairing4, t_cas), None)
     bogus = AmplitudeVector(SPACE_TRUNCATED, {}, scheme="full")
     with pytest.raises(MissingReferenceError):
-        monotonicity_probe(_study(pairing4), bogus, t_cas=t_cas)
+        monotonicity_probe(_study(pairing4, t_cas), bogus)
 
 
 BALL_CALLS = {"monotonicity_probe": monotonicity_probe, "assumption_b_report": assumption_b_report}
@@ -198,18 +193,19 @@ def test_the_ball_is_checked_before_the_operator_is_built(report, pairing4, hubb
         raise AssertionError("the tailored operator was built before the ball was checked")
 
     monkeypatch.setattr(diagnostics, "TailoredHamiltonian", refuse)
-    s, zero, no_cas = _study(pairing4), AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS)
+    zero, no_cas = AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS)
+    s = _study(pairing4, no_cas)
     with pytest.raises(MissingReferenceError, match="converged reference"):
-        report(s, None, t_cas=no_cas)
+        report(s, None)
     for delta, samples in ((0.0, 20), (0.1, 0)):
         with pytest.raises(InputError, match="need finite delta > 0 and samples >= 1"):
-            report(s, zero, t_cas=no_cas, delta=delta, samples=samples)
+            report(s, zero, delta=delta, samples=samples)
     with pytest.raises(InputError, match="k = K leaves the external space empty"):
         basis = pairing4.basis
-        report(Study(pairing4.ints, BasisSplit(basis, basis.n_orbitals)), zero, t_cas=no_cas)
+        report(Study(pairing4.ints, BasisSplit(basis, basis.n_orbitals), t_cas=no_cas), zero)
     h = hubbard4_site
     with pytest.raises(NonPositiveWeightError, match=r"^eps_mu <= 0 for 1,2,3,4->5,6,7,8"):
-        report(h.study, h.t_star, t_cas=h.t_cas)
+        report(h.study, h.t_star)
 
 
 def test_the_reports_take_no_fock_spectrum(pairing4, pairing4_root):
@@ -224,6 +220,22 @@ def test_the_reports_take_no_fock_spectrum(pairing4, pairing4_root):
              lambda: monotonicity_probe(_study(s), t_star, other),
              lambda: assumption_b_report(_study(s), t_star, fock=other),
              lambda: error_representation_check(_study(s), t_star, _ZERO, t_star, _ZERO, other))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_t_cas_enters_only_through_the_study(pairing4, pairing4_root):
+    # each took t_cas= beside the Study, so a dual of one t^CAS could meet a root of another
+    t_star, t_cas = pairing4_root
+    study = _study(pairing4, t_cas)
+    calls = (lambda: study.root(STUDY_CONFIG, t_cas),
+             lambda: study.root(STUDY_CONFIG, t_cas=t_cas),
+             lambda: error_decomposition(study, TruncationScheme(MODE_FULL), t_cas=t_cas),
+             lambda: monotonicity_probe(study, t_star, t_cas=t_cas),
+             lambda: assumption_b_report(study, t_star, t_cas=t_cas),
+             lambda: error_representation_check(study, t_star, _ZERO, t_star, _ZERO, t_cas=t_cas),
+             lambda: diagnostics._ball(study, t_star, t_cas, 0.1, 1, 0))
     for call in calls:
         with pytest.raises(TypeError):
             call()
@@ -254,7 +266,7 @@ def test_assumption_report_linear_limit(pairing4_g0):
     system = pairing4_g0
     t_cas = AmplitudeVector(SPACE_CAS, {})
     t_star = _solve_full(system, t_cas).t
-    report = assumption_b_report(_study(system), t_star, t_cas=t_cas, samples=5, seed=1)
+    report = assumption_b_report(_study(system, t_cas), t_star, samples=5, seed=1)
     assert report.omega0 == 0.0
     assert report.omega_cas == 0.0
     assert report.lipschitz_star <= 1e-13
@@ -265,7 +277,7 @@ def test_assumption_report_linear_limit(pairing4_g0):
 def test_assumption_report_interacting(pairing4):
     t_cas = _cas_amplitudes(pairing4)
     t_star = _solve_full(pairing4, t_cas).t
-    report = assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=10, seed=0)
+    report = assumption_b_report(_study(pairing4, t_cas), t_star, samples=10, seed=0)
     assert report.omega_cas > 0.0
     assert report.lipschitz_star > 0.0
     assert report.margin == pytest.approx(
@@ -299,7 +311,7 @@ def test_assumption_report_matches_the_dense_w_cas(model, request):
     system = request.getfixturevalue(model)
     t_cas = _cas_amplitudes(system)
     t_star = _solve_full(system, t_cas).t
-    report = assumption_b_report(_study(system), t_star, t_cas=t_cas, samples=4, seed=3)
+    report = assumption_b_report(_study(system, t_cas), t_star, samples=4, seed=3)
     omega0, l_star = _dense_smallness(system, t_star, t_cas, samples=4, seed=3)
     assert omega0 != 0.0 and l_star > 0.0
     assert abs(report.omega0 - omega0) <= 1e-12 * abs(omega0)
@@ -327,7 +339,7 @@ def test_assumption_report_builds_one_operator(pairing4, pairing4_root, monkeypa
     monkeypatch.setattr(diagnostics, "TailoredHamiltonian", Counted)
     t_star, t_cas = pairing4_root
     samples = 3
-    assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=samples, seed=0)
+    assumption_b_report(_study(pairing4, t_cas), t_star, samples=samples, seed=0)
     # the reference check, two per sampled pair and one per coordinate probe
     assert len(built) == 1
     assert len(residuals) == 1 + 2 * samples + len(external_space(pairing4.split))
@@ -344,9 +356,9 @@ def test_assumption_report_adds_five_smallness_fields_to_the_probe():
 def test_assumption_report_carries_the_probe_of_its_ball(model, request):
     system = request.getfixturevalue(model)
     t_cas = _cas_amplitudes(system)
-    args = (_study(system), _solve_full(system, t_cas).t)
-    report = assumption_b_report(*args, t_cas=t_cas, delta=0.05, samples=4, seed=7)
-    probe = monotonicity_probe(*args, t_cas=t_cas, delta=0.05, samples=4, seed=7)
+    args = (_study(system, t_cas), _solve_full(system, t_cas).t)
+    report = assumption_b_report(*args, delta=0.05, samples=4, seed=7)
+    probe = monotonicity_probe(*args, delta=0.05, samples=4, seed=7)
     assert {f.name: getattr(report, f.name) for f in fields(MonotonicityProbe)} == asdict(probe)
 
 
@@ -376,7 +388,7 @@ def test_non_finite_samples_are_refused(pairing4, pairing4_root, delta):
     t_star, t_cas = pairing4_root
     for probe in (monotonicity_probe, assumption_b_report):
         with pytest.raises(InputError, match=re.escape(f"delta={delta} ball gave a non-finite")):
-            probe(_study(pairing4), t_star, t_cas=t_cas, delta=delta, samples=3, seed=0)
+            probe(_study(pairing4, t_cas), t_star, delta=delta, samples=3, seed=0)
 
 
 @pytest.mark.parametrize("delta,samples", [
@@ -388,7 +400,7 @@ def test_sampling_ball_is_checked_by_the_library(pairing4, pairing4_root, delta,
     t_star, t_cas = pairing4_root
     for probe in (monotonicity_probe, assumption_b_report):
         with pytest.raises(InputError):
-            probe(_study(pairing4), t_star, t_cas=t_cas, delta=delta, samples=samples, seed=0)
+            probe(_study(pairing4, t_cas), t_star, delta=delta, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -396,9 +408,9 @@ def test_seed_is_checked_by_the_library(pairing4, pairing4_root, seed):
     # numpy's default_rng raised on both; random.Random(-1) gives seed 1's stream
     t_star, t_cas = pairing4_root
     with pytest.raises(ValueError, match="seed"):
-        assumption_b_report(_study(pairing4), t_star, t_cas=t_cas, samples=2, seed=seed)
+        assumption_b_report(_study(pairing4, t_cas), t_star, samples=2, seed=seed)
     with pytest.raises(ValueError, match="seed"):
-        linear_limit_scaling_study(pairing4.fock, pairing4.split, seed=seed)
+        linear_limit_scaling_study(_study(pairing4), seed=seed)
 
 
 @pytest.mark.parametrize("delta", [0.1, 3.0])
@@ -444,7 +456,7 @@ def test_fock_norm_identity_random_vectors(pairing4, hubbard2_mo, rng):
         for _ in range(50):
             vec = 0.5 * rng.standard_normal(len(indices))
             t = _to_amplitudes(vec, indices)
-            check = fock_norm_identity_check(t, system.fock, system.basis)
+            check = oracle.fock_norm_identity_check(t, system.fock, system.basis)
             assert check.deviation <= 1e-12
             assert check.rho >= 1.0 - 1e-12
 
@@ -453,7 +465,7 @@ def test_fock_norm_single_entry_has_unit_ratio(pairing4):
     """One amplitude, no chaining: the operator norm equals the V-norm."""
     mu = ExcitationIndex((1, 2), (7, 8))
     t = AmplitudeVector(SPACE_TRUNCATED, {mu: 0.4}, scheme="full")
-    check = fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
+    check = oracle.fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
     assert check.deviation <= 1e-13
     assert check.rho == pytest.approx(1.0, abs=1e-12)
 
@@ -464,24 +476,24 @@ def test_fock_norm_vext_norm_matches_the_weights(pairing4):
     mu2 = ExcitationIndex((1, 2), (7, 8))
     t = AmplitudeVector(SPACE_EXT, {mu1: 0.3, mu2: -0.2})
     want = np.sqrt(oracle.epsilon(fock, mu1) * 0.09 + oracle.epsilon(fock, mu2) * 0.04)
-    assert abs(fock_norm_identity_check(t, fock, pairing4.basis).t_vext_norm - want) <= 1e-14
+    assert abs(oracle.fock_norm_identity_check(t, fock, pairing4.basis).t_vext_norm - want) <= 1e-14
 
 
 def test_fock_norm_refuses_a_nonpositive_weight_and_a_full_or_cas_vector(pairing4):
     flat = FockSpectrum(np.zeros(pairing4.basis.n_orbitals), 0.0, 0.0)
     t = AmplitudeVector(SPACE_EXT, {ExcitationIndex((1,), (7,)): 0.1})
     with pytest.raises(NonPositiveWeightError, match=r"^eps_mu <= 0 for 1->7: 0\.0$"):
-        fock_norm_identity_check(t, flat, pairing4.basis)
+        oracle.fock_norm_identity_check(t, flat, pairing4.basis)
     for tag in (SPACE_FULL, SPACE_CAS):
         with pytest.raises(SpaceMismatchError, match=f"needs an external vector, got '{tag}'"):
-            fock_norm_identity_check(AmplitudeVector(tag), pairing4.fock, pairing4.basis)
+            oracle.fock_norm_identity_check(AmplitudeVector(tag), pairing4.fock, pairing4.basis)
 
 
 def test_fock_norm_operator_norm_matches_power_iteration(pairing4, rng):
     indices = enumerate_truncated_space(pairing4.split, TruncationScheme(MODE_FULL))
     vec = 0.3 * rng.standard_normal(len(indices))
     t = _to_amplitudes(vec, indices)
-    check = fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
+    check = oracle.fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
 
     # rebuild the weighted operator matrix independently and power-iterate
     from tccbench.determinants import enumerate_determinants
@@ -604,8 +616,8 @@ def test_dual_solve_empty_space(pairing4):
 # Error decomposition
 # ---------------------------------------------------------------------------
 
-def _study(system):
-    return Study(system.ints, system.split)
+def _study(system, t_cas=None):
+    return Study(system.ints, system.split, t_cas=t_cas)
 
 
 def test_error_decomposition_full_external(pairing4):
@@ -649,12 +661,17 @@ def _php_energy(system, t_cas):
     return float(v[cas.reference])
 
 
+def _perturbed(t_cas, seed):
+    """t^CAS + 1e-3 x seeded normals, in sorted index order."""
+    draws = diagnostics._Stream(seed).normals(len(t_cas))
+    return AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z
+                                       for (mu, val), z in zip(t_cas.sorted_items(), draws)})
+
+
 def test_error_decomposition_perturbed_cas(pairing4):
     study = _study(pairing4)
-    draws = diagnostics._Stream(5).normals(len(study.t_cas))   # t^CAS + 1e-3 x seeded normals
-    perturbed = AmplitudeVector(SPACE_CAS, {mu: val + 1e-3 * z for (mu, val), z
-                                            in zip(study.t_cas.sorted_items(), draws)})
-    dec = error_decomposition(study, TruncationScheme(MODE_FULL), t_cas=perturbed)
+    perturbed = _perturbed(study.t_cas, 5)
+    dec = error_decomposition(_study(pairing4, perturbed), TruncationScheme(MODE_FULL))
     # the figures of the former t_cas_source="PERTURBED", noise=1e-3, seed=5
     assert dec.dE_cas == pytest.approx(0.0007968191926439605, rel=0, abs=1e-12)
     assert dec.d_eps_cas == pytest.approx(0.0008857528717387542, rel=0, abs=1e-12)
@@ -667,21 +684,72 @@ def test_error_decomposition_perturbed_cas(pairing4):
 @pytest.mark.parametrize("scheme", [TruncationScheme(MODE_RANK, 2), TruncationScheme(MODE_FULL)],
                          ids=lambda s: s.describe())
 def test_error_decomposition_tailors_on_study_t_cas_by_default(pairing4, scheme):
-    given = _study(pairing4)
-    assert (error_decomposition(given, scheme, t_cas=given.t_cas)
-            == error_decomposition(_study(pairing4), scheme))
+    exact = _study(pairing4)
+    assert (error_decomposition(_study(pairing4, exact.t_cas), scheme)
+            == error_decomposition(exact, scheme))
 
 
 @pytest.mark.parametrize("tagged", ["empty", "cas entries"])
 def test_error_decomposition_refuses_a_foreign_t_cas_before_the_fci(pairing4, tagged,
                                                                     monkeypatch):
-    monkeypatch.setattr(diagnostics, "fci_solve", lambda *a, **k: pytest.fail("fci_solve ran"))
-    study = _study(pairing4)
-    study.root(STUDY_CONFIG)   # a root on study.t_cas, whose entries the mis-tagged copy shares
-    entries = {} if tagged == "empty" else dict(study.t_cas.entries)
-    with pytest.raises(SpaceMismatchError, match="CAS amplitudes tagged 'ext'"):
-        error_decomposition(study, TruncationScheme(MODE_FULL),
-                            t_cas=AmplitudeVector(SPACE_EXT, entries))
+    # the mis-tagged copy shares the CAS-FCI entries: only its tag is foreign
+    entries = {} if tagged == "empty" else dict(_study(pairing4).t_cas.entries)
+    for module, name in ((diagnostics, "fci_solve"), (tcc, "cas_fci_solve")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    study = _study(pairing4, AmplitudeVector(SPACE_EXT, entries))
+    for call in (lambda: study.root(STUDY_CONFIG),
+                 lambda: error_decomposition(study, TruncationScheme(MODE_FULL))):
+        with pytest.raises(SpaceMismatchError, match="CAS amplitudes tagged 'ext'"):
+            call()
+
+
+def test_error_decomposition_on_a_given_t_cas_solves_three_roots(pairing4, monkeypatch):
+    # t_* and t_d on the study's t^CAS, and the CAS-FCI root of the exact sibling
+    solves, solve_tcc = [], tcc.solve_tcc
+
+    def counted(t_cas, ints, split, fock, config):
+        solves.append((t_cas, config))
+        return solve_tcc(t_cas, ints, split, fock, config)
+
+    monkeypatch.setattr(tcc, "solve_tcc", counted)
+    exact_t_cas = _study(pairing4).t_cas
+    study = _study(pairing4, _perturbed(exact_t_cas, 9))
+    error_decomposition(study, TruncationScheme(MODE_RANK, 1))
+    assert [config.truncation.describe() for _, config in solves] == ["full", "rank:1", "full"]
+    assert solves[0][0] is solves[1][0] is study.t_cas
+    assert solves[2][0].sorted_items() == exact_t_cas.sorted_items()
+
+
+@pytest.fixture(scope="module")
+def pairing4_perturbed(pairing4):
+    """The exact pairing4 Study, the perturbed t^CAS of test_acceptance_10 and its Study."""
+    exact = _study(pairing4)
+    perturbed = _perturbed(exact.t_cas, 9)
+    return exact, perturbed, _study(pairing4, perturbed)
+
+
+def test_a_study_on_a_given_t_cas_solves_its_dual_there(pairing4, pairing4_perturbed):
+    exact, perturbed, study = pairing4_perturbed
+    config = replace(STUDY_CONFIG, truncation=TruncationScheme(MODE_RANK, 2))
+    space = external_space(pairing4.split)
+    got = space.embed(study.dual(config))
+    want = solve_dual(study.root(config).t, perturbed, pairing4.ints, pairing4.split,
+                      config.truncation)
+    assert np.array_equal(got, space.embed(want))
+    assert not np.array_equal(got, space.embed(exact.dual(config)))
+
+
+def test_a_study_on_a_given_t_cas_scales_on_its_own_roots(pairing4_perturbed):
+    exact, _, study = pairing4_perturbed
+    family = [*(TruncationScheme(MODE_RANK, n) for n in (1, 2, 3)), TruncationScheme(MODE_FULL)]
+    got, base = quadratic_scaling_study(study, family), quadratic_scaling_study(exact, family)
+    assert got.slope == pytest.approx(1.89582, rel=0, abs=1e-5)   # the exact study's: 1.89635
+    assert got.slope != base.slope
+    for row, other in zip(got.rows, base.rows):
+        assert np.isfinite([row.distance, row.energy_error, row.dual_distance]).all()
+        if row.used_in_fit:
+            assert (row.distance, row.energy_error, row.dual_distance) != (
+                other.distance, other.energy_error, other.dual_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +766,7 @@ def test_representation_remainder_linear_limit(pairing4_g0, rng):
     indices = enumerate_truncated_space(system.split, full)
     t_d = _to_amplitudes(0.05 * rng.standard_normal(len(indices)), indices)
     z_d = solve_dual(t_d, t_cas, system.ints, system.split, full)
-    check = error_representation_check(_study(system), t_d, z_d, t_star, z_star, t_cas=t_cas)
+    check = error_representation_check(_study(system, t_cas), t_d, z_d, t_star, z_star)
     assert abs(check.remainder) <= 1e-10
     assert check.distance > 0.0
 
@@ -708,8 +776,7 @@ def test_representation_zero_distance(pairing4):
     full = TruncationScheme(MODE_FULL)
     t_star = _solve_full(pairing4, t_cas).t
     z_star = solve_dual(t_star, t_cas, pairing4.ints, pairing4.split, full)
-    check = error_representation_check(_study(pairing4), t_star, z_star, t_star, z_star,
-                                       t_cas=t_cas)
+    check = error_representation_check(_study(pairing4, t_cas), t_star, z_star, t_star, z_star)
     assert check.distance <= 1e-12
     assert check.cubic_ratio is None
     assert abs(check.remainder) <= 1e-10
@@ -749,8 +816,8 @@ def test_representation_cubic_ratio_bounded_over_sweep(pairing4):
                                      diis=8, truncation=scheme))
         assert result.converged
         z_d = solve_dual(result.t, t_cas, pairing4.ints, pairing4.split, scheme)
-        check = error_representation_check(_study(pairing4), result.t, z_d, t_star, z_star,
-                                           t_cas=t_cas)
+        check = error_representation_check(_study(pairing4, t_cas), result.t, z_d, t_star,
+                                           z_star)
         if check.cubic_ratio is not None:
             ratios.append(check.cubic_ratio)
     assert len(ratios) >= 2
@@ -774,7 +841,7 @@ def test_quadratic_scaling_slope(pairing4):
 
 
 def test_linear_limit_scaling_slope(pairing4_g0):
-    study = linear_limit_scaling_study(pairing4_g0.fock, pairing4_g0.split, seed=0)
+    study = linear_limit_scaling_study(_study(pairing4_g0), seed=0)
     assert abs(study.slope - 2.0) <= 1e-6
     for row in study.rows:
         if row.used_in_fit:

@@ -300,6 +300,16 @@ def test_a_study_takes_no_fock_spectrum(pairing4):
         Study(pairing4.ints, pairing4.split, pairing4.fock)
 
 
+def test_a_study_takes_its_t_cas_by_keyword_only(pairing4):
+    # given third, an old caller's Fock spectrum would bind to t_cas
+    t_cas = AmplitudeVector(SPACE_CAS, {})
+    with pytest.raises(TypeError):
+        Study(pairing4.ints, pairing4.split, t_cas)
+    study = Study(pairing4.ints, pairing4.split, t_cas=t_cas)
+    assert study.t_cas is t_cas and not study.exact
+    assert Study(pairing4.ints, pairing4.split).exact
+
+
 def test_gap_violation_is_raised():
     """A Fock diagonal with a non-positive external difference aborts."""
     import tccbench
