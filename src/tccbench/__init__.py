@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "determinants": (
         "AmplitudeVector", "BasisSplit", "Determinant", "ExcitationIndex",
-        "ExcitationSpace", "OrbitalBasis", "apply_excitation", "classify_excitation",
-        "enumerate_determinants", "enumerate_excitations", "excitation_space"),
+        "ExcitationSpace", "OrbitalBasis", "classify_excitation", "enumerate_determinants",
+        "enumerate_excitations", "excitation_space"),
     "hamiltonian": (
         "FockSpectrum", "IntegralSet", "build_dense_hamiltonian", "canonicalize_core",
         "fock_matrix", "hubbard_model", "pairing_model", "rotate_orbitals"),
@@ -34,8 +34,8 @@ _EXPORTS = {
         "enumerate_truncated_space", "solve_dual", "solve_tcc", "split_amplitudes",
         "tcc_energy", "tcc_jacobian", "tcc_residual"),
     "entropy": (
-        "CasSelection", "OrbitalEntropyProfile", "mutual_information", "one_orbital_rdm",
-        "permute_spatial_orbitals", "select_cas", "two_orbital_rdm"),
+        "CasSelection", "OrbitalEntropyProfile", "mutual_information", "permute_spatial_orbitals",
+        "select_cas"),
     "diagnostics": (
         "AssumptionReport", "ErrorDecomposition", "GapReport", "ScalingStudy",
         "assumption_b_report", "error_decomposition", "error_representation_check",

@@ -135,23 +135,6 @@ class ExcitationIndex:
         return f"{h}->{p}"
 
 
-def apply_excitation(
-    mu: ExcitationIndex, det: Determinant
-) -> Optional[tuple[Determinant, int]]:
-    """Apply X_mu to a determinant; None when annihilated.
-
-    Returns the canonical resulting determinant and the fermionic phase.
-    Holes and particles are disjoint: X_mu acts iff its holes are occupied and particles empty.
-    """
-    mask = det.mask
-    holes, particles = Determinant(mu.holes).mask, Determinant(mu.particles).mask
-    if mask & holes != holes or mask & particles:
-        return None
-    out, sign = _excite(np.array([mask], dtype=np.uint64),
-                        _orbitals([mu.holes]), _orbitals([mu.particles]))
-    return Determinant.from_mask(int(out[0])), int(sign[0])
-
-
 def classify_excitation(mu: ExcitationIndex, split: BasisSplit) -> str:
     """'cas' when all particles are <= k, otherwise 'ext' (incl. mixed)."""
     return "cas" if mu.particles[-1] <= split.k else "ext"

@@ -1,12 +1,12 @@
 """Orbital entanglement entropies and active-space selection.
 
-One- and two-orbital reduced density matrices of every orbital and pair
-are read at once from a CI vector and the determinant bit masks (no 2^K
-tensors). For a fixed particle-number state, particle-number
-superselection makes the one-orbital matrix diagonal and the two-orbital
-matrix block-diagonal in the local particle number; the only off-diagonal
-element is the exchange coherence between the |10> and |01> local
-configurations.
+One- and two-orbital reduced density matrices of every orbital and of
+every pair i < j are read at once from a CI vector and the determinant
+bit masks (no 2^K tensors). For a fixed particle-number state,
+particle-number superselection makes the one-orbital matrix diagonal and
+the two-orbital matrix block-diagonal in the local particle number; the
+only off-diagonal element is the exchange coherence between the |10> and
+|01> local configurations.
 
 Entropies use the natural logarithm, so s(i) <= ln 2 and
 s(i,j) <= ln 4.
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InputError, NotNormalizedError, SameOrbitalError
+from .errors import InputError, NotNormalizedError
 from .exact import CiVector
 from .hamiltonian import IntegralSet
 
@@ -35,20 +35,14 @@ def _check_normalized(psi: CiVector) -> np.ndarray:
     return c
 
 
-def _orbital(psi: CiVector, i: int) -> int:
-    """0-based position of the 1-based orbital i."""
-    if not 1 <= i <= psi.basis.n_orbitals:
-        raise IndexOutOfRangeError(f"orbital {i} is outside 1..{psi.basis.n_orbitals}")
-    return i - 1
-
-
 def _column_sums(hit: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Sum of w over the rows that `hit` marks, per column, added in row order."""
     return np.cumsum(np.where(hit, w, 0.0), axis=0)[-1]
 
 
 def _orbital_rdms(psi: CiVector) -> tuple[np.ndarray, np.ndarray]:
-    """Every one-orbital RDM, (K, 2, 2), and two-orbital RDM, (K, K, 4, 4), i != j.
+    """Every one-orbital RDM, (K, 2, 2), and pair i < j RDM, (K(K-1)/2, 4, 4) in triu_indices
+    order, on the local basis |00>,|01>,|10>,|11> (|01>: j occupied, |10>: i occupied).
 
     Each entry sums over the determinants in enumeration order, as a loop would.
     """
@@ -63,35 +57,17 @@ def _orbital_rdms(psi: CiVector) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(k, 1)
     oi, oj = occ[:, i], occ[:, j]
     local = (~oi & ~oj, ~oi & oj, oi & ~oj, oi & oj)   # |00>, |01>, |10>, |11> per pair
-    two = np.zeros((k, k, 4, 4))
+    two = np.zeros((len(i), 4, 4))
     for a, hit in enumerate(local):
-        b = (0, 2, 1, 3)[a]   # the same configuration seen from (j, i)
-        two[i, j, a, a] = two[j, i, b, b] = _column_sums(hit, w)
+        two[:, a, a] = _column_sums(hit, w)
     # Exchange coherence <10|rho|01>: sum of c_d c_d' (no phase, as the dense
     # oracle confirms) over the |10> determinants d, d' being d with i moved to j.
     # Lexicographic order compares determinants by the lowest orbital just one
     # holds, which the move keeps, so the n-th |10> one maps to the n-th |01> one.
     pair, src = np.nonzero(local[2].T)
     dst = np.nonzero(local[1].T)[1]
-    x = np.bincount(pair, weights=c[src] * c[dst], minlength=len(i))
-    two[i, j, 2, 1] = two[i, j, 1, 2] = two[j, i, 2, 1] = two[j, i, 1, 2] = x
+    two[:, 2, 1] = two[:, 1, 2] = np.bincount(pair, weights=c[src] * c[dst], minlength=len(i))
     return one, two
-
-
-def one_orbital_rdm(psi: CiVector, i: int) -> np.ndarray:
-    """2x2 density matrix of orbital i: diag(1 - <n_i>, <n_i>)."""
-    return _orbital_rdms(psi)[0][_orbital(psi, i)]
-
-
-def two_orbital_rdm(psi: CiVector, i: int, j: int) -> np.ndarray:
-    """4x4 density matrix of orbitals (i, j), local basis |00>,|01>,|10>,|11>.
-
-    |01> means j occupied, |10> means i occupied.
-    """
-    a, b = _orbital(psi, i), _orbital(psi, j)
-    if a == b:
-        raise SameOrbitalError(f"two-orbital matrix needs distinct orbitals, got {i}")
-    return _orbital_rdms(psi)[1][a, b]
 
 
 def _von_neumann(rho: np.ndarray) -> np.ndarray:
@@ -118,9 +94,9 @@ def mutual_information(psi: CiVector) -> OrbitalEntropyProfile:
     """Full entropy profile: s(i), s(i,j), I(i,j) = s(i)+s(j)-s(i,j)."""
     one, two = _orbital_rdms(psi)
     s1 = _von_neumann(one)
-    s2 = np.zeros(two.shape[:2])
+    s2 = np.zeros((len(s1), len(s1)))
     i, j = np.triu_indices(len(s1), 1)
-    s2[i, j] = s2[j, i] = _von_neumann(two[i, j])
+    s2[i, j] = s2[j, i] = _von_neumann(two)
     mi = s1[:, None] + s1[None, :] - s2
     np.fill_diagonal(mi, 0.0)
     return OrbitalEntropyProfile(s1, s2, mi)

@@ -75,10 +75,6 @@ class NotNormalizedError(TccBenchError):
     pass
 
 
-class SameOrbitalError(TccBenchError):
-    pass
-
-
 class MissingReferenceError(TccBenchError):
     """A converged reference amplitude vector is required but absent."""
 

@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRangeError,
     InputError,
     MalformedHeaderError,
+    NonFiniteIntegralError,
 )
 from .hamiltonian import IntegralSet, check_orbital_count, integrals_differ
 
@@ -85,6 +86,8 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError as exc:
             raise MalformedHeaderError(f"record line {lineno}: {exc}") from exc
+        if not np.isfinite(value):   # integrals_differ would let a later record of its orbit win
+            raise NonFiniteIntegralError(f"record line {lineno}: value {value} is not finite")
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
                 raise IndexOutOfRangeError(f"record line {lineno}: index {idx} is not in 0..NORB={norb}")

@@ -69,6 +69,8 @@ class TruncationScheme:
     def __post_init__(self):
         if self.mode not in (MODE_RANK, MODE_FOI, MODE_FULL):
             raise InputError(f"unknown truncation mode {self.mode!r}")
+        if self.mode == MODE_FULL and self.n is not None:
+            raise InputError(f"mode 'full' takes no rank cap, got {self.n}")
         if self.mode != MODE_FULL and (self.n is None or self.n < 1):
             raise InputError(f"mode {self.mode!r} needs a positive rank cap")
 

@@ -21,7 +21,6 @@ from tccbench import (
     Study,
     TccConfig,
     TruncationScheme,
-    apply_excitation,
     cas_fci_solve,
     ci_to_cluster,
     cluster_to_ci,
@@ -35,7 +34,6 @@ from tccbench import (
     linear_limit_scaling_study,
     monotonicity_probe,
     mutual_information,
-    one_orbital_rdm,
     parse_fcidump,
     quadratic_scaling_study,
     solve_dual,
@@ -44,11 +42,11 @@ from tccbench import (
     tcc_energy,
     tcc_jacobian,
     tcc_residual,
-    two_orbital_rdm,
     write_fcidump,
 )
 from tccbench.cli import main as cli_main
-from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED
+from tccbench.determinants import SPACE_CAS, SPACE_TRUNCATED, excitation_space
+from tccbench.entropy import _orbital_rdms
 from tccbench.tcc import MODE_FULL, MODE_RANK, TailoredHamiltonian
 
 LN2 = np.log(2.0)
@@ -79,22 +77,28 @@ def test_acceptance_01_operator_algebra_vs_dense_oracle():
         basis = OrbitalBasis(k, n)
         dets = enumerate_determinants(basis)
         mus = enumerate_excitations(basis)
+        space = excitation_space(basis, mus)
+        space.block(n)   # the whole table: no determinant lies above level N
+        rows = {(int(a), int(i)): (int(j), float(s)) for i, j, s, a in zip(*space.table)}
         ops = {mu: oracle.excitation_operator(mu.holes, mu.particles, k)
                for mu in mus}
         states = [oracle.determinant_state(d.occ, k) for d in dets]
-        for mu in mus:
+        for a, mu in enumerate(mus):
             op = ops[mu]
             assert np.max(np.abs(op @ op)) <= 1e-12  # nilpotency
-            for det, state in zip(dets, states):
-                got = apply_excitation(mu, det)
+            for i, state in enumerate(states):
+                row = rows.pop((a, i), None)
                 out = op @ state
                 nz = np.nonzero(out)[0]
                 if len(nz) == 0:
-                    assert got is None
+                    assert row is None
                 else:
-                    d, sign = got
-                    assert d.mask == int(nz[0])
+                    j, sign = row
+                    assert dets[j].mask == int(nz[0])
                     assert abs(sign - out[nz[0]]) <= 1e-12
+                    if i == space.reference:   # X_mu phi_0, as the space holds it
+                        assert (space.ref_pos[a], space.ref_sign[a]) == (j, sign)
+        assert not rows
         # commutativity on a deterministic subsample of operator pairs
         for a in range(0, len(mus), max(1, len(mus) // 12)):
             for b in range(a + 1, min(a + 4, len(mus))):
@@ -213,16 +217,16 @@ def test_acceptance_07_entropy_suite():
             c = rng.standard_normal(len(dets))
             psi = CiVector(basis, c / np.linalg.norm(c))
             full = oracle.state_from_ci(psi.coefficients, dets, k)
+            one, two = _orbital_rdms(psi)
             for i in range(1, k + 1):
-                got1 = one_orbital_rdm(psi, i)
+                got1 = one[i - 1]
                 worst = max(worst, float(np.max(np.abs(
                     got1 - oracle.one_mode_rdm(full, i, k)))))
                 assert np.min(np.linalg.eigvalsh(got1)) >= -1e-12
-                for j in range(i + 1, k + 1):
-                    got2 = two_orbital_rdm(psi, i, j)
-                    worst = max(worst, float(np.max(np.abs(
-                        got2 - oracle.two_mode_rdm(full, i, j, k)))))
-                    assert np.min(np.linalg.eigvalsh(got2)) >= -1e-12
+            for i, j, got2 in zip(*np.triu_indices(k, 1), two, strict=True):
+                worst = max(worst, float(np.max(np.abs(
+                    got2 - oracle.two_mode_rdm(full, i + 1, j + 1, k)))))
+                assert np.min(np.linalg.eigvalsh(got2)) >= -1e-12
             profile = mutual_information(psi)
             assert np.all(profile.mi >= -1e-10)
             assert np.all(profile.mi <= 2.0 * LN2 + 1e-12)

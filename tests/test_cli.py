@@ -690,6 +690,7 @@ ARGUMENT_CHECKS = {
     "BasisSplit": lambda s: BasisSplit(s.basis, 9),
     "TruncationScheme mode": lambda s: tcc.TruncationScheme("guess"),
     "TruncationScheme rank": lambda s: tcc.TruncationScheme(tcc.MODE_RANK, 0),
+    "TruncationScheme full cap": lambda s: tcc.TruncationScheme(tcc.MODE_FULL, 3),
     "TccConfig max_iterations": lambda s: tcc.TccConfig(max_iterations=0),
     "TccConfig tolerance": lambda s: tcc.TccConfig(tolerance=-1.0),
     "TccConfig damping": lambda s: tcc.TccConfig(damping=1.5),
@@ -1079,14 +1080,16 @@ def test_a_call_with_argv_leaves_the_warning_display_alone(capsys):
 
 # the names the package exported when it imported every submodule eagerly,
 # less matrix_element and fock_norm_identity_check, which moved to the tests' oracle,
-# excitation_from_reference, which had no caller, and v_ext_norm, whose one caller
-# reads the space's weights; plus the fcidump module
+# excitation_from_reference, which had no caller, v_ext_norm, whose one caller
+# reads the space's weights, and apply_excitation, one_orbital_rdm and two_orbital_rdm,
+# scalar views of the excitation table and of the RDM stack that no command read;
+# plus the fcidump module
 PACKAGE_NAMES = [
     "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
     "Determinant", "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
     "FockSpectrum", "GapReport", "IntegralSet", "OrbitalBasis", "OrbitalEntropyProfile",
     "ScalingStudy", "SpectralSummary", "Study", "TailoredHamiltonian", "TccConfig",
-    "TccResult", "TruncationScheme", "apply_excitation", "assumption_b_report",
+    "TccResult", "TruncationScheme", "assumption_b_report",
     "build_dense_hamiltonian", "canonicalize_core", "cas_fci_solve", "ci_to_cluster",
     "classify_excitation", "cluster_to_ci", "determinants", "diagnostics", "entropy",
     "enumerate_determinants", "enumerate_excitations", "enumerate_truncated_space",
@@ -1094,10 +1097,10 @@ PACKAGE_NAMES = [
     "excitation_space", "fci_solve", "fcidump", "fock_matrix",
     "gap_report", "hamiltonian", "hubbard_model",
     "linear_limit_scaling_study", "monotonicity_probe", "mutual_information",
-    "one_orbital_rdm", "pairing_model", "parse_fcidump", "permute_spatial_orbitals",
+    "pairing_model", "parse_fcidump", "permute_spatial_orbitals",
     "quadratic_scaling_study", "rotate_orbitals", "select_cas", "solve_dual", "solve_tcc",
     "split_amplitudes", "tcc", "tcc_energy", "tcc_jacobian", "tcc_residual",
-    "two_orbital_rdm", "write_fcidump",
+    "write_fcidump",
 ]
 
 
@@ -1121,7 +1124,8 @@ def test_package_names_resolve_to_their_modules_objects(monkeypatch):
     # the diagnostics layer re-exports what moved beside the solver
     for name in ("Study", "solve_dual", "tcc_jacobian"):
         assert getattr(tccbench.diagnostics, name) is getattr(tcc, name)
-    for name in ("matrix_element", "fock_norm_identity_check", "no_such_name"):
+    for name in ("matrix_element", "fock_norm_identity_check", "apply_excitation",
+                 "one_orbital_rdm", "two_orbital_rdm", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(tccbench, name)
     # a tracer or a test that rebinds a module's function rebinds it for the package too

@@ -11,7 +11,6 @@ from tccbench import (
     Determinant,
     ExcitationIndex,
     OrbitalBasis,
-    apply_excitation,
     classify_excitation,
     cluster_to_ci,
     enumerate_determinants,
@@ -53,16 +52,11 @@ def test_excitation_signs_match_dense_oracle(k, n):
     assert len(rows) == len(src)
     for a, mu in enumerate(enumerate_excitations(basis)):
         for i, det in enumerate(dets):
-            got = apply_excitation(mu, det)
             want = _oracle_action(mu, det, k)
             row = rows.pop((a, i), None)
             if want is None:
-                assert got is None
                 assert row is None
             else:
-                assert got is not None
-                assert got[0] == want[0]
-                assert abs(got[1] - want[1]) <= 1e-12
                 assert row == (pos[want[0].occ], want[1])
     assert not rows
 
@@ -114,27 +108,30 @@ def test_excitations_are_nilpotent(k, n):
     for mu in enumerate_excitations(basis):
         m = oracle.excitation_operator(mu.holes, mu.particles, k)
         assert np.max(np.abs(m @ m)) <= 1e-12
-        # and on the package side: applying twice annihilates
-        for det in enumerate_determinants(basis):
-            hit = apply_excitation(mu, det)
-            if hit is not None:
-                assert apply_excitation(mu, hit[0]) is None
+    # and on the package side: applying twice annihilates, so no table row acts on
+    # what a row of the same index made
+    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
+    space.block(n)   # the whole table: no determinant lies above level N
+    src, dst, _, ids = (col.tolist() for col in space.table)
+    assert not set(zip(ids, src)) & set(zip(ids, dst))
 
 
 def test_reference_bijection_round_trip():
     basis = OrbitalBasis(6, 3)
+    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
     reference = Determinant((1, 2, 3))
+    dets = enumerate_determinants(basis)
     seen = set()
-    for det in enumerate_determinants(basis):
+    for det in dets:
         mu = basis.determinants.excitation(det.mask)
         if det == reference:
             assert mu is None
             continue
-        back, sign = apply_excitation(mu, reference)
-        assert sign in (-1, 1)
+        a = space.positions([mu])[0]
+        assert space.ref_sign[a] in (-1, 1)
         assert mu not in seen
         seen.add(mu)
-        assert back == det
+        assert dets[space.ref_pos[a]] == det
     # every excitation index is hit exactly once
     assert seen == set(enumerate_excitations(basis))
 

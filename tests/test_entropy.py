@@ -8,10 +8,8 @@ from tccbench import (
     fci_solve,
     hubbard_model,
     mutual_information,
-    one_orbital_rdm,
     permute_spatial_orbitals,
     select_cas,
-    two_orbital_rdm,
 )
 from tccbench.determinants import enumerate_determinants
 from tccbench.hamiltonian import canonicalize_core
@@ -20,12 +18,9 @@ from tccbench.entropy import (
     MODE_THRESHOLD,
     OrbitalEntropyProfile,
     WeakProfileWarning,
+    _orbital_rdms,
 )
-from tccbench.errors import (
-    IndexOutOfRangeError,
-    NotNormalizedError,
-    SameOrbitalError,
-)
+from tccbench.errors import NotNormalizedError
 
 LN2 = np.log(2.0)
 
@@ -42,21 +37,19 @@ def test_rdms_match_dense_partial_trace(k, n, rng):
     for _ in range(5):
         psi = _random_state(basis, rng)
         full = oracle.state_from_ci(psi.coefficients, dets, k)
+        one, two = _orbital_rdms(psi)
+        assert one.shape == (k, 2, 2) and two.shape == (k * (k - 1) // 2, 4, 4)
         for i in range(1, k + 1):
             want1 = oracle.one_mode_rdm(full, i, k)
-            assert np.max(np.abs(one_orbital_rdm(psi, i) - want1)) <= 1e-12
-            for j in range(1, k + 1):
-                if i == j:
-                    continue
-                want2 = oracle.two_mode_rdm(full, i, j, k)
-                got2 = two_orbital_rdm(psi, i, j)
-                assert np.max(np.abs(got2 - want2)) <= 1e-12
+            assert np.max(np.abs(one[i - 1] - want1)) <= 1e-12
+        for i, j, got2 in zip(*np.triu_indices(k, 1), two, strict=True):
+            want2 = oracle.two_mode_rdm(full, i + 1, j + 1, k)
+            assert np.max(np.abs(got2 - want2)) <= 1e-12
 
 
 def test_rdm_properties(pairing4, rng):
     psi = _random_state(pairing4.basis, rng)
-    for i, j in [(1, 2), (3, 7), (5, 6)]:
-        rho = two_orbital_rdm(psi, i, j)
+    for rho in _orbital_rdms(psi)[1]:   # every pair i < j
         assert abs(np.trace(rho) - 1.0) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
         assert np.max(np.abs(rho - rho.T)) == 0.0
@@ -66,10 +59,7 @@ def test_rdm_input_guards(pairing4):
     dim = len(enumerate_determinants(pairing4.basis))
     bad = CiVector(pairing4.basis, np.full(dim, 0.5))
     with pytest.raises(NotNormalizedError):
-        one_orbital_rdm(bad, 1)
-    good = CiVector(pairing4.basis, np.eye(dim)[0])
-    with pytest.raises(SameOrbitalError):
-        two_orbital_rdm(good, 3, 3)
+        mutual_information(bad)
 
 
 def _oracle_entropy(rho):
@@ -103,18 +93,6 @@ def test_entropies_match_dense_partial_trace(k, n, rng):
                 assert profile.s2[j - 1, i - 1] == profile.s2[i - 1, j - 1]
 
 
-def test_rdm_orbitals_outside_the_basis_are_rejected(pairing4):
-    dim = len(enumerate_determinants(pairing4.basis))
-    good = CiVector(pairing4.basis, np.eye(dim)[0])
-    for i in (0, 9, -1):
-        with pytest.raises(IndexOutOfRangeError):
-            one_orbital_rdm(good, i)
-        with pytest.raises(IndexOutOfRangeError):
-            two_orbital_rdm(good, i, 2)
-        with pytest.raises(IndexOutOfRangeError):
-            two_orbital_rdm(good, 2, i)
-
-
 def test_non_finite_ci_vectors_are_rejected(pairing4):
     dim = len(enumerate_determinants(pairing4.basis))
     for bad in (np.nan, np.inf):
@@ -122,8 +100,6 @@ def test_non_finite_ci_vectors_are_rejected(pairing4):
         c[3] = bad
         with pytest.raises(NotNormalizedError):
             mutual_information(CiVector(pairing4.basis, c))
-        with pytest.raises(NotNormalizedError):
-            one_orbital_rdm(CiVector(pairing4.basis, c), 1)
 
 
 def test_single_determinant_profile_is_zero():

@@ -12,7 +12,6 @@ from tccbench import (
     BasisSplit,
     IntegralSet,
     OrbitalBasis,
-    apply_excitation,
     build_dense_hamiltonian,
     canonicalize_core,
     fock_matrix,
@@ -22,7 +21,7 @@ from tccbench import (
     rotate_orbitals,
     write_fcidump,
 )
-from tccbench.determinants import enumerate_determinants
+from tccbench.determinants import enumerate_determinants, enumerate_excitations, excitation_space
 from tccbench.errors import (
     DimensionLimitError,
     DimensionMismatchError,
@@ -298,12 +297,12 @@ def test_fock_identity_on_determinants(pairing4):
     assert fock.off_diag_norm <= 1e-12
     diag = fock_diagonal_vector(fock, pairing4.basis)
     dets = enumerate_determinants(pairing4.basis)
-    reference = dets[0]
+    space = excitation_space(pairing4.basis, enumerate_excitations(pairing4.basis))
 
     for d, val in zip(dets, diag):
         mu = pairing4.basis.determinants.excitation(d.mask)
         if mu is not None:   # X_mu phi_0 is phi_d
-            assert apply_excitation(mu, reference)[0] == d
+            assert dets[space.ref_pos[space.positions([mu])[0]]] == d
         eps = oracle.epsilon(fock, mu) if mu else 0.0
         assert abs(val - (fock.lambda0 + eps)) <= 1e-12
 
@@ -475,13 +474,24 @@ def test_fcidump_record_errors():
     (" 1.0 3 1 0 0", IndexOutOfRangeError, "index 3 is not in 0..NORB=2"),
     (" 1.0 1 1 0", MalformedHeaderError, "expected 5 fields, got 4"),
     (" 1.0 1 x 0 0", MalformedHeaderError, "invalid literal for int() with base 10: 'x'"),
-], ids=["negative index", "index above NORB", "short record", "non-integer index"])
+    (" nan 1 2 0 0", NonFiniteIntegralError, "value nan is not finite"),
+    (" inf 1 1 2 2", NonFiniteIntegralError, "value inf is not finite"),
+], ids=["negative index", "index above NORB", "short record", "non-integer index", "NaN", "inf"])
 def test_fcidump_record_errors_name_the_file_line(record, error, message):
     # header on lines 1-4, a good record on 5, a blank line 6: the bad record is line 7,
     # where the count used to start at the &END line as 1 and name line 4
     text = "&FCI NORB=2,NELEC=2,\n  ORBSYM=1,1,\n  ISYM=1,\n&END\n 4.0 1 1 1 1\n\n" + record + "\n"
     with pytest.raises(error, match=f"^record line 7: {re.escape(message)}$"):
         parse_fcidump(text)
+
+
+@pytest.mark.parametrize("records", [
+    " nan 1 2 0 0\n -1.0 1 2 0 0\n", " inf 1 1 2 2\n 0.5 2 2 1 1\n", " nan 0 0 0 0\n 0.0 0 0 0 0\n",
+], ids=["h12", "(11|22)", "core energy"])
+def test_a_non_finite_record_is_refused_before_a_finite_one_of_its_orbit(records):
+    # the finite record replaced it: NaN and inf never differed from another value
+    with pytest.raises(NonFiniteIntegralError, match="^record line 3: value (nan|inf) is not finite$"):
+        parse_fcidump("&FCI NORB=2,NELEC=2,\n&END\n" + records)
 
 
 def test_fcidump_writer_refuses_a_set_with_no_electron_count():

@@ -211,6 +211,18 @@ def test_solver_evaluates_each_iterate_once(pairing4, monkeypatch):
     assert not result.converged and len(calls) == 4
 
 
+def test_a_damped_step_reaches_the_undamped_root(pairing4):
+    # damping 0.5 halves each quasi-Newton step: here 47 steps against 16, to the same root
+    study = Study(pairing4.ints, pairing4.split)
+    rank2 = TruncationScheme(MODE_RANK, 2)
+    undamped, damped = (study.root(TccConfig(damping=d, truncation=rank2)) for d in (1.0, 0.5))
+    assert undamped.converged and damped.converged
+    assert abs(damped.energy - undamped.energy) <= 1e-10
+    assert undamped.t.entries.keys() == damped.t.entries.keys()
+    assert max(abs(damped.t.get(mu) - v) for mu, v in undamped.t.entries.items()) <= 1e-10
+    assert damped.iterations > undamped.iterations
+
+
 @pytest.mark.parametrize("diis", [2, 3, 8])
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("system", ["pairing4", "hubbard4_mo"])
