@@ -85,7 +85,7 @@ def _parse_trunc(spec: str) -> TruncationScheme:
     if spec == "sd":
         return TruncationScheme(MODE_RANK, 2)
     mode, _, n = spec.partition(":")
-    if mode in (MODE_RANK, MODE_FOI) and n.isdigit():
+    if mode in (MODE_RANK, MODE_FOI) and n.isascii() and n.isdigit():
         return TruncationScheme(mode, int(n))
     raise InputError(f"bad truncation spec {spec!r} (want sd|rank:N|foi:N|full)")
 

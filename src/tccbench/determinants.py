@@ -81,34 +81,6 @@ class BasisSplit:
         return self.basis.determinants.masks < (1 << self.k)
 
 
-@dataclass(frozen=True)
-class Determinant:
-    """Canonically ordered occupied spin-orbital indices."""
-
-    occ: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.occ, self.occ[1:])):
-            raise InputError(f"occupation not strictly increasing: {self.occ}")
-        if self.occ and self.occ[0] < 1:
-            raise InputError("orbital indices are 1-based")
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << (p - 1) for p in self.occ)
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Determinant":
-        occ = []
-        p = 1
-        while mask:
-            if mask & 1:
-                occ.append(p)
-            mask >>= 1
-            p += 1
-        return cls(tuple(occ))
-
-
 @dataclass(frozen=True, order=True)
 class ExcitationIndex:
     """Multi-index mu = (I_1..I_r -> A_1..A_r), canonically ordered."""
@@ -140,12 +112,9 @@ def classify_excitation(mu: ExcitationIndex, split: BasisSplit) -> str:
     return "cas" if mu.particles[-1] <= split.k else "ext"
 
 
-def enumerate_determinants(basis: OrbitalBasis) -> list[Determinant]:
-    """All N-electron determinants in lexicographic order."""
-    return [
-        Determinant(occ)
-        for occ in combinations(range(1, basis.n_orbitals + 1), basis.n_electrons)
-    ]
+def enumerate_determinants(basis: OrbitalBasis) -> list[tuple[int, ...]]:
+    """The 1-based occupations of all N-electron determinants, in lexicographic order."""
+    return list(combinations(range(1, basis.n_orbitals + 1), basis.n_electrons))
 
 
 @lru_cache(maxsize=32)
@@ -242,8 +211,8 @@ class DeterminantSpace:
         ref = int(self.masks[self.reference])
         if mask == ref:
             return None
-        return ExcitationIndex(Determinant.from_mask(ref & ~mask).occ,
-                               Determinant.from_mask(mask & ~ref).occ)
+        return ExcitationIndex(*(tuple(p + 1 for p in range(m.bit_length()) if m >> p & 1)
+                                 for m in (ref & ~mask, mask & ~ref)))
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -330,10 +299,6 @@ class ExcitationSpace:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def reference_state(self) -> np.ndarray:
-        """phi_0 as a coefficient vector."""
-        return self.dets.reference_state()
 
     def _rows(self, sources: np.ndarray, level: int) -> tuple[np.ndarray, ...]:
         """(src, dst, sign, mu) of each nonzero X_mu phi_src, src in `sources`, up to `level`."""

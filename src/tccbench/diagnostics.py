@@ -235,7 +235,7 @@ def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float =
     def a(x):
         return w_cas(x) - p * w_cas(p * x)
 
-    ref = space.reference_state()
+    ref = space.dets.reference_state()
     omega0 = float(w_cas(ref)[space.reference])
     eps_cas = dict(zip(op.cas.indices, op.cas.epsilon(fock)))
     omega_cas = float(sum(abs(val * eps_cas[s]) for s, val in study.t_cas.sorted_items()))

@@ -78,7 +78,7 @@ class SpectralSummary:
 def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
     """e^T phi_0, intermediate-normalized by construction."""
     space = support_space(t, basis)
-    psi = space.exp_apply(space.embed(t), space.reference_state())
+    psi = space.exp_apply(space.embed(t), space.dets.reference_state())
     return CiVector(basis, psi, NORM_INTERMEDIATE)
 
 

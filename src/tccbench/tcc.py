@@ -159,7 +159,7 @@ class TailoredHamiltonian:
         self.cas = cas_space(split)
         self.t_cas = self.cas.embed(t_cas)
         self.ham = build_dense_hamiltonian(ints, split.basis)
-        self.u0 = self.cas.exp_apply(self.t_cas, space.reference_state())
+        self.u0 = self.cas.exp_apply(self.t_cas, space.dets.reference_state())
         rank = space.ranks.max(initial=0) if rank is None else rank
         self.forward = space.block(rank + 2)   # first, so the table is built once
         self.rows = space.block(rank)
@@ -263,7 +263,9 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
         raise GapViolationError(f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set")
 
     history: list[tuple[int, float, float, float]] = []
-    window, gram = deque(maxlen=config.diis), np.zeros((config.diis or 0,) * 2)   # DIIS
+    # DIIS; the window never holds more errors than there are iterations
+    window = deque(maxlen=config.diis)
+    gram = np.zeros((min(config.diis or 0, config.max_iterations),) * 2)
     converged = diverged = False
     it = 0
 

@@ -3,7 +3,8 @@
 Everything here is built from first principles -- explicit creation/
 annihilation matrices with the standard phase string, dense many-body
 operators, explicit partial traces -- and deliberately shares no code
-with the package beyond the integral and determinant containers. Used to
+with the package beyond the integral and excitation-index containers;
+a determinant is its tuple of 1-based occupied orbitals. Used to
 pin signs, matrix elements, reduced density matrices and operator norms.
 
 The scalar integral lookups and the Slater-Condon matrix_element are the
@@ -82,6 +83,11 @@ def antisymmetrized(ints, P: int, Q: int, R: int, S: int) -> float:
     return phys(ints, P, Q, R, S) - phys(ints, P, Q, S, R)
 
 
+def occ_mask(occ) -> int:
+    """The bit mask of 1-based occupied orbitals: bit p-1 <-> orbital p."""
+    return sum(1 << (p - 1) for p in occ)
+
+
 def _align_phase(d1, d2, removed: list[int], added: list[int]) -> int:
     """Parity of bringing d2 into maximal coincidence with d1.
 
@@ -89,7 +95,7 @@ def _align_phase(d1, d2, removed: list[int], added: list[int]) -> int:
     contributes (-1)^(occupied orbitals strictly between them in d2,
     after earlier substitutions).
     """
-    mask = d2.mask
+    mask = occ_mask(d2)
     sign = 1
     for r, a in zip(removed, added):
         lo, hi = (r, a) if r < a else (a, r)
@@ -101,8 +107,9 @@ def _align_phase(d1, d2, removed: list[int], added: list[int]) -> int:
 
 
 def matrix_element(d1, d2, ints) -> float:
-    """<d1|H|d2> by the Slater-Condon rules, including e_core on the diagonal."""
-    occ1, occ2 = set(d1.occ), set(d2.occ)
+    """<d1|H|d2> of two occupation tuples by the Slater-Condon rules, with e_core on the
+    diagonal."""
+    occ1, occ2 = set(d1), set(d2)
     if len(occ1) != len(occ2):
         raise ValueError("determinants have different particle number")
     diff1 = sorted(occ1 - occ2)
@@ -113,7 +120,7 @@ def matrix_element(d1, d2, ints) -> float:
 
     if n_diff == 0:
         val = ints.e_core
-        occ = d1.occ
+        occ = d1
         for P in occ:
             val += spin_h(ints, P, P)
         for a in range(len(occ)):
@@ -172,7 +179,7 @@ def project_sector(n_modes: int, n_particles: int) -> list[int]:
 def state_from_ci(coefficients, determinants, n_modes: int) -> np.ndarray:
     v = np.zeros(1 << n_modes)
     for c, d in zip(coefficients, determinants):
-        v += c * determinant_state(d.occ, n_modes)
+        v += c * determinant_state(d, n_modes)
     return v
 
 
@@ -265,7 +272,7 @@ def fock_norm_identity_check(t, fock, basis) -> FockNormCheck:
     diag = fock_diagonal_vector(fock, basis) - fock.lambda0
 
     t_norm = float(np.sqrt((_weights(space, fock) * t_vec**2).sum()))
-    t_phi0 = space.apply(t_vec, space.reference_state())
+    t_phi0 = space.apply(t_vec, space.dets.reference_state())
     fock_norm = float(np.sqrt(max(0.0, t_phi0 @ (diag * t_phi0))))
     deviation = abs(t_norm - fock_norm)
 

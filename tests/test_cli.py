@@ -31,7 +31,6 @@ from tccbench.cli import main
 from tccbench.determinants import (
     AmplitudeVector,
     BasisSplit,
-    Determinant,
     ExcitationIndex,
     OrbitalBasis,
 )
@@ -521,6 +520,18 @@ def test_trunc_sd_is_rank_2(capsys):
     assert json.loads(sd)["payload"]["t"]["scheme"] == "rank:2"
 
 
+@pytest.mark.parametrize("spec", ["rank:\u00b2", "rank:\u0663"], ids=["superscript", "arabic"])
+def test_a_trunc_cap_takes_only_ascii_digits(spec, tmp_path, capsys):
+    # str.isdigit took both: int() raised a ValueError traceback on the superscript two,
+    # and read the Arabic-Indic three as rank 3 under a config hash of its own
+    argv = ["tcc", "--model", "pairing:4,0.5,1.0", "--k", "6"]
+    want = (1, "", f"error: bad truncation spec {spec!r} (want sd|rank:N|foi:N|full)\n")
+    assert run([*argv, "--trunc", spec], capsys) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trunc={spec}\n", encoding="utf-8")
+    assert run([*argv, "--config", str(cfg)], capsys) == want
+
+
 def test_the_solver_defaults_are_the_tcc_commands():
     # TccConfig stopped at 200 iterations, the tcc and verify commands at 500
     assert cli._solver_config(cli.build_parser().parse_args(["tcc"])) == tcc.TccConfig()
@@ -701,8 +712,6 @@ ARGUMENT_CHECKS = {
     "permute_spatial_orbitals": lambda s: entropy.permute_spatial_orbitals(s.ints, (1, 1, 2, 3)),
     "_Stream": lambda s: diagnostics._Stream(-1),
     "AmplitudeVector tag": lambda s: AmplitudeVector("guess"),
-    "Determinant order": lambda s: Determinant((2, 1)),
-    "Determinant 1-based": lambda s: Determinant((0, 1)),
     "ExcitationIndex lengths": lambda s: ExcitationIndex((1,), ()),
     "ExcitationIndex order": lambda s: ExcitationIndex((2, 1), (5, 6)),
     "ExcitationIndex disjoint": lambda s: ExcitationIndex((1,), (1,)),
@@ -1082,11 +1091,12 @@ def test_a_call_with_argv_leaves_the_warning_display_alone(capsys):
 # less matrix_element and fock_norm_identity_check, which moved to the tests' oracle,
 # excitation_from_reference, which had no caller, v_ext_norm, whose one caller
 # reads the space's weights, and apply_excitation, one_orbital_rdm and two_orbital_rdm,
-# scalar views of the excitation table and of the RDM stack that no command read;
-# plus the fcidump module
+# scalar views of the excitation table and of the RDM stack that no command read, and
+# Determinant, a second representation of the bit masks every layer reads; plus the
+# fcidump module
 PACKAGE_NAMES = [
     "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
-    "Determinant", "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
+    "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
     "FockSpectrum", "GapReport", "IntegralSet", "OrbitalBasis", "OrbitalEntropyProfile",
     "ScalingStudy", "SpectralSummary", "Study", "TailoredHamiltonian", "TccConfig",
     "TccResult", "TruncationScheme", "assumption_b_report",
@@ -1125,7 +1135,7 @@ def test_package_names_resolve_to_their_modules_objects(monkeypatch):
     for name in ("Study", "solve_dual", "tcc_jacobian"):
         assert getattr(tccbench.diagnostics, name) is getattr(tcc, name)
     for name in ("matrix_element", "fock_norm_identity_check", "apply_excitation",
-                 "one_orbital_rdm", "two_orbital_rdm", "no_such_name"):
+                 "one_orbital_rdm", "two_orbital_rdm", "Determinant", "no_such_name"):
         with pytest.raises(AttributeError, match=name):
             getattr(tccbench, name)
     # a tracer or a test that rebinds a module's function rebinds it for the package too

@@ -8,7 +8,6 @@ import oracle
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
-    Determinant,
     ExcitationIndex,
     OrbitalBasis,
     classify_excitation,
@@ -26,22 +25,22 @@ from tccbench.errors import DimensionLimitError, DimensionMismatchError, SpaceMi
 
 
 def _oracle_action(mu, det, n_modes):
-    """(result determinant, sign) of X_mu on det via the dense oracle."""
+    """(result mask, sign) of X_mu on the occupation det via the dense oracle."""
     op = oracle.excitation_operator(mu.holes, mu.particles, n_modes)
-    out = op @ oracle.determinant_state(det.occ, n_modes)
+    out = op @ oracle.determinant_state(det, n_modes)
     nz = np.nonzero(out)[0]
     if len(nz) == 0:
         return None
     assert len(nz) == 1
     mask = int(nz[0])
-    return Determinant.from_mask(mask), float(out[mask])
+    return mask, float(out[mask])
 
 
 @pytest.mark.parametrize("k,n", [(4, 2), (6, 3), (8, 4)])
 def test_excitation_signs_match_dense_oracle(k, n):
     basis = OrbitalBasis(k, n)
     dets = enumerate_determinants(basis)
-    pos = {d.occ: i for i, d in enumerate(dets)}
+    pos = {oracle.occ_mask(d): i for i, d in enumerate(dets)}
     # the excitation table must hold exactly the oracle's nonzero actions
     space = excitation_space(basis, tuple(enumerate_excitations(basis)))
     assert space.indices == tuple(enumerate_excitations(basis))
@@ -57,7 +56,7 @@ def test_excitation_signs_match_dense_oracle(k, n):
             if want is None:
                 assert row is None
             else:
-                assert row == (pos[want[0].occ], want[1])
+                assert row == (pos[want[0]], want[1])
     assert not rows
 
 
@@ -119,11 +118,11 @@ def test_excitations_are_nilpotent(k, n):
 def test_reference_bijection_round_trip():
     basis = OrbitalBasis(6, 3)
     space = excitation_space(basis, tuple(enumerate_excitations(basis)))
-    reference = Determinant((1, 2, 3))
+    reference = (1, 2, 3)
     dets = enumerate_determinants(basis)
     seen = set()
     for det in dets:
-        mu = basis.determinants.excitation(det.mask)
+        mu = basis.determinants.excitation(oracle.occ_mask(det))
         if det == reference:
             assert mu is None
             continue
@@ -134,6 +133,24 @@ def test_reference_bijection_round_trip():
         assert dets[space.ref_pos[a]] == det
     # every excitation index is hit exactly once
     assert seen == set(enumerate_excitations(basis))
+
+
+def test_excitation_reads_orbitals_up_to_bit_63():
+    """DeterminantSpace.excitation at the orbital bound: for every determinant of K = 64,
+    the reference flipped at the holes and particles is the mask, and X_mu phi_0 lands
+    on the determinant's position."""
+    basis = OrbitalBasis(64, 2)
+    dets = basis.determinants
+    space = excitation_space(basis, enumerate_excitations(basis))
+    ref = int(dets.masks[dets.reference])
+    for pos, mask in enumerate(dets.masks.tolist()):
+        mu = dets.excitation(mask)
+        if mu is None:
+            assert pos == dets.reference
+            continue
+        assert ref ^ oracle.occ_mask(mu.holes) ^ oracle.occ_mask(mu.particles) == mask
+        assert space.ref_pos[space.positions([mu])[0]] == pos
+    assert max(dets.masks.tolist()) >> 63 == 1   # orbital 64 was reached
 
 
 @pytest.mark.parametrize("k,n", [(4, 2), (6, 2), (6, 3), (8, 4)])
@@ -152,15 +169,15 @@ def test_spin_sectors_partition_the_determinants_in_order(k, n, rng):
     basis = OrbitalBasis(k, n)
     dets = enumerate_determinants(basis)
     space = basis.determinants
-    assert space.masks.tolist() == [d.mask for d in dets]
+    assert space.masks.tolist() == [oracle.occ_mask(d) for d in dets]
     perm = rng.permutation(len(dets))
     assert space.position(space.masks[perm]).tolist() == perm.tolist()
-    reference = Determinant(tuple(range(1, n + 1)))
+    reference = tuple(range(1, n + 1))
     assert dets[space.reference] == reference
     assert space.reference_state().tolist() == [float(d == reference) for d in dets]
-    assert space.levels.tolist() == [sum(p > n for p in d.occ) for d in dets]
-    assert space.occupations.tolist() == [[p in d.occ for p in range(1, k + 1)] for d in dets]
-    up = [sum(p % 2 for p in d.occ) for d in dets]
+    assert space.levels.tolist() == [sum(p > n for p in d) for d in dets]
+    assert space.occupations.tolist() == [[p in d for p in range(1, k + 1)] for d in dets]
+    up = [sum(p % 2 for p in d) for d in dets]
     sectors = space.sectors
     assert sorted(np.concatenate(sectors).tolist()) == list(range(len(dets)))
     for count, idx in zip(range(min(up), max(up) + 1), sectors, strict=True):
@@ -170,8 +187,8 @@ def test_spin_sectors_partition_the_determinants_in_order(k, n, rng):
 def test_enumeration_is_lexicographic_and_deterministic():
     basis = OrbitalBasis(6, 2)
     dets = enumerate_determinants(basis)
-    assert dets[0] == Determinant((1, 2))
-    assert dets == sorted(dets, key=lambda d: d.occ)
+    assert dets[0] == (1, 2)
+    assert dets == sorted(dets)
     assert dets == enumerate_determinants(basis)
 
 
@@ -179,7 +196,7 @@ def test_cas_restricted_enumeration():
     basis = OrbitalBasis(6, 2)
     split = BasisSplit(basis, 4)
     inside = split.cas_determinants()
-    assert inside.tolist() == [d.occ[-1] <= 4 for d in enumerate_determinants(basis)]
+    assert inside.tolist() == [d[-1] <= 4 for d in enumerate_determinants(basis)]
     assert inside.sum() == math.comb(4, 2)
 
 

@@ -294,7 +294,7 @@ def _dense_smallness(system, t_star, t_cas, samples, seed):
     w_cas = op.cas.exp_apply(op.t_cas, eye, -1) @ w @ op.cas.exp_apply(op.t_cas, eye, +1)
     p = system.split.cas_determinants().astype(float)
     a = w_cas - (p[:, None] * w_cas) * p[None, :]
-    ref = space.reference_state()
+    ref = space.dets.reference_state()
 
     def o_map(vec):
         return space.exp_apply(vec, a @ space.exp_apply(vec, ref, +1), -1) - a @ ref
@@ -502,7 +502,7 @@ def test_fock_norm_operator_norm_matches_power_iteration(pairing4, rng):
     basis = pairing4.basis
     dets = enumerate_determinants(basis)
     refpos = basis.determinants.reference
-    diag = np.array([sum(pairing4.fock.lambdas[p - 1] for p in d.occ)
+    diag = np.array([sum(pairing4.fock.lambdas[p - 1] for p in d)
                      for d in dets]) - pairing4.fock.lambda0
     dim = len(dets)
     cols = [refpos] + [i for i in range(dim) if i != refpos]
@@ -657,7 +657,7 @@ def _php_energy(system, t_cas):
     p = system.split.cas_determinants().astype(float)
     php = (p[:, None] * ham) * p[None, :]
     cas = cas_space(system.split)
-    v = php @ cas.exp_apply(cas.embed(t_cas), cas.reference_state(), +1)
+    v = php @ cas.exp_apply(cas.embed(t_cas), cas.dets.reference_state(), +1)
     return float(v[cas.reference])
 
 

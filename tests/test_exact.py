@@ -96,7 +96,7 @@ def test_cas_fci_matches_explicit_projection(pairing4):
     basis, split = pairing4.basis, pairing4.split
     ham = build_dense_hamiltonian(pairing4.ints, basis)
     dets = enumerate_determinants(basis)
-    idx = [a for a, d in enumerate(dets) if d.occ[-1] <= split.k]
+    idx = [a for a, d in enumerate(dets) if d[-1] <= split.k]
     want = np.linalg.eigvalsh(ham[np.ix_(idx, idx)])[0]
     summary, states = cas_fci_solve(pairing4.ints, split)
     assert abs(summary.ground_energy - want) <= 1e-12
@@ -186,7 +186,7 @@ def test_apply_cluster_matches_oracle(rng):
             v = block[:, j]
             got = space.apply(space.embed(t), v)
             full = op @ oracle.state_from_ci(v, dets, k)
-            want = np.array([full @ oracle.determinant_state(d.occ, k) for d in dets])
+            want = np.array([full @ oracle.determinant_state(d, k) for d in dets])
             assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(got_block[:, j] - want)) <= 1e-12
 
@@ -222,7 +222,7 @@ def test_single_excitation_cluster_map():
     t = AmplitudeVector(SPACE_FULL, {mu: 0.7})
     psi = cluster_to_ci(t, basis)
     dets = enumerate_determinants(basis)
-    pos = {d.occ: a for a, d in enumerate(dets)}
+    pos = {d: a for a, d in enumerate(dets)}
     want = np.zeros(len(dets))
     want[pos[(1, 2)]] = 1.0
     want[pos[(1, 3)]] = 0.7  # X_{2->3} {1,2} = +{1,3}

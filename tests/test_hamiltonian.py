@@ -45,7 +45,7 @@ def _oracle_elements(system, n_samples, rng):
     k = system.basis.n_orbitals
     dets = enumerate_determinants(system.basis)
     ham = oracle.dense_hamiltonian_fock(system.ints, k)
-    states = [oracle.determinant_state(d.occ, k) for d in dets]
+    states = [oracle.determinant_state(d, k) for d in dets]
     worst = 0.0
     for _ in range(n_samples):
         a, b = rng.integers(0, len(dets), size=2)
@@ -76,7 +76,7 @@ def test_dense_hamiltonian_matches_oracle_sector(hubbard2_site, hubbard3_mo, pai
     for ints in (hubbard2_site.ints, hubbard3_mo.ints, pairing4.ints, random8):
         k, n = ints.n_spin_orbitals, ints.n_electrons
         basis = OrbitalBasis(k, n)
-        idx = [d.mask for d in enumerate_determinants(basis)]
+        idx = [oracle.occ_mask(d) for d in enumerate_determinants(basis)]
         assert sorted(idx) == oracle.project_sector(k, n)
         want = oracle.dense_hamiltonian_fock(ints, k)[np.ix_(idx, idx)]
         assert np.max(np.abs(build_dense_hamiltonian(ints, basis) - want)) <= 1e-12
@@ -300,7 +300,7 @@ def test_fock_identity_on_determinants(pairing4):
     space = excitation_space(pairing4.basis, enumerate_excitations(pairing4.basis))
 
     for d, val in zip(dets, diag):
-        mu = pairing4.basis.determinants.excitation(d.mask)
+        mu = pairing4.basis.determinants.excitation(oracle.occ_mask(d))
         if mu is not None:   # X_mu phi_0 is phi_d
             assert dets[space.ref_pos[space.positions([mu])[0]]] == d
         eps = oracle.epsilon(fock, mu) if mu else 0.0

@@ -29,7 +29,6 @@ from tccbench.determinants import (
     SPACE_CAS,
     SPACE_EXT,
     SPACE_FULL,
-    Determinant,
     ExcitationSpace,
     classify_excitation,
     enumerate_excitations,
@@ -172,7 +171,7 @@ def test_zero_amplitude_energy_is_reference_expectation(pairing4):
     from oracle import matrix_element
 
     t_cas = AmplitudeVector(SPACE_CAS, {})
-    ref = Determinant((1, 2, 3, 4))
+    ref = (1, 2, 3, 4)
     want = matrix_element(ref, ref, pairing4.ints)
     got = tcc_energy(_empty_ext(), t_cas, pairing4.ints, pairing4.split)
     assert abs(got - want) <= 1e-13
@@ -375,7 +374,7 @@ def test_non_finite_amplitudes_are_rejected(pairing4):
     t = np.zeros(len(space))
     t[0] = math.inf
     with pytest.raises(NonFiniteAmplitudeError):
-        space.exp_apply(t, space.reference_state())
+        space.exp_apply(t, space.dets.reference_state())
 
 
 def test_config_validation():
@@ -410,6 +409,17 @@ def test_config_rejects_a_negative_diis_history():
     with pytest.raises(ValueError, match="diis"):
         TccConfig(diis=-3)
     assert TccConfig(diis=0).diis == 0     # 0 and None both mean no DIIS
+
+
+def test_a_diis_window_longer_than_the_solve_changes_nothing(pairing4):
+    # the Gram buffer was diis x diis whatever max_iterations was: diis=10**9 asked numpy
+    # for 8e18 bytes. The window never holds more errors than there are iterations.
+    t_cas = _cas_amplitudes(pairing4)
+    huge, fits = (solve_tcc(t_cas, pairing4.ints, pairing4.split, pairing4.fock,
+                            TccConfig(diis=diis, max_iterations=40,
+                                      truncation=TruncationScheme(MODE_RANK, 2)))
+                  for diis in (10**9, 40))
+    assert huge.history == fits.history and huge.t == fits.t
 
 
 # ---------------------------------------------------------------------------

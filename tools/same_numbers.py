@@ -2,8 +2,8 @@
 
     python3 tools/same_numbers.py BEFORE AFTER COMMANDS
 
-BEFORE and AFTER are checkouts (each with a `src` directory). COMMANDS
-holds one tccbench command line per line, without the leading `tccbench`;
+BEFORE and AFTER are checkouts (each with a `src` directory). COMMANDS, a
+UTF-8 file, holds one tccbench command line per line, without the leading `tccbench`;
 blank lines and `#` comments are skipped. Each command runs in a fresh
 interpreter per checkout, with PYTHONPATH=<checkout>/src,
 OPENBLAS_NUM_THREADS=1, the directory of COMMANDS as its working directory
@@ -34,7 +34,8 @@ _ENTRY = ("import sys, warnings\n"
 
 
 def read_commands(path: Path) -> list[str]:
-    lines = (raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines())
+    text = path.read_text(encoding="utf-8")
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     return [line for line in lines if line]
 
 
