@@ -148,10 +148,17 @@ def cmd_select_cas(args) -> int:
 
 
 def _solver_config(args) -> TccConfig:
+    """The solver flags' TccConfig; args is rewritten to the problem it solves, which the
+    document records: --trunc as the scheme describes itself, and no --diis window of 0 or 1,
+    which never extrapolates."""
     from .tcc import TccConfig
 
+    scheme = _parse_trunc(args.trunc)
+    args.trunc = scheme.describe()
+    if args.diis in (0, 1):
+        args.diis = None
     return TccConfig(max_iterations=args.max_iterations, tolerance=args.tol,
-                     damping=args.damping, diis=args.diis, truncation=_parse_trunc(args.trunc))
+                     damping=args.damping, diis=args.diis, truncation=scheme)
 
 
 def cmd_tcc(args) -> int:

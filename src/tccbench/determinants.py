@@ -26,13 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionLimitError,
-    DimensionMismatchError,
-    InputError,
-    NonFiniteAmplitudeError,
-    SpaceMismatchError,
-)
+from .errors import InputError, SizeLimitError
 
 MAX_SPIN_ORBITALS = 64
 MAX_DENSE_DIM = 20_000
@@ -54,7 +48,7 @@ class OrbitalBasis:
         # checked before any layer enumerates the determinants or their indices
         dim = math.comb(k, n)
         if dim > MAX_DENSE_DIM:
-            raise DimensionLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
+            raise SizeLimitError(f"determinant space dim {dim} exceeds {MAX_DENSE_DIM}")
 
     @cached_property
     def determinants(self) -> "DeterminantSpace":
@@ -151,7 +145,7 @@ class AmplitudeVector:
             raise InputError(f"unknown space tag {self.space!r}")
         for mu, v in self.entries.items():
             if not math.isfinite(v):
-                raise NonFiniteAmplitudeError(f"amplitude of {mu} is {v}")
+                raise InputError(f"amplitude of {mu} is {v}")
         self.entries = {m: v for m, v in self.entries.items() if v != 0.0}
 
     def sorted_items(self) -> list[tuple[ExcitationIndex, float]]:
@@ -285,7 +279,7 @@ class ExcitationSpace:
         for ids, holes, particles in self._groups:   # no orbital past K: one past 64 wraps in a shift
             if max(holes.max(), particles.max()) >= basis.n_orbitals:
                 bad = self.indices[ids[np.maximum(holes, particles).max(axis=0).argmax()]]
-                raise SpaceMismatchError(f"index {bad} has an orbital above K={basis.n_orbitals}")
+                raise InputError(f"index {bad} has an orbital above K={basis.n_orbitals}")
         self.reference = self.dets.reference
         self.dim = len(self.dets.masks)
         self._top = int(self.dets.levels.max())   # the deepest level a row can reach
@@ -293,7 +287,7 @@ class ExcitationSpace:
         _, dst, sign, mu = self._rows(np.array([self.reference]), self._top)
         if len(mu) != len(self):
             bad = self.indices[np.flatnonzero(np.bincount(mu, minlength=len(self)) == 0)[0]]
-            raise SpaceMismatchError(f"index {bad} does not excite the reference")
+            raise InputError(f"index {bad} does not excite the reference")
         order = np.argsort(mu)   # the rows come by rank, the indices in any order
         self.ref_pos, self.ref_sign = dst[order].astype(np.intp), sign[order].astype(float)
 
@@ -341,7 +335,7 @@ class ExcitationSpace:
         try:
             return np.array([self._slot[mu] for mu in indices], dtype=np.intp)
         except KeyError as e:
-            raise SpaceMismatchError(f"index {e.args[0]} is not in the excitation space") from None
+            raise InputError(f"index {e.args[0]} is not in the excitation space") from None
 
     def embed(self, t: AmplitudeVector) -> np.ndarray:
         """The entries of t as an ndarray in index order."""
@@ -373,10 +367,9 @@ class ExcitationSpace:
         """t[mu] * sign for the first `rows` table rows (default: all), for a finite t."""
         t = np.asarray(t, dtype=float)
         if t.shape != (len(self),):
-            raise DimensionMismatchError(
-                f"amplitude vector shape {t.shape}, space has {len(self)} indices")
+            raise InputError(f"amplitude vector shape {t.shape}, space has {len(self)} indices")
         if not np.isfinite(t).all():
-            raise NonFiniteAmplitudeError("amplitude vector has NaN or inf entries")
+            raise InputError("amplitude vector has NaN or inf entries")
         rows = self.block(self._top) if rows is None else rows
         _, _, sign, mu = self.table
         return t[mu[:rows]] * sign[:rows]

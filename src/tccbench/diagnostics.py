@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .determinants import AmplitudeVector, BasisSplit, ExcitationSpace, SPACE_EXT
-from .errors import (
-    InputError, InsufficientPointsError, MissingReferenceError, NonPositiveWeightError)
+from .errors import InputError, SolverError
 from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import FockSpectrum, fock_diagonal_vector
 from .tcc import (  # Study, solve_dual and tcc_jacobian are re-exported here
@@ -91,7 +90,7 @@ def _weights(space: ExcitationSpace, fock: FockSpectrum) -> np.ndarray:
     eps = space.epsilon(fock)
     if eps.min(initial=np.inf) <= 0.0:
         mu = int(eps.argmin())
-        raise NonPositiveWeightError(f"eps_mu <= 0 for {space.indices[mu]}: {eps[mu]}")
+        raise SolverError(f"eps_mu <= 0 for {space.indices[mu]}: {eps[mu]}")
     return eps
 
 
@@ -108,7 +107,7 @@ def _ball(study: Study, t_star: Optional[AmplitudeVector], delta: float, samples
     The arguments are checked before the operator builds H."""
     check_ball(delta, samples)
     if t_star is None:
-        raise MissingReferenceError("a converged reference amplitude vector is required")
+        raise InputError("a converged reference amplitude vector is required")
     space = external_space(study.split)   # the operator's
     if not len(space):
         raise InputError("k = K leaves the external space empty: no ball around t_* to sample")
@@ -117,9 +116,8 @@ def _ball(study: Study, t_star: Optional[AmplitudeVector], delta: float, samples
     t_vec = space.embed(t_star)
     r = op.residual(t_vec)
     if float(np.linalg.norm(r)) > REFERENCE_RESIDUAL_TOL:
-        raise MissingReferenceError(
-            f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}"
-        )
+        raise InputError(
+            f"reference residual {np.linalg.norm(r):.3e} exceeds {REFERENCE_RESIDUAL_TOL}")
     return op, t_vec, r, eps, _ball_pairs(t_vec, eps, delta, samples, seed)
 
 
@@ -377,9 +375,7 @@ class ScalingStudy:
 def _fit_slope(rows: list[ScalingRow]) -> float:
     usable = [r for r in rows if r.used_in_fit]
     if len(usable) < 3:
-        raise InsufficientPointsError(
-            f"need at least 3 usable rows for a slope fit, have {len(usable)}"
-        )
+        raise InputError(f"need at least 3 usable rows for a slope fit, have {len(usable)}")
     x = np.log([r.distance for r in usable])
     y = np.log([r.energy_error for r in usable])
     return float(np.polyfit(x, y, 1)[0])

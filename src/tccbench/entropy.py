@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NotNormalizedError
+from .errors import InputError
 from .exact import CiVector
 from .hamiltonian import IntegralSet
 
@@ -31,7 +31,7 @@ def _check_normalized(psi: CiVector) -> np.ndarray:
     c = psi.coefficients
     nrm = float(np.linalg.norm(c))
     if not abs(nrm - 1.0) <= NORM_TOL:   # a NaN or inf coefficient makes nrm NaN or inf
-        raise NotNormalizedError(f"CI vector norm is {nrm!r}, expected 1")
+        raise InputError(f"CI vector norm is {nrm!r}, expected 1")
     return c
 
 

@@ -22,7 +22,7 @@ from .determinants import (
     SPACE_FULL,
     support_space,
 )
-from .errors import DimensionMismatchError, StateCountError, ZeroReferenceOverlapError
+from .errors import InputError
 from .hamiltonian import IntegralSet, build_dense_hamiltonian
 
 NORM_L2 = "L2"
@@ -47,16 +47,12 @@ class CiVector:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         dim = len(self.basis.determinants.masks)
         if self.coefficients.shape != (dim,):
-            raise DimensionMismatchError(
-                f"expected {dim} coefficients, got {self.coefficients.shape}"
-            )
+            raise InputError(f"expected {dim} coefficients, got {self.coefficients.shape}")
 
     def intermediate_normalized(self) -> "CiVector":
         c0 = float(self.coefficients[self.basis.determinants.reference])
         if abs(c0) < 1e-12:
-            raise ZeroReferenceOverlapError(
-                f"reference overlap {c0:.3e} too small for intermediate normalization"
-            )
+            raise InputError(f"reference overlap {c0:.3e} too small for intermediate normalization")
         return CiVector(self.basis, self.coefficients / c0, NORM_INTERMEDIATE)
 
 
@@ -87,7 +83,7 @@ def _support_space(w: np.ndarray, basis: OrbitalBasis) -> ExcitationSpace:
     reference-orthogonal w: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
     dets = basis.determinants
     if w[dets.reference] != 0.0:
-        raise DimensionMismatchError("vector has a reference component")
+        raise InputError("vector has a reference component")
     indices = [dets.excitation(m) for m in dets.masks[np.flatnonzero(w)].tolist()]
     return support_space(indices, basis)
 
@@ -137,7 +133,7 @@ def _lowest_states(ham: np.ndarray, basis: OrbitalBasis, blocks: tuple[np.ndarra
     """
     dim = sum(len(idx) for idx in blocks)
     if not 1 <= n_states <= dim:
-        raise StateCountError(f"n_states must lie in 1..{dim}, got {n_states}")
+        raise InputError(f"n_states must lie in 1..{dim}, got {n_states}")
     pairs = [np.linalg.eigh(ham[np.ix_(idx, idx)]) for idx in blocks]
     values = np.concatenate([evals for evals, _ in pairs])
     block = np.repeat(np.arange(len(blocks)), [len(idx) for idx in blocks])

@@ -10,14 +10,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DuplicateCanonicalEntryError,
-    IndexOutOfRangeError,
-    InputError,
-    MalformedHeaderError,
-    NonFiniteIntegralError,
-)
+from .errors import InputError
 from .hamiltonian import IntegralSet, check_orbital_count, integrals_differ
 
 _HEADER_KV = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)")
@@ -47,7 +40,7 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
     text = stream if isinstance(stream, str) else stream.read()
     m = re.search(r"&(?:FCI|fci)(.*?)(?:&END|/)", text, re.S)
     if m is None:
-        raise MalformedHeaderError("no &FCI ... &END/ header found")
+        raise InputError("no &FCI ... &END/ header found")
     header, body = m.group(1), text[m.end():]
 
     fields = {}
@@ -57,21 +50,19 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
         norb = int(fields["NORB"])
         nelec = int(fields["NELEC"])
         ms2 = int(fields.get("MS2", nelec % 2))
+        syms = [int(s) for s in fields.get("ORBSYM", "").replace(",", " ").split()]
+        int(fields.get("ISYM") or 1)
     except KeyError as exc:
-        raise MalformedHeaderError(f"missing header field {exc}") from exc
+        raise InputError(f"missing header field {exc}") from exc
     except ValueError as exc:
-        raise MalformedHeaderError(f"non-integer header field: {exc}") from exc
+        raise InputError(f"non-integer header field: {exc}") from exc
     if norb < 1 or nelec < 0:
-        raise MalformedHeaderError(f"bad NORB/NELEC: {norb}/{nelec}")
+        raise InputError(f"bad NORB/NELEC: {norb}/{nelec}")
     if ms2 != nelec % 2:   # the reference occupies orbitals 1..NELEC: M_s = 0, or +1/2 for odd NELEC
-        raise MalformedHeaderError(f"MS2={ms2} is not the reference's MS2={nelec % 2} for NELEC={nelec}")
+        raise InputError(f"MS2={ms2} is not the reference's MS2={nelec % 2} for NELEC={nelec}")
     check_orbital_count(norb)
-    if "ORBSYM" in fields and fields["ORBSYM"]:
-        syms = [s for s in fields["ORBSYM"].replace(",", " ").split() if s]
-        if len(syms) not in (0, norb):
-            raise MalformedHeaderError(
-                f"ORBSYM lists {len(syms)} entries for NORB={norb}"
-            )
+    if len(syms) not in (0, norb):
+        raise InputError(f"ORBSYM lists {len(syms)} entries for NORB={norb}")
 
     seen = {}   # each orbit's canonical record -> the value last read for it
     for lineno, raw in enumerate(body.splitlines(), text.count("\n", 0, m.end()) + 1):
@@ -80,25 +71,23 @@ def parse_fcidump(stream: TextIO | str) -> IntegralSet:
             continue
         parts = line.split()
         if len(parts) != 5:
-            raise MalformedHeaderError(f"record line {lineno}: expected 5 fields, got {len(parts)}")
+            raise InputError(f"record line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             value = float(parts[0].replace("D", "E").replace("d", "e"))
             i, j, k, l = (int(x) for x in parts[1:])
         except ValueError as exc:
-            raise MalformedHeaderError(f"record line {lineno}: {exc}") from exc
+            raise InputError(f"record line {lineno}: {exc}") from exc
         if not np.isfinite(value):   # integrals_differ would let a later record of its orbit win
-            raise NonFiniteIntegralError(f"record line {lineno}: value {value} is not finite")
+            raise InputError(f"record line {lineno}: value {value} is not finite")
         for idx in (i, j, k, l):
             if idx < 0 or idx > norb:
-                raise IndexOutOfRangeError(f"record line {lineno}: index {idx} is not in 0..NORB={norb}")
+                raise InputError(f"record line {lineno}: index {idx} is not in 0..NORB={norb}")
         shape = (i == 0, j == 0, k == 0, l == 0)
         if shape not in _CONFLICTS:
-            raise IndexOutOfRangeError(
-                f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})"
-            )
+            raise InputError(f"record line {lineno}: unsupported record shape ({i},{j},{k},{l})")
         key = max(_orbit(i, j, k, l))
         if key in seen and integrals_differ(seen[key], value, (seen[key], value)):
-            raise DuplicateCanonicalEntryError(_CONFLICTS[shape].format(i, j, k, l))
+            raise InputError(_CONFLICTS[shape].format(i, j, k, l))
         seen[key] = value
 
     v = np.zeros((norb + 1,) * 4)   # index 0 is a record's 0: h_ij is v[i, j, 0, 0]
@@ -122,8 +111,8 @@ def write_fcidump(ints: IntegralSet, stream: TextIO) -> None:
         raise InputError("FCIDUMP needs NELEC, and the IntegralSet has no electron count")
     for p in range(n):
         if integrals_differ(g[p], g[:, p], g):
-            raise DimensionMismatchError("FCIDUMP stores a single value per 8-fold orbit; "
-                                         f"(pq|rs) is not (qp|rs) at p={p + 1}")
+            raise InputError("FCIDUMP stores a single value per 8-fold orbit; "
+                             f"(pq|rs) is not (qp|rs) at p={p + 1}")
     orbsym = ",".join(["1"] * n)
     stream.write(f"&FCI NORB={n},NELEC={nelec},MS2={nelec % 2},\n")
     stream.write(f"  ORBSYM={orbsym},\n  ISYM=1,\n&END\n")

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .determinants import MAX_SPIN_ORBITALS, OrbitalBasis, _excite
-from .errors import DimensionMismatchError, InputError, NonFiniteIntegralError, SizeLimitError
+from .errors import InputError, SizeLimitError
 
 INTEGRAL_TOL = 1e-12   # relative to the integrals' scale, absolute below 1
 
@@ -62,11 +62,11 @@ class IntegralSet:
         object.__setattr__(self, "g", np.array(self.g, dtype=float))
         self.h.flags.writeable = self.g.flags.writeable = False
         if self.h.shape != (n, n):
-            raise DimensionMismatchError(f"h must be {n}x{n}, got {self.h.shape}")
+            raise InputError(f"h must be {n}x{n}, got {self.h.shape}")
         if self.g.shape != (n, n, n, n):
-            raise DimensionMismatchError(f"g must be {(n,) * 4}, got {self.g.shape}")
+            raise InputError(f"g must be {(n,) * 4}, got {self.g.shape}")
         if not all(np.isfinite(x).all() for x in (self.h, self.g, self.e_core)):
-            raise NonFiniteIntegralError("integrals or core energy hold NaN or inf")
+            raise InputError("integrals or core energy hold NaN or inf")
         if integrals_differ(self.h, self.h.T, self.h):
             raise InputError("h is not symmetric")
         for p, gp in enumerate(self.g):   # (pq|rs) for one p at a time: no n^4 temporary
@@ -145,9 +145,9 @@ def rotate_orbitals(ints: IntegralSet, c: np.ndarray) -> IntegralSet:
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (ints.n_spatial, ints.n_spatial):
-        raise DimensionMismatchError("rotation matrix has wrong shape")
+        raise InputError("rotation matrix has wrong shape")
     if not np.allclose(c.T @ c, np.eye(ints.n_spatial), atol=1e-10):
-        raise DimensionMismatchError("rotation matrix is not orthogonal")
+        raise InputError("rotation matrix is not orthogonal")
     h = c.T @ ints.h @ c
     g = np.einsum("pqrs,pa,qb,rc,sd->abcd", ints.g, c, c, c, c, optimize=True)
     return replace(ints, h=h, g=g)
@@ -186,8 +186,7 @@ class FockSpectrum:
 def _check_basis(ints: IntegralSet, basis: OrbitalBasis) -> int:
     """K, once the basis has as many spin-orbitals as the integrals."""
     if basis.n_orbitals != ints.n_spin_orbitals:
-        raise DimensionMismatchError(
-            f"basis has K={basis.n_orbitals}, integrals give K={ints.n_spin_orbitals}")
+        raise InputError(f"basis has K={basis.n_orbitals}, integrals give K={ints.n_spin_orbitals}")
     return basis.n_orbitals
 
 

@@ -36,13 +36,7 @@ from .determinants import (
     enumerate_excitations,
     excitation_space,
 )
-from .errors import (
-    GapViolationError,
-    InputError,
-    SingularJacobianError,
-    SolverFailureError,
-    SpaceMismatchError,
-)
+from .errors import InputError, SolverError
 from .exact import cas_fci_solve, ci_to_cluster
 from .hamiltonian import FockSpectrum, IntegralSet, build_dense_hamiltonian, fock_matrix
 
@@ -154,7 +148,7 @@ class TailoredHamiltonian:
     def __init__(self, t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
                  rank: Optional[int] = None):
         if t_cas.space != SPACE_CAS:
-            raise SpaceMismatchError(f"CAS amplitudes tagged {t_cas.space!r}")
+            raise InputError(f"CAS amplitudes tagged {t_cas.space!r}")
         self.space = space = external_space(split)
         self.cas = cas_space(split)
         self.t_cas = self.cas.embed(t_cas)
@@ -189,7 +183,7 @@ def _transformed_reference(t: AmplitudeVector, t_cas: AmplitudeVector, ints: Int
 
     Rows of indices off t's support add +-0.0 to sums that start at +0.0: the bits of T on it."""
     if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
-        raise SpaceMismatchError(f"external amplitudes tagged {t.space!r}")
+        raise InputError(f"external amplitudes tagged {t.space!r}")
     return TailoredHamiltonian(t_cas, ints, split, rank)(external_space(split).embed(t))
 
 
@@ -216,7 +210,7 @@ def split_amplitudes(t_full: AmplitudeVector, split: BasisSplit
                      ) -> tuple[AmplitudeVector, AmplitudeVector]:
     """Partition full-space amplitudes into (t^CAS, t^ext) under the split."""
     if t_full.space != SPACE_FULL:
-        raise SpaceMismatchError(f"expected a full-space vector, got {t_full.space!r}")
+        raise InputError(f"expected a full-space vector, got {t_full.space!r}")
     cas, ext = {}, {}
     for mu, val in t_full.entries.items():
         (cas if classify_excitation(mu, split) == "cas" else ext)[mu] = val
@@ -260,7 +254,7 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
 
     eps = space.epsilon(fock)[kept]
     if eps.min() <= 0.0:
-        raise GapViolationError(f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set")
+        raise SolverError(f"min eps_mu = {eps.min():.6e} <= 0 over the truncated index set")
 
     history: list[tuple[int, float, float, float]] = []
     # DIIS; the window never holds more errors than there are iterations
@@ -340,8 +334,7 @@ def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, [space.indices[a] for a in kept])
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
-        raise SingularJacobianError(
-            f"adjoint system singular (smallest singular value {svals[-1]:.3e})")
+        raise SolverError(f"adjoint system singular (smallest singular value {svals[-1]:.3e})")
     return space.amplitudes(np.linalg.solve(jac.T, grad), SPACE_TRUNCATED, scheme.describe(), kept)
 
 
@@ -372,7 +365,7 @@ class Study:
         if config not in self._roots:
             result = solve_tcc(self.t_cas, self.ints, self.split, self.fock, config)
             if not result.converged:
-                raise SolverFailureError(
+                raise SolverError(
                     f"{config.truncation.describe()} solve not converged in {result.iterations} "
                     f"iterations (final residual {result.history[-1][1]:.3e}"
                     f"{', diverged' if result.diverged else ''})")

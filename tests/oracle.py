@@ -24,7 +24,7 @@ import numpy as np
 
 from tccbench.determinants import SPACE_EXT, SPACE_TRUNCATED, support_space
 from tccbench.diagnostics import _weights
-from tccbench.errors import SpaceMismatchError
+from tccbench.errors import InputError
 from tccbench.hamiltonian import fock_diagonal_vector
 
 
@@ -265,7 +265,7 @@ def fock_norm_identity_check(t, fock, basis) -> FockNormCheck:
     always since the reference column alone realizes ||t||_V.
     """
     if t.space not in (SPACE_EXT, SPACE_TRUNCATED):
-        raise SpaceMismatchError(f"||t||_V needs an external vector, got {t.space!r}")
+        raise InputError(f"||t||_V needs an external vector, got {t.space!r}")
     space = support_space(t, basis)
     t_vec = space.embed(t)
     refpos = space.reference

@@ -20,7 +20,7 @@ from tccbench.entropy import (
     WeakProfileWarning,
     _orbital_rdms,
 )
-from tccbench.errors import NotNormalizedError
+from tccbench.errors import InputError
 
 LN2 = np.log(2.0)
 
@@ -58,7 +58,7 @@ def test_rdm_properties(pairing4, rng):
 def test_rdm_input_guards(pairing4):
     dim = len(enumerate_determinants(pairing4.basis))
     bad = CiVector(pairing4.basis, np.full(dim, 0.5))
-    with pytest.raises(NotNormalizedError):
+    with pytest.raises(InputError, match=r"^CI vector norm is 4\.18\d*, expected 1$"):
         mutual_information(bad)
 
 
@@ -98,7 +98,7 @@ def test_non_finite_ci_vectors_are_rejected(pairing4):
     for bad in (np.nan, np.inf):
         c = np.eye(dim)[0]
         c[3] = bad
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InputError, match=f"^CI vector norm is {bad}, expected 1$"):
             mutual_information(CiVector(pairing4.basis, c))
 
 

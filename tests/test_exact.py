@@ -26,7 +26,7 @@ from tccbench.determinants import (
     enumerate_excitations,
     support_space,
 )
-from tccbench.errors import DimensionMismatchError, ZeroReferenceOverlapError
+from tccbench.errors import InputError
 from tccbench.exact import CiVector, DegenerateGroundStateWarning
 
 
@@ -74,7 +74,7 @@ def test_odd_electron_ground_state_lies_in_the_reference_sector(model):
     """A degenerate M_s = +-1/2 ground level gives its reference-sector member.
 
     A dense eigh of the whole H returned a mix with no reference weight, which
-    ci_to_cluster rejected with ZeroReferenceOverlapError.
+    ci_to_cluster rejected as a reference overlap too small to normalize.
     """
     ints, _ = canonicalize_core(hubbard_model(*model))
     basis = OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)
@@ -128,7 +128,7 @@ def test_cas_fci_refuses_a_split_of_another_basis(n_electrons):
 
 
 def test_a_ci_vector_of_another_length_is_refused():
-    with pytest.raises(DimensionMismatchError, match=r"^expected 6 coefficients, got \(5,\)$"):
+    with pytest.raises(InputError, match=r"^expected 6 coefficients, got \(5,\)$"):
         CiVector(OrbitalBasis(4, 2), np.zeros(5))
 
 
@@ -265,7 +265,8 @@ def test_intermediate_normalization_guard(pairing4):
     dim = len(enumerate_determinants(pairing4.basis))
     c = np.zeros(dim)
     c[-1] = 1.0
-    with pytest.raises(ZeroReferenceOverlapError):
+    with pytest.raises(InputError, match=r"^reference overlap 0\.000e\+00 too small for "
+                                         "intermediate normalization$"):
         CiVector(pairing4.basis, c).intermediate_normalized()
 
 
