@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # submodule -> the names it exports through the package
 _EXPORTS = {
     "determinants": (
-        "AmplitudeVector", "BasisSplit", "ExcitationIndex", "ExcitationSpace", "OrbitalBasis",
-        "classify_excitation", "enumerate_determinants", "enumerate_excitations",
-        "excitation_space"),
+        "AmplitudeVector", "BasisSplit", "ExcitationSpace", "OrbitalBasis",
+        "enumerate_determinants", "excitation_space"),
     "hamiltonian": (
         "FockSpectrum", "IntegralSet", "build_dense_hamiltonian", "canonicalize_core",
         "fock_matrix", "hubbard_model", "pairing_model", "rotate_orbitals"),

@@ -61,9 +61,11 @@ def _load_integrals(args):
             raise InputError(f"bad model spec {args.model!r}: {kind} takes "
                              f"{fewest} to 4 nonempty comma-separated fields")
         try:
-            ints = build(*(cast(x) for cast, x in zip((int, float, float, int), parts)))
+            fields = [cast(x) for cast, x in zip((int, float, float, int), parts)]
+            ints = build(*fields)
         except ValueError as exc:
             raise InputError(f"bad model spec {args.model!r}: {exc}") from exc
+        args.model = f"{kind.lower()}:{','.join(map(str, fields))}"   # recorded as parsed
     if getattr(args, "mo", False):
         ints, _ = canonicalize_core(ints)
     return ints, OrbitalBasis(ints.n_spin_orbitals, ints.n_electrons)

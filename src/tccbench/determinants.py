@@ -14,6 +14,9 @@ applied right to left with the standard creation/annihilation phase
 (-1)^(number of occupied orbitals below the affected one). The
 convention is not trusted by construction; the test suite checks it
 against a dense 2^K occupation-tensor oracle.
+
+An excitation index is the int mask of the determinant X_mu phi_0 reaches: its
+holes are the orbitals 1..N the mask lacks, its particles those above N it holds.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -75,49 +78,41 @@ class BasisSplit:
         return self.basis.determinants.masks < (1 << self.k)
 
 
-@dataclass(frozen=True, order=True)
-class ExcitationIndex:
-    """Multi-index mu = (I_1..I_r -> A_1..A_r), canonically ordered."""
-
-    holes: tuple[int, ...]
-    particles: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.holes) != len(self.particles) or not self.holes:
-            raise InputError("holes and particles must be equally long and nonempty")
-        for seq in (self.holes, self.particles):
-            if any(a >= b for a, b in zip(seq, seq[1:])) or seq[0] < 1:
-                raise InputError(f"indices must be strictly increasing and 1-based: {seq}")
-        if set(self.holes) & set(self.particles):
-            raise InputError("holes and particles must be disjoint")
-
-    @property
-    def rank(self) -> int:
-        return len(self.holes)
-
-    def __str__(self) -> str:
-        h = ",".join(map(str, self.holes))
-        p = ",".join(map(str, self.particles))
-        return f"{h}->{p}"
-
-
-def classify_excitation(mu: ExcitationIndex, split: BasisSplit) -> str:
-    """'cas' when all particles are <= k, otherwise 'ext' (incl. mixed)."""
-    return "cas" if mu.particles[-1] <= split.k else "ext"
-
-
 def enumerate_determinants(basis: OrbitalBasis) -> list[tuple[int, ...]]:
     """The 1-based occupations of all N-electron determinants, in lexicographic order."""
     return list(combinations(range(1, basis.n_orbitals + 1), basis.n_electrons))
 
 
-@lru_cache(maxsize=32)
-def enumerate_excitations(basis: OrbitalBasis) -> tuple[ExcitationIndex, ...]:
-    """All excitation indices, ordered by (rank, holes, particles); cached."""
-    n, k = basis.n_electrons, basis.n_orbitals
-    return tuple(ExcitationIndex(holes, particles) for r in range(1, min(n, k - n) + 1)
-                 for holes in combinations(range(1, n + 1), r)
-                 for particles in combinations(range(n + 1, k + 1), r))
+def index_orbitals(mu: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 1-based (holes, particles) of the index whose determinant mask is mu."""
+    mu = int(mu)
+    ref = (1 << mu.bit_count()) - 1
+    return tuple(tuple(p + 1 for p in range(m.bit_length()) if m >> p & 1)
+                 for m in (ref & ~mu, mu & ~ref))
+
+
+def index_label(mu: int) -> str:
+    """The index as documents and messages write it, e.g. '1,2->5,6'; another key as its repr."""
+    if not isinstance(mu, (int, np.integer)) or mu < 0:
+        return repr(mu)
+    return "->".join(",".join(map(str, orbitals)) for orbitals in index_orbitals(mu))
+
+
+def _lowest_orbitals(masks: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(masks)) uint64: row q, each mask's (q+1)-th lowest set bit (0-based), 64 if none."""
+    out = np.empty((n, len(masks)), dtype=np.uint64)
+    for q in range(n):
+        low = masks & (~masks + np.uint64(1))
+        out[q] = np.bitwise_count(low - np.uint64(1))
+        masks = masks ^ low
+    return out
+
+
+def _index_sorted(masks: np.ndarray, n: int) -> np.ndarray:
+    """N-electron masks by the (rank, holes, particles) of the indices reaching them."""
+    ref = np.uint64((1 << n) - 1)
+    holes, particles = _lowest_orbitals(ref & ~masks, n), _lowest_orbitals(masks & ~ref, n)
+    return masks[np.lexsort([*particles[::-1], *holes[::-1], np.bitwise_count(masks & ~ref)])]
 
 
 SPACE_FULL = "full"
@@ -128,16 +123,16 @@ SPACE_TRUNCATED = "truncated"
 
 @dataclass
 class AmplitudeVector:
-    """Sparse map from excitation indices to real coefficients.
+    """Sparse map from excitation indices (determinant masks) to real coefficients.
 
     `space` tags the index set the vector lives on; `scheme` names the
-    truncation when space == 'truncated'. `sorted_items()` follows the
-    canonical index order, so sums, seeded draws and cache keys over it are
+    truncation when space == 'truncated'. `sorted_items()` orders the indices
+    by their 1-based (holes, particles), so sums, seeded draws and cache keys over it are
     reproducible. Explicit zeros are dropped on construction; NaN and inf are rejected.
     """
 
     space: str
-    entries: dict[ExcitationIndex, float] = field(default_factory=dict)
+    entries: dict[int, float] = field(default_factory=dict)
     scheme: Optional[str] = None
 
     def __post_init__(self):
@@ -145,13 +140,13 @@ class AmplitudeVector:
             raise InputError(f"unknown space tag {self.space!r}")
         for mu, v in self.entries.items():
             if not math.isfinite(v):
-                raise InputError(f"amplitude of {mu} is {v}")
+                raise InputError(f"amplitude of {index_label(mu)} is {v}")
         self.entries = {m: v for m, v in self.entries.items() if v != 0.0}
 
-    def sorted_items(self) -> list[tuple[ExcitationIndex, float]]:
-        return sorted(self.entries.items(), key=lambda kv: kv[0])
+    def sorted_items(self) -> list[tuple[int, float]]:
+        return sorted(self.entries.items(), key=lambda kv: index_orbitals(kv[0]))
 
-    def get(self, mu: ExcitationIndex) -> float:
+    def get(self, mu: int) -> float:
         return self.entries.get(mu, 0.0)
 
     def __len__(self) -> int:
@@ -191,22 +186,31 @@ class DeterminantSpace:
         self.levels = _frozen(np.bitwise_count(self.masks >> np.uint64(basis.n_electrons)))
 
     def position(self, masks: np.ndarray) -> np.ndarray:
-        """Positions of N-electron determinant masks in the enumeration order."""
-        return self._order[np.searchsorted(self._sorted, masks)]
+        """Positions of N-electron determinant masks in the enumeration order; others get any."""
+        return self._order[np.minimum(np.searchsorted(self._sorted, masks), len(self._sorted) - 1)]
+
+    def index_positions(self, indices: list) -> np.ndarray:
+        """Positions of the determinants the indices reach; InputError names the first key that
+        is no excited determinant's mask (not an int, negative, phi_0's, a bit >= K, not N bits)."""
+        masks = np.array([mu if isinstance(mu, (int, np.integer)) and 0 <= mu < 1 << 64 else 0
+                          for mu in indices], dtype=np.uint64)   # mask 0 holds no determinant
+        pos = self.position(masks)
+        bad = np.flatnonzero((self.masks[pos] != masks) | (pos == self.reference))
+        if len(bad):
+            raise InputError(f"{indices[bad[0]]!r} is not the mask of an excited determinant "
+                             f"of N={self.basis.n_electrons} in K={self.basis.n_orbitals}")
+        return pos
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Every excitation index, by (rank, holes, particles): all masks but phi_0's."""
+        return _frozen(_index_sorted(self.masks, self.basis.n_electrons)[1:])   # phi_0 is first
 
     def reference_state(self) -> np.ndarray:
         """phi_0 as a coefficient vector."""
         v = np.zeros(len(self.masks))
         v[self.reference] = 1.0
         return v
-
-    def excitation(self, mask: int) -> Optional[ExcitationIndex]:
-        """The mu with X_mu phi_0 = +-phi_mask for an N-electron mask; None for phi_0."""
-        ref = int(self.masks[self.reference])
-        if mask == ref:
-            return None
-        return ExcitationIndex(*(tuple(p + 1 for p in range(m.bit_length()) if m >> p & 1)
-                                 for m in (ref & ~mask, mask & ~ref)))
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -225,11 +229,6 @@ class DeterminantSpace:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _orbitals(indices: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """n equally long 1-based tuples as _excite's (r, n) 0-based uint64 array."""
-    return np.array(indices, dtype=np.uint64).T - np.uint64(1)
 
 
 def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
@@ -264,32 +263,27 @@ class ExcitationSpace:
     vectors on the space are ndarrays in index order; T @ v is one bincount over the table.
     """
 
-    def __init__(self, basis: OrbitalBasis, indices: Sequence[ExcitationIndex]):
+    def __init__(self, basis: OrbitalBasis, indices: Iterable[int]):
         self.basis = basis
-        self.dets = basis.determinants
-        self.indices = tuple(indices)
-        self._slot = {mu: a for a, mu in enumerate(self.indices)}
-        self.ranks = np.array([mu.rank for mu in self.indices], dtype=np.intp)
-        # (ids, holes, particles) per rank, orbitals 0-based as _excite takes them
-        self._groups = [
-            (ids, _orbitals([self.indices[a].holes for a in ids]),
-             _orbitals([self.indices[a].particles for a in ids]))
-            for ids in (np.flatnonzero(self.ranks == r) for r in sorted(set(self.ranks.tolist())))
-        ]
-        for ids, holes, particles in self._groups:   # no orbital past K: one past 64 wraps in a shift
-            if max(holes.max(), particles.max()) >= basis.n_orbitals:
-                bad = self.indices[ids[np.maximum(holes, particles).max(axis=0).argmax()]]
-                raise InputError(f"index {bad} has an orbital above K={basis.n_orbitals}")
-        self.reference = self.dets.reference
-        self.dim = len(self.dets.masks)
-        self._top = int(self.dets.levels.max())   # the deepest level a row can reach
+        self.dets = dets = basis.determinants
+        self.ref_pos = dets.index_positions(list(indices))
+        masks, ref = dets.masks[self.ref_pos], dets.masks[dets.reference]
+        self.indices = tuple(masks.tolist())
+        self.ranks = dets.levels[self.ref_pos].astype(np.intp)
+        self._holes, self._particles = ref & ~masks, masks & ~ref   # per index, as masks
+        self._groups = []   # per rank: ids, and their (r, n) 0-based holes and particles
+        self.ref_sign = np.empty(len(self))   # X_mu phi_0 = ref_sign * phi_{ref_pos}
+        for r in sorted(set(self.ranks.tolist())):
+            ids = np.flatnonzero(self.ranks == r)
+            group = (ids, *(_lowest_orbitals(m[ids], r) for m in (self._holes, self._particles)))
+            self._groups.append(group)
+            self.ref_sign[ids] = _excite(np.full(len(ids), ref), *group[1:])[1]
+        self._slot = np.full(len(dets.masks), -1)   # per determinant, its index's position
+        self._slot[self.ref_pos] = np.arange(len(self))
+        self.reference = dets.reference
+        self.dim = len(dets.masks)
+        self._top = int(dets.levels.max())   # the deepest level a row can reach
         self.table, self._ends = (), ()   # _ends: per level, the table rows up to it
-        _, dst, sign, mu = self._rows(np.array([self.reference]), self._top)
-        if len(mu) != len(self):
-            bad = self.indices[np.flatnonzero(np.bincount(mu, minlength=len(self)) == 0)[0]]
-            raise InputError(f"index {bad} does not excite the reference")
-        order = np.argsort(mu)   # the rows come by rank, the indices in any order
-        self.ref_pos, self.ref_sign = dst[order].astype(np.intp), sign[order].astype(float)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -301,8 +295,7 @@ class ExcitationSpace:
             src = sources[self.dets.levels[sources] <= level - len(holes)]
             masks = self.dets.masks[src]
             step = max(1, _TABLE_BLOCK // max(1, len(src)))
-            hole_masks = np.bitwise_or.reduce(np.uint64(1) << holes, axis=0)
-            part_masks = np.bitwise_or.reduce(np.uint64(1) << particles, axis=0)
+            hole_masks, part_masks = self._holes[ids], self._particles[ids]
             for lo in range(0, len(ids), step):
                 h = hole_masks[lo:lo + step, None]
                 p = part_masks[lo:lo + step, None]
@@ -330,12 +323,14 @@ class ExcitationSpace:
 
     # -- amplitude vectors ---------------------------------------------------
 
-    def positions(self, indices: Iterable[ExcitationIndex]) -> np.ndarray:
+    def positions(self, indices: Iterable[int]) -> np.ndarray:
         """The positions of the indices in the space, in their order."""
-        try:
-            return np.array([self._slot[mu] for mu in indices], dtype=np.intp)
-        except KeyError as e:
-            raise InputError(f"index {e.args[0]} is not in the excitation space") from None
+        indices = list(indices)
+        slots = self._slot[self.dets.index_positions(indices)]
+        if (slots < 0).any():
+            missing = indices[int(np.argmax(slots < 0))]
+            raise InputError(f"index {index_label(missing)} is not in the excitation space")
+        return slots
 
     def embed(self, t: AmplitudeVector) -> np.ndarray:
         """The entries of t as an ndarray in index order."""
@@ -413,13 +408,14 @@ class ExcitationSpace:
 
 
 @lru_cache(maxsize=32)
-def excitation_space(basis: OrbitalBasis, indices: tuple[ExcitationIndex, ...]) -> ExcitationSpace:
+def excitation_space(basis: OrbitalBasis, indices: tuple[int, ...]) -> ExcitationSpace:
     """Shared ExcitationSpace of the indices, in the given order."""
     return ExcitationSpace(basis, indices)
 
 
-def support_space(t: AmplitudeVector | Iterable[ExcitationIndex],
-                  basis: OrbitalBasis) -> ExcitationSpace:
-    """The shared ExcitationSpace of t's indices, in enumerate_excitations order."""
-    indices = t.entries if isinstance(t, AmplitudeVector) else t
-    return excitation_space(basis, tuple(sorted(indices, key=lambda mu: (mu.rank, mu))))
+def support_space(t: AmplitudeVector | Iterable[int], basis: OrbitalBasis) -> ExcitationSpace:
+    """The shared ExcitationSpace of t's indices, in DeterminantSpace.indices order."""
+    dets = basis.determinants
+    keys = t.entries if isinstance(t, AmplitudeVector) else t
+    masks = dets.masks[dets.index_positions(list(keys))]
+    return excitation_space(basis, tuple(_index_sorted(masks, basis.n_electrons).tolist()))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import AmplitudeVector, BasisSplit, ExcitationSpace, SPACE_EXT
+from .determinants import AmplitudeVector, BasisSplit, ExcitationSpace, SPACE_EXT, index_label
 from .errors import InputError, SolverError
 from .exact import ci_to_cluster, fci_solve
 from .hamiltonian import FockSpectrum, fock_diagonal_vector
@@ -90,7 +90,7 @@ def _weights(space: ExcitationSpace, fock: FockSpectrum) -> np.ndarray:
     eps = space.epsilon(fock)
     if eps.min(initial=np.inf) <= 0.0:
         mu = int(eps.argmin())
-        raise SolverError(f"eps_mu <= 0 for {space.indices[mu]}: {eps[mu]}")
+        raise SolverError(f"eps_mu <= 0 for {index_label(space.indices[mu])}: {eps[mu]}")
     return eps
 
 

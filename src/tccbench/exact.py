@@ -80,12 +80,9 @@ def cluster_to_ci(t: AmplitudeVector, basis: OrbitalBasis) -> CiVector:
 
 def _support_space(w: np.ndarray, basis: OrbitalBasis) -> ExcitationSpace:
     """The support space of the indices mu with X_mu phi_0 in the support of a
-    reference-orthogonal w: w = sum t_mu X_mu phi_0 for t = project(w) on it."""
-    dets = basis.determinants
-    if w[dets.reference] != 0.0:
-        raise InputError("vector has a reference component")
-    indices = [dets.excitation(m) for m in dets.masks[np.flatnonzero(w)].tolist()]
-    return support_space(indices, basis)
+    reference-orthogonal w (support_space refuses phi_0's mask): w = sum t_mu X_mu phi_0
+    for t = project(w) on it."""
+    return support_space(basis.determinants.masks[np.flatnonzero(w)].tolist(), basis)
 
 
 def ci_to_cluster(psi: CiVector) -> AmplitudeVector:

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .determinants import MAX_SPIN_ORBITALS, OrbitalBasis, _excite
+from .determinants import MAX_SPIN_ORBITALS, OrbitalBasis, _excite, _lowest_orbitals
 from .errors import InputError, SizeLimitError
 
 INTEGRAL_TOL = 1e-12   # relative to the integrals' scale, absolute below 1
@@ -221,16 +221,6 @@ def fock_matrix(ints: IntegralSet, basis: OrbitalBasis) -> FockSpectrum:
 # Dense build
 # ---------------------------------------------------------------------------
 
-def _lowest_orbitals(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """0-based indices of the n lowest set bits of each mask, ascending."""
-    out = []
-    for _ in range(n):
-        low = masks & (~masks + np.uint64(1))
-        out.append(np.bitwise_count(low - np.uint64(1)).astype(np.uint64))
-        masks = masks ^ low
-    return out
-
-
 def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarray:
     """Dense symmetric H over the basis's DeterminantSpace, in its order (cached).
 
@@ -272,7 +262,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
                 only_a = _lowest_orbitals(masks[a] & ~masks[b], n_moved)
                 only_b = _lowest_orbitals(masks[b] & ~masks[a], n_moved)
                 _, sign = _excite(masks[b], only_b, only_a)   # pair j: only_b[j] -> only_a[j]
-                pqrs = [x.astype(np.intp) for x in only_a + only_b]
+                pqrs = [x.astype(np.intp) for x in (*only_a, *only_b)]
                 val = _spin_integrals(ints, *pqrs)
                 if n_moved == 1:   # h_pq + sum over the common orbitals r of <pr||qr>
                     common, exch = occ[a] & occ[b], exchange[pqrs[0], pqrs[1]]

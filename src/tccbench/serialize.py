@@ -16,6 +16,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from . import __version__ as VERSION
+from .determinants import AmplitudeVector, index_label
 from .exact import CiVector, SpectralSummary
 
 # CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL
@@ -53,6 +54,8 @@ def _emit(obj: Any, parts: list[str], indent: int) -> None:
     elif isinstance(obj, SpectralSummary):
         obj = {"eigenvalues": [float(e) for e in obj.eigenvalues], "gap": float(obj.gap),
                "state_index": obj.state_index, "ground_energy": obj.ground_energy}
+    elif isinstance(obj, AmplitudeVector):   # its fields, each index under its label
+        obj = {**vars(obj), "entries": {index_label(mu): v for mu, v in obj.entries.items()}}
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     elif isinstance(obj, (np.ndarray, np.generic)):   # nested lists, Python scalars

@@ -29,11 +29,8 @@ from .determinants import (
     SPACE_EXT,
     SPACE_FULL,
     SPACE_TRUNCATED,
-    ExcitationIndex,
     ExcitationSpace,
     _frozen,
-    classify_excitation,
-    enumerate_excitations,
     excitation_space,
 )
 from .errors import InputError, SolverError
@@ -74,32 +71,33 @@ class TruncationScheme:
 
 @lru_cache(maxsize=32)
 def external_space(split: BasisSplit) -> ExcitationSpace:
-    """Every external index, in enumerate_excitations order: the one space of them."""
-    return excitation_space(split.basis, tuple(
-        mu for mu in enumerate_excitations(split.basis) if classify_excitation(mu, split) == "ext"))
+    """The one space of the external indices (a particle above k), in DeterminantSpace order."""
+    every = split.basis.determinants.indices
+    return excitation_space(split.basis, tuple(every[every >> np.uint64(split.k) != 0].tolist()))
 
 
 @lru_cache(maxsize=32)
 def truncation_positions(split: BasisSplit, scheme: TruncationScheme) -> np.ndarray:
-    """The ascending positions in external_space(split) of the indices the scheme keeps."""
-    return _frozen(np.flatnonzero([
-        (scheme.mode != MODE_RANK or mu.rank <= scheme.n)
-        and (scheme.mode != MODE_FOI or sum(p > split.k for p in mu.particles) <= scheme.n)
-        for mu in external_space(split).indices]))
+    """The ascending positions in external_space(split) of the indices the scheme keeps:
+    'rank' by |mu|, 'foi' by the count of particles above k."""
+    space = external_space(split)
+    if scheme.mode == MODE_FULL:
+        return _frozen(np.arange(len(space)))
+    count = space.ranks if scheme.mode == MODE_RANK else np.bitwise_count(
+        space.dets.masks[space.ref_pos] >> np.uint64(split.k))   # the particles above k
+    return _frozen(np.flatnonzero(count <= scheme.n))
 
 
-def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme
-                              ) -> list[ExcitationIndex]:
+def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme) -> list[int]:
     """Deterministically ordered external indices kept by the scheme."""
-    indices = external_space(split).indices
-    return [indices[a] for a in truncation_positions(split, scheme)]
+    return [external_space(split).indices[a] for a in truncation_positions(split, scheme)]
 
 
 @lru_cache(maxsize=32)
 def cas_space(split: BasisSplit) -> ExcitationSpace:
-    """Every CAS index, in enumerate_excitations order."""
-    return excitation_space(split.basis, tuple(
-        mu for mu in enumerate_excitations(split.basis) if classify_excitation(mu, split) == "cas"))
+    """Every CAS index (no particle above k), in DeterminantSpace order."""
+    every = split.basis.determinants.indices
+    return excitation_space(split.basis, tuple(every[every >> np.uint64(split.k) == 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -211,9 +209,10 @@ def split_amplitudes(t_full: AmplitudeVector, split: BasisSplit
     """Partition full-space amplitudes into (t^CAS, t^ext) under the split."""
     if t_full.space != SPACE_FULL:
         raise InputError(f"expected a full-space vector, got {t_full.space!r}")
+    split.basis.determinants.index_positions(list(t_full.entries))   # refuses what is no index
     cas, ext = {}, {}
     for mu, val in t_full.entries.items():
-        (cas if classify_excitation(mu, split) == "cas" else ext)[mu] = val
+        (ext if mu >> split.k else cas)[mu] = val
     return AmplitudeVector(SPACE_CAS, cas), AmplitudeVector(SPACE_EXT, ext)
 
 
@@ -305,7 +304,7 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
 # ---------------------------------------------------------------------------
 
 def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                 split: BasisSplit, indices: Sequence[ExcitationIndex]
+                 split: BasisSplit, indices: Sequence[int]
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Jacobian J_{mu,nu} = (Df(t) e_nu)_mu, energy gradient, residual.
 

@@ -3,8 +3,9 @@
 Everything here is built from first principles -- explicit creation/
 annihilation matrices with the standard phase string, dense many-body
 operators, explicit partial traces -- and deliberately shares no code
-with the package beyond the integral and excitation-index containers;
-a determinant is its tuple of 1-based occupied orbitals. Used to
+with the package beyond the integral containers and the reading of an
+excitation index (the determinant mask it reaches) as 1-based holes and
+particles; a determinant is its tuple of 1-based occupied orbitals. Used to
 pin signs, matrix elements, reduced density matrices and operator norms.
 
 The scalar integral lookups and the Slater-Condon matrix_element are the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tccbench.determinants import SPACE_EXT, SPACE_TRUNCATED, support_space
+from tccbench.determinants import SPACE_EXT, SPACE_TRUNCATED, index_orbitals, support_space
 from tccbench.diagnostics import _weights
 from tccbench.errors import InputError
 from tccbench.hamiltonian import fock_diagonal_vector
@@ -88,6 +89,11 @@ def occ_mask(occ) -> int:
     return sum(1 << (p - 1) for p in occ)
 
 
+def index_mask(n: int, holes, particles) -> int:
+    """The excitation index (1-based holes -> particles) of N electrons: the mask it reaches."""
+    return occ_mask(range(1, n + 1)) ^ occ_mask(holes) ^ occ_mask(particles)
+
+
 def _align_phase(d1, d2, removed: list[int], added: list[int]) -> int:
     """Parity of bringing d2 into maximal coincidence with d1.
 
@@ -143,9 +149,10 @@ def matrix_element(d1, d2, ints) -> float:
 
 def epsilon(fock, mu) -> float:
     """eps_mu = sum(lambda_A) - sum(lambda_I) of one index, each sum left to right."""
+    holes, particles = index_orbitals(mu)
     return float(
-        sum(fock.lambdas[a - 1] for a in mu.particles)
-        - sum(fock.lambdas[i - 1] for i in mu.holes)
+        sum(fock.lambdas[a - 1] for a in particles)
+        - sum(fock.lambdas[i - 1] for i in holes)
     )
 
 

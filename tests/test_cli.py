@@ -17,9 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 import tccbench
 from tccbench import (
     cli,
+    determinants,
     diagnostics,
     entropy,
     errors,
@@ -32,7 +34,6 @@ from tccbench.cli import main
 from tccbench.determinants import (
     AmplitudeVector,
     BasisSplit,
-    ExcitationIndex,
     OrbitalBasis,
 )
 from tccbench.exact import CiVector, DegenerateGroundStateWarning, SpectralSummary
@@ -88,8 +89,8 @@ def _every_branch():
     return {
         "ci": CiVector(OrbitalBasis(4, 2), [0.5, -0.5, 0.5, 0.5, 0.0, 1 / 3]),
         "spectrum": SpectralSummary(np.array([-1.25, 0.5]), 1.75),
-        "amplitudes": _Amplitudes("ext", AmplitudeVector("ext", {
-            ExcitationIndex((2,), (3,)): 0.25, ExcitationIndex((1, 2), (3, 4)): -0.1})),
+        "amplitudes": _Amplitudes("ext", AmplitudeVector("ext", {   # 2->3 and 1,2->3,4 of N = 2
+            oracle.index_mask(2, (2,), (3,)): 0.25, oracle.index_mask(2, (1, 2), (3, 4)): -0.1})),
         "numpy": [np.int64(7), np.bool_(False), np.float64(0.1), np.arange(6).reshape(2, 3) / 4],
         "tuple": (1, "two", True),
         "special": [None, float("nan"), float("inf"), float("-inf")],
@@ -358,11 +359,10 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
 
 
 def test_a_tab_in_the_model_spec_gives_a_parseable_document(capsys):
-    # float("\t4.0") parses, so the spec is accepted and echoed in the config
-    spec = "hubbard:2,1.0,\t4.0"
-    code, out, _ = run(["fci", "--model", spec], capsys)
+    # float("\t4.0") parses, so the spec is accepted; the config records it as parsed
+    code, out, _ = run(["fci", "--model", "hubbard:2,1.0,\t4.0"], capsys)
     assert code == 0
-    assert json.loads(out)["config"]["model"] == spec
+    assert json.loads(out)["config"]["model"] == "hubbard:2,1.0,4.0"
 
 
 @pytest.mark.parametrize("argv", [
@@ -558,6 +558,24 @@ def test_one_problem_gets_one_config_hash(tmp_path, capsys):
     doc = json.loads(outputs.pop()[0])
     assert doc["config"]["trunc"] == doc["payload"]["t"]["scheme"] == "rank:2"
     assert "diis" not in doc["config"]
+
+
+def test_one_model_gets_one_config_hash(tmp_path, capsys):
+    # the config recorded --model as typed: these three spellings gave one problem three
+    # hashes; the spec already written as parsed keeps the hash it had
+    outputs = set()
+    for i, spec in enumerate(["pairing:4,0.5,1.0", "pairing:4,0.5,1", "PAIRING:4,0.50,1.0"]):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text(f"model={spec}\n")
+        for j, route in enumerate((["--model", spec], ["--config", str(cfg)])):
+            out = tmp_path / f"{i}-{j}"
+            argv = ["tcc", *route, "--k", "6", "--trunc", "rank:2", "--out", str(out)]
+            assert run(argv, capsys) == (0, "", "")
+            outputs.add(((out / "tcc.json").read_bytes(), (out / "history.tsv").read_bytes()))
+    assert len(outputs) == 1
+    doc = json.loads(outputs.pop()[0])
+    assert doc["config"]["model"] == "pairing:4,0.5,1.0"
+    assert doc["config_sha256"].startswith("3e5d85e4")
 
 
 @pytest.mark.parametrize("spec", ["rank:\u00b2", "rank:\u0663"], ids=["superscript", "arabic"])
@@ -773,20 +791,23 @@ ARGUMENT_CHECKS = {
     "permute_spatial_orbitals": lambda s: entropy.permute_spatial_orbitals(s.ints, (1, 1, 2, 3)),
     "_Stream": lambda s: diagnostics._Stream(-1),
     "AmplitudeVector tag": lambda s: AmplitudeVector("guess"),
-    "ExcitationIndex lengths": lambda s: ExcitationIndex((1,), ()),
-    "ExcitationIndex order": lambda s: ExcitationIndex((2, 1), (5, 6)),
-    "ExcitationIndex disjoint": lambda s: ExcitationIndex((1,), (1,)),
+    "excitation_space reference": lambda s: determinants.excitation_space(s.basis, (0b1111,)),
+    "support_space popcount": lambda s: determinants.support_space([0b11111], s.basis),
+    "ExcitationSpace.embed key type": lambda s: tcc.external_space(s.split).embed(
+        AmplitudeVector("ext", {30.0: 0.1})),
     "fock_matrix basis": lambda s: tccbench.fock_matrix(s.ints, OrbitalBasis(6, 4)),
     "CiVector length": lambda s: CiVector(s.basis, np.zeros(5)),
     "rotate_orbitals shape": lambda s: tccbench.rotate_orbitals(s.ints, np.eye(2)),
     "ExcitationSpace.coefficients shape":
         lambda s: tcc.external_space(s.split).coefficients(np.zeros(3)),
     "AmplitudeVector NaN":
-        lambda s: AmplitudeVector("cas", {ExcitationIndex((1,), (5,)): np.nan}),
+        lambda s: AmplitudeVector("cas", {oracle.index_mask(4, (1,), (5,)): np.nan}),
+    "AmplitudeVector NaN, a key that is no mask":   # index_label raised a bare ValueError
+        lambda s: AmplitudeVector("cas", {"x": np.nan}),
     "TailoredHamiltonian t_cas tag":
         lambda s: tcc.TailoredHamiltonian(AmplitudeVector("ext"), s.ints, s.split),
     "ExcitationSpace.embed index": lambda s: tcc.external_space(s.split).embed(
-        AmplitudeVector("ext", {ExcitationIndex((1,), (5,)): 0.1})),
+        AmplitudeVector("ext", {oracle.index_mask(4, (1,), (5,)): 0.1})),
     "mutual_information norm":
         lambda s: entropy.mutual_information(CiVector(s.basis, np.full(70, 0.5))),
     "intermediate_normalized overlap":
@@ -990,7 +1011,7 @@ def test_tcc_builds_one_external_space_as_deep_as_it_reads(monkeypatch, capsys):
     assert code == 0
     _, split = cli._load_split(cli.build_parser().parse_args(argv))
     external = [space for space in built if any(
-        determinants.classify_excitation(mu, split) == "ext" for mu in space.indices)]
+        mu >> split.k for mu in space.indices)]
     assert external == [tcc.external_space(split)]
     # rank:2 is read at levels <= 2, which H couples to levels <= 4, where e^T must reach;
     # the whole table would reach level 6 in 30,171 rows
@@ -1172,17 +1193,18 @@ def test_a_call_with_argv_leaves_the_warning_display_alone(capsys):
 # excitation_from_reference, which had no caller, v_ext_norm, whose one caller
 # reads the space's weights, and apply_excitation, one_orbital_rdm and two_orbital_rdm,
 # scalar views of the excitation table and of the RDM stack that no command read, and
-# Determinant, a second representation of the bit masks every layer reads; plus the
-# fcidump module
+# Determinant, a second representation of the bit masks every layer reads, and the
+# excitation-index class with its enumeration and classification functions, a second
+# representation of the excitation indices, which are those masks; plus the fcidump module
 PACKAGE_NAMES = [
     "AmplitudeVector", "AssumptionReport", "BasisSplit", "CasSelection", "CiVector",
-    "ErrorDecomposition", "ExcitationIndex", "ExcitationSpace",
+    "ErrorDecomposition", "ExcitationSpace",
     "FockSpectrum", "GapReport", "IntegralSet", "OrbitalBasis", "OrbitalEntropyProfile",
     "ScalingStudy", "SpectralSummary", "Study", "TailoredHamiltonian", "TccConfig",
     "TccResult", "TruncationScheme", "assumption_b_report",
     "build_dense_hamiltonian", "canonicalize_core", "cas_fci_solve", "ci_to_cluster",
-    "classify_excitation", "cluster_to_ci", "determinants", "diagnostics", "entropy",
-    "enumerate_determinants", "enumerate_excitations", "enumerate_truncated_space",
+    "cluster_to_ci", "determinants", "diagnostics", "entropy",
+    "enumerate_determinants", "enumerate_truncated_space",
     "error_decomposition", "error_representation_check", "errors", "exact",
     "excitation_space", "fci_solve", "fcidump", "fock_matrix",
     "gap_report", "hamiltonian", "hubbard_model",

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,25 +9,27 @@ import oracle
 from tccbench import (
     AmplitudeVector,
     BasisSplit,
-    ExcitationIndex,
+    ExcitationSpace,
     OrbitalBasis,
-    classify_excitation,
     cluster_to_ci,
     enumerate_determinants,
-    enumerate_excitations,
+    split_amplitudes,
 )
 from tccbench.determinants import (
     SPACE_CAS,
     SPACE_EXT,
     SPACE_FULL,
     excitation_space,
+    index_label,
+    index_orbitals,
+    support_space,
 )
 from tccbench.errors import InputError, SizeLimitError
 
 
 def _oracle_action(mu, det, n_modes):
     """(result mask, sign) of X_mu on the occupation det via the dense oracle."""
-    op = oracle.excitation_operator(mu.holes, mu.particles, n_modes)
+    op = oracle.excitation_operator(*index_orbitals(mu), n_modes)
     out = op @ oracle.determinant_state(det, n_modes)
     nz = np.nonzero(out)[0]
     if len(nz) == 0:
@@ -42,14 +45,15 @@ def test_excitation_signs_match_dense_oracle(k, n):
     dets = enumerate_determinants(basis)
     pos = {oracle.occ_mask(d): i for i, d in enumerate(dets)}
     # the excitation table must hold exactly the oracle's nonzero actions
-    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
-    assert space.indices == tuple(enumerate_excitations(basis))
+    indices = tuple(basis.determinants.indices.tolist())
+    space = excitation_space(basis, indices)
+    assert space.indices == indices
     space.block(n)   # the whole table: no determinant lies above level N
     src, dst, sign, mu_id = space.table
     rows = {(int(a), int(i)): (int(j), float(s))
             for i, j, s, a in zip(src, dst, sign, mu_id)}
     assert len(rows) == len(src)
-    for a, mu in enumerate(enumerate_excitations(basis)):
+    for a, mu in enumerate(indices):
         for i, det in enumerate(dets):
             want = _oracle_action(mu, det, k)
             row = rows.pop((a, i), None)
@@ -66,7 +70,7 @@ def test_table_is_level_ordered_so_blocks_are_prefixes(k, n):
     levels never fall, each destination keeps its rows in build order (so every
     bincount sums them as before), and block(r) is the prefix at level <= r."""
     basis = OrbitalBasis(k, n)
-    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
+    space = ExcitationSpace(basis, basis.determinants.indices)
     built = space._rows(np.arange(space.dim), n)
     space.block(n)   # the whole table: no determinant lies above level N
     level = basis.determinants.levels[space.table[1]].astype(int)
@@ -85,7 +89,7 @@ def test_table_is_level_ordered_so_blocks_are_prefixes(k, n):
 def test_space_epsilon_is_epsilon_of_bit_for_bit(system, request):
     # every index of the basis, so every CAS and external index of any split
     system = request.getfixturevalue(system)
-    space = excitation_space(system.basis, tuple(enumerate_excitations(system.basis)))
+    space = ExcitationSpace(system.basis, system.basis.determinants.indices)
     want = np.array([oracle.epsilon(system.fock, mu) for mu in space.indices])
     assert space.epsilon(system.fock).tobytes() == want.tobytes()
 
@@ -93,23 +97,23 @@ def test_space_epsilon_is_epsilon_of_bit_for_bit(system, request):
 @pytest.mark.parametrize("k,n", [(6, 3), (8, 4)])
 def test_excitation_operators_commute(k, n):
     basis = OrbitalBasis(k, n)
-    mus = enumerate_excitations(basis)
+    mus = basis.determinants.indices.tolist()
     for a in range(len(mus)):
         for b in range(a + 1, min(a + 6, len(mus))):
-            m1 = oracle.excitation_operator(mus[a].holes, mus[a].particles, k)
-            m2 = oracle.excitation_operator(mus[b].holes, mus[b].particles, k)
+            m1 = oracle.excitation_operator(*index_orbitals(mus[a]), k)
+            m2 = oracle.excitation_operator(*index_orbitals(mus[b]), k)
             assert np.max(np.abs(m1 @ m2 - m2 @ m1)) <= 1e-12
 
 
 @pytest.mark.parametrize("k,n", [(4, 2), (6, 3)])
 def test_excitations_are_nilpotent(k, n):
     basis = OrbitalBasis(k, n)
-    for mu in enumerate_excitations(basis):
-        m = oracle.excitation_operator(mu.holes, mu.particles, k)
+    for mu in basis.determinants.indices.tolist():
+        m = oracle.excitation_operator(*index_orbitals(mu), k)
         assert np.max(np.abs(m @ m)) <= 1e-12
     # and on the package side: applying twice annihilates, so no table row acts on
     # what a row of the same index made
-    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
+    space = ExcitationSpace(basis, basis.determinants.indices)
     space.block(n)   # the whole table: no determinant lies above level N
     src, dst, _, ids = (col.tolist() for col in space.table)
     assert not set(zip(ids, src)) & set(zip(ids, dst))
@@ -117,14 +121,14 @@ def test_excitations_are_nilpotent(k, n):
 
 def test_reference_bijection_round_trip():
     basis = OrbitalBasis(6, 3)
-    space = excitation_space(basis, tuple(enumerate_excitations(basis)))
+    space = ExcitationSpace(basis, basis.determinants.indices)
     reference = (1, 2, 3)
     dets = enumerate_determinants(basis)
     seen = set()
     for det in dets:
-        mu = basis.determinants.excitation(oracle.occ_mask(det))
+        mu = oracle.occ_mask(det)   # the index that reaches det
         if det == reference:
-            assert mu is None
+            assert mu not in space.indices
             continue
         a = space.positions([mu])[0]
         assert space.ref_sign[a] in (-1, 1)
@@ -132,24 +136,22 @@ def test_reference_bijection_round_trip():
         seen.add(mu)
         assert dets[space.ref_pos[a]] == det
     # every excitation index is hit exactly once
-    assert seen == set(enumerate_excitations(basis))
+    assert seen == set(space.indices)
 
 
 def test_excitation_reads_orbitals_up_to_bit_63():
-    """DeterminantSpace.excitation at the orbital bound: for every determinant of K = 64,
-    the reference flipped at the holes and particles is the mask, and X_mu phi_0 lands
-    on the determinant's position."""
+    """index_orbitals at the orbital bound: for every determinant of K = 64, the
+    reference flipped at the holes and particles read off its mask is the mask, and
+    X_mu phi_0 lands on the determinant's position."""
     basis = OrbitalBasis(64, 2)
     dets = basis.determinants
-    space = excitation_space(basis, enumerate_excitations(basis))
-    ref = int(dets.masks[dets.reference])
+    space = ExcitationSpace(basis, dets.indices)
     for pos, mask in enumerate(dets.masks.tolist()):
-        mu = dets.excitation(mask)
-        if mu is None:
-            assert pos == dets.reference
+        if pos == dets.reference:
+            assert index_orbitals(mask) == ((), ())
             continue
-        assert ref ^ oracle.occ_mask(mu.holes) ^ oracle.occ_mask(mu.particles) == mask
-        assert space.ref_pos[space.positions([mu])[0]] == pos
+        assert oracle.index_mask(2, *index_orbitals(mask)) == mask
+        assert space.ref_pos[space.positions([mask])[0]] == pos
     assert max(dets.masks.tolist()) >> 63 == 1   # orbital 64 was reached
 
 
@@ -158,7 +160,7 @@ def test_counting_identity(k, n):
     basis = OrbitalBasis(k, n)
     n_dets = len(enumerate_determinants(basis))
     assert n_dets == math.comb(k, n)
-    assert len(enumerate_excitations(basis)) == n_dets - 1
+    assert len(basis.determinants.indices) == n_dets - 1
 
 
 @pytest.mark.parametrize("k,n", [(4, 1), (6, 3), (8, 4), (10, 3), (12, 4), (7, 3)])
@@ -201,23 +203,53 @@ def test_cas_restricted_enumeration():
 
 
 def test_classification_boundary():
-    basis = OrbitalBasis(8, 4)
-    split = BasisSplit(basis, 6)
-    assert classify_excitation(ExcitationIndex((1,), (5,)), split) == "cas"
-    assert classify_excitation(ExcitationIndex((1,), (7,)), split) == "ext"
+    from tccbench.tcc import cas_space, external_space
+
+    split = BasisSplit(OrbitalBasis(8, 4), 6)
+    assert oracle.index_mask(4, (1,), (5,)) in cas_space(split).indices
+    assert oracle.index_mask(4, (1,), (7,)) in external_space(split).indices
     # mixed: one particle inside, one outside -> external
-    assert classify_excitation(ExcitationIndex((1, 2), (5, 7)), split) == "ext"
+    assert oracle.index_mask(4, (1, 2), (5, 7)) in external_space(split).indices
 
 
-def test_excitation_index_validation():
-    with pytest.raises(ValueError):
-        ExcitationIndex((2, 1), (5, 6))
-    with pytest.raises(ValueError):
-        ExcitationIndex((1,), (5, 6))
-    with pytest.raises(ValueError):
-        ExcitationIndex((1, 5), (5, 7))
-    mu = ExcitationIndex((1, 2), (5, 7))
-    assert str(mu) == "1,2->5,7"
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 17) for n in range(1, k)
+                                 if math.comb(k, n) <= 20_000]
+                         + [(64, 1), (64, 2), (63, 2), (33, 3), (64, 62), (64, 63)])
+def test_indices_follow_the_rank_holes_particles_order(k, n):
+    # the order of the combinations enumeration, read back through index_orbitals
+    want = [(holes, particles) for r in range(1, min(n, k - n) + 1)
+            for holes in combinations(range(1, n + 1), r)
+            for particles in combinations(range(n + 1, k + 1), r)]
+    indices = OrbitalBasis(k, n).determinants.indices
+    assert not indices.flags.writeable
+    assert [index_orbitals(mu) for mu in indices.tolist()] == want
+
+
+@pytest.mark.parametrize("system", ["hubbard2_site", "hubbard4_mo", "pairing4", "pairing3_2e"])
+def test_every_space_reaches_the_determinants_of_its_masks(system, request):
+    from tccbench.tcc import cas_space, external_space
+
+    system = request.getfixturevalue(system)
+    dets = system.basis.determinants
+    every = ExcitationSpace(system.basis, dets.indices)
+    spaces = [every, external_space(system.split), cas_space(system.split),
+              support_space(every.indices[::3], system.basis)]
+    for space in spaces:
+        assert space.ref_pos.tolist() == [dets.masks.tolist().index(mu) for mu in space.indices]
+    assert sorted(spaces[1].indices + spaces[2].indices) == sorted(every.indices)
+
+
+@pytest.mark.parametrize("n, holes, particles, label", [
+    (2, (1,), (3,), "1->3"),
+    (2, (1, 2), (5, 6), "1,2->5,6"),
+    (4, (1, 2), (5, 7), "1,2->5,7"),
+    (3, (2,), (10,), "2->10"),
+    (2, (1,), (64,), "1->64"),
+    (62, (61, 62), (63, 64), "61,62->63,64"),
+])
+def test_index_label_writes_holes_then_particles(n, holes, particles, label):
+    # the text documents and messages have always written
+    assert index_label(oracle.index_mask(n, holes, particles)) == label
 
 
 def test_basis_validation():
@@ -236,12 +268,17 @@ def test_basis_validation():
 
 
 def test_amplitude_vector_pruning_and_order():
-    mu1 = ExcitationIndex((1,), (5,))
-    mu2 = ExcitationIndex((1,), (3,))
+    mu1 = oracle.index_mask(2, (1,), (5,))
+    mu2 = oracle.index_mask(2, (1,), (3,))
     t = AmplitudeVector(SPACE_FULL, {mu1: 0.5, mu2: 0.0})
     assert len(t) == 1 and t.get(mu2) == 0.0
     t = AmplitudeVector(SPACE_FULL, {mu1: 0.5, mu2: -0.25})
     assert [m for m, _ in t.sorted_items()] == [mu2, mu1]
+    # by (holes, particles), not by mask: 2->3 has the smaller mask, 1,2->3,4 the larger
+    mu3, mu4 = oracle.index_mask(2, (2,), (3,)), oracle.index_mask(2, (1, 2), (3, 4))
+    t = AmplitudeVector(SPACE_FULL, {mu3: 1.0, mu4: 2.0, mu2: 3.0, mu1: 4.0})
+    assert [m for m, _ in t.sorted_items()] == [mu2, mu1, mu4, mu3]
+    assert mu3 < mu2 < mu4 < mu1   # the masks' own order
 
 
 def test_space_check(pairing4):
@@ -249,10 +286,10 @@ def test_space_check(pairing4):
     # CAS space; each rejects an index from the other
     from tccbench import TruncationScheme, tcc_energy, tcc_residual
 
-    mu_cas, mu_ext = ExcitationIndex((1,), (5,)), ExcitationIndex((1,), (7,))
+    mu_cas, mu_ext = oracle.index_mask(4, (1,), (5,)), oracle.index_mask(4, (1,), (7,))
     for t, t_cas in ((AmplitudeVector(SPACE_EXT, {mu_cas: 0.1}), AmplitudeVector(SPACE_CAS)),
                      (AmplitudeVector(SPACE_EXT), AmplitudeVector(SPACE_CAS, {mu_ext: 0.1}))):
-        bad = next(iter(t.entries or t_cas.entries))
+        bad = index_label(next(iter(t.entries or t_cas.entries)))
         with pytest.raises(InputError, match=f"^index {bad} is not in the excitation space$"):
             tcc_energy(t, t_cas, pairing4.ints, pairing4.split)
         with pytest.raises(InputError, match=f"^index {bad} is not in the excitation space$"):
@@ -262,22 +299,56 @@ def test_space_check(pairing4):
 @pytest.mark.parametrize("holes, particles", [((1,), (9,)), ((1,), (70,)), ((66,), (5,))],
                          ids=["particle 9", "particle 70", "hole 66"])
 def test_an_index_with_an_orbital_above_k_is_refused(holes, particles):
-    # orbital 9 of K = 8 raised an IndexError; 70 wrapped to bit 5 in the uint64 shift, so
-    # cluster_to_ci gave 0.905 phi_0, not even intermediate-normalized
-    mu = ExcitationIndex(holes, particles)
-    with pytest.raises(InputError, match=f"index {mu} has an orbital above K=8"):
+    # orbital 9 of K = 8 once raised an IndexError, and 70 wrapped to bit 5 in a uint64
+    # shift, so cluster_to_ci gave 0.905 phi_0, not even intermediate-normalized
+    mu = oracle.index_mask(4, holes, particles)
+    with pytest.raises(InputError, match=f"^{mu} is not the mask of an excited determinant "
+                                         f"of N=4 in K=8$"):
         cluster_to_ci(AmplitudeVector(SPACE_FULL, {mu: 0.1}), OrbitalBasis(8, 4))
 
 
 def test_an_index_that_does_not_excite_the_reference_is_refused():
-    # N = 2 occupies orbitals 1 and 2: orbital 3 holds no electron to move
-    with pytest.raises(InputError, match=r"^index 3->4 does not excite the reference$"):
-        excitation_space(OrbitalBasis(4, 2), (ExcitationIndex((3,), (4,)),))
+    # N = 2 occupies orbitals 1 and 2: orbital 3 holds no electron to move, so
+    # 3 -> 4 reaches the four-electron mask 0b1111
+    mu = oracle.index_mask(2, (3,), (4,))
+    assert mu == 0b1111
+    with pytest.raises(InputError, match="^15 is not the mask of an excited determinant "
+                                         "of N=2 in K=4$"):
+        excitation_space(OrbitalBasis(4, 2), (mu,))
+
+
+_NOT_INDICES = {   # keys that reach no excited determinant of K = 8, N = 4
+    "the reference": 0b1111,
+    "five electrons": 0b11111,
+    "bit 8": oracle.index_mask(4, (1,), (9,)),
+    "bit 69": oracle.index_mask(4, (1,), (70,)),
+    "negative": -0b11110,
+    "float": 30.0,
+    "str": "30",
+}
+
+
+@pytest.mark.parametrize("entry", ["excitation_space", "support_space", "embed",
+                                   "split_amplitudes"])
+@pytest.mark.parametrize("key", _NOT_INDICES.values(), ids=_NOT_INDICES)
+def test_a_key_that_is_no_index_is_refused(key, entry):
+    basis, valid = OrbitalBasis(8, 4), oracle.index_mask(4, (1,), (6,))
+    call = {
+        "excitation_space": lambda: excitation_space(basis, (valid, key)),
+        "support_space": lambda: support_space([valid, key], basis),
+        "embed": lambda: ExcitationSpace(basis, basis.determinants.indices).embed(
+            AmplitudeVector(SPACE_FULL, {valid: 0.1, key: 0.2})),
+        "split_amplitudes": lambda: split_amplitudes(   # a str or float key raised TypeError
+            AmplitudeVector(SPACE_FULL, {valid: 0.1, key: 0.2}), BasisSplit(basis, 6)),
+    }[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(repr(key))} is not the mask of an "
+                                         f"excited determinant of N=4 in K=8$"):
+        call()
 
 
 @pytest.mark.parametrize("shape", [(6,), (5, 2)], ids=["one too many", "two columns"])
 def test_an_amplitude_array_of_another_shape_is_refused(shape):
-    space = excitation_space(OrbitalBasis(4, 2), tuple(enumerate_excitations(OrbitalBasis(4, 2))))
+    space = ExcitationSpace(OrbitalBasis(4, 2), OrbitalBasis(4, 2).determinants.indices)
     assert len(space) == 5
     with pytest.raises(InputError,
                        match=re.escape(f"amplitude vector shape {shape}, space has 5 indices")):

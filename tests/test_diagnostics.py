@@ -39,7 +39,7 @@ from tccbench import (
     tcc_jacobian,
 )
 from tccbench.determinants import (
-    SPACE_CAS, SPACE_EXT, SPACE_FULL, SPACE_TRUNCATED, ExcitationIndex)
+    SPACE_CAS, SPACE_EXT, SPACE_FULL, SPACE_TRUNCATED)
 from tccbench.diagnostics import STUDY_CONFIG, MonotonicityProbe, ScalingRow, _fit_slope
 from tccbench.errors import InputError, SolverError
 from tccbench.hamiltonian import (
@@ -461,7 +461,7 @@ def test_fock_norm_identity_random_vectors(pairing4, hubbard2_mo, rng):
 
 def test_fock_norm_single_entry_has_unit_ratio(pairing4):
     """One amplitude, no chaining: the operator norm equals the V-norm."""
-    mu = ExcitationIndex((1, 2), (7, 8))
+    mu = oracle.index_mask(4, (1, 2), (7, 8))
     t = AmplitudeVector(SPACE_TRUNCATED, {mu: 0.4}, scheme="full")
     check = oracle.fock_norm_identity_check(t, pairing4.fock, pairing4.basis)
     assert check.deviation <= 1e-13
@@ -470,8 +470,8 @@ def test_fock_norm_single_entry_has_unit_ratio(pairing4):
 
 def test_fock_norm_vext_norm_matches_the_weights(pairing4):
     fock = pairing4.fock
-    mu1 = ExcitationIndex((1,), (7,))
-    mu2 = ExcitationIndex((1, 2), (7, 8))
+    mu1 = oracle.index_mask(4, (1,), (7,))
+    mu2 = oracle.index_mask(4, (1, 2), (7, 8))
     t = AmplitudeVector(SPACE_EXT, {mu1: 0.3, mu2: -0.2})
     want = np.sqrt(oracle.epsilon(fock, mu1) * 0.09 + oracle.epsilon(fock, mu2) * 0.04)
     assert abs(oracle.fock_norm_identity_check(t, fock, pairing4.basis).t_vext_norm - want) <= 1e-14
@@ -479,7 +479,7 @@ def test_fock_norm_vext_norm_matches_the_weights(pairing4):
 
 def test_fock_norm_refuses_a_nonpositive_weight_and_a_full_or_cas_vector(pairing4):
     flat = FockSpectrum(np.zeros(pairing4.basis.n_orbitals), 0.0, 0.0)
-    t = AmplitudeVector(SPACE_EXT, {ExcitationIndex((1,), (7,)): 0.1})
+    t = AmplitudeVector(SPACE_EXT, {oracle.index_mask(4, (1,), (7,)): 0.1})
     with pytest.raises(SolverError, match=r"^eps_mu <= 0 for 1->7: 0\.0$"):
         oracle.fock_norm_identity_check(t, flat, pairing4.basis)
     for tag in (SPACE_FULL, SPACE_CAS):

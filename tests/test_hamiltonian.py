@@ -21,7 +21,7 @@ from tccbench import (
     rotate_orbitals,
     write_fcidump,
 )
-from tccbench.determinants import enumerate_determinants, enumerate_excitations, excitation_space
+from tccbench.determinants import ExcitationSpace, enumerate_determinants
 from tccbench.errors import InputError, SizeLimitError
 from tccbench.exact import DegenerateGroundStateWarning, cas_fci_solve, fci_solve
 from tccbench.hamiltonian import (
@@ -289,13 +289,14 @@ def test_fock_identity_on_determinants(pairing4):
     assert fock.off_diag_norm <= 1e-12
     diag = fock_diagonal_vector(fock, pairing4.basis)
     dets = enumerate_determinants(pairing4.basis)
-    space = excitation_space(pairing4.basis, enumerate_excitations(pairing4.basis))
+    space = ExcitationSpace(pairing4.basis, pairing4.basis.determinants.indices)
 
     for d, val in zip(dets, diag):
-        mu = pairing4.basis.determinants.excitation(oracle.occ_mask(d))
-        if mu is not None:   # X_mu phi_0 is phi_d
+        mu = oracle.occ_mask(d)   # the index that reaches phi_d, unless phi_d is phi_0
+        reference = d == tuple(range(1, len(d) + 1))
+        if not reference:   # X_mu phi_0 is phi_d
             assert dets[space.ref_pos[space.positions([mu])[0]]] == d
-        eps = oracle.epsilon(fock, mu) if mu else 0.0
+        eps = 0.0 if reference else oracle.epsilon(fock, mu)
         assert abs(val - (fock.lambda0 + eps)) <= 1e-12
 
 

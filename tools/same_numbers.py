@@ -39,18 +39,26 @@ def read_commands(path: Path) -> list[str]:
     return [line for line in lines if line]
 
 
+def child_env(checkout: Path) -> dict[str, str]:
+    """The environment a command of the checkout runs in."""
+    return dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"),
+                OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+
+
+def collect(out: str, stdout: bytes, stderr: bytes, code: int) -> dict[str, bytes]:
+    """The files a command wrote under `out`, its stdout, stderr and exit code, by name."""
+    seen = {f"file {p.relative_to(out)}": p.read_bytes()
+            for p in sorted(Path(out).rglob("*")) if p.is_file()}
+    return {**seen, "stdout": stdout, "stderr": stderr, "exit code": str(code).encode()}
+
+
 def run(checkout: Path, command: str, cwd: Path) -> dict[str, bytes]:
     """The output files, stdout, stderr and exit code of one command."""
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"),
-               OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run(
             [sys.executable, "-c", _ENTRY, *shlex.split(command), "--out", out],
-            cwd=cwd, env=env, capture_output=True)
-        seen = {f"file {p.relative_to(out)}": p.read_bytes()
-                for p in sorted(Path(out).rglob("*")) if p.is_file()}
-    return {**seen, "stdout": proc.stdout, "stderr": proc.stderr,
-            "exit code": str(proc.returncode).encode()}
+            cwd=cwd, env=child_env(checkout), capture_output=True)
+        return collect(out, proc.stdout, proc.stderr, proc.returncode)
 
 
 def main(argv: list[str]) -> int:
