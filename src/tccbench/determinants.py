@@ -108,13 +108,6 @@ def _lowest_orbitals(masks: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _index_sorted(masks: np.ndarray, n: int) -> np.ndarray:
-    """N-electron masks by the (rank, holes, particles) of the indices reaching them."""
-    ref = np.uint64((1 << n) - 1)
-    holes, particles = _lowest_orbitals(ref & ~masks, n), _lowest_orbitals(masks & ~ref, n)
-    return masks[np.lexsort([*particles[::-1], *holes[::-1], np.bitwise_count(masks & ~ref)])]
-
-
 SPACE_FULL = "full"
 SPACE_CAS = "cas"
 SPACE_EXT = "ext"
@@ -172,12 +165,11 @@ class DeterminantSpace:
     on first use. Every array is read-only.
     """
 
-    reference = 0   # combinations() starts with orbitals 1..N
+    reference = 0   # enumerate_determinants starts with orbitals 1..N
 
     def __init__(self, basis: OrbitalBasis):
         self.basis = basis
-        occ = np.array(list(combinations(range(basis.n_orbitals), basis.n_electrons)),
-                       dtype=np.uint64)
+        occ = np.array(enumerate_determinants(basis), dtype=np.uint64) - np.uint64(1)
         self.masks = _frozen(np.bitwise_or.reduce(np.left_shift(np.uint64(1), occ), axis=1))
         # the masks are distinct, so any sort gives this order; the merge sort
         # touches far less of numpy's code than the default SIMD quicksort
@@ -203,8 +195,13 @@ class DeterminantSpace:
 
     @cached_property
     def indices(self) -> np.ndarray:
-        """Every excitation index, by (rank, holes, particles): all masks but phi_0's."""
-        return _frozen(_index_sorted(self.masks, self.basis.n_electrons)[1:])   # phi_0 is first
+        """Every excitation index, by (rank, holes, particles): all masks but phi_0's, which
+        sorts first. Every index set of the package is a selection of this order."""
+        n, masks = self.basis.n_electrons, self.masks
+        ref = np.uint64((1 << n) - 1)
+        holes, particles = _lowest_orbitals(ref & ~masks, n), _lowest_orbitals(masks & ~ref, n)
+        order = np.lexsort([*particles[::-1], *holes[::-1], self.levels])
+        return _frozen(masks[order[1:]])
 
     def reference_state(self) -> np.ndarray:
         """phi_0 as a coefficient vector."""
@@ -253,8 +250,8 @@ def _excite(masks: np.ndarray, holes: np.ndarray, particles: np.ndarray
 
 
 class ExcitationSpace:
-    """An ordered set of excitation indices acting on the N-electron determinants of the
-    basis's shared DeterminantSpace (`dets`).
+    """An ordered set of excitation indices (`indices`, a read-only uint64 array of masks)
+    acting on the N-electron determinants of the basis's shared DeterminantSpace (`dets`).
 
     Holds the position of X_mu phi_0 and its sign for every index, and -- built by `block`
     only as deep as it is read -- the excitation `table` (src, dst, sign, mu):
@@ -268,7 +265,7 @@ class ExcitationSpace:
         self.dets = dets = basis.determinants
         self.ref_pos = dets.index_positions(list(indices))
         masks, ref = dets.masks[self.ref_pos], dets.masks[dets.reference]
-        self.indices = tuple(masks.tolist())
+        self.indices = _frozen(masks)
         self.ranks = dets.levels[self.ref_pos].astype(np.intp)
         self._holes, self._particles = ref & ~masks, masks & ~ref   # per index, as masks
         self._groups = []   # per rank: ids, and their (r, n) 0-based holes and particles
@@ -341,7 +338,7 @@ class ExcitationSpace:
     def amplitudes(self, vec: np.ndarray, space: str, scheme: Optional[str] = None,
                    cols: Optional[np.ndarray] = None) -> AmplitudeVector:
         """vec on the indices at positions `cols` (default: all of them) as amplitudes."""
-        indices = self.indices if cols is None else [self.indices[a] for a in cols]
+        indices = (self.indices if cols is None else self.indices[cols]).tolist()
         return AmplitudeVector(space, {mu: float(x) for mu, x in zip(indices, vec)}, scheme=scheme)
 
     def epsilon(self, fock) -> np.ndarray:
@@ -418,4 +415,4 @@ def support_space(t: AmplitudeVector | Iterable[int], basis: OrbitalBasis) -> Ex
     dets = basis.determinants
     keys = t.entries if isinstance(t, AmplitudeVector) else t
     masks = dets.masks[dets.index_positions(list(keys))]
-    return excitation_space(basis, tuple(_index_sorted(masks, basis.n_electrons).tolist()))
+    return excitation_space(basis, tuple(dets.indices[np.isin(dets.indices, masks)].tolist()))

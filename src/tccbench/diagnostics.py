@@ -235,7 +235,7 @@ def assumption_b_report(study: Study, t_star: AmplitudeVector, *, delta: float =
 
     ref = space.dets.reference_state()
     omega0 = float(w_cas(ref)[space.reference])
-    eps_cas = dict(zip(op.cas.indices, op.cas.epsilon(fock)))
+    eps_cas = dict(zip(op.cas.indices.tolist(), op.cas.epsilon(fock)))
     omega_cas = float(sum(abs(val * eps_cas[s]) for s, val in study.t_cas.sorted_items()))
     a_ref = a(ref)
 

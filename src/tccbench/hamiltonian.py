@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -245,7 +244,7 @@ def build_dense_hamiltonian(ints: IntegralSet, basis: OrbitalBasis) -> np.ndarra
     diag = np.full(dim, float(ints.e_core))
     for p in range(K):
         diag += np.where(occ[:, p], h_diag[p], 0.0)
-    for p, q in combinations(range(K), 2):
+    for p, q in zip(*np.triu_indices(K, 1)):   # p < q, row by row
         diag += np.where(occ[:, p] & occ[:, q], pair[p, q], 0.0)
     ham = np.diag(diag)
     for sector in dets.sectors:

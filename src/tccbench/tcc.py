@@ -64,6 +64,8 @@ class TruncationScheme:
             raise InputError(f"mode 'full' takes no rank cap, got {self.n}")
         if self.mode != MODE_FULL and (self.n is None or self.n < 1):
             raise InputError(f"mode {self.mode!r} needs a positive rank cap")
+        if self.mode != MODE_FULL and type(self.n) is not int:   # a bool is no count either
+            raise InputError(f"the rank cap must be an int, got {self.n!r}")
 
     def describe(self) -> str:
         return self.mode if self.mode == MODE_FULL else f"{self.mode}:{self.n}"
@@ -84,13 +86,13 @@ def truncation_positions(split: BasisSplit, scheme: TruncationScheme) -> np.ndar
     if scheme.mode == MODE_FULL:
         return _frozen(np.arange(len(space)))
     count = space.ranks if scheme.mode == MODE_RANK else np.bitwise_count(
-        space.dets.masks[space.ref_pos] >> np.uint64(split.k))   # the particles above k
+        space.indices >> np.uint64(split.k))   # the particles above k
     return _frozen(np.flatnonzero(count <= scheme.n))
 
 
 def enumerate_truncated_space(split: BasisSplit, scheme: TruncationScheme) -> list[int]:
     """Deterministically ordered external indices kept by the scheme."""
-    return [external_space(split).indices[a] for a in truncation_positions(split, scheme)]
+    return external_space(split).indices[truncation_positions(split, scheme)].tolist()
 
 
 @lru_cache(maxsize=32)
@@ -117,6 +119,8 @@ class TccConfig:
             raise InputError("damping must lie in (0, 1]")
         if self.diis is not None and self.diis < 0:
             raise InputError("diis must be a non-negative history length")
+        if type(self.max_iterations) is not int or type(self.diis) not in (int, type(None)):
+            raise InputError(f"need ints, got max_iterations={self.max_iterations!r}, diis={self.diis!r}")
 
 
 @dataclass
@@ -304,7 +308,7 @@ def solve_tcc(t_cas: AmplitudeVector, ints: IntegralSet, split: BasisSplit,
 # ---------------------------------------------------------------------------
 
 def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
-                 split: BasisSplit, indices: Sequence[int]
+                 split: BasisSplit, scheme: TruncationScheme
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Jacobian J_{mu,nu} = (Df(t) e_nu)_mu, energy gradient, residual.
 
@@ -312,9 +316,8 @@ def tcc_jacobian(t: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     Df(t) S = <., e^{-T^CAS} [e^{-T} H e^{T}, S] e^{T^CAS} phi_0>
     (S commutes with e^{T^CAS}), which is exact on the finite space --
     no finite differences involved. The reference component of each
-    column is the energy gradient E'(t) e_nu. Only the columns of `indices` are built."""
-    space = external_space(split)
-    cols = space.positions(indices)
+    column is the energy gradient E'(t) e_nu. Rows and columns are the scheme's indices."""
+    space, cols = external_space(split), truncation_positions(split, scheme)
     op = TailoredHamiltonian(t_cas, ints, split, space.ranks[cols].max(initial=0))
     t_vec = space.embed(t)
     v_base = op(t_vec)
@@ -330,7 +333,7 @@ def solve_dual(t_d: AmplitudeVector, t_cas: AmplitudeVector, ints: IntegralSet,
     space, kept = external_space(split), truncation_positions(split, scheme)
     if not len(kept):
         return AmplitudeVector(SPACE_TRUNCATED, {}, scheme=scheme.describe())
-    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, [space.indices[a] for a in kept])
+    jac, grad, _ = tcc_jacobian(t_d, t_cas, ints, split, scheme)
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise SolverError(f"adjoint system singular (smallest singular value {svals[-1]:.3e})")

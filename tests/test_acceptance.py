@@ -292,10 +292,10 @@ def test_acceptance_11_dual_machinery(hubbard2_mo, pairing4, pairing4_g0):
     indices = enumerate_truncated_space(system.split, TruncationScheme(MODE_FULL))
     t0 = np.array([_solve(system, t_cas).t.get(mu) for mu in indices])
     jac, _, _ = tcc_jacobian(_to_amplitudes(t0, indices), t_cas, system.ints,
-                             system.split, indices)
+                             system.split, TruncationScheme(MODE_FULL))
 
     op = TailoredHamiltonian(t_cas, system.ints, system.split)   # its space holds `indices`
-    assert op.space.indices == tuple(indices)
+    assert op.space.indices.tolist() == indices
 
     def residual(vec):
         return op.residual(vec)

@@ -785,6 +785,13 @@ ARGUMENT_CHECKS = {
     "TccConfig tolerance": lambda s: tcc.TccConfig(tolerance=-1.0),
     "TccConfig damping": lambda s: tcc.TccConfig(damping=1.5),
     "TccConfig diis": lambda s: tcc.TccConfig(diis=-1),
+    # each was accepted: rank:1.5 solved rank 1, and the others died in solve_tcc
+    "TruncationScheme rank 1.5": lambda s: tcc.TruncationScheme(tcc.MODE_RANK, 1.5),
+    "TruncationScheme rank True": lambda s: tcc.TruncationScheme(tcc.MODE_RANK, True),
+    "TccConfig max_iterations 2.5": lambda s: tcc.TccConfig(max_iterations=2.5),
+    "TccConfig max_iterations True": lambda s: tcc.TccConfig(max_iterations=True),
+    "TccConfig diis 2.5": lambda s: tcc.TccConfig(diis=2.5),
+    "TccConfig diis True": lambda s: tcc.TccConfig(diis=True),
     "check_thresholds": lambda s: entropy.check_thresholds(0.0, -1.0),
     "select_cas mode": lambda s: entropy.select_cas(_profile(4), 2, mode="GUESS"),
     "select_cas odd K": lambda s: entropy.select_cas(_profile(5), 2),

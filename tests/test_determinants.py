@@ -27,10 +27,9 @@ from tccbench.determinants import (
 from tccbench.errors import InputError, SizeLimitError
 
 
-def _oracle_action(mu, det, n_modes):
-    """(result mask, sign) of X_mu on the occupation det via the dense oracle."""
-    op = oracle.excitation_operator(*index_orbitals(mu), n_modes)
-    out = op @ oracle.determinant_state(det, n_modes)
+def _oracle_action(op, state):
+    """(result mask, sign) of the dense oracle's X_mu, `op`, on a determinant's `state`."""
+    out = op @ state
     nz = np.nonzero(out)[0]
     if len(nz) == 0:
         return None
@@ -45,17 +44,19 @@ def test_excitation_signs_match_dense_oracle(k, n):
     dets = enumerate_determinants(basis)
     pos = {oracle.occ_mask(d): i for i, d in enumerate(dets)}
     # the excitation table must hold exactly the oracle's nonzero actions
-    indices = tuple(basis.determinants.indices.tolist())
-    space = excitation_space(basis, indices)
-    assert space.indices == indices
+    indices = basis.determinants.indices.tolist()
+    space = excitation_space(basis, tuple(indices))
+    assert space.indices.tolist() == indices
     space.block(n)   # the whole table: no determinant lies above level N
     src, dst, sign, mu_id = space.table
     rows = {(int(a), int(i)): (int(j), float(s))
             for i, j, s, a in zip(src, dst, sign, mu_id)}
     assert len(rows) == len(src)
+    states = [oracle.determinant_state(det, k) for det in dets]
     for a, mu in enumerate(indices):
-        for i, det in enumerate(dets):
-            want = _oracle_action(mu, det, k)
+        op = oracle.excitation_operator(*index_orbitals(mu), k)   # one 2^K operator per index
+        for i, state in enumerate(states):
+            want = _oracle_action(op, state)
             row = rows.pop((a, i), None)
             if want is None:
                 assert row is None
@@ -163,6 +164,26 @@ def test_counting_identity(k, n):
     assert len(basis.determinants.indices) == n_dets - 1
 
 
+def test_a_basis_enumerates_its_determinants_once(monkeypatch):
+    # DeterminantSpace ran a second combinations() of its own, so enumerate_determinants
+    # never ran inside a command
+    from tccbench import determinants
+
+    calls = []
+
+    def counted(basis):
+        calls.append(basis)
+        return enumerate_determinants(basis)
+
+    monkeypatch.setattr(determinants, "enumerate_determinants", counted)
+    basis = OrbitalBasis(8, 4)
+    space = basis.determinants
+    ExcitationSpace(basis, basis.determinants.indices)
+    support_space(space.indices[::5], basis)
+    assert calls == [basis] and basis.determinants is space
+    assert space.masks.tolist() == [oracle.occ_mask(d) for d in enumerate_determinants(basis)]
+
+
 @pytest.mark.parametrize("k,n", [(4, 1), (6, 3), (8, 4), (10, 3), (12, 4), (7, 3)])
 def test_spin_sectors_partition_the_determinants_in_order(k, n, rng):
     """The DeterminantSpace against the slow enumeration: masks in order, the position
@@ -235,8 +256,10 @@ def test_every_space_reaches_the_determinants_of_its_masks(system, request):
     spaces = [every, external_space(system.split), cas_space(system.split),
               support_space(every.indices[::3], system.basis)]
     for space in spaces:
-        assert space.ref_pos.tolist() == [dets.masks.tolist().index(mu) for mu in space.indices]
-    assert sorted(spaces[1].indices + spaces[2].indices) == sorted(every.indices)
+        assert space.ref_pos.tolist() == [dets.masks.tolist().index(mu)
+                                          for mu in space.indices.tolist()]
+    assert sorted(spaces[1].indices.tolist() + spaces[2].indices.tolist()) == sorted(
+        every.indices.tolist())
 
 
 @pytest.mark.parametrize("n, holes, particles, label", [

@@ -45,6 +45,7 @@ from tccbench.errors import InputError, SolverError
 from tccbench.hamiltonian import (
     FockSpectrum, NonCanonicalOrbitalsWarning, build_dense_hamiltonian, fock_diagonal_vector)
 from tccbench.tcc import (
+    MODE_FOI,
     MODE_FULL,
     MODE_RANK,
     TailoredHamiltonian,
@@ -535,7 +536,7 @@ def test_jacobian_matches_finite_differences(hubbard2_mo, pairing4):
         t0 = np.array([result.t.get(mu) for mu in indices])
 
         jac, grad, res = tcc_jacobian(_to_amplitudes(t0, indices), t_cas,
-                                      system.ints, system.split, indices)
+                                      system.ints, system.split, scheme)
         op = TailoredHamiltonian(t_cas, system.ints, system.split)
         kept = truncation_positions(system.split, scheme)
 
@@ -560,6 +561,25 @@ def test_jacobian_matches_finite_differences(hubbard2_mo, pairing4):
             assert abs(grad[col] - fd_g) <= 1e-6 * max(1.0, abs(grad[col]))
 
 
+@pytest.mark.parametrize("model", ["pairing4", "hubbard4_mo"])
+def test_a_truncations_jacobian_is_a_block_of_the_full_one(model, request):
+    """tcc_jacobian over a scheme: the full Jacobian's rows and columns at the scheme's
+    truncation_positions, with the gradient and residual entries there."""
+    system = request.getfixturevalue(model)
+    study = _study(system)
+    t_d = study.root(replace(STUDY_CONFIG, truncation=TruncationScheme(MODE_RANK, 2))).t
+    args = (t_d, study.t_cas, system.ints, system.split)
+    full = tcc_jacobian(*args, TruncationScheme(MODE_FULL))
+    for scheme in (TruncationScheme(MODE_RANK, 1), TruncationScheme(MODE_RANK, 2),
+                   TruncationScheme(MODE_FOI, 1)):
+        kept = truncation_positions(system.split, scheme)
+        jac, grad, res = tcc_jacobian(*args, scheme)
+        assert jac.shape == (len(kept), len(kept)) and len(kept)
+        assert np.abs(jac - full[0][np.ix_(kept, kept)]).max() <= 1e-12
+        assert np.abs(grad - full[1][kept]).max() <= 1e-12
+        assert np.abs(res - full[2][kept]).max() <= 1e-12
+
+
 def test_dual_solve_adjoint_consistency(pairing4, rng):
     t_cas = _cas_amplitudes(pairing4)
     scheme = TruncationScheme(MODE_RANK, 2)
@@ -569,8 +589,7 @@ def test_dual_solve_adjoint_consistency(pairing4, rng):
     assert result.converged
     z = solve_dual(result.t, t_cas, pairing4.ints, pairing4.split, scheme)
     indices = enumerate_truncated_space(pairing4.split, scheme)
-    jac, grad, _ = tcc_jacobian(result.t, t_cas, pairing4.ints, pairing4.split,
-                                indices)
+    jac, grad, _ = tcc_jacobian(result.t, t_cas, pairing4.ints, pairing4.split, scheme)
     zv = np.array([z.get(mu) for mu in indices])
     # <Df(t) u, z> = E'(t)(u) for 20 random directions u
     for _ in range(20):
@@ -584,8 +603,7 @@ def test_dual_solve_raises_on_a_singular_adjoint(hubbard2_mo):
     scheme = TruncationScheme(MODE_RANK, 1)
     study = _study(system)
     root = study.root(TccConfig(truncation=scheme))
-    jac, _, _ = tcc_jacobian(root.t, study.t_cas, system.ints, system.split,
-                             enumerate_truncated_space(system.split, scheme))
+    jac, _, _ = tcc_jacobian(root.t, study.t_cas, system.ints, system.split, scheme)
     assert jac.shape == (4, 4)
     with pytest.raises(SolverError, match="adjoint system singular"):
         solve_dual(root.t, study.t_cas, system.ints, system.split, scheme)
@@ -793,7 +811,7 @@ def test_representation_matches_the_full_jacobian(model, request):
 
     space = external_space(system.split)
     td, zd, ts, zs = (space.embed(x) for x in (t_d, z_d, t_star, z_star))
-    jac, grad, f_d = tcc_jacobian(t_d, *args, space.indices)
+    jac, grad, f_d = tcc_jacobian(t_d, *args, STUDY_CONFIG.truncation)
     rho_primal = -(f_d @ (zs - zd))
     rho_dual = grad @ (ts - td) - (jac.T @ zd) @ (ts - td)
     want = 2.0 * (tcc_energy(t_star, *args) - tcc_energy(t_d, *args)) - rho_primal - rho_dual

@@ -433,10 +433,10 @@ def test_spaces_share_one_enumeration(pairing4):
     order = {mu: a for a, mu in enumerate(everything.tolist())}
     cas = cas_space(pairing4.split).indices
     ext = external_space(pairing4.split).indices
-    assert sorted(cas + ext, key=order.get) == everything.tolist()
+    assert sorted(cas.tolist() + ext.tolist(), key=order.get) == everything.tolist()
     for part in (cas, ext):
-        assert [order[mu] for mu in part] == sorted(order[mu] for mu in part)
-        assert all(type(mu) is int for mu in part)
+        assert [order[mu] for mu in part.tolist()] == sorted(order[mu] for mu in part.tolist())
+        assert part.dtype == np.uint64 and not part.flags.writeable
 
 
 def _split_of(model, *flags):
